@@ -24,8 +24,7 @@ from .io import (load_config, load_potential, load_probes, load_scattering,
                  save_potential, save_scattering, write_array, write_csv)
 from .oracle import evolve
 from .phase_airy import RayCoordinates
-from .reconstruct import (ray_resolution_grid, reconstruct,
-                          resample_scattering_data)
+from .reconstruct import ray_resolution_grid, reconstruct, working_data
 from .rhp import EvolvedData, solve_dmul_dx, solve_mul
 
 RECON_HEADER = ("t", "x", "y", "xi", "eta", "a", "region",
@@ -36,11 +35,7 @@ def _fine_data(data, t, x, y, cap, direct):
     """Per-probe working grid: sized to the phase unless --direct."""
     if direct or t == 0.0:
         return data
-    grid = ray_resolution_grid(t, x, y, cap=cap)
-    src = data.grids.grid_kl
-    if grid.n == src.n and grid.min == src.min and grid.max == src.max:
-        return data
-    return resample_scattering_data(data, grid)
+    return working_data(data, ray_resolution_grid(t, x, y, cap=cap))
 
 
 def _cmd_make_potential(args) -> int:

@@ -22,8 +22,10 @@ from .io import ExperimentConfig, RaySpec, write_csv
 from .oscillatory import oscillatory_integral, oscillatory_tail
 from .phase_airy import (RayCoordinates, RegionLabel, cubic_phase_transform,
                          half_airy_H)
-from .reconstruct import (linear_kp, ray_resolution_grid, reconstruct,
-                          resample_scattering_data)
+# resample_scattering_data is not called here: perfbench wraps this module's
+# global of that name, so the name stays importable
+from .reconstruct import (linear_kp, ray_resolution_grid,  # noqa: F401
+                          reconstruct, resample_scattering_data, working_data)
 from .rhp import (EvolvedData, build_CT_apply, derivative_data, family_kernel,
                   solve_dmul_dx, solve_mul, weighted_l2)
 from .scattering import (ScatteringData, ScatteringGrids, assemble_T,
@@ -198,15 +200,11 @@ def compute_scattering(field: PotentialField, grids: ScatteringGrids,
 
 def _make_nonlinear_evaluator(data: ScatteringData, conditions,
                               config: ExperimentConfig):
-    src = data.grids.grid_kl
-
     def cluster_eval(cluster, spec: RaySpec):
         t_ref = max(cluster)  # phase rate grows with t; size for the worst
         grid = ray_resolution_grid(t_ref, spec.xi * t_ref, spec.eta * t_ref,
                                    cap=config.fine_cap)
-        same = (grid.n == src.n and grid.min == src.min
-                and grid.max == src.max)
-        fine = data if same else resample_scattering_data(data, grid)
+        fine = working_data(data, grid)
         out = []
         for tc in cluster:
             sample = reconstruct(fine, tc, spec.xi * tc, spec.eta * tc,

@@ -6,6 +6,10 @@ correction weighted by the solved factorization unknown and its
 x-derivative. Both are double spectral sums sharing one oscillatory
 weight, evaluated per probe point; probe points rather than fields are
 first-class because the large-time statements are statements along rays.
+Both go through the solver's kernel operator rhp.CTOperator: the two
+families sum to T_plus g - T_minus g, the gap weight i(l - k) acts as
+i(K(l g) - k K g), and the functions each term needs share one product
+per family, so no combined or gap-weighted kernel is formed.
 
 The linear baseline evolves the potential's 2-D transform under the
 dispersion relation p^3 + 3 q^2 / p, excluding the p = 0 line (zero-mean
@@ -24,11 +28,13 @@ from scipy.interpolate import RectBivariateSpline
 
 from .grids import ConditionsReport, Grid1D, PotentialField, full_fourier
 from .phase_airy import RayCoordinates, RegionLabel, DEFAULT_REGION_DELTA
-from .rhp import (
+# family_kernel is not called here: perfbench wraps this module's global of
+# that name to count negated kernel copies, so the name stays importable
+from .rhp import (  # noqa: F401
     EvolvedData,
     RHPSolution,
+    build_CT_apply,
     family_kernel,
-    phase_weights,
     solve_dmul_dx,
 )
 from .scattering import ScatteringData, ScatteringGrids
@@ -41,9 +47,9 @@ __all__ = [
     "linear_kp",
     "linear_kp_crosscheck",
     "linear_field",
-    "combined_kernel",
     "ray_resolution_grid",
     "resample_scattering_data",
+    "working_data",
 ]
 
 OSCILLATION_THRESHOLD = np.pi / 4.0
@@ -63,14 +69,6 @@ class ReconstructionSample:
     u2: complex
     u: complex
     region: RegionLabel
-
-
-def combined_kernel(base: ScatteringData) -> np.ndarray:
-    """Both families in consumption orientation, summed over the grid.
-
-    Off the diagonal exactly one family contributes; on the diagonal the
-    two half-weighted entries combine."""
-    return family_kernel(base, +1) + family_kernel(base, -1)
 
 
 def _warn_if_underresolved(f_abs_colmax, pts, dl, t, x, y):
@@ -103,23 +101,26 @@ def _warn_if_underresolved(f_abs_colmax, pts, dl, t, x, y):
         )
 
 
+def _family_sums(data: EvolvedData, x: float, y: float, rows: np.ndarray):
+    """Plain and k-weighted sums over k of both kernel families with
+    their oscillatory weight, applied to each row of rows. Off the
+    diagonal one family contributes; on it the two half weights combine."""
+    op = build_CT_apply(data, x, y)
+    a = op.kernel_apply(+1, rows) + op.kernel_apply(-1, rows)
+    return a.sum(axis=1), a @ data.base.grids.grid_kl.points
+
+
 def eval_u1(data: EvolvedData, x: float, y: float) -> complex:
     """Leading reconstruction term at one probe point.
 
     (1/pi) double sum of the oscillatory weight times i (l - k) times the
-    combined kernel. The weight factorizes into row and column phase
-    diagonals, so the two sums cost one matrix-vector product."""
+    combined kernel, taken as i(K(l) - k K(1))."""
     base = data.base
-    f = combined_kernel(base)
     pts = base.grids.grid_kl.points
     dl = base.grids.grid_kl.spacing
-    phi = phase_weights(pts, data.t, x, y)
-    e_l = np.exp(1j * phi)
-    e_k = np.exp(-1j * phi)
-    _warn_if_underresolved(np.max(np.abs(f), axis=0), pts, dl, data.t, x, y)
-    col1 = f @ (pts * e_l)
-    col0 = f @ e_l
-    return complex((1j / np.pi) * dl * dl * (e_k @ col1 - (pts * e_k) @ col0))
+    _warn_if_underresolved(base.combined_colmax, pts, dl, data.t, x, y)
+    s, ks = _family_sums(data, x, y, np.stack([pts, np.ones_like(pts)]))
+    return complex((1j / np.pi) * dl * (s[0] - ks[1]))
 
 
 def eval_u2(data: EvolvedData, x: float, y: float, rhp: RHPSolution) -> complex:
@@ -136,19 +137,11 @@ def eval_u2(data: EvolvedData, x: float, y: float, rhp: RHPSolution) -> complex:
             f"requested {expected}")
     if rhp.dmu_dx is None:
         raise ValueError("solution record lacks the derivative part")
-    base = data.base
-    f = combined_kernel(base)
-    pts = base.grids.grid_kl.points
-    dl = base.grids.grid_kl.spacing
-    phi = phase_weights(pts, data.t, x, y)
-    e_l = np.exp(1j * phi)
-    e_k = np.exp(-1j * phi)
-    g_mu = rhp.mu_minus_1 * e_l
-    g_dmu = rhp.dmu_dx * e_l
-    term1 = (1j / np.pi) * dl * dl * (e_k @ (f @ (pts * g_mu))
-                                      - (pts * e_k) @ (f @ g_mu))
-    term2 = (1.0 / np.pi) * dl * dl * (e_k @ (f @ g_dmu))
-    return complex(term1 + term2)
+    pts = data.base.grids.grid_kl.points
+    dl = data.base.grids.grid_kl.spacing
+    mu = rhp.mu_minus_1
+    s, ks = _family_sums(data, x, y, np.stack([pts * mu, mu, rhp.dmu_dx]))
+    return complex((1.0 / np.pi) * dl * (1j * (s[0] - ks[1]) + s[2]))
 
 
 def reconstruct(data: ScatteringData | EvolvedData, t: float, x: float,
@@ -316,12 +309,13 @@ def resample_scattering_data(data: ScatteringData,
     m = grid_fine.n
 
     def spline2(arr):
-        re = RectBivariateSpline(sp, sp, arr.real)
-        im = RectBivariateSpline(sp, sp, arr.imag)
-        return re(fp, fp) + 1j * im(fp, fp)
+        out = np.empty((m, m), dtype=complex)
+        out.real = RectBivariateSpline(sp, sp, arr.real)(fp, fp)
+        out.imag = RectBivariateSpline(sp, sp, arr.imag)(fp, fp)
+        return out
 
     t1_fine = spline2(data.T1)
-    d_fine = np.arange(m)[None, :] - np.arange(m)[:, None]
+    diag_fine = np.arange(m)
     out = {}
     for sign, stored in ((+1, data.T_plus), (-1, data.T_minus)):
         mask_src = data.mask(sign)
@@ -329,12 +323,24 @@ def resample_scattering_data(data: ScatteringData,
         diag = np.arange(src.n)
         rem[diag, diag] *= 2.0
         filled = _fill_across_diagonal(rem, upper=(sign == +1))
-        rem_fine = spline2(filled)
-        w = np.where(sign * d_fine > 0, 1.0, np.where(d_fine == 0, 0.5, 0.0))
-        out[sign] = w * (t1_fine + rem_fine)
+        fine = spline2(filled)
+        fine += t1_fine
+        for i in range(m):  # zero the opposite triangle in place
+            fine[i, slice(0, i) if sign == +1 else slice(i + 1, m)] = 0.0
+        fine[diag_fine, diag_fine] *= 0.5
+        out[sign] = fine
 
     fine_grids = ScatteringGrids(grid_fine, data.grids.grid_y)
     meta = dict(data.meta)
     meta["resampled_from_n"] = src.n
     meta["resampled_from_half_width"] = src.max
     return ScatteringData(out[+1], out[-1], t1_fine, fine_grids, meta)
+
+
+def working_data(data: ScatteringData, grid: Grid1D) -> ScatteringData:
+    """The data itself when grid is its own spectral grid, otherwise its
+    resample onto grid."""
+    src = data.grids.grid_kl
+    if grid.n == src.n and grid.min == src.min and grid.max == src.max:
+        return data
+    return resample_scattering_data(data, grid)

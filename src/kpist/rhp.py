@@ -9,6 +9,15 @@ data this package targets, so plain fixed-point accumulation converges
 geometrically; the x-derivative of the unknown solves the same equation
 with a once-differentiated forcing.
 
+Every kernel application of the solve and of the field evaluation goes
+through CTOperator. The weight factorizes into the phase diagonals
+e^{-i phi(k)} and e^{i phi(l)}, so a family costs one product with the
+stored kernel, shared by all right-hand sides, and nothing of the
+kernels' size is allocated: the minus family, -T_minus in consumption
+orientation, carries its sign on the scalar grid weight, and the
+x-derivative kernels i(l - k)K act through i(l - k)K g = i(K(l g) - k K g).
+family_kernel and derivative_data remain as the reference definitions.
+
 Projections are sharp bin masks on the FFT of the sampled function:
 half plus keeps the nonnegative-frequency bins together with the
 Nyquist bin, half minus is the negative of the rest. Their difference
@@ -71,7 +80,7 @@ def phase_weights(points: np.ndarray, t: float, x: float, y: float) -> np.ndarra
 
 def family_kernel(base: ScatteringData, sign: int) -> np.ndarray:
     """Kernel of one triangular family in the orientation the inverse
-    step consumes.
+    step consumes (reference definition; CTOperator never builds it).
 
     The minus family enters every downstream formula with the opposite
     sign to its stored triangular form; with the stored orientation the
@@ -87,30 +96,14 @@ def family_kernel(base: ScatteringData, sign: int) -> np.ndarray:
     raise ValueError("sign must be +1 or -1")
 
 
-def apply_script_T(sign: int, data: EvolvedData, x: float, y: float,
-                   f: np.ndarray) -> np.ndarray:
-    """One triangular kernel operator with its oscillatory weight.
-
-    out(k) = sum_l exp(i(phi(l) - phi(k))) K(k,l) f(l) dl with K the
-    requested family in consumption orientation. The weight factorizes,
-    so the cost is one matrix-vector product plus two diagonal scalings.
-    """
-    base = data.base
-    kernel = family_kernel(base, sign)
-    pts = base.grids.grid_kl.points
-    phi = phase_weights(pts, data.t, x, y)
-    e_l = np.exp(1j * phi)
-    e_k = np.exp(-1j * phi)
-    dl = base.grids.grid_kl.spacing
-    return e_k * (kernel @ (e_l * np.asarray(f, dtype=complex))) * dl
-
-
 @dataclass(frozen=True)
 class CTOperator:
     """Immutable handle for f -> C_plus K_minus f + C_minus K_plus f.
 
-    Phase diagonals are precomputed at construction; applications share
-    the handle freely across workers since nothing mutates."""
+    Holds the stored kernels by reference and the phase diagonals,
+    precomputed at construction; applications share the handle freely
+    across workers since nothing mutates. Inputs are one function or a
+    stack of them as rows, applied in one product per family."""
 
     data: EvolvedData
     x: float
@@ -124,27 +117,47 @@ class CTOperator:
         phi = phase_weights(pts, data.t, x, y)
         return cls(data, float(x), float(y), np.exp(1j * phi), np.exp(-1j * phi))
 
-    def _kernel_apply(self, kernel: np.ndarray, f: np.ndarray) -> np.ndarray:
-        dl = self.data.base.grids.grid_kl.spacing
-        return self.e_k * (kernel @ (self.e_l * f)) * dl
+    def _family(self, sign: int) -> tuple[np.ndarray, float]:
+        # the minus family is -T_minus; its sign rides on the grid weight
+        if sign not in (+1, -1):
+            raise ValueError("sign must be +1 or -1")
+        base = self.data.base
+        kernel = base.T_plus if sign == +1 else base.T_minus
+        return kernel, sign * base.grids.grid_kl.spacing
 
-    def _kernel_apply_adjoint(self, kernel: np.ndarray, f: np.ndarray) -> np.ndarray:
-        dl = self.data.base.grids.grid_kl.spacing
-        return np.conj(self.e_l) * (kernel.conj().T @ (np.conj(self.e_k) * f)) * dl
+    def kernel_apply(self, sign: int, f: np.ndarray) -> np.ndarray:
+        """One triangular family with its oscillatory weight:
+        out(k) = sum_l exp(i(phi(l) - phi(k))) K(k, l) f(l) dl, K the
+        family in consumption orientation (family_kernel)."""
+        kernel, scale = self._family(sign)
+        return self.e_k * ((self.e_l * np.asarray(f, dtype=complex))
+                           @ kernel.T) * scale
+
+    def _kernel_apply_adjoint(self, sign: int, f: np.ndarray) -> np.ndarray:
+        # K^H g = conj(conj(g) K) in row form; no conjugated kernel
+        kernel, scale = self._family(sign)
+        return np.conj(self.e_l * ((self.e_k * np.conj(f)) @ kernel)) * scale
 
     def __call__(self, f: np.ndarray) -> np.ndarray:
-        f = np.asarray(f, dtype=complex)
-        base = self.data.base
-        return (cauchy_project(self._kernel_apply(family_kernel(base, -1), f), +1)
-                + cauchy_project(self._kernel_apply(family_kernel(base, +1), f), -1))
+        return (cauchy_project(self.kernel_apply(-1, f), +1)
+                + cauchy_project(self.kernel_apply(+1, f), -1))
+
+    def derivative(self, f: np.ndarray) -> np.ndarray:
+        """x-derivative of the operator applied to f: x enters only
+        through exp(i(l - k)x), so each kernel K becomes i(l - k)K."""
+        pts = self.data.base.grids.grid_kl.points
+        rows = np.stack([pts * f, f])
+
+        def gap(sign):  # i(l - k)K f = i(K(l f) - k K f)
+            a = self.kernel_apply(sign, rows)
+            return 1j * (a[0] - pts * a[1])
+
+        return cauchy_project(gap(-1), +1) + cauchy_project(gap(+1), -1)
 
     def adjoint(self, f: np.ndarray) -> np.ndarray:
         f = np.asarray(f, dtype=complex)
-        base = self.data.base
-        return (self._kernel_apply_adjoint(family_kernel(base, -1),
-                                           cauchy_project(f, +1))
-                + self._kernel_apply_adjoint(family_kernel(base, +1),
-                                             cauchy_project(f, -1)))
+        return (self._kernel_apply_adjoint(-1, cauchy_project(f, +1))
+                + self._kernel_apply_adjoint(+1, cauchy_project(f, -1)))
 
     def on_constant(self) -> np.ndarray:
         # the constant is integrated against the kernel rows over the
@@ -177,7 +190,8 @@ def derivative_data(data: EvolvedData) -> EvolvedData:
     """Companion data whose kernels are i(l-k) times the originals.
 
     Applying the kernel operators of the result realizes the x-derivative
-    of the originals, since x enters only through exp(i(l-k)x)."""
+    of the originals, since x enters only through exp(i(l-k)x). Reference
+    definition for CTOperator.derivative, which forms no such kernels."""
     base = data.base
     pts = base.grids.grid_kl.points
     factor = 1j * (pts[None, :] - pts[:, None])
@@ -271,13 +285,13 @@ def solve_dmul_dx(data: ScatteringData | EvolvedData, t: float, x: float,
     """Extend a solved record with the x-derivative part.
 
     The derivative solves the same fixed-point equation with forcing
-    given by the i(l-k)-weighted kernels applied to the full unknown."""
+    given by the i(l-k)-weighted kernels applied to the full unknown
+    1 + (mu - 1)."""
     if mu is None:
         mu = solve_mul(data, t, x, y, tol, max_iter, conditions)
     ev = data if isinstance(data, EvolvedData) else EvolvedData(data, t)
     op = build_CT_apply(ev, x, y)
-    dop = build_CT_apply(derivative_data(ev), x, y)
-    forcing = dop.on_constant() + dop(mu.mu_minus_1)
+    forcing = op.derivative(1.0 + mu.mu_minus_1)
     dl = ev.base.grids.grid_kl.spacing
     sol, iters, _ = _neumann(op, forcing, tol, max_iter)
     resid = weighted_l2(sol - forcing - op(sol), dl) / max(1.0, weighted_l2(sol, dl))
@@ -289,11 +303,11 @@ def adjoint_identity_check(data: ScatteringData, x: float, y: float) -> float:
     """Deviation of the time-zero factorization identity
     (I - A_minus)(I + A_plus*) = I.
 
-    A_sign is the dense matrix of apply_script_T at t = 0 (families in
-    consumption orientation) and * is the conjugate transpose. The
-    identity rests on the pairing conj(T_plus(l, k)) = -T_minus(k, l) of
-    the stored kernels, exact at linear order in the data. Returns the
-    largest singular value of the residual.
+    A_sign is the dense matrix of CTOperator.kernel_apply at t = 0
+    (families in consumption orientation) and * is the conjugate
+    transpose. The identity rests on the pairing conj(T_plus(l, k)) =
+    -T_minus(k, l) of the stored kernels, exact at linear order in the
+    data. Returns the largest singular value of the residual.
 
     The deviation vanishes for zero data, scales with the square of the
     data amplitude, and is dominated by the y-quadrature error of the
@@ -301,14 +315,9 @@ def adjoint_identity_check(data: ScatteringData, x: float, y: float) -> float:
     refinement of the spectral grid alone, so the refinement contract
     (ratio at most 0.6 per doubling) is exercised by doubling the full
     grid pair."""
-    grids = data.grids
-    pts = grids.grid_kl.points
-    dl = grids.grid_kl.spacing
-    phi = phase_weights(pts, 0.0, x, y)
-    scale = np.exp(-1j * phi)[:, None] * np.exp(1j * phi)[None, :]
-    a_minus = scale * family_kernel(data, -1) * dl
-    a_plus = scale * family_kernel(data, +1) * dl
-    n = grids.n_kl
-    eye = np.eye(n)
-    m = (eye - a_minus) @ (eye + a_plus.conj().T) - eye
+    op = build_CT_apply(EvolvedData(data, 0.0), x, y)
+    eye = np.eye(data.grids.n_kl)
+    # applied to the rows of the identity, a family yields A_sign^T
+    a_minus = op.kernel_apply(-1, eye).T
+    m = (eye - a_minus) @ (eye + op.kernel_apply(+1, eye).conj()) - eye
     return float(np.linalg.norm(m, 2))

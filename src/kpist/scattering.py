@@ -36,6 +36,7 @@ from the 2-D transform: -i uhat(l - k, -(l^2 - k^2)).
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -306,6 +307,19 @@ class ScatteringData:
         m = self.grids.n_kl
         d = np.arange(m)[None, :] - np.arange(m)[:, None]  # l index - k index
         return np.where(sign * d > 0, 1.0, np.where(d == 0, 0.5, 0.0))
+
+    @functools.cached_property
+    def combined_colmax(self) -> np.ndarray:
+        """Column maxima of |T_plus - T_minus| (both families in
+        consumption orientation), for the resolution check of every probe
+        on this data; computed once, in row blocks of bounded size."""
+        n = self.grids.n_kl
+        out = np.zeros(n)
+        step = max(1, (1 << 18) // n)
+        for i in range(0, n, step):
+            rows = np.abs(self.T_plus[i:i + step] - self.T_minus[i:i + step])
+            np.maximum(out, np.max(rows, axis=0), out=out)
+        return out
 
 
 def _row_phase_integral(amp_rows, q_rows, grids: ScatteringGrids):

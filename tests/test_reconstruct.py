@@ -13,6 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.interpolate import RectBivariateSpline
 
 from kpist.grids import (
     ConditionsReport,
@@ -28,11 +29,12 @@ from kpist.scattering import (
     resample_transform,
     solve_mu_sharp,
 )
-from kpist.rhp import EvolvedData, solve_dmul_dx, solve_mul
+from kpist.rhp import (EvolvedData, family_kernel, phase_weights, solve_dmul_dx,
+                       solve_mul)
 from kpist.phase_airy import RegionLabel
 from kpist.reconstruct import (
     ReconstructionSample,
-    combined_kernel,
+    _fill_across_diagonal,
     eval_u1,
     eval_u2,
     linear_field,
@@ -41,6 +43,7 @@ from kpist.reconstruct import (
     ray_resolution_grid,
     reconstruct,
     resample_scattering_data,
+    working_data,
 )
 
 WORK_KL = Grid1D(-8.0, 8.0, 128)
@@ -405,5 +408,92 @@ class TestCombinedKernel:
 
     def test_orientation(self, ref05):
         _, data = ref05
-        f = combined_kernel(data)
+        f = family_kernel(data, +1) + family_kernel(data, -1)
         assert np.array_equal(f, data.T_plus - data.T_minus)
+
+
+# a decay-ray probe (x / t = -12) whose resolution grid is 1024 points on
+# [-2, 2]
+FINE_PROBE = (20.0, -240.0, 0.0)
+
+
+@pytest.fixture(scope="module")
+def fine1024(ref05):
+    _, data = ref05
+    return resample_scattering_data(data, ray_resolution_grid(*FINE_PROBE))
+
+
+def combined_kernel_u(data, x, y, rhp):
+    """u1 and u2 as double sums with the combined kernel formed."""
+    base = data.base
+    f = family_kernel(base, +1) + family_kernel(base, -1)
+    pts = base.grids.grid_kl.points
+    dl = base.grids.grid_kl.spacing
+    phi = phase_weights(pts, data.t, x, y)
+    e_l = np.exp(1j * phi)
+    e_k = np.exp(-1j * phi)
+    u1 = (1j / np.pi) * dl * dl * (e_k @ (f @ (pts * e_l))
+                                   - (pts * e_k) @ (f @ e_l))
+    g_mu = rhp.mu_minus_1 * e_l
+    g_dmu = rhp.dmu_dx * e_l
+    u2 = ((1j / np.pi) * dl * dl * (e_k @ (f @ (pts * g_mu))
+                                    - (pts * e_k) @ (f @ g_mu))
+          + (1.0 / np.pi) * dl * dl * (e_k @ (f @ g_dmu)))
+    return u1, u2
+
+
+def resample_with_masks(data, grid_fine):
+    """Fine kernels with the triangle weights applied as full masks."""
+    src = data.grids.grid_kl
+    sp, fp, m = src.points, grid_fine.points, grid_fine.n
+
+    def spline2(arr):
+        re = RectBivariateSpline(sp, sp, arr.real)
+        im = RectBivariateSpline(sp, sp, arr.imag)
+        return re(fp, fp) + 1j * im(fp, fp)
+
+    t1_fine = spline2(data.T1)
+    d_fine = np.arange(m)[None, :] - np.arange(m)[:, None]
+    out = {}
+    for sign, stored in ((+1, data.T_plus), (-1, data.T_minus)):
+        rem = stored - data.mask(sign) * data.T1
+        diag = np.arange(src.n)
+        rem[diag, diag] *= 2.0
+        rem_fine = spline2(_fill_across_diagonal(rem, upper=(sign == +1)))
+        w = np.where(sign * d_fine > 0, 1.0, np.where(d_fine == 0, 0.5, 0.0))
+        out[sign] = w * (t1_fine + rem_fine)
+    return out[+1], out[-1], t1_fine
+
+
+class TestCopyFreeEvaluation:
+    """Evaluation and resampling against the reference definitions."""
+
+    def test_eval_matches_combined_kernel_sums(self, ref05, fine1024):
+        _, data = ref05
+        for base, (t, x, y) in ((data, (0.5, 1.2, 0.8)),
+                                (fine1024, FINE_PROBE)):
+            ev = EvolvedData(base, t)
+            sol = solve_dmul_dx(ev, t, x, y)
+            want1, want2 = combined_kernel_u(ev, x, y, sol)
+            assert abs(eval_u1(ev, x, y) - want1) <= 1e-13 * abs(want1)
+            assert abs(eval_u2(ev, x, y, sol) - want2) <= 1e-13 * abs(want2)
+
+    def test_cached_column_max_is_exact(self, ref05, fine1024):
+        _, data = ref05
+        for base in (data, fine1024):
+            want = np.max(np.abs(base.T_plus - base.T_minus), axis=0)
+            assert np.array_equal(base.combined_colmax, want)
+            assert base.combined_colmax is base.combined_colmax
+
+    def test_in_place_triangle_weights_match_masks(self, ref05, fine1024):
+        _, data = ref05
+        want = resample_with_masks(data, fine1024.grids.grid_kl)
+        for name, w in zip(("T_plus", "T_minus", "T1"), want):
+            assert np.array_equal(getattr(fine1024, name), w)
+
+    def test_working_data_resamples_only_off_grid(self, ref05):
+        _, data = ref05
+        assert working_data(data, Grid1D(-8.0, 8.0, 128)) is data
+        res = working_data(data, Grid1D(-4.0, 4.0, 128))
+        assert res.grids.grid_kl == Grid1D(-4.0, 4.0, 128)
+        assert res.meta["resampled_from_n"] == 128

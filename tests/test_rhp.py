@@ -6,6 +6,8 @@ derivative-of-gaussian profile; grids are the 128-point working pair on
 otherwise.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,11 +25,11 @@ from kpist.scattering import (
     resample_transform,
     solve_mu_sharp,
 )
+from kpist.reconstruct import ray_resolution_grid, resample_scattering_data
 from kpist.rhp import (
     CTOperator,
     EvolvedData,
     adjoint_identity_check,
-    apply_script_T,
     build_CT_apply,
     cauchy_project,
     derivative_data,
@@ -72,6 +74,11 @@ def ref_cal():
     # amplitude used to calibrate the quadratic-response coefficient
     data, _ = build_reference(1e-2)
     return data
+
+
+def apply_family(sign, ev, x, y, f):
+    """One triangular family with its oscillatory weight at (x, y)."""
+    return build_CT_apply(ev, x, y).kernel_apply(sign, f)
 
 
 def random_band_limited(rng, n, band=24):
@@ -158,8 +165,8 @@ class TestPhaseAndEvolvedData:
         j = 40
         e = np.zeros(data.grids.n_kl)
         e[j] = 1.0
-        still = np.abs(apply_script_T(+1, EvolvedData(data, 0.0), 0.4, -0.9, e))
-        moved = np.abs(apply_script_T(+1, EvolvedData(data, 7.3), 0.4, -0.9, e))
+        still = np.abs(apply_family(+1, EvolvedData(data, 0.0), 0.4, -0.9, e))
+        moved = np.abs(apply_family(+1, EvolvedData(data, 7.3), 0.4, -0.9, e))
         assert np.max(np.abs(still - moved)) <= 1e-14
 
 
@@ -167,7 +174,7 @@ class TestApplyScriptT:
     def test_zero_kernel_gives_zero(self, ref05):
         data, _ = ref05
         ev = EvolvedData(zero_data(data.grids), 1.0)
-        out = apply_script_T(+1, ev, 0.3, 0.2, np.ones(data.grids.n_kl))
+        out = apply_family(+1, ev, 0.3, 0.2, np.ones(data.grids.n_kl))
         assert np.all(out == 0.0)
 
     def test_consumption_orientation_of_families(self, ref05):
@@ -187,7 +194,7 @@ class TestApplyScriptT:
             for j in (0, 31, 97):
                 e = np.zeros(data.grids.n_kl)
                 e[j] = 1.0
-                got = apply_script_T(sign, ev, 1.2, 0.8, e)
+                got = apply_family(sign, ev, 1.2, 0.8, e)
                 want = np.exp(-1j * phi) * kernel[:, j] * np.exp(1j * phi[j]) * dl
                 assert np.max(np.abs(got - want)) <= 1e-14
 
@@ -199,14 +206,14 @@ class TestApplyScriptT:
         f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         a = 0.7 - 0.2j
-        lhs = apply_script_T(-1, ev, 0.1, 0.9, a * f + g)
-        rhs = a * apply_script_T(-1, ev, 0.1, 0.9, f) + apply_script_T(-1, ev, 0.1, 0.9, g)
+        lhs = apply_family(-1, ev, 0.1, 0.9, a * f + g)
+        rhs = a * apply_family(-1, ev, 0.1, 0.9, f) + apply_family(-1, ev, 0.1, 0.9, g)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
     def test_sign_validation(self, ref05):
         data, _ = ref05
         with pytest.raises(ValueError):
-            apply_script_T(2, EvolvedData(data, 0.0), 0.0, 0.0, np.ones(data.grids.n_kl))
+            apply_family(2, EvolvedData(data, 0.0), 0.0, 0.0, np.ones(data.grids.n_kl))
 
     def test_hilbert_schmidt_bound_on_random_probes(self, ref05):
         data, _ = ref05
@@ -218,7 +225,7 @@ class TestApplyScriptT:
             hs = np.linalg.norm(kernel) * dl
             for _ in range(20):
                 f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                out = apply_script_T(sign, ev, -0.8, 1.4, f)
+                out = apply_family(sign, ev, -0.8, 1.4, f)
                 assert weighted_l2(out, dl) <= hs * weighted_l2(f, dl) * (1 + 1e-12)
 
 
@@ -455,3 +462,64 @@ class TestAdjointIdentity:
         ratio = fine_dev / coarse_dev
         assert ratio <= 0.6
         assert 0.15 <= ratio <= 0.40
+
+
+# a decay-ray probe (x / t = -12) whose resolution grid is 1024 points on
+# [-2, 2]: the large-n case of the copy-free operator
+FINE_PROBE = (20.0, -240.0, 0.0)
+
+
+@pytest.fixture(scope="module")
+def fine1024(ref05):
+    data, _ = ref05
+    grid = ray_resolution_grid(*FINE_PROBE)
+    assert grid.n == 1024
+    return resample_scattering_data(data, grid)
+
+
+class TestCopyFreeOperator:
+    """The operator against the reference kernel definitions."""
+
+    def test_derivative_matches_gap_weighted_reference(self, ref05, fine1024):
+        data, _ = ref05
+        for base, (t, x, y) in ((data, (0.5, 1.2, 0.8)),
+                                (fine1024, FINE_PROBE)):
+            ev = EvolvedData(base, t)
+            op = build_CT_apply(ev, x, y)
+            dop = build_CT_apply(derivative_data(ev), x, y)
+            mu = solve_mul(ev, t, x, y).mu_minus_1
+            ones = np.ones(base.grids.n_kl)
+            for f, want in ((ones, dop.on_constant()), (mu, dop(mu))):
+                got = op.derivative(f)
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_solve_dmu_forcing_is_derivative_of_full_unknown(self, ref05):
+        data, _ = ref05
+        ev = EvolvedData(data, 0.5)
+        dl = data.grids.grid_kl.spacing
+        sol = solve_dmul_dx(ev, 0.5, 1.2, 0.8, tol=1e-12)
+        dop = build_CT_apply(derivative_data(ev), 1.2, 0.8)
+        op = build_CT_apply(ev, 1.2, 0.8)
+        forcing = dop.on_constant() + dop(sol.mu_minus_1)
+        resid = sol.dmu_dx - forcing - op(sol.dmu_dx)
+        assert weighted_l2(resid, dl) <= 1e-11 * weighted_l2(sol.dmu_dx, dl)
+
+    def test_no_kernel_sized_allocation(self, fine1024):
+        t, x, y = FINE_PROBE
+        n = fine1024.grids.n_kl
+        ev = EvolvedData(fine1024, t)
+        op = build_CT_apply(ev, x, y)
+        mu = solve_mul(ev, t, x, y)
+        f = np.ones(n, dtype=complex)
+        tracemalloc.start()
+        try:
+            op(f)
+            _, peak_apply = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            sol = solve_dmul_dx(ev, t, x, y, mu=mu)
+            _, peak_dmu = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sol.residual_dmu <= 1e-11
+        assert peak_apply < n * n * 16
+        assert peak_dmu < n * n * 16
