@@ -9,15 +9,10 @@ lives comfortably on a coarse base grid. Three tools cover all uses:
    arbitrary phase rate theta, with series evaluation of the panel moments
    near theta*h = 0 to avoid cancellation.
 
-2. A cell-refined Simpson engine on a base grid: each base cell is
-   subdivided until the local phase advances at most 2 pi / pts_per_wave
-   per sample, cells are processed in groups of equal refinement, and the
-   samples are either summed directly (oscillatory_integral) or binned
-   onto the two hat functions of the cell (hat_phase_moments). The binned
-   moments beta[I, m] = Integral e^(i sign phi(k)) k^m B_I(k) dk turn any
-   double integral with a kernel sampled on the base grid into a cheap
-   matrix contraction: the result is identical to dense Simpson quadrature
-   of the piecewise-(bi)linearly interpolated kernel.
+2. A cell-refined Simpson engine on a base grid (oscillatory_integral):
+   each base cell is subdivided until the local phase advances at most
+   2 pi / pts_per_wave per sample, and cells are processed in groups of
+   equal refinement.
 
 3. Two-term integration-by-parts tails for Integral_L^inf e^(i Phi), with
    a computable remainder bound, used to close infinite oscillatory
@@ -34,11 +29,8 @@ __all__ = [
     "filon_moments",
     "phase_integral",
     "cumulative_phase_integral",
-    "hat_phase_moments",
     "oscillatory_integral",
     "oscillatory_tail",
-    "linear_bin",
-    "hat_interp",
 ]
 
 _MAX_TOTAL_SAMPLES = 1 << 26
@@ -155,36 +147,6 @@ def _simpson_weights(p):
     return w / 3.0
 
 
-def hat_phase_moments(base_points, phi, dphi, sign=1.0, n_moments=2,
-                      pts_per_wave=16, crit_points=()):
-    """Moments beta[I, m] = Int e^(i sign phi(k)) k^m B_I(k) dk.
-
-    B_I are the hat functions of the base grid (including the two boundary
-    half-hats). Computed by grouped per-cell Simpson on a phase-resolving
-    refinement; exact to Simpson accuracy for the integrand
-    e^(i sign phi) k^m restricted to each cell.
-    """
-    base_points = np.asarray(base_points, dtype=np.float64)
-    m = len(base_points)
-    p = _plan_refinement(base_points, dphi, pts_per_wave, crit_points)
-    beta = np.zeros((m, n_moments), dtype=np.complex128)
-    for pc in np.unique(p):
-        cells = np.nonzero(p == pc)[0]
-        a = base_points[cells][:, None]
-        h = (base_points[cells + 1] - base_points[cells])[:, None]
-        s = (np.arange(pc + 1) / pc)[None, :]
-        x = a + h * s
-        w = _simpson_weights(pc)[None, :] * (h / pc)
-        core = w * np.exp(1j * sign * phi(x))
-        for mom in range(n_moments):
-            amp = core if mom == 0 else core * x**mom
-            left = (amp * (1.0 - s)).sum(axis=1)
-            right = (amp * s).sum(axis=1)
-            np.add.at(beta[:, mom], cells, left)
-            np.add.at(beta[:, mom], cells + 1, right)
-    return beta
-
-
 def oscillatory_integral(a, b, phi, dphi, amp=None, sign=1.0,
                          pts_per_wave=16, n_cells=64, crit_points=()):
     """Int_a^b amp(x) e^(i sign phi(x)) dx by cell-refined Simpson.
@@ -232,32 +194,3 @@ def oscillatory_tail(phi, dphi, d2phi, L, sign=1.0, direction=1):
     g = d2P(l) / dP(l) ** 3
     bound = float(np.sum(np.abs(np.diff(g))))
     return term1 + term2, bound
-
-
-def linear_bin(points, vals, base_points):
-    """Sum vals[n] * B_I(points[n]) for every hat B_I of the base grid.
-
-    points outside the base span are dropped. Complex-safe.
-    """
-    base_points = np.asarray(base_points)
-    m = len(base_points)
-    d = base_points[1] - base_points[0]
-    pos = (points - base_points[0]) / d
-    keep = (pos >= 0.0) & (pos <= m - 1)
-    pos = pos[keep]
-    v = np.asarray(vals)[keep]
-    idx = np.minimum(pos.astype(int), m - 2)
-    frac = pos - idx
-    out = np.zeros(m, dtype=np.complex128)
-    for part, arr in ((np.real, v.real), (np.imag, v.imag)):
-        lo = np.bincount(idx, weights=arr * (1.0 - frac), minlength=m)
-        hi = np.bincount(idx + 1, weights=arr * frac, minlength=m)
-        out += (lo + hi) if part is np.real else 1j * (lo + hi)
-    return out
-
-
-def hat_interp(base_points, node_vals, points):
-    """Piecewise-linear interpolation of complex node values (0 outside)."""
-    re = np.interp(points, base_points, node_vals.real, left=0.0, right=0.0)
-    im = np.interp(points, base_points, node_vals.imag, left=0.0, right=0.0)
-    return re + 1j * im

@@ -1,5 +1,5 @@
-"""Field evaluation at probe points from evolved kernels, plus the
-linear baseline.
+"""Field evaluation at probe points from evolved kernels, refinement of
+the kernels onto per-probe grids, and the linear baseline.
 
 The field splits into a leading term built from the kernels alone and a
 correction weighted by the solved factorization unknown and its
@@ -11,6 +11,24 @@ families sum to T_plus g - T_minus g, the gap weight i(l - k) acts as
 i(K(l g) - k K g), and the functions each term needs share one product
 per family, so no combined or gap-weighted kernel is formed.
 
+Large-time probes need a spectral grid that resolves the phase, with up
+to thousands of points, finer than the n-point grid of the direct map.
+resample_scattering_data refines the kernels by bicubic interpolation
+without forming them. The source's spline coefficients C_sigma are fitted
+once per source (ScatteringData.spline_fit, O(n^2)); a fine grid keeps
+only the band of its B-spline design matrix B, four entries per point,
+and the refined family is W_sigma (B C_sigma B^T), W_sigma the triangle
+weight of the fine grid (SplineKernels). Fine points past the last
+source sample are clipped to the knot interval, where fitpack holds the
+spline constant. Per fine grid of n_fine points the refinement costs
+O(n_fine) time and memory, each kernel product O(n_fine + n^2) per row
+(segmented suffix sums inside knot intervals, interval totals across
+them), and the column maxima of the resolution check O(n_fine^2) time
+once, in blocks of bounded memory. The dense n_fine^2 arrays T_plus,
+T_minus and T1 of a refinement are reference arrays for the tests and
+the reference definitions family_kernel and derivative_data; nothing on
+the probe path reads them.
+
 The linear baseline evolves the potential's 2-D transform under the
 dispersion relation p^3 + 3 q^2 / p, excluding the p = 0 line (zero-mean
 data carries nothing there). Two independent quadrature routes are
@@ -21,10 +39,11 @@ two-spectral-variable parametrization with Jacobian 2 |l - k|.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import warnings
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
+from scipy.interpolate import BSpline, RectBivariateSpline
 
 from .grids import ConditionsReport, Grid1D, PotentialField, full_fourier
 from .phase_airy import RayCoordinates, RegionLabel, DEFAULT_REGION_DELTA
@@ -37,7 +56,10 @@ from .rhp import (  # noqa: F401
     family_kernel,
     solve_dmul_dx,
 )
-from .scattering import ScatteringData, ScatteringGrids
+# _fill_across_diagonal is not called here; the resampling tests import it
+# from this module for their reference construction
+from .scattering import (ScatteringData, ScatteringGrids,  # noqa: F401
+                         _fill_across_diagonal)
 
 __all__ = [
     "ReconstructionSample",
@@ -49,6 +71,7 @@ __all__ = [
     "linear_field",
     "ray_resolution_grid",
     "resample_scattering_data",
+    "SplineKernels",
     "working_data",
 ]
 
@@ -277,67 +300,219 @@ def ray_resolution_grid(t: float, x: float, y: float,
     return Grid1D(-half, half, min(max(n, floor), cap))
 
 
-def _fill_across_diagonal(tri: np.ndarray, upper: bool) -> np.ndarray:
-    """Continue one stored triangle to the full square by transposition.
+class _Band:
+    """Band of a cubic B-spline design matrix B with its layout for
+    upper-triangle sums.
 
-    The mirror uses genuine stored values of the same family, keeps the
-    diagonal fixed, and is continuous across it; the spline consumer
-    discards the mirrored half, so only a narrow band near the diagonal
-    feels the derivative kink."""
-    n = tri.shape[0]
-    d = np.arange(n)[None, :] - np.arange(n)[:, None]
-    own = d > 0 if upper else d < 0
-    return np.where(own | (d == 0), tri, tri.T)
+    Point i holds vals[:, i] in columns first[i] .. first[i] + 3 of B,
+    with first nondecreasing; the points sharing first[i] lie in one knot
+    interval and form a segment. pad lists each segment's points last to
+    first (m marks padding), so a cumulative sum along a row of pad is a
+    suffix sum inside one segment: no sum runs across segments, and none
+    loses digits to the others."""
+
+    def __init__(self, first: np.ndarray, vals: np.ndarray, n_coef: int):
+        m = len(first)
+        starts = np.flatnonzero(np.r_[True, first[1:] != first[:-1]])
+        lens = np.diff(np.r_[starts, m])
+        stops = starts + lens
+        k = np.arange(lens.max())
+        seg = np.repeat(np.arange(len(starts)), lens)
+        self.first, self.vals, self.n_coef = first, vals, n_coef
+        self.pad = np.where(k < lens[:, None], stops[:, None] - 1 - k, m)
+        self.where = seg * k.size + (stops[seg] - 1 - np.arange(m))
+        self.seg_first = first[starts]
+
+    def reversed(self) -> "_Band":
+        """The band with points and coefficients in reverse order, which
+        turns lower-triangle sums into upper ones."""
+        return _Band(self.n_coef - 4 - self.first[::-1], self.vals[::-1, ::-1],
+                     self.n_coef)
+
+    def factors(self, c: np.ndarray):
+        """Per-point and per-interval factors of W (B c B^T), W the upper
+        triangle weight (1 above the diagonal, 1/2 on it).
+
+        near[:, i] = B_i c on point i's own four columns; half_diag[i] =
+        B_i c B_i^T / 2; far couples interval totals: far[(p, a), (q, b)]
+        = c[a + p, b + q] for intervals b > a."""
+        v = self.vals
+        cols = self.first + np.arange(4)[:, None]
+        near = np.einsum("pi,pqi->qi", v, c[cols[:, None], cols[None, :]])
+        half_diag = 0.5 * np.sum(near * v, axis=0)
+        n_int = self.n_coef - 3
+        idx = (np.arange(4)[:, None] + np.arange(n_int)).ravel()
+        interval = np.tile(np.arange(n_int), 4)
+        far = c[idx[:, None], idx] * (interval > interval[:, None])
+        return near, half_diag, far
+
+    def upper(self, factors, g: np.ndarray) -> np.ndarray:
+        """sum_j W(i, j) (B c B^T)(i, j) g_j for every row of g.
+
+        With i in knot interval a, (B c B^T)(i, j) = B_i c B_j^T and B_j
+        lives on columns first[j] .. first[j] + 3, so the sum over j >= i
+        splits into the band term (j in interval a: suffix sums of
+        B_j g_j inside the segment, four per point, against near), the far
+        term (j in later intervals: the interval totals of B_j g_j,
+        coupled through far and read back through B_i) and the half
+        diagonal, subtracted. O(n_fine + n_coef^2) per row."""
+        near, half_diag, far = factors
+        rows = g.reshape(-1, g.shape[-1])
+        r, m = rows.shape
+        bg = np.empty((r, 4, m + 1), dtype=complex)
+        bg[:, :, m] = 0.0
+        np.multiply(rows[:, None, :], self.vals, out=bg[:, :, :m])
+        suffix = np.cumsum(bg[:, :, self.pad], axis=-1)
+        band = suffix.reshape(r, 4, -1)[:, :, self.where]
+        totals = np.zeros((r, 4, self.n_coef - 3), dtype=complex)
+        totals[:, :, self.seg_first] = suffix[..., -1]
+        w = (totals.reshape(r, -1) @ far.T).reshape(totals.shape)
+        band *= near
+        band += w[:, :, self.first] * self.vals
+        out = np.sum(band, axis=1) - half_diag * rows
+        return out.reshape(g.shape)
+
+
+class SplineKernels:
+    """Both kernel families of a source ScatteringData on a finer
+    spectral grid, in factored form: K_sigma = W_sigma (B C_sigma B^T).
+
+    C_sigma are the source's spline coefficients (ScatteringData.spline_fit,
+    fitted once per source), B the cubic B-spline design matrix on the fine
+    points, of which only the band is held (four entries per point), and
+    W_sigma the triangle weight of the fine grid. apply and
+    apply_transpose are the products ScatteringData gives, in O(n_fine +
+    n^2) per row with n the source size; no n_fine^2 array is formed.
+    The dense T_plus, T_minus and T1 are reference arrays, built on
+    first access from _column_blocks, the one dense evaluator, which also
+    gives combined_colmax in blocks of bounded size."""
+
+    def __init__(self, source: ScatteringData, grid: Grid1D):
+        knots, coeffs = source.spline_fit
+        # fitpack holds a spline constant past its last knot; clipping to
+        # the base interval reproduces that for points beyond the last
+        # source sample
+        pts = np.clip(grid.points, knots[3], knots[-4])
+        design = BSpline.design_matrix(pts, knots, 3)
+        first = design.indices.reshape(-1, 4)[:, 0]
+        lo, hi = first.min(), first.max() + 4
+        self.grids = ScatteringGrids(grid, source.grids.grid_y)
+        self.meta = dict(source.meta, resampled_from_n=source.grids.n_kl,
+                         resampled_from_half_width=source.grids.grid_kl.max)
+        # only the coefficients the fine points reach
+        self._coeffs = {s: c[lo:hi, lo:hi] for s, c in coeffs.items()}
+        vals = np.ascontiguousarray(design.data.reshape(-1, 4).T)
+        self._band = _Band(first - lo, vals, hi - lo)
+        self._factors = {}
+
+    @functools.cached_property
+    def _band_reversed(self) -> _Band:
+        return self._band.reversed()
+
+    def _triangle(self, sign: int, transposed: bool, rows) -> np.ndarray:
+        if sign not in (+1, -1):
+            raise ValueError("sign must be +1 or -1")
+        rows = np.asarray(rows, dtype=complex)
+        # K^T = W^T (B C^T B^T): transposing swaps the triangle, and a
+        # lower triangle is an upper one with the order of points and
+        # coefficients reversed
+        upper = (sign == +1) != transposed
+        band = self._band if upper else self._band_reversed
+        key = (sign, transposed)
+        if key not in self._factors:
+            c = self._coeffs[sign].T if transposed else self._coeffs[sign]
+            self._factors[key] = band.factors(c if upper else c[::-1, ::-1])
+        if upper:
+            return band.upper(self._factors[key], rows)
+        return band.upper(self._factors[key], rows[..., ::-1])[..., ::-1]
+
+    def apply(self, sign: int, rows: np.ndarray) -> np.ndarray:
+        """rows @ K^T, K one family's kernel in stored orientation."""
+        return self._triangle(sign, False, rows)
+
+    def apply_transpose(self, sign: int, rows: np.ndarray) -> np.ndarray:
+        """rows @ K, K one family's kernel in stored orientation."""
+        return self._triangle(sign, True, rows)
+
+    def _column_blocks(self, sign: int):
+        """One family (sign 0: the unmasked T1) in blocks of columns:
+        (j0, j1, r0, vals) with vals the rows r0 .. r0 + len(vals) of
+        columns j0 .. j1, the rows the family's triangle reaches; the
+        other rows are exact zeros. The one evaluator of dense values:
+        each block is (B C)[rows, a] B[j0:j1, a]^T over the few
+        coefficients a that the block's own points reach."""
+        f, m = self._band.first, self.grids.n_kl
+        bt = np.zeros((self._band.n_coef, m))
+        bt[f + np.arange(4)[:, None], np.arange(m)] = self._band.vals
+        bc = bt.T @ self._coeffs[sign]
+        step = max(1, min(64, (1 << 17) // m))  # few coefficients per block
+        for j0 in range(0, m, step):
+            j1 = min(j0 + step, m)
+            a = slice(f[j0], f[j1 - 1] + 4)
+            r0, r1 = {+1: (0, j1), -1: (j0, m)}.get(sign, (0, m))
+            vals = bc[r0:r1, a] @ bt[a, j0:j1]
+            if sign:
+                corner = vals[j0 - r0:j1 - r0]  # rows j0 .. j1: the diagonal
+                corner[...] = np.triu(corner) if sign == +1 else np.tril(corner)
+                d = np.arange(j1 - j0)
+                corner[d, d] *= 0.5
+            yield j0, j1, r0, vals
+
+    def _dense(self, sign: int) -> np.ndarray:
+        m = self.grids.n_kl
+        out = np.zeros((m, m), dtype=complex)
+        for j0, j1, r0, vals in self._column_blocks(sign):
+            out[r0:r0 + len(vals), j0:j1] = vals
+        return out
+
+    # the reference arrays, built when first read
+    T_plus = functools.cached_property(lambda self: self._dense(+1))
+    T_minus = functools.cached_property(lambda self: self._dense(-1))
+    T1 = functools.cached_property(lambda self: self._dense(0))
+
+    @functools.cached_property
+    def combined_colmax(self) -> np.ndarray:
+        """Column maxima of |T_plus - T_minus|, equal to those of the
+        reference arrays bit for bit; the one O(n_fine^2) step, done
+        once per grid in column blocks of bounded size."""
+        m = self.grids.n_kl
+        out = np.empty(m)
+        for (j0, j1, _, tp), (*_, tm) in zip(self._column_blocks(+1),
+                                             self._column_blocks(-1)):
+            # tp holds rows 0 .. j1 and tm rows j0 .. m; outside its
+            # rows a family is an exact zero, so only j0 .. j1 subtract
+            parts = [np.abs(tp[j0:] - tm[:j1 - j0]), np.abs(tp[:j0]),
+                     np.abs(tm[j1 - j0:])]
+            out[j0:j1] = np.max([np.max(p, axis=0, initial=0.0)
+                                 for p in parts], axis=0)
+        return out
 
 
 def resample_scattering_data(data: ScatteringData,
-                             grid_fine: Grid1D) -> ScatteringData:
-    """Kernels interpolated onto a finer (possibly truncated) grid.
+                             grid_fine: Grid1D) -> SplineKernels:
+    """Kernels interpolated onto a finer (possibly truncated) grid, in
+    factored form (SplineKernels).
 
-    The linear part is smooth over the whole square and splines
-    directly. Each quadratic remainder is smooth only on its own closed
-    triangle: the stored diagonal half-weight is undone, the triangle is
-    mirrored across the diagonal for spline support, and the triangle
-    weights are reapplied on the new grid. Direct reassembly at the fine
-    size would redo the layered solve at quadratic cost; splines keep
+    The fine grid must lie inside the source grid; the check comes before
+    any work. The bicubic coefficients of the source are fitted on first
+    use and kept with the source (ScatteringData.spline_fit, O(n^2) for
+    an n-point source); each call then builds the band of the B-spline
+    design matrix on the fine points, O(n_fine) time and memory. Fine
+    points past the last source sample are clipped to the knot interval,
+    where fitpack holds the spline constant, so the values are those of
+    the splines evaluated there. Products cost O(n_fine + n^2) per row;
+    the dense T_plus, T_minus and T1 of the result are reference arrays,
+    O(n_fine^2), built only when read. Direct reassembly at the fine size
+    would redo the layered solve at quadratic cost; splines keep
     large-time probes affordable."""
     src = data.grids.grid_kl
     if grid_fine.min < src.min or grid_fine.max > src.max:
         raise ValueError("fine grid must lie inside the source grid")
-    sp = src.points
-    fp = grid_fine.points
-    m = grid_fine.n
-
-    def spline2(arr):
-        out = np.empty((m, m), dtype=complex)
-        out.real = RectBivariateSpline(sp, sp, arr.real)(fp, fp)
-        out.imag = RectBivariateSpline(sp, sp, arr.imag)(fp, fp)
-        return out
-
-    t1_fine = spline2(data.T1)
-    diag_fine = np.arange(m)
-    out = {}
-    for sign, stored in ((+1, data.T_plus), (-1, data.T_minus)):
-        mask_src = data.mask(sign)
-        rem = stored - mask_src * data.T1
-        diag = np.arange(src.n)
-        rem[diag, diag] *= 2.0
-        filled = _fill_across_diagonal(rem, upper=(sign == +1))
-        fine = spline2(filled)
-        fine += t1_fine
-        for i in range(m):  # zero the opposite triangle in place
-            fine[i, slice(0, i) if sign == +1 else slice(i + 1, m)] = 0.0
-        fine[diag_fine, diag_fine] *= 0.5
-        out[sign] = fine
-
-    fine_grids = ScatteringGrids(grid_fine, data.grids.grid_y)
-    meta = dict(data.meta)
-    meta["resampled_from_n"] = src.n
-    meta["resampled_from_half_width"] = src.max
-    return ScatteringData(out[+1], out[-1], t1_fine, fine_grids, meta)
+    return SplineKernels(data, grid_fine)
 
 
-def working_data(data: ScatteringData, grid: Grid1D) -> ScatteringData:
+def working_data(data: ScatteringData,
+                 grid: Grid1D) -> ScatteringData | SplineKernels:
     """The data itself when grid is its own spectral grid, otherwise its
     resample onto grid."""
     src = data.grids.grid_kl

@@ -11,9 +11,11 @@ with a once-differentiated forcing.
 
 Every kernel application of the solve and of the field evaluation goes
 through CTOperator. The weight factorizes into the phase diagonals
-e^{-i phi(k)} and e^{i phi(l)}, so a family costs one product with the
-stored kernel, shared by all right-hand sides, and nothing of the
-kernels' size is allocated: the minus family, -T_minus in consumption
+e^{-i phi(k)} and e^{i phi(l)}, so a family costs one product through the
+kernel data's apply, shared by all right-hand sides: a dense product for
+stored kernels (scattering.ScatteringData), a banded factored one for
+kernels refined onto a probe grid (reconstruct.SplineKernels). Nothing of
+the kernels' size is allocated: the minus family, -T_minus in consumption
 orientation, carries its sign on the scalar grid weight, and the
 x-derivative kernels i(l - k)K act through i(l - k)K g = i(K(l g) - k K g).
 family_kernel and derivative_data remain as the reference definitions.
@@ -37,6 +39,9 @@ from .scattering import ScatteringData
 @dataclass(frozen=True)
 class EvolvedData:
     """Scattering kernels together with the evolution time.
+
+    base is a ScatteringData or a reconstruct.SplineKernels: anything
+    with grids, apply, apply_transpose and combined_colmax.
 
     The evolved kernel is base * exp(4 i t (l^3 - k^3)); the phase is
     applied inside the operators, never baked into stored arrays, so
@@ -117,26 +122,22 @@ class CTOperator:
         phi = phase_weights(pts, data.t, x, y)
         return cls(data, float(x), float(y), np.exp(1j * phi), np.exp(-1j * phi))
 
-    def _family(self, sign: int) -> tuple[np.ndarray, float]:
+    def _scale(self, sign: int) -> float:
         # the minus family is -T_minus; its sign rides on the grid weight
-        if sign not in (+1, -1):
-            raise ValueError("sign must be +1 or -1")
-        base = self.data.base
-        kernel = base.T_plus if sign == +1 else base.T_minus
-        return kernel, sign * base.grids.grid_kl.spacing
+        return sign * self.data.base.grids.grid_kl.spacing
 
     def kernel_apply(self, sign: int, f: np.ndarray) -> np.ndarray:
         """One triangular family with its oscillatory weight:
         out(k) = sum_l exp(i(phi(l) - phi(k))) K(k, l) f(l) dl, K the
         family in consumption orientation (family_kernel)."""
-        kernel, scale = self._family(sign)
-        return self.e_k * ((self.e_l * np.asarray(f, dtype=complex))
-                           @ kernel.T) * scale
+        g = self.e_l * np.asarray(f, dtype=complex)
+        return self.e_k * self.data.base.apply(sign, g) * self._scale(sign)
 
     def _kernel_apply_adjoint(self, sign: int, f: np.ndarray) -> np.ndarray:
         # K^H g = conj(conj(g) K) in row form; no conjugated kernel
-        kernel, scale = self._family(sign)
-        return np.conj(self.e_l * ((self.e_k * np.conj(f)) @ kernel)) * scale
+        g = self.e_k * np.conj(f)
+        return np.conj(self.e_l * self.data.base.apply_transpose(sign, g)) \
+            * self._scale(sign)
 
     def __call__(self, f: np.ndarray) -> np.ndarray:
         return (cauchy_project(self.kernel_apply(-1, f), +1)

@@ -39,7 +39,7 @@ import dataclasses
 import functools
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, RectBivariateSpline
 
 from .grids import SQRT_2PI, Grid1D, PartialTransform
 from .oscillatory import cumulative_phase_integral, phase_integral
@@ -289,6 +289,19 @@ def solve_mu_sharp(ut_work: np.ndarray, sign: int, grids: ScatteringGrids,
     return MuSharpField(mu, sign, grids, it, ratios, residual, src_norm)
 
 
+def _fill_across_diagonal(tri: np.ndarray, upper: bool) -> np.ndarray:
+    """Continue one stored triangle to the full square by transposition.
+
+    The mirror uses genuine stored values of the same family, keeps the
+    diagonal fixed, and is continuous across it; the spline consumer
+    discards the mirrored half, so only a narrow band near the diagonal
+    feels the derivative kink."""
+    n = tri.shape[0]
+    d = np.arange(n)[None, :] - np.arange(n)[:, None]
+    own = d > 0 if upper else d < 0
+    return np.where(own | (d == 0), tri, tri.T)
+
+
 @dataclasses.dataclass
 class ScatteringData:
     """Triangular kernels on the (k, l) grid plus the unmasked linear route.
@@ -308,6 +321,21 @@ class ScatteringData:
         d = np.arange(m)[None, :] - np.arange(m)[:, None]  # l index - k index
         return np.where(sign * d > 0, 1.0, np.where(d == 0, 0.5, 0.0))
 
+    def _kernel(self, sign: int) -> np.ndarray:
+        if sign == +1:
+            return self.T_plus
+        if sign == -1:
+            return self.T_minus
+        raise ValueError("sign must be +1 or -1")
+
+    def apply(self, sign: int, rows: np.ndarray) -> np.ndarray:
+        """rows @ K^T, K one family's kernel in stored orientation."""
+        return rows @ self._kernel(sign).T
+
+    def apply_transpose(self, sign: int, rows: np.ndarray) -> np.ndarray:
+        """rows @ K, K one family's kernel in stored orientation."""
+        return rows @ self._kernel(sign)
+
     @functools.cached_property
     def combined_colmax(self) -> np.ndarray:
         """Column maxima of |T_plus - T_minus| (both families in
@@ -320,6 +348,40 @@ class ScatteringData:
             rows = np.abs(self.T_plus[i:i + step] - self.T_minus[i:i + step])
             np.maximum(out, np.max(rows, axis=0), out=out)
         return out
+
+    @functools.cached_property
+    def spline_fit(self) -> tuple[np.ndarray, dict]:
+        """Interpolating bicubic splines (s = 0) of the kernels on this
+        grid: (knots, {+1: C_plus, -1: C_minus, 0: C_1}), one knot vector
+        for both axes, value(k, l) = sum_rs B_r(k) C[r, s] B_s(l) with B_r
+        the cubic B-splines on those knots.
+
+        The linear part T1 is smooth over the whole square and splines
+        directly. Each quadratic remainder T_sigma - mask_sigma T1 is
+        smooth only on its own closed triangle: the stored diagonal
+        half-weight is undone and the triangle mirrored across the
+        diagonal for spline support. Interpolants on one knot vector are
+        linear in their data, so a family's coefficients are its
+        remainder's plus those of T1; the triangle weights belong to the
+        evaluation grid and are applied there."""
+        pts = self.grids.grid_kl.points
+
+        def fit(arr):
+            re = RectBivariateSpline(pts, pts, arr.real)
+            im = RectBivariateSpline(pts, pts, arr.imag)
+            knots = re.get_knots()[0]
+            n = len(knots) - 4
+            return knots, (re.get_coeffs() + 1j * im.get_coeffs()).reshape(n, n)
+
+        knots, c1 = fit(self.T1)
+        coeffs = {0: c1}
+        diag = np.arange(self.grids.n_kl)
+        for sign in (+1, -1):
+            rem = self._kernel(sign) - self.mask(sign) * self.T1
+            rem[diag, diag] *= 2.0
+            filled = _fill_across_diagonal(rem, upper=(sign == +1))
+            coeffs[sign] = fit(filled)[1] + c1
+        return knots, coeffs
 
 
 def _row_phase_integral(amp_rows, q_rows, grids: ScatteringGrids):

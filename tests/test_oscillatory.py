@@ -12,9 +12,6 @@ from scipy import integrate, special
 from kpist.oscillatory import (
     cumulative_phase_integral,
     filon_moments,
-    hat_interp,
-    hat_phase_moments,
-    linear_bin,
     oscillatory_integral,
     oscillatory_tail,
     phase_integral,
@@ -123,46 +120,6 @@ class TestCumulativePhaseIntegral:
         assert up[-1] == pytest.approx(1.0, rel=1e-14)
 
 
-class TestHatPhaseMoments:
-    def test_against_per_hat_quadrature(self):
-        base = np.linspace(-2.0, 2.0, 17)
-        h = base[1] - base[0]
-        phi = lambda k: 10.0 * k**2 + 3.0 * k
-        dphi = lambda k: 20.0 * k + 3.0
-        beta = hat_phase_moments(base, phi, dphi, sign=1.0, pts_per_wave=64)
-
-        def hat(i, x):
-            return np.clip(1.0 - np.abs(x - base[i]) / h, 0.0, None)
-
-        for i in (0, 5, 16):
-            lo = max(base[0], base[i] - h)
-            hi = min(base[-1], base[i] + h)
-            for m in range(2):
-                exact = quad_complex(
-                    lambda x: np.exp(1j * phi(x)) * x**m * hat(i, x), lo, hi
-                )
-                assert abs(beta[i, m] - exact) < 1e-6
-
-    def test_partition_of_unity_sums_to_plain_integral(self):
-        base = np.linspace(-3.0, 3.0, 49)
-        phi = lambda k: 30.0 * k**2
-        dphi = lambda k: 60.0 * k
-        # same cell layout on both sides makes the sampling identical
-        beta = hat_phase_moments(base, phi, dphi, pts_per_wave=32)
-        direct = oscillatory_integral(
-            -3.0, 3.0, phi, dphi, pts_per_wave=32, n_cells=len(base) - 1
-        )
-        assert abs(beta[:, 0].sum() - direct) < 1e-10
-
-    def test_negative_sign_conjugates_for_real_symmetric_phase(self):
-        base = np.linspace(-1.0, 1.0, 9)
-        phi = lambda k: 5.0 * k**2
-        dphi = lambda k: 10.0 * k
-        bp = hat_phase_moments(base, phi, dphi, sign=1.0)
-        bm = hat_phase_moments(base, phi, dphi, sign=-1.0)
-        assert np.max(np.abs(bm - np.conj(bp))) < 1e-13
-
-
 class TestOscillatoryIntegral:
     def test_fresnel(self):
         X = 10.0
@@ -220,26 +177,3 @@ class TestOscillatoryTail:
         left, _ = oscillatory_tail(phi, dphi, d2phi, -9.0, direction=-1)
         # phase is odd: left tail = conj of right tail
         assert abs(left - np.conj(right)) < 1e-12
-
-
-class TestBinningAndInterp:
-    def test_bin_interp_adjoint(self):
-        rng = np.random.default_rng(3)
-        base = np.linspace(-2.0, 2.0, 9)
-        pts = rng.uniform(-2.0, 2.0, 200)
-        v = rng.normal(size=200) + 1j * rng.normal(size=200)
-        w = rng.normal(size=9) + 1j * rng.normal(size=9)
-        lhs = np.sum(linear_bin(pts, v, base) * w)
-        rhs = np.sum(v * hat_interp(base, w, pts))
-        assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
-
-    def test_bin_partition_of_unity(self):
-        base = np.linspace(0.0, 1.0, 5)
-        pts = np.array([0.1, 0.33, 0.5, 0.9, 1.5])  # last is outside: dropped
-        out = linear_bin(pts, np.ones(5), base)
-        assert out.sum() == pytest.approx(4.0, abs=1e-13)
-
-    def test_interp_zero_outside(self):
-        base = np.linspace(0.0, 1.0, 5)
-        w = np.ones(5, dtype=complex)
-        assert hat_interp(base, w, np.array([-0.5, 1.5])).tolist() == [0.0, 0.0]

@@ -9,12 +9,14 @@ quadratures are dense enough.
 """
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from scipy.interpolate import RectBivariateSpline
 
+from kpist import scattering
 from kpist.grids import (
     ConditionsReport,
     Grid1D,
@@ -486,10 +488,17 @@ class TestCopyFreeEvaluation:
             assert base.combined_colmax is base.combined_colmax
 
     def test_in_place_triangle_weights_match_masks(self, ref05, fine1024):
+        # the reference arrays of the factored kernels against the bispev
+        # values with full-mask triangle weights (measured 6e-16)
         _, data = ref05
         want = resample_with_masks(data, fine1024.grids.grid_kl)
         for name, w in zip(("T_plus", "T_minus", "T1"), want):
-            assert np.array_equal(getattr(fine1024, name), w)
+            got = getattr(fine1024, name)
+            assert np.max(np.abs(got - w)) <= 1e-14 * np.max(np.abs(w))
+        n = fine1024.grids.n_kl
+        d = np.arange(n)[None, :] - np.arange(n)[:, None]
+        assert np.all(fine1024.T_plus[d < 0] == 0.0)
+        assert np.all(fine1024.T_minus[d > 0] == 0.0)
 
     def test_working_data_resamples_only_off_grid(self, ref05):
         _, data = ref05
@@ -497,3 +506,93 @@ class TestCopyFreeEvaluation:
         res = working_data(data, Grid1D(-4.0, 4.0, 128))
         assert res.grids.grid_kl == Grid1D(-4.0, 4.0, 128)
         assert res.meta["resampled_from_n"] == 128
+
+
+# reaches past the last source sample (7.875) to the source edge 8
+EDGE_WINDOW = Grid1D(-8.0, 8.0, 256)
+
+
+class TestFactoredKernels:
+    """resample_scattering_data's factored kernels against their dense
+    reference arrays and the bispev values."""
+
+    @pytest.mark.parametrize("grid", [ray_resolution_grid(0.0, 1.0, 0.5),
+                                      ray_resolution_grid(*FINE_PROBE),
+                                      EDGE_WINDOW],
+                             ids=["floor256", "probe1024", "edge256"])
+    def test_products_match_reference_arrays(self, ref05, grid):
+        _, data = ref05
+        res = resample_scattering_data(data, grid)
+        rng = np.random.default_rng(5)
+        rows = rng.standard_normal((3, grid.n)) + 1j * rng.standard_normal((3, grid.n))
+        for sign, kernel in ((+1, res.T_plus), (-1, res.T_minus)):
+            for g in (rows[0], rows):
+                for got, want in ((res.apply(sign, g), g @ kernel.T),
+                                  (res.apply_transpose(sign, g), g @ kernel)):
+                    assert got.shape == want.shape
+                    assert np.max(np.abs(got - want)) <= \
+                        1e-13 * np.max(np.abs(want))
+
+    def test_edge_window_matches_bispev(self, ref05):
+        # fitpack holds the spline constant past the last sample; the
+        # factored form clips to the knot interval (measured 3e-16)
+        _, data = ref05
+        assert EDGE_WINDOW.max > data.grids.grid_kl.points[-1]
+        res = resample_scattering_data(data, EDGE_WINDOW)
+        want = resample_with_masks(data, EDGE_WINDOW)
+        for name, w in zip(("T_plus", "T_minus", "T1"), want):
+            got = getattr(res, name)
+            assert np.max(np.abs(got - w)) <= 1e-14 * np.max(np.abs(w))
+
+    def test_reconstruct_matches_dense_arrays(self, fine1024):
+        t, x, y = FINE_PROBE
+        dense = ScatteringData(fine1024.T_plus, fine1024.T_minus, fine1024.T1,
+                               fine1024.grids, dict(fine1024.meta))
+        a = reconstruct(fine1024, t, x, y)
+        b = reconstruct(dense, t, x, y)
+        for name in ("u", "u1", "u2"):
+            want = getattr(b, name)
+            assert abs(getattr(a, name) - want) <= 1e-12 * abs(want)
+
+    def test_fit_runs_once_per_source(self, ref05, monkeypatch):
+        _, data = ref05
+        src = dataclasses.replace(data)  # same arrays, nothing cached
+        calls = []
+        real = scattering.RectBivariateSpline
+        monkeypatch.setattr(scattering, "RectBivariateSpline",
+                            lambda *a: calls.append(1) or real(*a))
+        first = resample_scattering_data(src, Grid1D(-1.5, 1.5, 256))
+        resample_scattering_data(src, Grid1D(-2.0, 2.0, 1024))
+        first.apply(+1, np.ones(256))
+        # real and imaginary parts of T1 and of both remainders
+        assert len(calls) == 6
+        assert src.spline_fit is src.spline_fit
+
+    def test_window_refused_before_fit(self, ref05, monkeypatch):
+        _, data = ref05
+        src = dataclasses.replace(data)
+        calls = []
+        monkeypatch.setattr(scattering, "RectBivariateSpline",
+                            lambda *a: calls.append(1))
+        with pytest.raises(ValueError, match="inside"):
+            resample_scattering_data(src, Grid1D(-16.0, 16.0, 64))
+        assert calls == []
+        assert "spline_fit" not in vars(src)
+
+    def test_probe_memory_is_linear_in_grid(self, ref05):
+        # a dense fine kernel alone would take n^2 * 16 B = 256 MiB
+        # (measured peak: about 27 MB)
+        _, data = ref05
+        src = dataclasses.replace(data)
+        t, x, y = 50.0, -600.0, 0.0
+        grid = ray_resolution_grid(t, x, y)
+        assert grid.n == 4096
+        tracemalloc.start()
+        try:
+            fine = resample_scattering_data(src, grid)
+            sample = reconstruct(fine, t, x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(sample.u)
+        assert peak < 128 * 2 ** 20
