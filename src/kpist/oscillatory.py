@@ -7,7 +7,9 @@ lives comfortably on a coarse base grid. Three tools cover all uses:
 1. Filon panels (exact moments of e^(i theta y) against a piecewise-linear
    interpolant): full and cumulative integrals in a transverse variable at
    arbitrary phase rate theta, with series evaluation of the panel moments
-   near theta*h = 0 to avoid cancellation.
+   near theta*h = 0 to avoid cancellation. The scattering solve takes only
+   the moments and sums the panels by recurrence; phase_integral and
+   cumulative_phase_integral are the direct forms its tests compare with.
 
 2. A cell-refined Simpson engine on a base grid (oscillatory_integral):
    each base cell is subdivided until the local phase advances at most

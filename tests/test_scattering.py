@@ -8,6 +8,8 @@ and magnitude of the nonlinear part). Tolerances carry 2-5x margin over
 measured errors at the stated resolutions.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -199,6 +201,50 @@ def test_apply_g_direct_oracle():
                                   + _volterra_reference(conv, theta, g, True))
                 want = (1j / SQRT_2PI) * want
                 assert np.max(np.abs(got[ik, il] - want)) < 1e-12
+
+
+def test_volterra_every_column_matches_cumulative_filon():
+    # the recurrences against the cumulative Filon integral times its
+    # carrier, at every (k, l) column of both families, l = 0 included;
+    # the convolution comes from an explicit Toeplitz sum, not the FFT
+    rng = np.random.default_rng(13)
+    g = small_grids()
+    m, ny = g.n_kl, g.n_y
+    l = g.grid_kl.points
+    ut = rng.standard_normal((m, ny)) + 1j * rng.standard_normal((m, ny))
+    f = rng.standard_normal((m, m, ny)) + 1j * rng.standard_normal((m, m, ny))
+    offs = _offset_kernel(ut, g)
+    toe = offs[np.arange(m)[:, None] - np.arange(m)[None, :] + m - 1]
+    conv = np.einsum("ljy,kjy->kly", toe, f) * g.grid_kl.spacing
+    for sign in (+1, -1):
+        cases = ((g_on_delta(ut, sign, g), np.broadcast_to(ut, f.shape), 1j),
+                 (apply_g(ut, f, sign, g), conv, 1j / SQRT_2PI))
+        for got, amps, scale in cases:
+            want = np.empty_like(got)
+            for ik in range(m):
+                for il in range(m):
+                    theta = l[il] * (l[il] + 2 * l[ik])
+                    up = _volterra_reference(amps[ik, il], theta, g, False)
+                    down = _volterra_reference(amps[ik, il], theta, g, True)
+                    sl = sign * l[il]
+                    want[ik, il] = scale * (
+                        up if sl < 0 else down if sl > 0 else 0.5 * (up + down))
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_solve_memory_stays_within_a_few_fields():
+    # one solve holds source, mu, the current term and the operator's
+    # output, plus chunk temporaries of bounded size: measured 6.2 field
+    # sizes at this grid (the fields are M^2 n_y complex values)
+    wg, ut = build_small(0.02, 64, 64)
+    field_bytes = wg.n_kl ** 2 * wg.n_y * 16
+    tracemalloc.start()
+    try:
+        solve_mu_sharp(ut, +1, wg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * field_bytes
 
 
 def test_apply_g_zero_and_linearity():
