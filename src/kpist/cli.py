@@ -25,7 +25,7 @@ from .io import (load_config, load_potential, load_probes, load_scattering,
 from .oracle import evolve
 from .phase_airy import RayCoordinates
 from .reconstruct import ray_resolution_grid, reconstruct, working_data
-from .rhp import EvolvedData, solve_dmul_dx, solve_mul
+from .rhp import CTOperator, solve_dmul_dx
 
 RECON_HEADER = ("t", "x", "y", "xi", "eta", "a", "region",
                 "re_u1", "im_u1", "re_u2", "im_u2", "re_u", "im_u")
@@ -88,9 +88,7 @@ def _cmd_rhp_solve(args) -> int:
     files = []
     for i, (t, x, y) in enumerate(load_probes(args.probes)):
         work = _fine_data(data, t, x, y, args.fine_cap, args.direct)
-        ev = EvolvedData(work, t)
-        sol = solve_mul(ev, t, x, y, tol=args.tol)
-        sol = solve_dmul_dx(ev, t, x, y, tol=args.tol, mu=sol)
+        sol = solve_dmul_dx(CTOperator.build(work, t, x, y), tol=args.tol)
         mu_name, dmu_name = f"mu_{i:03d}.bin", f"dmu_{i:03d}.bin"
         write_array(outdir / mu_name, sol.mu_minus_1)
         write_array(outdir / dmu_name, sol.dmu_dx)

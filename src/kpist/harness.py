@@ -26,8 +26,7 @@ from .phase_airy import (RayCoordinates, RegionLabel, cubic_phase_transform,
 # global of that name, so the name stays importable
 from .reconstruct import (linear_kp, ray_resolution_grid,  # noqa: F401
                           reconstruct, resample_scattering_data, working_data)
-from .rhp import (EvolvedData, build_CT_apply, solve_dmul_dx, solve_mul,
-                  weighted_l2)
+from .rhp import CTOperator, solve_dmul_dx, weighted_l2
 from .scattering import (ScatteringData, ScatteringGrids, assemble_T,
                          resample_transform, solve_mu_sharp)
 
@@ -452,16 +451,13 @@ def run_verify_suite(config: ExperimentConfig, include_airy: bool = True,
                                  note="kernel L2 vs weighted-data bound, "
                                       "5% slack"))
         t0, x0, y0 = probe
-        ev = EvolvedData(data, t0)
-        op = build_CT_apply(ev, x0, y0)
+        op = CTOperator.build(data, t0, x0, y0)
         sigma = op.norm_estimate()
         rows.append(BoundRow("rhp.contraction", sigma, CONTRACTION_LIMIT,
                              sigma < CONTRACTION_LIMIT,
                              note=f"power-iteration norm at probe "
                                   f"(t,x,y)=({t0},{x0},{y0})"))
-        sol = solve_mul(ev, t0, x0, y0, tol=config.tol, conditions=report)
-        sol = solve_dmul_dx(ev, t0, x0, y0, tol=config.tol, mu=sol,
-                            conditions=report)
+        sol = solve_dmul_dx(op, tol=config.tol, conditions=report)
         dl = grids.grid_kl.spacing
         f_norm = weighted_l2(op.on_constant(), dl)
         mu_norm = weighted_l2(sol.mu_minus_1, dl)

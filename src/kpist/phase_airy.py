@@ -1,5 +1,5 @@
-"""Ray coordinates, asymptotic-region labels, cubic carrier phases, and a
-self-contained Airy evaluator with its stationary-phase companions.
+"""Ray coordinates, asymptotic-region labels, and a self-contained Airy
+evaluator with its stationary-phase companions.
 
 Every oscillatory object downstream rides the one-variable cubic phase
 
@@ -39,10 +39,7 @@ from .oscillatory import oscillatory_integral, oscillatory_tail
 __all__ = [
     "RegionLabel",
     "RayCoordinates",
-    "CubicCarrier",
     "classify",
-    "phase_S0",
-    "phase_S_shifted",
     "airy",
     "airy_envelope_max",
     "cubic_phase_transform",
@@ -101,49 +98,6 @@ class RayCoordinates:
     def from_region_params(cls, t: float, a: float, eta: float = 0.0):
         """Point with prescribed a along the eta-ray: xi = 12 a + eta^2/12."""
         return cls.from_ray(t, 12.0 * a + eta**2 / 12.0, eta)
-
-
-def phase_S0(k, l, xi, eta):
-    """Two-point ray phase (l-k) xi - (l^2-k^2) eta + 4 (l^3-k^3)."""
-    return (l - k) * xi - (l**2 - k**2) * eta + 4.0 * (l**3 - k**3)
-
-
-def phase_S_shifted(k, l, a):
-    """Centered form 12 a (l-k) + 4 (l^3-k^3); equals phase_S0 evaluated at
-    arguments shifted by eta/12."""
-    return 12.0 * a * (l - k) + 4.0 * (l**3 - k**3)
-
-
-@dataclasses.dataclass(frozen=True)
-class CubicCarrier:
-    """phi(s) = x s - y s^2 + 4 t s^3 with derivatives and the critical
-    station list its quadratic derivative needs for sharp per-cell bounds."""
-
-    x: float
-    y: float
-    t: float
-
-    def phi(self, s):
-        return self.x * s - self.y * s**2 + 4.0 * self.t * s**3
-
-    def dphi(self, s):
-        return self.x - 2.0 * self.y * s + 12.0 * self.t * s**2
-
-    def d2phi(self, s):
-        return -2.0 * self.y + 24.0 * self.t * s
-
-    def crit_points(self):
-        # |dphi| on a cell peaks at an endpoint or at the vertex of dphi
-        if self.t != 0.0:
-            return (self.y / (12.0 * self.t),)
-        return ()
-
-    def max_dphi(self, lo: float, hi: float) -> float:
-        cand = [abs(self.dphi(lo)), abs(self.dphi(hi))]
-        for c in self.crit_points():
-            if lo < c < hi:
-                cand.append(abs(self.dphi(c)))
-        return max(cand)
 
 
 # --- Airy function -------------------------------------------------------

@@ -6,8 +6,9 @@ correction weighted by the solved factorization unknown and its
 x-derivative. Both are double spectral sums sharing one oscillatory
 weight, evaluated per probe point; probe points rather than fields are
 first-class because the large-time statements are statements along rays.
-Both go through the solver's kernel operator rhp.CTOperator: the two
-families sum to T_plus g - T_minus g, the gap weight i(l - k) acts as
+reconstruct builds the solver's kernel operator rhp.CTOperator once per
+probe; the solves and both terms take it. Through it the two families
+sum to T_plus g - T_minus g, the gap weight i(l - k) acts as
 i(K(l g) - k K g), and the functions each term needs share one product
 per family, so no combined or gap-weighted kernel is formed.
 
@@ -50,16 +51,15 @@ from .phase_airy import RayCoordinates, RegionLabel, DEFAULT_REGION_DELTA
 # family_kernel is not called here: perfbench wraps this module's global of
 # that name to count negated kernel copies, so the name stays importable
 from .rhp import (  # noqa: F401
-    EvolvedData,
+    CTOperator,
     RHPSolution,
-    build_CT_apply,
     family_kernel,
     solve_dmul_dx,
 )
 # _fill_across_diagonal is not called here; the resampling tests import it
 # from this module for their reference construction
 from .scattering import (ScatteringData, ScatteringGrids,  # noqa: F401
-                         _fill_across_diagonal)
+                         _fill_across_diagonal, _triangle_weights)
 
 __all__ = [
     "ReconstructionSample",
@@ -124,61 +124,57 @@ def _warn_if_underresolved(f_abs_colmax, pts, dl, t, x, y):
         )
 
 
-def _family_sums(data: EvolvedData, x: float, y: float, rows: np.ndarray):
+def _family_sums(op: CTOperator, rows: np.ndarray):
     """Plain and k-weighted sums over k of both kernel families with
     their oscillatory weight, applied to each row of rows. Off the
     diagonal one family contributes; on it the two half weights combine."""
-    op = build_CT_apply(data, x, y)
     a = op.kernel_apply(+1, rows) + op.kernel_apply(-1, rows)
-    return a.sum(axis=1), a @ data.base.grids.grid_kl.points
+    return a.sum(axis=1), a @ op.base.grids.grid_kl.points
 
 
-def eval_u1(data: EvolvedData, x: float, y: float) -> complex:
-    """Leading reconstruction term at one probe point.
+def eval_u1(op: CTOperator) -> complex:
+    """Leading reconstruction term at the operator's probe point.
 
     (1/pi) double sum of the oscillatory weight times i (l - k) times the
     combined kernel, taken as i(K(l) - k K(1))."""
-    base = data.base
-    pts = base.grids.grid_kl.points
-    dl = base.grids.grid_kl.spacing
-    _warn_if_underresolved(base.combined_colmax, pts, dl, data.t, x, y)
-    s, ks = _family_sums(data, x, y, np.stack([pts, np.ones_like(pts)]))
+    pts = op.base.grids.grid_kl.points
+    dl = op.base.grids.grid_kl.spacing
+    _warn_if_underresolved(op.base.combined_colmax, pts, dl, op.t, op.x, op.y)
+    s, ks = _family_sums(op, np.stack([pts, np.ones_like(pts)]))
     return complex((1j / np.pi) * dl * (s[0] - ks[1]))
 
 
-def eval_u2(data: EvolvedData, x: float, y: float, rhp: RHPSolution) -> complex:
-    """Correction term at one probe point.
+def eval_u2(op: CTOperator, sol: RHPSolution) -> complex:
+    """Correction term at the operator's probe point.
 
     Adds the kernel sum weighted by (mu - 1) at the column argument and
     the plain kernel sum weighted by the x-derivative of mu. Requires the
     solution record solved at exactly this probe point, derivative part
     included."""
-    expected = (data.t, x, y)
-    if tuple(rhp.point) != expected:
+    expected = (op.t, op.x, op.y)
+    if tuple(sol.point) != expected:
         raise ValueError(
-            f"solution record is for point {tuple(rhp.point)}, "
+            f"solution record is for point {tuple(sol.point)}, "
             f"requested {expected}")
-    if rhp.dmu_dx is None:
+    if sol.dmu_dx is None:
         raise ValueError("solution record lacks the derivative part")
-    pts = data.base.grids.grid_kl.points
-    dl = data.base.grids.grid_kl.spacing
-    mu = rhp.mu_minus_1
-    s, ks = _family_sums(data, x, y, np.stack([pts * mu, mu, rhp.dmu_dx]))
+    pts = op.base.grids.grid_kl.points
+    dl = op.base.grids.grid_kl.spacing
+    mu = sol.mu_minus_1
+    s, ks = _family_sums(op, np.stack([pts * mu, mu, sol.dmu_dx]))
     return complex((1.0 / np.pi) * dl * (1j * (s[0] - ks[1]) + s[2]))
 
 
-def reconstruct(data: ScatteringData | EvolvedData, t: float, x: float,
+def reconstruct(data: ScatteringData | SplineKernels, t: float, x: float,
                 y: float, delta: float = DEFAULT_REGION_DELTA,
                 tol: float = 1e-10,
                 conditions: ConditionsReport | None = None,
                 ) -> ReconstructionSample:
     """Solve and evaluate at one probe point."""
-    ev = data if isinstance(data, EvolvedData) else EvolvedData(data, t)
-    if ev.t != t:
-        raise ValueError("evolution time disagrees with the t argument")
-    sol = solve_dmul_dx(ev, t, x, y, tol=tol, conditions=conditions)
-    u1 = eval_u1(ev, x, y)
-    u2 = eval_u2(ev, x, y, sol)
+    op = CTOperator.build(data, t, x, y)
+    sol = solve_dmul_dx(op, tol=tol, conditions=conditions)
+    u1 = eval_u1(op)
+    u2 = eval_u2(op, sol)
     region = RayCoordinates(t, x, y).region(delta)
     return ReconstructionSample((t, x, y), u1, u2, u1 + u2, region)
 
@@ -451,11 +447,8 @@ class SplineKernels:
             a = slice(f[j0], f[j1 - 1] + 4)
             r0, r1 = {+1: (0, j1), -1: (j0, m)}.get(sign, (0, m))
             vals = bc[r0:r1, a] @ bt[a, j0:j1]
-            if sign:
-                corner = vals[j0 - r0:j1 - r0]  # rows j0 .. j1: the diagonal
-                corner[...] = np.triu(corner) if sign == +1 else np.tril(corner)
-                d = np.arange(j1 - j0)
-                corner[d, d] *= 0.5
+            if sign:  # rows j0 .. j1 hold the diagonal
+                vals[j0 - r0:j1 - r0] *= _triangle_weights(j1 - j0, sign)
             yield j0, j1, r0, vals
 
     def _dense(self, sign: int) -> np.ndarray:

@@ -20,6 +20,12 @@ orientation, carries its sign on the scalar grid weight, and the
 x-derivative kernels i(l - k)K act through i(l - k)K g = i(K(l g) - k K g).
 family_kernel and derivative_data remain as the reference definitions.
 
+The operator is the one handle of a probe: CTOperator.build(base, t, x, y)
+holds the kernel data and the phase diagonals of the point, and the
+solves and the field evaluation take it. The evolved kernel
+base * exp(4 i t (l^3 - k^3)) lives in the diagonals, never in stored
+arrays, so stored magnitudes stay those of the time-zero data.
+
 Projections are sharp bin masks on the FFT of the sampled function:
 half plus keeps the nonnegative-frequency bins together with the
 Nyquist bin, half minus is the negative of the rest. Their difference
@@ -34,26 +40,6 @@ import numpy as np
 
 from .grids import ConditionsReport
 from .scattering import ScatteringData
-
-
-@dataclass(frozen=True)
-class EvolvedData:
-    """Scattering kernels together with the evolution time.
-
-    base is a ScatteringData or a reconstruct.SplineKernels: anything
-    with grids, apply, apply_transpose and combined_colmax.
-
-    The evolved kernel is base * exp(4 i t (l^3 - k^3)); the phase is
-    applied inside the operators, never baked into stored arrays, so
-    stored magnitudes stay those of the time-zero data.
-    """
-
-    base: ScatteringData
-    t: float
-
-    def __post_init__(self):
-        if self.t < 0:
-            raise ValueError("evolution time must be nonnegative")
 
 
 def cauchy_project(f: np.ndarray, sign: int) -> np.ndarray:
@@ -103,40 +89,49 @@ def family_kernel(base: ScatteringData, sign: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CTOperator:
-    """Immutable handle for f -> C_plus K_minus f + C_minus K_plus f.
+    """Immutable handle for f -> C_plus K_minus f + C_minus K_plus f at
+    one space-time point (t, x, y).
 
-    Holds the stored kernels by reference and the phase diagonals,
-    precomputed at construction; applications share the handle freely
-    across workers since nothing mutates. Inputs are one function or a
-    stack of them as rows, applied in one product per family."""
+    base is the time-zero kernel data, a ScatteringData or a
+    reconstruct.SplineKernels (anything with grids, apply,
+    apply_transpose and combined_colmax), held by reference. The phase
+    diagonals e^{i phi(l)} and e^{-i phi(k)}, evolution time included,
+    are precomputed at construction; build rejects t < 0. Applications
+    share the handle freely across workers since nothing mutates. Inputs
+    are one function or a stack of them as rows, applied in one product
+    per family."""
 
-    data: EvolvedData
+    base: ScatteringData
+    t: float
     x: float
     y: float
     e_l: np.ndarray
     e_k: np.ndarray
 
     @classmethod
-    def build(cls, data: EvolvedData, x: float, y: float) -> "CTOperator":
-        pts = data.base.grids.grid_kl.points
-        phi = phase_weights(pts, data.t, x, y)
-        return cls(data, float(x), float(y), np.exp(1j * phi), np.exp(-1j * phi))
+    def build(cls, base: ScatteringData, t: float, x: float,
+              y: float) -> "CTOperator":
+        if t < 0:
+            raise ValueError("evolution time must be nonnegative")
+        phi = phase_weights(base.grids.grid_kl.points, t, x, y)
+        return cls(base, float(t), float(x), float(y), np.exp(1j * phi),
+                   np.exp(-1j * phi))
 
     def _scale(self, sign: int) -> float:
         # the minus family is -T_minus; its sign rides on the grid weight
-        return sign * self.data.base.grids.grid_kl.spacing
+        return sign * self.base.grids.grid_kl.spacing
 
     def kernel_apply(self, sign: int, f: np.ndarray) -> np.ndarray:
         """One triangular family with its oscillatory weight:
         out(k) = sum_l exp(i(phi(l) - phi(k))) K(k, l) f(l) dl, K the
         family in consumption orientation (family_kernel)."""
         g = self.e_l * np.asarray(f, dtype=complex)
-        return self.e_k * self.data.base.apply(sign, g) * self._scale(sign)
+        return self.e_k * self.base.apply(sign, g) * self._scale(sign)
 
     def _kernel_apply_adjoint(self, sign: int, f: np.ndarray) -> np.ndarray:
         # K^H g = conj(conj(g) K) in row form; no conjugated kernel
         g = self.e_k * np.conj(f)
-        return np.conj(self.e_l * self.data.base.apply_transpose(sign, g)) \
+        return np.conj(self.e_l * self.base.apply_transpose(sign, g)) \
             * self._scale(sign)
 
     def __call__(self, f: np.ndarray) -> np.ndarray:
@@ -146,7 +141,7 @@ class CTOperator:
     def derivative(self, f: np.ndarray) -> np.ndarray:
         """x-derivative of the operator applied to f: x enters only
         through exp(i(l - k)x), so each kernel K becomes i(l - k)K."""
-        pts = self.data.base.grids.grid_kl.points
+        pts = self.base.grids.grid_kl.points
         rows = np.stack([pts * f, f])
 
         def gap(sign):  # i(l - k)K f = i(K(l f) - k K f)
@@ -163,12 +158,12 @@ class CTOperator:
     def on_constant(self) -> np.ndarray:
         # the constant is integrated against the kernel rows over the
         # truncated domain; identical arithmetic to applying to ones
-        return self(np.ones(self.data.base.grids.n_kl))
+        return self(np.ones(self.base.grids.n_kl))
 
     def norm_estimate(self, n_steps: int = 10, seed: int = 0) -> float:
         """Largest-singular-value estimate by power iteration."""
         rng = np.random.default_rng(seed)
-        n = self.data.base.grids.n_kl
+        n = self.base.grids.n_kl
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         v /= np.linalg.norm(v)
         sigma = 0.0
@@ -182,23 +177,16 @@ class CTOperator:
         return float(sigma)
 
 
-def build_CT_apply(data: EvolvedData, x: float, y: float) -> CTOperator:
-    """Operator handle used by the solves at one space-time point."""
-    return CTOperator.build(data, x, y)
-
-
-def derivative_data(data: EvolvedData) -> EvolvedData:
+def derivative_data(base: ScatteringData) -> ScatteringData:
     """Companion data whose kernels are i(l-k) times the originals.
 
     Applying the kernel operators of the result realizes the x-derivative
     of the originals, since x enters only through exp(i(l-k)x). Reference
     definition for CTOperator.derivative, which forms no such kernels."""
-    base = data.base
     pts = base.grids.grid_kl.points
     factor = 1j * (pts[None, :] - pts[:, None])
-    dbase = ScatteringData(factor * base.T_plus, factor * base.T_minus,
-                           factor * base.T1, base.grids, dict(base.meta))
-    return EvolvedData(dbase, data.t)
+    return ScatteringData(factor * base.T_plus, factor * base.T_minus,
+                          factor * base.T1, base.grids, dict(base.meta))
 
 
 @dataclass(frozen=True)
@@ -221,82 +209,60 @@ def weighted_l2(f: np.ndarray, dl: float) -> float:
     return float(np.sqrt(np.sum(np.abs(f) ** 2) * dl))
 
 
-def _neumann(op: CTOperator, forcing: np.ndarray, tol: float, max_iter: int,
-             warm_start: np.ndarray | None = None):
+def _neumann(op: CTOperator, forcing: np.ndarray, tol: float, max_iter: int):
     """Accumulate (I - op)^{-1} forcing; returns (solution, iterations,
-    ratio history). The warm start switches to direct fixed-point
-    iteration on the same equation (same unique limit)."""
-    dl = op.data.base.grids.grid_kl.spacing
+    ratio history)."""
+    dl = op.base.grids.grid_kl.spacing
     ratios = []
-    if warm_start is None:
-        acc = forcing.copy()
-        term = forcing
-        prev = weighted_l2(forcing, dl)
-        for it in range(1, max_iter + 1):
-            term = op(term)
-            tn = weighted_l2(term, dl)
-            if prev > 0:
-                ratios.append(tn / prev)
-            prev = tn
-            acc = acc + term
-            if tn <= tol * max(1.0, weighted_l2(acc, dl)):
-                return acc, it, ratios
-        raise RuntimeError(
-            "fixed-point accumulation did not reach the tolerance; "
-            f"last ratios {ratios[-5:]} (preconditions likely violated)")
-    cur = np.asarray(warm_start, dtype=complex)
-    prev_delta = None
+    acc = forcing.copy()
+    term = forcing
+    prev = weighted_l2(forcing, dl)
     for it in range(1, max_iter + 1):
-        nxt = forcing + op(cur)
-        delta = weighted_l2(nxt - cur, dl)
-        if prev_delta is not None and prev_delta > 0:
-            ratios.append(delta / prev_delta)
-        prev_delta = delta
-        cur = nxt
-        if delta <= tol * max(1.0, weighted_l2(cur, dl)):
-            return cur, it, ratios
+        term = op(term)
+        tn = weighted_l2(term, dl)
+        if prev > 0:
+            ratios.append(tn / prev)
+        prev = tn
+        acc = acc + term
+        if tn <= tol * max(1.0, weighted_l2(acc, dl)):
+            return acc, it, ratios
     raise RuntimeError(
-        "warm-started iteration did not reach the tolerance; "
+        "fixed-point accumulation did not reach the tolerance; "
         f"last ratios {ratios[-5:]} (preconditions likely violated)")
 
 
-def solve_mul(data: ScatteringData | EvolvedData, t: float, x: float, y: float,
-              tol: float = 1e-10, max_iter: int = 200,
-              conditions: ConditionsReport | None = None,
-              warm_start: np.ndarray | None = None) -> RHPSolution:
-    """Solve mu = 1 + P(mu) for mu - 1 at one space-time point."""
+def _solve(op: CTOperator, forcing: np.ndarray, tol: float, max_iter: int):
+    """(solution, iterations, relative residual) of u = forcing + op(u)."""
+    dl = op.base.grids.grid_kl.spacing
+    sol, iters, _ = _neumann(op, forcing, tol, max_iter)
+    resid = weighted_l2(sol - forcing - op(sol), dl) / max(1.0, weighted_l2(sol, dl))
+    return sol, iters, float(resid)
+
+
+def solve_mul(op: CTOperator, tol: float = 1e-10, max_iter: int = 200,
+              conditions: ConditionsReport | None = None) -> RHPSolution:
+    """Solve mu = 1 + P(mu) for mu - 1 at the operator's point."""
     if conditions is not None and not conditions.passed:
         raise ValueError("input data failed its smallness conditions; "
                          "the contraction guarantee does not apply")
-    ev = data if isinstance(data, EvolvedData) else EvolvedData(data, t)
-    if ev.t != t:
-        raise ValueError("evolution time disagrees with the t argument")
-    op = build_CT_apply(ev, x, y)
-    dl = ev.base.grids.grid_kl.spacing
-    forcing = op.on_constant()
-    sol, iters, _ = _neumann(op, forcing, tol, max_iter, warm_start)
-    resid = weighted_l2(sol - forcing - op(sol), dl) / max(1.0, weighted_l2(sol, dl))
-    return RHPSolution((t, x, y), sol, None, float(resid), None, iters)
+    sol, iters, resid = _solve(op, op.on_constant(), tol, max_iter)
+    return RHPSolution((op.t, op.x, op.y), sol, None, resid, None, iters)
 
 
-def solve_dmul_dx(data: ScatteringData | EvolvedData, t: float, x: float,
-                  y: float, tol: float = 1e-10, mu: RHPSolution | None = None,
-                  max_iter: int = 200,
+def solve_dmul_dx(op: CTOperator, tol: float = 1e-10,
+                  mu: RHPSolution | None = None, max_iter: int = 200,
                   conditions: ConditionsReport | None = None) -> RHPSolution:
-    """Extend a solved record with the x-derivative part.
+    """Extend a solved record with the x-derivative part, solving for mu
+    first when it is not given.
 
     The derivative solves the same fixed-point equation with forcing
     given by the i(l-k)-weighted kernels applied to the full unknown
     1 + (mu - 1)."""
     if mu is None:
-        mu = solve_mul(data, t, x, y, tol, max_iter, conditions)
-    ev = data if isinstance(data, EvolvedData) else EvolvedData(data, t)
-    op = build_CT_apply(ev, x, y)
+        mu = solve_mul(op, tol, max_iter, conditions)
     forcing = op.derivative(1.0 + mu.mu_minus_1)
-    dl = ev.base.grids.grid_kl.spacing
-    sol, iters, _ = _neumann(op, forcing, tol, max_iter)
-    resid = weighted_l2(sol - forcing - op(sol), dl) / max(1.0, weighted_l2(sol, dl))
-    return replace(mu, dmu_dx=sol, residual_dmu=float(resid),
+    sol, iters, resid = _solve(op, forcing, tol, max_iter)
+    return replace(mu, dmu_dx=sol, residual_dmu=resid,
                    iterations=mu.iterations + iters)
 
 
@@ -316,7 +282,7 @@ def adjoint_identity_check(data: ScatteringData, x: float, y: float) -> float:
     refinement of the spectral grid alone, so the refinement contract
     (ratio at most 0.6 per doubling) is exercised by doubling the full
     grid pair."""
-    op = build_CT_apply(EvolvedData(data, 0.0), x, y)
+    op = CTOperator.build(data, 0.0, x, y)
     eye = np.eye(data.grids.n_kl)
     # applied to the rows of the identity, a family yields A_sign^T
     a_minus = op.kernel_apply(-1, eye).T

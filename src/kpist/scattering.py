@@ -374,10 +374,8 @@ def _fill_across_diagonal(tri: np.ndarray, upper: bool) -> np.ndarray:
     diagonal fixed, and is continuous across it; the spline consumer
     discards the mirrored half, so only a narrow band near the diagonal
     feels the derivative kink."""
-    n = tri.shape[0]
-    d = np.arange(n)[None, :] - np.arange(n)[:, None]
-    own = d > 0 if upper else d < 0
-    return np.where(own | (d == 0), tri, tri.T)
+    own = _triangle_weights(tri.shape[0], +1 if upper else -1) > 0
+    return np.where(own, tri, tri.T)
 
 
 @dataclasses.dataclass

@@ -31,7 +31,7 @@ from kpist.scattering import (
     resample_transform,
     solve_mu_sharp,
 )
-from kpist.rhp import (EvolvedData, family_kernel, phase_weights, solve_dmul_dx,
+from kpist.rhp import (CTOperator, family_kernel, phase_weights, solve_dmul_dx,
                        solve_mul)
 from kpist.phase_airy import RegionLabel
 from kpist.reconstruct import (
@@ -159,27 +159,33 @@ class TestQuadraticCorrection:
 
     def test_probe_mismatch_rejected(self, ref05):
         _, data = ref05
-        ev = EvolvedData(data, 0.0)
-        sol = solve_dmul_dx(ev, 0.0, 1.0, 0.5)
+        sol = solve_dmul_dx(CTOperator.build(data, 0.0, 1.0, 0.5))
         with pytest.raises(ValueError, match="solution record"):
-            eval_u2(ev, 2.0, 0.5, sol)
+            eval_u2(CTOperator.build(data, 0.0, 2.0, 0.5), sol)
 
     def test_missing_derivative_rejected(self, ref05):
         _, data = ref05
-        ev = EvolvedData(data, 0.0)
-        sol = solve_mul(data, 0.0, 1.0, 0.5)
+        op = CTOperator.build(data, 0.0, 1.0, 0.5)
+        sol = solve_mul(op)
         assert sol.dmu_dx is None
         with pytest.raises(ValueError, match="derivative"):
-            eval_u2(ev, 1.0, 0.5, sol)
+            eval_u2(op, sol)
 
 
 class TestOrchestration:
 
-    def test_time_mismatch_rejected(self, ref05):
+    def test_one_operator_per_probe(self, ref05, monkeypatch):
         _, data = ref05
-        ev = EvolvedData(data, 1.0)
-        with pytest.raises(ValueError, match="time"):
-            reconstruct(ev, 2.0, 0.0, 0.0)
+        real = CTOperator.build.__func__
+        built = []
+
+        def counting(cls, *args):
+            built.append(args)
+            return real(cls, *args)
+
+        monkeypatch.setattr(CTOperator, "build", classmethod(counting))
+        reconstruct(data, 0.5, 1.2, 0.8)
+        assert len(built) == 1
 
     def test_failed_conditions_rejected(self, ref05):
         _, data = ref05
@@ -207,12 +213,12 @@ class TestOscillationFlag:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for x, y, _ in core_probes(field):
-                eval_u1(EvolvedData(data, 0.0), x, y)
+                eval_u1(CTOperator.build(data, 0.0, x, y))
 
     def test_fires_on_coarse_late_time(self, ref05):
         _, data = ref05
         with pytest.warns(RuntimeWarning, match="oscillatory weight"):
-            eval_u1(EvolvedData(data, 25.0), -75.0, 0.0)
+            eval_u1(CTOperator.build(data, 25.0, -75.0, 0.0))
 
     def test_silent_after_refinement(self, ref05):
         _, data = ref05
@@ -220,12 +226,12 @@ class TestOscillationFlag:
         fine = resample_scattering_data(data, g)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            eval_u1(EvolvedData(fine, 25.0), -75.0, 0.0)
+            eval_u1(CTOperator.build(fine, 25.0, -75.0, 0.0))
 
     def test_zero_kernel_no_flag(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert eval_u1(EvolvedData(zero_data(), 30.0), -50.0, 3.0) == 0.0
+            assert eval_u1(CTOperator.build(zero_data(), 30.0, -50.0, 3.0)) == 0.0
 
 
 class TestLinearBaseline:
@@ -344,8 +350,8 @@ class TestResampling:
             assert np.linalg.norm(a - b) / np.linalg.norm(b) <= 6e-3
             assert np.max(np.abs(a - b)) / np.max(np.abs(b)) <= 2.5e-2
         for (x, y) in [(1.0, 0.5), (-2.0, 1.5)]:
-            va = eval_u1(EvolvedData(res, 0.0), x, y)
-            vb = eval_u1(EvolvedData(direct, 0.0), x, y)
+            va = eval_u1(CTOperator.build(res, 0.0, x, y))
+            vb = eval_u1(CTOperator.build(direct, 0.0, x, y))
             assert abs(va - vb) / abs(vb) <= 1e-3
 
     def test_triangular_structure_preserved(self, ref05):
@@ -425,13 +431,12 @@ def fine1024(ref05):
     return resample_scattering_data(data, ray_resolution_grid(*FINE_PROBE))
 
 
-def combined_kernel_u(data, x, y, rhp):
+def combined_kernel_u(base, t, x, y, rhp):
     """u1 and u2 as double sums with the combined kernel formed."""
-    base = data.base
     f = family_kernel(base, +1) + family_kernel(base, -1)
     pts = base.grids.grid_kl.points
     dl = base.grids.grid_kl.spacing
-    phi = phase_weights(pts, data.t, x, y)
+    phi = phase_weights(pts, t, x, y)
     e_l = np.exp(1j * phi)
     e_k = np.exp(-1j * phi)
     u1 = (1j / np.pi) * dl * dl * (e_k @ (f @ (pts * e_l))
@@ -474,11 +479,11 @@ class TestCopyFreeEvaluation:
         _, data = ref05
         for base, (t, x, y) in ((data, (0.5, 1.2, 0.8)),
                                 (fine1024, FINE_PROBE)):
-            ev = EvolvedData(base, t)
-            sol = solve_dmul_dx(ev, t, x, y)
-            want1, want2 = combined_kernel_u(ev, x, y, sol)
-            assert abs(eval_u1(ev, x, y) - want1) <= 1e-13 * abs(want1)
-            assert abs(eval_u2(ev, x, y, sol) - want2) <= 1e-13 * abs(want2)
+            op = CTOperator.build(base, t, x, y)
+            sol = solve_dmul_dx(op)
+            want1, want2 = combined_kernel_u(base, t, x, y, sol)
+            assert abs(eval_u1(op) - want1) <= 1e-13 * abs(want1)
+            assert abs(eval_u2(op, sol) - want2) <= 1e-13 * abs(want2)
 
     def test_cached_column_max_is_exact(self, ref05, fine1024):
         _, data = ref05

@@ -25,12 +25,11 @@ from kpist.scattering import (
     resample_transform,
     solve_mu_sharp,
 )
-from kpist.reconstruct import ray_resolution_grid, resample_scattering_data
+from kpist.reconstruct import (ray_resolution_grid, reconstruct,
+                               resample_scattering_data)
 from kpist.rhp import (
     CTOperator,
-    EvolvedData,
     adjoint_identity_check,
-    build_CT_apply,
     cauchy_project,
     derivative_data,
     family_kernel,
@@ -76,9 +75,9 @@ def ref_cal():
     return data
 
 
-def apply_family(sign, ev, x, y, f):
-    """One triangular family with its oscillatory weight at (x, y)."""
-    return build_CT_apply(ev, x, y).kernel_apply(sign, f)
+def apply_family(sign, base, t, x, y, f):
+    """One triangular family with its oscillatory weight at (t, x, y)."""
+    return CTOperator.build(base, t, x, y).kernel_apply(sign, f)
 
 
 def random_band_limited(rng, n, band=24):
@@ -157,24 +156,26 @@ class TestPhaseAndEvolvedData:
 
     def test_negative_time_rejected(self, ref05):
         data, _ = ref05
-        with pytest.raises(ValueError):
-            EvolvedData(data, -0.1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            CTOperator.build(data, -0.1, 0.0, 0.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            reconstruct(data, -0.1, 0.0, 0.0)
 
     def test_evolution_preserves_kernel_magnitudes(self, ref05):
         data, _ = ref05
         j = 40
         e = np.zeros(data.grids.n_kl)
         e[j] = 1.0
-        still = np.abs(apply_family(+1, EvolvedData(data, 0.0), 0.4, -0.9, e))
-        moved = np.abs(apply_family(+1, EvolvedData(data, 7.3), 0.4, -0.9, e))
+        still = np.abs(apply_family(+1, data, 0.0, 0.4, -0.9, e))
+        moved = np.abs(apply_family(+1, data, 7.3, 0.4, -0.9, e))
         assert np.max(np.abs(still - moved)) <= 1e-14
 
 
 class TestApplyScriptT:
     def test_zero_kernel_gives_zero(self, ref05):
         data, _ = ref05
-        ev = EvolvedData(zero_data(data.grids), 1.0)
-        out = apply_family(+1, ev, 0.3, 0.2, np.ones(data.grids.n_kl))
+        out = apply_family(+1, zero_data(data.grids), 1.0, 0.3, 0.2,
+                           np.ones(data.grids.n_kl))
         assert np.all(out == 0.0)
 
     def test_consumption_orientation_of_families(self, ref05):
@@ -186,7 +187,6 @@ class TestApplyScriptT:
 
     def test_indicator_input_extracts_kernel_column(self, ref05):
         data, _ = ref05
-        ev = EvolvedData(data, 0.5)
         pts = data.grids.grid_kl.points
         dl = data.grids.grid_kl.spacing
         phi = phase_weights(pts, 0.5, 1.2, 0.8)
@@ -194,30 +194,29 @@ class TestApplyScriptT:
             for j in (0, 31, 97):
                 e = np.zeros(data.grids.n_kl)
                 e[j] = 1.0
-                got = apply_family(sign, ev, 1.2, 0.8, e)
+                got = apply_family(sign, data, 0.5, 1.2, 0.8, e)
                 want = np.exp(-1j * phi) * kernel[:, j] * np.exp(1j * phi[j]) * dl
                 assert np.max(np.abs(got - want)) <= 1e-14
 
     def test_linearity(self, ref05):
         data, _ = ref05
-        ev = EvolvedData(data, 0.5)
         rng = np.random.default_rng(3)
         n = data.grids.n_kl
         f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         a = 0.7 - 0.2j
-        lhs = apply_family(-1, ev, 0.1, 0.9, a * f + g)
-        rhs = a * apply_family(-1, ev, 0.1, 0.9, f) + apply_family(-1, ev, 0.1, 0.9, g)
+        lhs = apply_family(-1, data, 0.5, 0.1, 0.9, a * f + g)
+        rhs = (a * apply_family(-1, data, 0.5, 0.1, 0.9, f)
+               + apply_family(-1, data, 0.5, 0.1, 0.9, g))
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
     def test_sign_validation(self, ref05):
         data, _ = ref05
         with pytest.raises(ValueError):
-            apply_family(2, EvolvedData(data, 0.0), 0.0, 0.0, np.ones(data.grids.n_kl))
+            apply_family(2, data, 0.0, 0.0, 0.0, np.ones(data.grids.n_kl))
 
     def test_hilbert_schmidt_bound_on_random_probes(self, ref05):
         data, _ = ref05
-        ev = EvolvedData(data, 0.5)
         dl = data.grids.grid_kl.spacing
         rng = np.random.default_rng(17)
         n = data.grids.n_kl
@@ -225,14 +224,14 @@ class TestApplyScriptT:
             hs = np.linalg.norm(kernel) * dl
             for _ in range(20):
                 f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                out = apply_family(sign, ev, -0.8, 1.4, f)
+                out = apply_family(sign, data, 0.5, -0.8, 1.4, f)
                 assert weighted_l2(out, dl) <= hs * weighted_l2(f, dl) * (1 + 1e-12)
 
 
 class TestCTOperator:
     def test_adjoint_pairing_is_exact(self, ref05):
         data, _ = ref05
-        op = build_CT_apply(EvolvedData(data, 0.5), 1.2, 0.8)
+        op = CTOperator.build(data, 0.5, 1.2, 0.8)
         dl = data.grids.grid_kl.spacing
         rng = np.random.default_rng(23)
         n = data.grids.n_kl
@@ -246,28 +245,28 @@ class TestCTOperator:
 
     def test_zero_data_gives_zero_operator(self, ref05):
         data, _ = ref05
-        op = build_CT_apply(EvolvedData(zero_data(data.grids), 0.0), 0.0, 0.0)
+        op = CTOperator.build(zero_data(data.grids), 0.0, 0.0, 0.0)
         f = np.ones(data.grids.n_kl)
         assert np.all(op(f) == 0.0)
         assert op.norm_estimate() == 0.0
 
     def test_on_constant_matches_apply_to_ones(self, ref05):
         data, _ = ref05
-        op = build_CT_apply(EvolvedData(data, 0.5), 1.2, 0.8)
+        op = CTOperator.build(data, 0.5, 1.2, 0.8)
         assert np.array_equal(op.on_constant(), op(np.ones(data.grids.n_kl)))
 
     def test_norm_estimate_within_contraction_budget(self, ref05):
         data, report = ref05
         budget = 2.0 * report.w_norm / (1.0 - report.c)
         for t, x, y in [(0.0, 0.7, -0.4), (0.5, 1.2, 0.8), (5.0, 2.0, 1.0)]:
-            sigma = build_CT_apply(EvolvedData(data, t), x, y).norm_estimate()
+            sigma = CTOperator.build(data, t, x, y).norm_estimate()
             assert 0.015 <= sigma <= 0.05
             assert sigma <= budget
             assert sigma < 0.5
 
     def test_linearity(self, ref05):
         data, _ = ref05
-        op = build_CT_apply(EvolvedData(data, 0.5), 1.2, 0.8)
+        op = CTOperator.build(data, 0.5, 1.2, 0.8)
         rng = np.random.default_rng(5)
         n = data.grids.n_kl
         f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -279,17 +278,17 @@ class TestCTOperator:
 class TestSolveMu:
     def test_zero_data_solves_immediately(self, ref05):
         data, _ = ref05
-        sol = solve_mul(zero_data(data.grids), 0.0, 0.0, 0.0)
+        sol = solve_mul(CTOperator.build(zero_data(data.grids), 0.0, 0.0, 0.0))
         assert np.all(sol.mu_minus_1 == 0.0)
         assert sol.iterations == 1
         assert sol.residual_mu == 0.0
 
     def test_reference_solve_bound_and_residual(self, ref05):
         data, _ = ref05
-        sol = solve_mul(data, 0.0, 0.7, -0.4)
+        sol = solve_mul(CTOperator.build(data, 0.0, 0.7, -0.4))
         assert sol.residual_mu <= 1e-11
         assert 3 <= sol.iterations <= 7
-        op = build_CT_apply(EvolvedData(data, 0.0), 0.7, -0.4)
+        op = CTOperator.build(data, 0.0, 0.7, -0.4)
         dl = data.grids.grid_kl.spacing
         ratio = weighted_l2(sol.mu_minus_1, dl) / (2.0 * weighted_l2(op.on_constant(), dl))
         assert ratio <= 1.05
@@ -297,7 +296,7 @@ class TestSolveMu:
 
     def test_accumulation_ratios_stay_contractive(self, ref05):
         data, _ = ref05
-        op = build_CT_apply(EvolvedData(data, 0.5), 1.2, 0.8)
+        op = CTOperator.build(data, 0.5, 1.2, 0.8)
         _, _, ratios = _neumann(op, op.on_constant(), 1e-10, 200)
         assert ratios
         assert max(ratios) <= 0.55
@@ -312,8 +311,8 @@ class TestSolveMu:
 
         def coefficient(data, eps, probe):
             t, x, y = probe
-            sol = solve_mul(data, t, x, y, tol=1e-12)
-            op = build_CT_apply(EvolvedData(data, t), x, y)
+            sol = solve_mul(CTOperator.build(data, t, x, y), tol=1e-12)
+            op = CTOperator.build(data, t, x, y)
             dl = data.grids.grid_kl.spacing
             ct1 = weighted_l2(op.on_constant(), dl)
             return weighted_l2(sol.mu_minus_1 - op.on_constant(), dl) / (eps * ct1)
@@ -331,49 +330,35 @@ class TestSolveMu:
         bad = ConditionsReport(c=2.0, c_tilde=2.0, w_norm=1.0, e1w_norm=1.0,
                                passed=False)
         with pytest.raises(ValueError):
-            solve_mul(data, 0.0, 0.0, 0.0, conditions=bad)
-        solve_mul(data, 0.0, 0.0, 0.0, conditions=report)
-
-    def test_time_mismatch_rejected(self, ref05):
-        data, _ = ref05
-        ev = EvolvedData(data, 1.0)
-        with pytest.raises(ValueError):
-            solve_mul(ev, 2.0, 0.0, 0.0)
+            solve_mul(CTOperator.build(data, 0.0, 0.0, 0.0), conditions=bad)
+        solve_mul(CTOperator.build(data, 0.0, 0.0, 0.0), conditions=report)
 
     def test_determinism_bitwise(self, ref05):
         data, _ = ref05
-        a = solve_mul(data, 0.5, 1.2, 0.8)
-        b = solve_mul(data, 0.5, 1.2, 0.8)
+        a = solve_mul(CTOperator.build(data, 0.5, 1.2, 0.8))
+        b = solve_mul(CTOperator.build(data, 0.5, 1.2, 0.8))
         assert np.array_equal(a.mu_minus_1, b.mu_minus_1)
         assert a.residual_mu == b.residual_mu
         assert a.iterations == b.iterations
-
-    def test_warm_start_reaches_same_fixed_point(self, ref05):
-        data, _ = ref05
-        dl = data.grids.grid_kl.spacing
-        seed = solve_mul(data, 0.5, 1.2, 0.8)
-        cold = solve_mul(data, 0.5, 1.3, 0.8)
-        warm = solve_mul(data, 0.5, 1.3, 0.8, warm_start=seed.mu_minus_1)
-        assert weighted_l2(warm.mu_minus_1 - cold.mu_minus_1, dl) <= 1e-11
 
 
 class TestSolveDmu:
     def test_zero_data_gives_zero_derivative(self, ref05):
         data, _ = ref05
-        sol = solve_dmul_dx(zero_data(data.grids), 0.0, 0.0, 0.0)
+        sol = solve_dmul_dx(CTOperator.build(zero_data(data.grids), 0.0, 0.0, 0.0))
         assert np.all(sol.dmu_dx == 0.0)
 
     def test_centered_difference_oracle(self, ref05):
         data, _ = ref05
         dl = data.grids.grid_kl.spacing
         x0 = 1.2
-        full = solve_dmul_dx(data, 0.5, x0, 0.8, tol=1e-12)
+        full = solve_dmul_dx(CTOperator.build(data, 0.5, x0, 0.8), tol=1e-12)
         windows = {0.08: (2.4e-5, 4.0e-5), 0.04: (6.0e-6, 1.0e-5),
                    0.02: (1.5e-6, 2.5e-6)}
         errs = []
         for h, (lo, hi) in windows.items():
-            up = solve_mul(data, 0.5, x0 + h, 0.8, tol=1e-12)
-            dn = solve_mul(data, 0.5, x0 - h, 0.8, tol=1e-12)
+            up = solve_mul(CTOperator.build(data, 0.5, x0 + h, 0.8), tol=1e-12)
+            dn = solve_mul(CTOperator.build(data, 0.5, x0 - h, 0.8), tol=1e-12)
             fd = (up.mu_minus_1 - dn.mu_minus_1) / (2.0 * h)
             err = weighted_l2(full.dmu_dx - fd, dl)
             assert lo <= err <= hi
@@ -385,10 +370,9 @@ class TestSolveDmu:
         data, _ = ref05
         dl = data.grids.grid_kl.spacing
         pts = data.grids.grid_kl.points
-        ev = EvolvedData(data, 0.5)
-        full = solve_dmul_dx(data, 0.5, 1.2, 0.8, tol=1e-12)
-        dop = build_CT_apply(derivative_data(ev), 1.2, 0.8)
-        op = build_CT_apply(ev, 1.2, 0.8)
+        op = CTOperator.build(data, 0.5, 1.2, 0.8)
+        full = solve_dmul_dx(op, tol=1e-12)
+        dop = CTOperator.build(derivative_data(data), 0.5, 1.2, 0.8)
         gaps = pts[None, :] - pts[:, None]
         hs = (np.linalg.norm(gaps * data.T_plus) + np.linalg.norm(gaps * data.T_minus)) * dl
         bound = 2.0 * weighted_l2(dop.on_constant(), dl) \
@@ -399,8 +383,8 @@ class TestSolveDmu:
 
     def test_residual_and_iteration_accounting(self, ref05):
         data, _ = ref05
-        mu_only = solve_mul(data, 0.5, 1.2, 0.8)
-        full = solve_dmul_dx(data, 0.5, 1.2, 0.8, mu=mu_only)
+        mu_only = solve_mul(CTOperator.build(data, 0.5, 1.2, 0.8))
+        full = solve_dmul_dx(CTOperator.build(data, 0.5, 1.2, 0.8), mu=mu_only)
         assert full.residual_dmu <= 1e-11
         assert full.iterations > mu_only.iterations
         assert np.array_equal(full.mu_minus_1, mu_only.mu_minus_1)
@@ -408,15 +392,14 @@ class TestSolveDmu:
 
     def test_derivative_kernels_are_gap_weighted(self, ref05):
         data, _ = ref05
-        ev = derivative_data(EvolvedData(data, 0.5))
+        dbase = derivative_data(data)
         pts = data.grids.grid_kl.points
         factor = 1j * (pts[None, :] - pts[:, None])
-        assert np.array_equal(ev.base.T_plus, factor * data.T_plus)
-        assert np.array_equal(ev.base.T_minus, factor * data.T_minus)
-        assert np.array_equal(ev.base.T1, factor * data.T1)
-        assert ev.t == 0.5
+        assert np.array_equal(dbase.T_plus, factor * data.T_plus)
+        assert np.array_equal(dbase.T_minus, factor * data.T_minus)
+        assert np.array_equal(dbase.T1, factor * data.T1)
         # triangular zero pattern survives the diagonal reweighting
-        assert np.all(ev.base.T_plus[data.T_plus == 0.0] == 0.0)
+        assert np.all(dbase.T_plus[data.T_plus == 0.0] == 0.0)
 
 
 class TestSolutionContinuity:
@@ -425,12 +408,11 @@ class TestSolutionContinuity:
         dl = data.grids.grid_kl.spacing
         pts = data.grids.grid_kl.points
         h = 0.1
-        a = solve_mul(data, 0.5, 1.2, 0.8, tol=1e-12)
-        b = solve_mul(data, 0.5, 1.2 + h, 0.8, tol=1e-12)
+        a = solve_mul(CTOperator.build(data, 0.5, 1.2, 0.8), tol=1e-12)
+        b = solve_mul(CTOperator.build(data, 0.5, 1.2 + h, 0.8), tol=1e-12)
         step = weighted_l2(b.mu_minus_1 - a.mu_minus_1, dl)
-        ev = EvolvedData(data, 0.5)
-        dop = build_CT_apply(derivative_data(ev), 1.2, 0.8)
-        op = build_CT_apply(ev, 1.2, 0.8)
+        dop = CTOperator.build(derivative_data(data), 0.5, 1.2, 0.8)
+        op = CTOperator.build(data, 0.5, 1.2, 0.8)
         gaps = pts[None, :] - pts[:, None]
         hs = (np.linalg.norm(gaps * data.T_plus) + np.linalg.norm(gaps * data.T_minus)) * dl
         budget = 2.0 * weighted_l2(dop.on_constant(), dl) \
@@ -484,10 +466,9 @@ class TestCopyFreeOperator:
         data, _ = ref05
         for base, (t, x, y) in ((data, (0.5, 1.2, 0.8)),
                                 (fine1024, FINE_PROBE)):
-            ev = EvolvedData(base, t)
-            op = build_CT_apply(ev, x, y)
-            dop = build_CT_apply(derivative_data(ev), x, y)
-            mu = solve_mul(ev, t, x, y).mu_minus_1
+            op = CTOperator.build(base, t, x, y)
+            dop = CTOperator.build(derivative_data(base), t, x, y)
+            mu = solve_mul(op).mu_minus_1
             ones = np.ones(base.grids.n_kl)
             for f, want in ((ones, dop.on_constant()), (mu, dop(mu))):
                 got = op.derivative(f)
@@ -495,11 +476,10 @@ class TestCopyFreeOperator:
 
     def test_solve_dmu_forcing_is_derivative_of_full_unknown(self, ref05):
         data, _ = ref05
-        ev = EvolvedData(data, 0.5)
+        op = CTOperator.build(data, 0.5, 1.2, 0.8)
         dl = data.grids.grid_kl.spacing
-        sol = solve_dmul_dx(ev, 0.5, 1.2, 0.8, tol=1e-12)
-        dop = build_CT_apply(derivative_data(ev), 1.2, 0.8)
-        op = build_CT_apply(ev, 1.2, 0.8)
+        sol = solve_dmul_dx(op, tol=1e-12)
+        dop = CTOperator.build(derivative_data(data), 0.5, 1.2, 0.8)
         forcing = dop.on_constant() + dop(sol.mu_minus_1)
         resid = sol.dmu_dx - forcing - op(sol.dmu_dx)
         assert weighted_l2(resid, dl) <= 1e-11 * weighted_l2(sol.dmu_dx, dl)
@@ -507,16 +487,15 @@ class TestCopyFreeOperator:
     def test_no_kernel_sized_allocation(self, fine1024):
         t, x, y = FINE_PROBE
         n = fine1024.grids.n_kl
-        ev = EvolvedData(fine1024, t)
-        op = build_CT_apply(ev, x, y)
-        mu = solve_mul(ev, t, x, y)
+        op = CTOperator.build(fine1024, t, x, y)
+        mu = solve_mul(op)
         f = np.ones(n, dtype=complex)
         tracemalloc.start()
         try:
             op(f)
             _, peak_apply = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            sol = solve_dmul_dx(ev, t, x, y, mu=mu)
+            sol = solve_dmul_dx(op, mu=mu)
             _, peak_dmu = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
