@@ -22,7 +22,7 @@ from .harness import (airy_ratio_tables, _airy_bound_rows, compute_scattering,
                       write_verify_csv, VerifyReport)
 from .io import (load_config, load_potential, load_probes, load_scattering,
                  save_potential, save_scattering, write_array, write_csv)
-from .oracle import evolve
+from .oracle import STEP_TOL, evolve
 from .phase_airy import RayCoordinates
 from .reconstruct import ray_resolution_grid, reconstruct, working_data
 from .rhp import CTOperator, solve_dmul_dx
@@ -244,7 +244,10 @@ def main(argv=None) -> int:
     p = sub.add_parser("evolve-direct", help="pseudospectral time stepping")
     p.add_argument("potential")
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--dt", type=float, default=None)
+    p.add_argument("--dt", type=float, default=None,
+                   help="fixed step, at most the advective CFL bound; "
+                        "without it the step is error-controlled: step "
+                        f"doubling to {STEP_TOL:g} of max|u|")
     p.add_argument("--segments", type=int, default=8)
     p.add_argument("-o", "--output", default="evolved")
     p.set_defaults(func=_cmd_evolve_direct)

@@ -192,10 +192,15 @@ def compute_scattering(field: PotentialField, grids: ScatteringGrids,
     report = check_conditions(field, pt)
     if not report.passed:
         raise ValueError("smallness conditions fail: " + report.summary())
+    return _direct_map(pt, report, grids, tol), report
+
+
+def _direct_map(pt, report, grids: ScatteringGrids, tol: float):
+    """Kernels from a transform whose conditions report has passed."""
     ut = resample_transform(pt, grids)
     mu_p = solve_mu_sharp(ut, +1, grids, tol=tol, conditions=report)
     mu_m = solve_mu_sharp(ut, -1, grids, tol=tol, conditions=report)
-    return assemble_T(mu_p, mu_m, ut, grids), report
+    return assemble_T(mu_p, mu_m, ut, grids)
 
 
 def _make_nonlinear_evaluator(data: ScatteringData, conditions,
@@ -425,7 +430,8 @@ def run_verify_suite(config: ExperimentConfig, include_airy: bool = True,
     the contraction row failed.
     """
     field = config.resolve_potential()
-    report = check_conditions(field, partial_fourier_x(field))
+    pt = partial_fourier_x(field)
+    report = check_conditions(field, pt)
     grids = config.scattering_grids()
     rows = [BoundRow("smallness.conditions", report.w_norm,
                      (1.0 - report.c) / 4.0 if report.c < 1.0 else 0.0,
@@ -435,7 +441,7 @@ def run_verify_suite(config: ExperimentConfig, include_airy: bool = True,
                              CONTRACTION_LIMIT, False,
                              note="not attempted: smallness conditions fail"))
     else:
-        data, _ = compute_scattering(field, grids, tol=config.tol)
+        data = _direct_map(pt, report, grids, config.tol)
         guard = np.sqrt(np.pi) * report.w_norm / (1.0 - report.c) * 1.05
         for name in ("plus", "minus"):
             measured = data.meta[f"mu_{name}_xnorm"]

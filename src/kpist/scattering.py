@@ -344,6 +344,10 @@ def solve_mu_sharp(ut_work: np.ndarray, sign: int, grids: ScatteringGrids,
     term = source
     ratios = []
     prev = src_norm
+    # src_norm + sum of term norms bounds x_norm(mu) by the triangle
+    # inequality (the factor covers rounding), so the stopping test
+    # needs x_norm(mu) only once tn is within tol of that bound
+    reach = src_norm
     for it in range(1, max_iter + 1):
         term = apply_g(ut_work, term, sign, grids, plan=plan)
         tn = x_norm(term, grids)
@@ -351,7 +355,10 @@ def solve_mu_sharp(ut_work: np.ndarray, sign: int, grids: ScatteringGrids,
         if prev > 0:
             ratios.append(tn / prev)
         prev = tn
-        if tn <= tol * max(1.0, x_norm(mu, grids)):
+        reach += tn
+        bound = reach * (1.0 + 1e-9)
+        if tn <= tol * max(1.0, bound) and (
+                bound <= 1.0 or tn <= tol * max(1.0, x_norm(mu, grids))):
             break
     else:
         raise RuntimeError(

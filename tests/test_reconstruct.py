@@ -31,6 +31,7 @@ from kpist.scattering import (
     resample_transform,
     solve_mu_sharp,
 )
+from kpist.oracle import evolve
 from kpist.rhp import (CTOperator, family_kernel, phase_weights, solve_dmul_dx,
                        solve_mul)
 from kpist.phase_airy import RegionLabel
@@ -326,6 +327,49 @@ class TestRefinement:
         d2 = abs(us[256] - us[128])
         assert d1 / d2 >= 2.0
         assert d1 / d2 >= 3.0  # frozen margin
+
+
+# max|u - oracle| / max|oracle| per core point at t = 0.5, frozen at
+# 1.5x the measured 3.06e-3, 3.37e-3, 2.26e-2, 3.46e-3 and 1.24e-3
+ORACLE_BOUNDS = {(-2.0, -0.75): 4.6e-3, (-1.25, 1.0): 5.1e-3,
+                 (-0.5, 0.75): 3.4e-2, (0.75, 0.75): 5.2e-3,
+                 (1.5, 0.5): 1.9e-3}
+
+
+@pytest.fixture(scope="module")
+def oracle_at_05(ref05):
+    """(x, y, |u - oracle|, |u1 - oracle|) at the core points at t = 0.5,
+    relative to max|oracle|, with u on the path of `kpist reconstruct`."""
+    field, data = ref05
+    oracle = evolve(field, 0.5)
+    scale = oracle.max_abs()
+    gx, gy = field.grid_x, field.grid_y
+    out = []
+    for x, y, _ in core_probes(field):
+        ref = oracle.values[int(np.rint((x - gx.min) / gx.spacing)),
+                            int(np.rint((y - gy.min) / gy.spacing))]
+        fine = working_data(data, ray_resolution_grid(0.5, x, y))
+        s = reconstruct(fine, 0.5, x, y)
+        out.append((x, y, abs(s.u - ref) / scale, abs(s.u1 - ref) / scale))
+    return out
+
+
+class TestAgainstOracle:
+    """The kernel pipeline against the spectral solver at amplitude 0.05,
+    which share nothing but the field type."""
+
+    def test_core_points_within_frozen_bounds(self, oracle_at_05):
+        assert {(x, y) for x, y, _, _ in oracle_at_05} == set(ORACLE_BOUNDS)
+        for x, y, err, _ in oracle_at_05:
+            assert err <= ORACLE_BOUNDS[(x, y)], (x, y, err)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "open defect: the fixed +-1.5 spectral window of "
+        "ray_resolution_grid truncates the kernel tails; at (-0.5, 0.75) "
+        "u misses the oracle by 2.3e-2 of max|u| against 1.2e-2 for u1"))
+    def test_u_beats_u1_at_every_core_point(self, oracle_at_05):
+        for x, y, err, err1 in oracle_at_05:
+            assert err < err1, (x, y, err, err1)
 
 
 class TestResampling:
