@@ -130,7 +130,7 @@ def _cmd_evolve_direct(args) -> int:
     return 0
 
 
-def _summary_entry(spec, fit, window):
+def _summary_entry(fit, window):
     entry = {"label": fit.label, "xi": float(fit.ray.xi),
              "eta": float(fit.ray.eta), "a": float(fit.ray.a),
              "region": fit.region.value, "failure": fit.failure}
@@ -156,14 +156,14 @@ def _cmd_decay_fit(args) -> int:
     write_decay_csv(fits, outdir / "decay_nonlinear.csv")
     ok = decay_fit_passes(cfg.rays, fits)
     summary = {"nonlinear": [
-        _summary_entry(s, f, s.slope_window)
+        _summary_entry(f, s.slope_window)
         for s, f in zip(cfg.rays, fits)]}
     if not args.skip_linear:
         lfits = run_linear_baseline(cfg)
         write_decay_csv(lfits, outdir / "decay_linear.csv")
         ok = ok and decay_fit_passes(cfg.rays, lfits, use_linear=True)
         summary["linear"] = [
-            _summary_entry(s, f, s.linear_slope_window)
+            _summary_entry(f, s.linear_slope_window)
             for s, f in zip(cfg.rays, lfits)]
     summary["passed"] = bool(ok)
     (outdir / "summary.yaml").write_text(yaml.safe_dump(summary,

@@ -34,6 +34,10 @@ import dataclasses
 import numpy as np
 
 SQRT_2PI = float(np.sqrt(2.0 * np.pi))
+# largest |ut(0, y)| / max |ut| that check_conditions accepts as zero-mean
+ZERO_MODE_TOL = 1e-8
+# carrier wavenumber of the 'cosine_packet' test potential
+PACKET_WAVENUMBER = 2.0
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -223,12 +227,11 @@ def _spectral_axis_multiplier(field_vals, grid: Grid1D, axis: int, mult_of_freq)
 def check_conditions(
     field: PotentialField,
     transform: PartialTransform | None = None,
-    zero_mode_tol: float = 1e-8,
 ) -> ConditionsReport:
     """Compute (c, c_tilde, w_norm, e1w_norm) and the pass/fail verdict.
 
     The w_norm excludes the l = 0 bin of the transform and requires it to
-    be negligible (|ut(0, y)| <= zero_mode_tol * max |ut|); otherwise the
+    be negligible (|ut(0, y)| <= ZERO_MODE_TOL * max |ut|); otherwise the
     |l|^(-1) weight is meaningless and a ValueError is raised. All four
     quantities scale exactly linearly with the field amplitude.
     """
@@ -241,10 +244,10 @@ def check_conditions(
 
     scale = transform.max_abs()
     zero_bin = int(np.argmin(np.abs(l)))
-    if scale > 0 and np.max(np.abs(ut[zero_bin, :])) > zero_mode_tol * scale:
+    if scale > 0 and np.max(np.abs(ut[zero_bin, :])) > ZERO_MODE_TOL * scale:
         raise ValueError(
-            "transform has a nonvanishing l = 0 column; the |l|^(-1)-weighted "
-            "norm requires zero-x-mean data"
+            "transform has a nonvanishing l = 0 column; the data is not "
+            "zero-mean in x, which the |l|^(-1)-weighted norm requires"
         )
 
     absu = np.abs(ut)
@@ -313,15 +316,14 @@ def make_test_potential(
     width: float,
     grid_x: Grid1D,
     grid_y: Grid1D,
-    packet_wavenumber: float = 2.0,
 ) -> PotentialField:
     """Analytic test fields with vanishing x-mean.
 
     kind 'gaussian_dx': amplitude * d/dx exp(-(x^2+y^2)/(2 width^2)), which
     is exactly odd in x (zero mean analytically). kind 'cosine_packet':
-    amplitude * cos(k0 x) * exp(-(x^2+y^2)/(2 width^2)) with the discrete
-    per-row x-mean subtracted. Grids must resolve the width with at least
-    8 points.
+    amplitude * cos(k0 x) * exp(-(x^2+y^2)/(2 width^2)), k0 =
+    PACKET_WAVENUMBER, with the discrete per-row x-mean subtracted. Grids
+    must resolve the width with at least 8 points.
     """
     if width <= 0:
         raise ValueError("width must be positive")
@@ -334,7 +336,7 @@ def make_test_potential(
     if kind == "gaussian_dx":
         vals = amplitude * (-x / width**2) * env
     elif kind == "cosine_packet":
-        vals = amplitude * np.cos(packet_wavenumber * x) * env
+        vals = amplitude * np.cos(PACKET_WAVENUMBER * x) * env
         vals = vals - vals.mean(axis=0, keepdims=True)
     else:
         raise ValueError(f"unknown test potential kind: {kind!r}")

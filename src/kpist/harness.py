@@ -4,16 +4,15 @@ bound-verification sweep.
 Fits are least squares on (log t, log |u|) over log-spaced times; in the
 oscillatory region each nominal time expands into a micro-cluster whose
 per-cluster maximum estimates the envelope (the decay statements bound
-the envelope, not the pointwise oscillation). Outputs are plain CSV with
-repr() floats so reruns and different worker counts produce identical
-bytes.
+the envelope, not the pointwise oscillation). The nonlinear fit and the
+linear baseline share one probe path and differ only in the kernels and
+the per-probe value. Outputs are plain CSV with repr() floats so reruns
+produce identical bytes.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -24,16 +23,17 @@ from .phase_airy import (RayCoordinates, RegionLabel, cubic_phase_transform,
                          half_airy_H)
 # resample_scattering_data is not called here: perfbench wraps this module's
 # global of that name, so the name stays importable
-from .reconstruct import (linear_kp, ray_resolution_grid,  # noqa: F401
+from .reconstruct import (eval_u1, ray_resolution_grid,  # noqa: F401
                           reconstruct, resample_scattering_data, working_data)
 from .rhp import CTOperator, solve_dmul_dx, weighted_l2
-from .scattering import (ScatteringData, ScatteringGrids, assemble_T,
-                         resample_transform, solve_mu_sharp)
+from .scattering import (ScatteringData, ScatteringGrids, _triangle_weights,
+                         assemble_T, assemble_T1, resample_transform,
+                         solve_mu_sharp)
 
 __all__ = [
     "DecayFit", "BoundRow", "VerifyReport", "fit_power_law", "cluster_times",
     "compute_scattering", "run_decay_fit", "run_linear_baseline",
-    "run_verify_suite", "airy_ratio_tables", "worker_count",
+    "run_verify_suite", "airy_ratio_tables",
     "write_decay_csv", "write_verify_csv", "write_airy_csv",
     "decay_fit_passes",
 ]
@@ -44,24 +44,8 @@ CLUSTER_SIZE = 5
 CONTRACTION_LIMIT = 0.5
 AIRY_IDENTITY_TOL = 1e-6
 RATIO_SLACK = 1.15
-
-
-def worker_count() -> int:
-    """Worker count from KPIST_WORKERS; affects scheduling only."""
-    raw = os.environ.get("KPIST_WORKERS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
-def _map_ordered(fn, items):
-    n = worker_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(n, len(items))) as pool:
-        return list(pool.map(fn, items))
+# (t, x, y) of the contraction and solution rows of the verify sweep
+VERIFY_PROBE = (0.0, 0.7, -0.4)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -153,15 +137,26 @@ def _slope_or_nan(ts, vs) -> float:
         return float("nan")
 
 
-def _fit_ray(spec: RaySpec, ts: np.ndarray, delta: float, cluster_eval
-             ) -> DecayFit:
+def _fit_ray(spec: RaySpec, config: ExperimentConfig, data: ScatteringData,
+             probe_values) -> DecayFit:
+    """Envelope fit along one ray; the one cluster evaluator of both fits.
+
+    Each cluster runs on one working grid, sized by ray_resolution_grid
+    for its latest time (the phase rate grows with t); probe_values(fine,
+    t, x, y) gives the (|u|, |u1|, |u2|) triple of one probe on it."""
+    ts = config.t_samples()
     rc = RayCoordinates.from_ray(float(ts[0]), spec.xi, spec.eta)
-    region = rc.region(delta)
+    region = rc.region(config.delta)
     env, env1, env2 = [], [], []
     try:
         for t in ts:
             cluster = cluster_times(float(t), rc.a, region)
-            triples = cluster_eval(cluster, spec)
+            t_ref = max(cluster)
+            grid = ray_resolution_grid(t_ref, spec.xi * t_ref,
+                                       spec.eta * t_ref, cap=config.fine_cap)
+            fine = working_data(data, grid)
+            triples = [probe_values(fine, tc, spec.xi * tc, spec.eta * tc)
+                       for tc in cluster]
             env.append(max(v[0] for v in triples))
             env1.append(max(v[1] for v in triples))
             env2.append(max(v[2] for v in triples))
@@ -203,24 +198,6 @@ def _direct_map(pt, report, grids: ScatteringGrids, tol: float):
     return assemble_T(mu_p, mu_m, ut, grids)
 
 
-def _make_nonlinear_evaluator(data: ScatteringData, conditions,
-                              config: ExperimentConfig):
-    def cluster_eval(cluster, spec: RaySpec):
-        t_ref = max(cluster)  # phase rate grows with t; size for the worst
-        grid = ray_resolution_grid(t_ref, spec.xi * t_ref, spec.eta * t_ref,
-                                   cap=config.fine_cap)
-        fine = working_data(data, grid)
-        out = []
-        for tc in cluster:
-            sample = reconstruct(fine, tc, spec.xi * tc, spec.eta * tc,
-                                 delta=config.delta, tol=config.tol,
-                                 conditions=conditions)
-            out.append((abs(sample.u), abs(sample.u1), abs(sample.u2)))
-        return out
-
-    return cluster_eval
-
-
 def run_decay_fit(config: ExperimentConfig, data: ScatteringData | None = None,
                   conditions=None) -> list[DecayFit]:
     """Envelope decay fits for every configured ray.
@@ -232,34 +209,46 @@ def run_decay_fit(config: ExperimentConfig, data: ScatteringData | None = None,
         field = config.resolve_potential()
         data, conditions = compute_scattering(field, config.scattering_grids(),
                                               tol=config.tol)
-    ts = config.t_samples()
-    ev = _make_nonlinear_evaluator(data, conditions, config)
-    return _map_ordered(lambda spec: _fit_ray(spec, ts, config.delta, ev),
-                        list(config.rays))
+
+    def probe_values(fine, t, x, y):
+        s = reconstruct(fine, t, x, y, delta=config.delta, tol=config.tol,
+                        conditions=conditions)
+        return abs(s.u), abs(s.u1), abs(s.u2)
+
+    return [_fit_ray(spec, config, data, probe_values)
+            for spec in config.rays]
 
 
-def _make_linear_evaluator(field: PotentialField, n_quad: int,
-                           quad_half: float):
-    def cluster_eval(cluster, spec: RaySpec):
-        out = []
-        for tc in cluster:
-            v = abs(linear_kp(field, tc, spec.xi * tc, spec.eta * tc,
-                              n_quad=n_quad, quad_half=quad_half))
-            out.append((v, v, 0.0))
-        return out
+def run_linear_baseline(config: ExperimentConfig) -> list[DecayFit]:
+    """Same fits for the linearized flow, whose rate trichotomy the
+    nonlinear rates follow.
 
-    return cluster_eval
-
-
-def run_linear_baseline(config: ExperimentConfig, n_quad: int = 1024,
-                        quad_half: float = 8.0) -> list[DecayFit]:
-    """Same fits for the linearized flow (the rate trichotomy is already
-    linear); no scattering solve is involved, only oscillatory sums."""
+    The linear solution is u1 on the linear-order kernels: with T1 the
+    unmasked delta-route kernel (scattering.assemble_T1) and T_sigma =
+    W_sigma T1 its triangle-weighted families, eval_u1 sums i(l - k)
+    sign(l - k) T1 = |l - k| uhat(l - k, -(l^2 - k^2)) against the
+    evolved phase, which is the (k, l) form of the linearized evolution
+    (reconstruct.linear_kp_crosscheck). Each probe then takes the path of
+    a nonlinear probe (ray_resolution_grid, working_data, CTOperator) with
+    no Volterra solve, no Neumann solve and no smallness check. Data that
+    is not zero-mean in x is refused (ValueError), as by check_conditions.
+    u2 has no linear analogue: its values are 0 and its slope nan."""
     field = config.resolve_potential()
-    ts = config.t_samples()
-    ev = _make_linear_evaluator(field, n_quad, quad_half)
-    return _map_ordered(lambda spec: _fit_ray(spec, ts, config.delta, ev),
-                        list(config.rays))
+    grids = config.scattering_grids()
+    pt = partial_fourier_x(field)
+    check_conditions(field, pt)  # only its zero-mean refusal applies
+    T1 = assemble_T1(resample_transform(pt, grids), grids)
+    n = grids.n_kl
+    data = ScatteringData(_triangle_weights(n, +1) * T1,
+                          _triangle_weights(n, -1) * T1, T1, grids,
+                          {"kernel_order": "linear"})
+
+    def probe_values(fine, t, x, y):
+        v = abs(eval_u1(CTOperator.build(fine, t, x, y)))
+        return v, v, 0.0
+
+    return [_fit_ray(spec, config, data, probe_values)
+            for spec in config.rays]
 
 
 def decay_fit_passes(specs, fits, use_linear: bool = False) -> bool:
@@ -420,8 +409,8 @@ def _hs_proxy(base: ScatteringData, gap: bool = False) -> float:
     return float(sum(norms) * base.grids.grid_kl.spacing)
 
 
-def run_verify_suite(config: ExperimentConfig, include_airy: bool = True,
-                     probe=(0.0, 0.7, -0.4)) -> VerifyReport:
+def run_verify_suite(config: ExperimentConfig,
+                     include_airy: bool = True) -> VerifyReport:
     """Numerical inequality sweep on the configured potential.
 
     Every analytic bound the solvers rely on is evaluated with its
@@ -456,7 +445,7 @@ def run_verify_suite(config: ExperimentConfig, include_airy: bool = True,
                                  measured <= kern_guard,
                                  note="kernel L2 vs weighted-data bound, "
                                       "5% slack"))
-        t0, x0, y0 = probe
+        t0, x0, y0 = VERIFY_PROBE
         op = CTOperator.build(data, t0, x0, y0)
         sigma = op.norm_estimate()
         rows.append(BoundRow("rhp.contraction", sigma, CONTRACTION_LIMIT,

@@ -149,9 +149,9 @@ def _simpson_weights(p):
     return w / 3.0
 
 
-def oscillatory_integral(a, b, phi, dphi, amp=None, sign=1.0,
-                         pts_per_wave=16, n_cells=64, crit_points=()):
-    """Int_a^b amp(x) e^(i sign phi(x)) dx by cell-refined Simpson.
+def oscillatory_integral(a, b, phi, dphi, amp=None, pts_per_wave=16,
+                         n_cells=64, crit_points=()):
+    """Int_a^b amp(x) e^(i phi(x)) dx by cell-refined Simpson.
 
     The interval is first split into n_cells equal cells (amp must be
     resolved at that scale); each cell is then refined for the phase.
@@ -166,15 +166,15 @@ def oscillatory_integral(a, b, phi, dphi, amp=None, sign=1.0,
         s = (np.arange(pc + 1) / pc)[None, :]
         x = aa + h * s
         w = _simpson_weights(pc)[None, :] * (h / pc)
-        vals = np.exp(1j * sign * phi(x))
+        vals = np.exp(1j * phi(x))
         if amp is not None:
             vals = vals * amp(x)
         total += (w * vals).sum()
     return total
 
 
-def oscillatory_tail(phi, dphi, d2phi, L, sign=1.0, direction=1):
-    """Two-term tail Int e^(i sign phi) dl from L to +inf (direction +1)
+def oscillatory_tail(phi, dphi, d2phi, L, direction=1):
+    """Two-term tail Int e^(i phi) dl from L to +inf (direction +1)
     or -inf to L (direction -1), assuming |dphi| grows monotonically along
     the tail and never vanishes there.
 
@@ -182,17 +182,14 @@ def oscillatory_tail(phi, dphi, d2phi, L, sign=1.0, direction=1):
     parts; the bound integrates |(Phi''/Phi'^3)'| numerically along the tail
     (a safe overestimate when |Phi'| is increasing).
     """
-    Phi = lambda l: sign * phi(l)
-    dP = lambda l: sign * dphi(l)
-    d2P = lambda l: sign * d2phi(l)
-    if abs(dP(L)) == 0:
+    if abs(dphi(L)) == 0:
         raise ValueError("tail cut sits on a stationary point")
-    e = np.exp(1j * Phi(L))
-    term1 = -direction * e / (1j * dP(L))
-    term2 = direction * d2P(L) * e / dP(L) ** 3
+    e = np.exp(1j * phi(L))
+    term1 = -direction * e / (1j * dphi(L))
+    term2 = direction * d2phi(L) * e / dphi(L) ** 3
     # remainder: Int |d/dl (Phi'' / Phi'^3)| along the tail
     span = np.geomspace(1.0, 1e6, 400)
     l = L + direction * (span - 1.0)
-    g = d2P(l) / dP(l) ** 3
+    g = d2phi(l) / dphi(l) ** 3
     bound = float(np.sum(np.abs(np.diff(g))))
     return term1 + term2, bound

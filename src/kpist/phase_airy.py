@@ -1,5 +1,5 @@
-"""Ray coordinates, asymptotic-region labels, and a self-contained Airy
-evaluator with its stationary-phase companions.
+"""Ray coordinates, asymptotic-region labels, and the Airy model integrals
+of the transition region with their stationary-phase companions.
 
 Every oscillatory object downstream rides the one-variable cubic phase
 
@@ -22,9 +22,10 @@ The model integral behind the transition region is
         = (2 pi)^(-1/2) Int e^(-i xi k) e^(-i t (12 a k + 4 k^3)) dk
         = sqrt(2 pi) (12 t)^(-1/3) Ai( (12 t)^(2/3) (a + xi/(12 t)) ),
 
-implemented through the closed form; the quadrature route exists in the
-tests and the verification suite. Half-line variants (half_airy_H) are
-evaluated by phase-refined quadrature plus integration-by-parts tails.
+implemented through the closed form with Ai from scipy.special; the
+quadrature route exists in the tests and the verification suite.
+Half-line variants (half_airy_H) are evaluated by phase-refined
+quadrature plus integration-by-parts tails.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import dataclasses
 import enum
 
 import numpy as np
+from scipy import special
 
 from .oscillatory import oscillatory_integral, oscillatory_tail
 
@@ -47,6 +49,8 @@ __all__ = [
 ]
 
 DEFAULT_REGION_DELTA = 0.05
+# tail-cut tolerance of half_airy_H
+HALF_AIRY_TOL = 1e-8
 
 
 class RegionLabel(str, enum.Enum):
@@ -102,100 +106,16 @@ class RayCoordinates:
 
 # --- Airy function -------------------------------------------------------
 
-_AI0 = 0.3550280538878172  # Ai(0) = 3^(-2/3)/Gamma(2/3)
-_DAI0 = 0.2588194037928068  # -Ai'(0) = 3^(-1/3)/Gamma(1/3)
-# asymmetric handover: the oscillatory expansion reaches 1e-10 only past
-# zeta = (2/3)|x|^(3/2) ~ 12, while the decaying side is safe from 5.5 and
-# the series loses too many digits beyond ~6 there even at 80-bit
-_SERIES_EDGE_POS = 5.5
-_SERIES_EDGE_NEG = -7.0
-
-
-def _airy_series(x):
-    """Maclaurin solution of y'' = x y, in extended precision.
-
-    The two power-series solutions grow like exp((2/3)|x|^(3/2)) while Ai
-    decays on the positive side, so float64 loses ~9 digits at the branch
-    edge; 80-bit accumulation keeps the result well below 1e-10 absolute.
-    """
-    xl = np.asarray(x, dtype=np.longdouble)
-    x3 = xl**3
-    tf = np.ones_like(xl)
-    tg = xl.copy()
-    f = np.ones_like(xl)
-    g = xl.copy()
-    for k in range(120):
-        tf = tf * x3 / ((3 * k + 2) * (3 * k + 3))
-        tg = tg * x3 / ((3 * k + 3) * (3 * k + 4))
-        f = f + tf
-        g = g + tg
-        if max(np.max(np.abs(tf)), np.max(np.abs(tg))) < 1e-26:
-            break
-    c1 = np.longdouble("0.35502805388781723926006318600418")
-    c2 = np.longdouble("0.25881940379280679840518356018920")
-    return (c1 * f - c2 * g).astype(np.float64)
-
-
-def _airy_u_coeffs(n):
-    u = [1.0]
-    for k in range(1, n):
-        u.append(u[-1] * (6 * k - 5) * (6 * k - 3) * (6 * k - 1) / (216.0 * k * (2 * k - 1)))
-    return np.array(u)
-
-
-_U = _airy_u_coeffs(26)
-
-
-def _airy_asym_pos(x):
-    zeta = (2.0 / 3.0) * x**1.5
-    term_prev = np.full_like(x, np.inf)
-    acc = np.zeros_like(x)
-    active = np.ones_like(x, dtype=bool)
-    for k, uk in enumerate(_U):
-        term = (-1.0) ** k * uk / zeta**k
-        # divergent series: freeze each entry at its smallest term
-        active &= ~(np.abs(term) > term_prev)
-        acc = np.where(active, acc + term, acc)
-        term_prev = np.abs(term)
-    return np.exp(-zeta) / (2.0 * np.sqrt(np.pi) * x**0.25) * acc
-
-
-def _airy_asym_neg(x):
-    z = -x
-    zeta = (2.0 / 3.0) * z**1.5
-    p = np.zeros_like(z)
-    q = np.zeros_like(z)
-    for k in range(0, 13):
-        p = p + (-1.0) ** k * _U[2 * k] / zeta ** (2 * k)
-        if 2 * k + 1 < len(_U):
-            q = q + (-1.0) ** k * _U[2 * k + 1] / zeta ** (2 * k + 1)
-    ang = zeta - np.pi / 4.0
-    return (np.cos(ang) * p + np.sin(ang) * q) / (np.sqrt(np.pi) * z**0.25)
-
 
 def airy(x):
-    """Ai(x) for real x: extended-precision Maclaurin series on
-    [-7, 5.5], optimally truncated asymptotic expansions beyond.
-    Absolute error below 1e-10 on |x| <= 40."""
-    x = np.asarray(x, dtype=np.float64)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.empty_like(x)
-    mid = (x >= _SERIES_EDGE_NEG) & (x <= _SERIES_EDGE_POS)
-    pos = x > _SERIES_EDGE_POS
-    neg = x < _SERIES_EDGE_NEG
-    if np.any(mid):
-        out[mid] = _airy_series(x[mid])
-    if np.any(pos):
-        out[pos] = _airy_asym_pos(x[pos])
-    if np.any(neg):
-        out[neg] = _airy_asym_neg(x[neg])
-    return out[0] if scalar else out
+    """Ai(x) for real x (scipy.special.airy); a scalar for scalar x."""
+    return special.airy(x)[0]
 
 
-def airy_envelope_max(lo=-40.0, hi=40.0, n=16001) -> float:
-    """max over [lo, hi] of |Ai(x)| (1+|x|)^(1/4) (empirically ~0.684)."""
-    x = np.linspace(lo, hi, n)
+def airy_envelope_max() -> float:
+    """max over [-40, 40] of |Ai(x)| (1+|x|)^(1/4) (about 0.643),
+    sampled at spacing 0.005."""
+    x = np.linspace(-40.0, 40.0, 16001)
     return float(np.max(np.abs(airy(x)) * (1.0 + np.abs(x)) ** 0.25))
 
 
@@ -224,13 +144,15 @@ def _choose_cut(dphi, d2phi, start, direction, tol):
     raise RuntimeError("could not find a valid oscillatory cut")
 
 
-def half_airy_H(t, a, xi, k_lower=-np.inf, pts_per_wave=32, tol=1e-8):
+def half_airy_H(t, a, xi, k_lower=-np.inf):
     """H = Int_{k_lower}^inf e^(-i xi l) e^(i t (12 a l + 4 l^3)) dl.
 
     k_lower = -inf gives the full line, where H equals
     2 pi (12 t)^(-1/3) Ai((12 t)^(2/3) (a - xi/(12 t))) exactly.
-    Quadrature: stationary-phase-refined Simpson out to a cut beyond all
-    stationary points, closed with two-term integration-by-parts tails.
+    Quadrature: stationary-phase-refined Simpson (32 points per wave) out
+    to a cut beyond all stationary points, closed with two-term
+    integration-by-parts tails whose leading neglected piece is below
+    HALF_AIRY_TOL.
     """
     if t <= 0:
         raise ValueError("half_airy_H requires t > 0")
@@ -244,20 +166,21 @@ def half_airy_H(t, a, xi, k_lower=-np.inf, pts_per_wave=32, tol=1e-8):
     start_hi = max(s_max + 1.0, 2.0)
     if np.isfinite(k_lower):
         start_hi = max(start_hi, abs(k_lower) + 1.0)
-    hi = _choose_cut(dphi, d2phi, start_hi, +1, tol)
+    hi = _choose_cut(dphi, d2phi, start_hi, +1, HALF_AIRY_TOL)
     tail_hi, _ = oscillatory_tail(phi, dphi, d2phi, hi, direction=+1)
 
     if np.isfinite(k_lower):
         lo = float(k_lower)
         tail_lo = 0.0
     else:
-        lo = _choose_cut(dphi, d2phi, -max(s_max + 1.0, 2.0), -1, tol)
+        lo = _choose_cut(dphi, d2phi, -max(s_max + 1.0, 2.0), -1,
+                         HALF_AIRY_TOL)
         tail_lo, _ = oscillatory_tail(phi, dphi, d2phi, lo, direction=-1)
 
     span = hi - lo
     n_cells = int(max(64, min(4096, 12 * span)))
     head = oscillatory_integral(
-        lo, hi, phi, dphi, pts_per_wave=pts_per_wave, n_cells=n_cells,
+        lo, hi, phi, dphi, pts_per_wave=32, n_cells=n_cells,
         crit_points=(0.0,),
     )
     return head + tail_hi + tail_lo

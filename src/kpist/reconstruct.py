@@ -1,5 +1,5 @@
 """Field evaluation at probe points from evolved kernels, refinement of
-the kernels onto per-probe grids, and the linear baseline.
+the kernels onto per-probe grids, and the linearized flow.
 
 The field splits into a leading term built from the kernels alone and a
 correction weighted by the solved factorization unknown and its
@@ -30,11 +30,15 @@ T_minus and T1 of a refinement are reference arrays for the tests and
 the reference definitions family_kernel and derivative_data; nothing on
 the probe path reads them.
 
-The linear baseline evolves the potential's 2-D transform under the
+The linearized flow evolves the potential's 2-D transform under the
 dispersion relation p^3 + 3 q^2 / p, excluding the p = 0 line (zero-mean
-data carries nothing there). Two independent quadrature routes are
-provided for cross-validation: the native rectangular (p, q) sum and a
-two-spectral-variable parametrization with Jacobian 2 |l - k|.
+data carries nothing there). The decay fits' linear baseline
+(harness.run_linear_baseline) takes it as u1 on the linear-order kernels,
+through the probe path above. linear_kp (the native rectangular (p, q)
+sum), linear_kp_crosscheck (the two-spectral-variable parametrization
+with Jacobian 2 |l - k|) and linear_field (the whole field) have no
+caller in the package: they are the reference definitions the tests
+check the probe path and the oracle against.
 """
 
 from __future__ import annotations
@@ -56,10 +60,7 @@ from .rhp import (  # noqa: F401
     family_kernel,
     solve_dmul_dx,
 )
-# _fill_across_diagonal is not called here; the resampling tests import it
-# from this module for their reference construction
-from .scattering import (ScatteringData, ScatteringGrids,  # noqa: F401
-                         _fill_across_diagonal, _triangle_weights)
+from .scattering import ScatteringData, ScatteringGrids, _triangle_weights
 
 __all__ = [
     "ReconstructionSample",
@@ -78,6 +79,8 @@ __all__ = [
 OSCILLATION_THRESHOLD = np.pi / 4.0
 SUPPORT_CUTOFF = 1e-3
 FRESNEL_CELLS = 4
+# fewest points of a probe grid from ray_resolution_grid
+GRID_FLOOR = 256
 
 
 @dataclasses.dataclass(frozen=True)
@@ -271,14 +274,15 @@ def linear_field(u0: PotentialField, t: float) -> np.ndarray:
 
 
 def ray_resolution_grid(t: float, x: float, y: float,
-                        cap: int = 8192, floor: int = 256) -> Grid1D:
+                        cap: int = 8192) -> Grid1D:
     """Spectral grid resolving the oscillatory weight at one probe.
 
     The domain covers twice the stationary points of the phase rate
     x - 2 y s + 12 t s^2 (half-width at least 1.5, enough for the kernel
     offset decay); the spacing keeps the phase advance per cell below pi
     so periodization images of the stationary points stay off the grid
-    with a factor-two margin."""
+    with a factor-two margin. The point count is a power of two between
+    GRID_FLOOR and cap."""
     half = 1.5
     if t > 0:
         disc = y * y - 12.0 * t * x
@@ -289,11 +293,11 @@ def ray_resolution_grid(t: float, x: float, y: float,
     rate = max(abs(x - 2.0 * y * s + 12.0 * t * s * s)
                for s in (-half, half, (y / (12.0 * t) if t > 0 else 0.0)))
     if rate <= 0:
-        n = floor
+        n = GRID_FLOOR
     else:
         needed = 2.0 * half * rate / np.pi
-        n = int(2 ** np.ceil(np.log2(max(needed, floor))))
-    return Grid1D(-half, half, min(max(n, floor), cap))
+        n = int(2 ** np.ceil(np.log2(max(needed, GRID_FLOOR))))
+    return Grid1D(-half, half, min(max(n, GRID_FLOOR), cap))
 
 
 class _Band:

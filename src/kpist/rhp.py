@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grids import ConditionsReport
-from .scattering import ScatteringData
+from .scattering import MAX_ITER, ScatteringData
 
 
 def cauchy_project(f: np.ndarray, sign: int) -> np.ndarray:
@@ -160,14 +160,15 @@ class CTOperator:
         # truncated domain; identical arithmetic to applying to ones
         return self(np.ones(self.base.grids.n_kl))
 
-    def norm_estimate(self, n_steps: int = 10, seed: int = 0) -> float:
-        """Largest-singular-value estimate by power iteration."""
-        rng = np.random.default_rng(seed)
+    def norm_estimate(self) -> float:
+        """Largest-singular-value estimate by power iteration: 10 steps
+        from a seed-0 random start."""
+        rng = np.random.default_rng(0)
         n = self.base.grids.n_kl
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         v /= np.linalg.norm(v)
         sigma = 0.0
-        for _ in range(n_steps):
+        for _ in range(10):
             w = self.adjoint(self(v))
             nw = np.linalg.norm(w)
             if nw == 0.0:
@@ -231,26 +232,26 @@ def _neumann(op: CTOperator, forcing: np.ndarray, tol: float, max_iter: int):
         f"last ratios {ratios[-5:]} (preconditions likely violated)")
 
 
-def _solve(op: CTOperator, forcing: np.ndarray, tol: float, max_iter: int):
+def _solve(op: CTOperator, forcing: np.ndarray, tol: float):
     """(solution, iterations, relative residual) of u = forcing + op(u)."""
     dl = op.base.grids.grid_kl.spacing
-    sol, iters, _ = _neumann(op, forcing, tol, max_iter)
+    sol, iters, _ = _neumann(op, forcing, tol, MAX_ITER)
     resid = weighted_l2(sol - forcing - op(sol), dl) / max(1.0, weighted_l2(sol, dl))
     return sol, iters, float(resid)
 
 
-def solve_mul(op: CTOperator, tol: float = 1e-10, max_iter: int = 200,
+def solve_mul(op: CTOperator, tol: float = 1e-10,
               conditions: ConditionsReport | None = None) -> RHPSolution:
     """Solve mu = 1 + P(mu) for mu - 1 at the operator's point."""
     if conditions is not None and not conditions.passed:
         raise ValueError("input data failed its smallness conditions; "
                          "the contraction guarantee does not apply")
-    sol, iters, resid = _solve(op, op.on_constant(), tol, max_iter)
+    sol, iters, resid = _solve(op, op.on_constant(), tol)
     return RHPSolution((op.t, op.x, op.y), sol, None, resid, None, iters)
 
 
 def solve_dmul_dx(op: CTOperator, tol: float = 1e-10,
-                  mu: RHPSolution | None = None, max_iter: int = 200,
+                  mu: RHPSolution | None = None,
                   conditions: ConditionsReport | None = None) -> RHPSolution:
     """Extend a solved record with the x-derivative part, solving for mu
     first when it is not given.
@@ -259,9 +260,9 @@ def solve_dmul_dx(op: CTOperator, tol: float = 1e-10,
     given by the i(l-k)-weighted kernels applied to the full unknown
     1 + (mu - 1)."""
     if mu is None:
-        mu = solve_mul(op, tol, max_iter, conditions)
+        mu = solve_mul(op, tol, conditions)
     forcing = op.derivative(1.0 + mu.mu_minus_1)
-    sol, iters, resid = _solve(op, forcing, tol, max_iter)
+    sol, iters, resid = _solve(op, forcing, tol)
     return replace(mu, dmu_dx=sol, residual_dmu=resid,
                    iterations=mu.iterations + iters)
 

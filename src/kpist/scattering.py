@@ -157,6 +157,8 @@ def _offset_kernel(ut_work: np.ndarray, grids: ScatteringGrids) -> np.ndarray:
 
 # working-set budget of one k-chunk's temporaries in the hot loops
 _CHUNK_BYTES = 1 << 23
+# iteration cap of the layered Neumann solve
+MAX_ITER = 200
 
 
 def _k_chunks(m: int, row_bytes: int) -> list[slice]:
@@ -323,8 +325,7 @@ class MuSharpField:
 
 
 def solve_mu_sharp(ut_work: np.ndarray, sign: int, grids: ScatteringGrids,
-                   tol: float = 1e-10, max_iter: int = 200,
-                   conditions=None) -> MuSharpField:
+                   tol: float = 1e-10, conditions=None) -> MuSharpField:
     """Neumann iteration for mu#; contracts at rate <= c < 1.
 
     When an admissibility report is supplied it is enforced (a failing
@@ -348,7 +349,7 @@ def solve_mu_sharp(ut_work: np.ndarray, sign: int, grids: ScatteringGrids,
     # inequality (the factor covers rounding), so the stopping test
     # needs x_norm(mu) only once tn is within tol of that bound
     reach = src_norm
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         term = apply_g(ut_work, term, sign, grids, plan=plan)
         tn = x_norm(term, grids)
         mu += term
@@ -362,7 +363,7 @@ def solve_mu_sharp(ut_work: np.ndarray, sign: int, grids: ScatteringGrids,
             break
     else:
         raise RuntimeError(
-            f"no convergence in {max_iter} iterations; "
+            f"no convergence in {MAX_ITER} iterations; "
             f"term-ratio history: {[round(r, 4) for r in ratios]}"
         )
     # residual G mu - mu + source, formed in place: the solve holds at

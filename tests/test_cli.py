@@ -3,16 +3,18 @@
 One chain of commands shares a module-scoped directory: a 128^2 potential
 over [-16, 16]^2, its scattering data on 32-point grids, then
 reconstruction (per-probe grids and --direct), raw solves, the direct
-spectral evolution, the bound sweep and a decay fit. Written values are
-checked against the same calls made in-process, by repr.
+spectral evolution, the bound sweep and a decay fit with its linear
+baseline. Written values are checked against the same calls made
+in-process, by repr.
 """
 
 import numpy as np
 import pytest
+import yaml
 
 from kpist.cli import RECON_HEADER, main
-from kpist.harness import DECAY_HEADER
-from kpist.io import format_cell, load_scattering, read_array
+from kpist.harness import DECAY_HEADER, run_linear_baseline, write_decay_csv
+from kpist.io import format_cell, load_config, load_scattering, read_array
 from kpist.phase_airy import RayCoordinates
 from kpist.reconstruct import ray_resolution_grid, reconstruct, working_data
 from kpist.rhp import CTOperator, solve_dmul_dx
@@ -60,7 +62,7 @@ def chain(tmp_path_factory):
                           "-o", str(d / "evolved")],
         "verify": ["verify", str(d / "config.yaml"), "--skip-airy",
                    "-o", str(d / "verify")],
-        "decay-fit": ["decay-fit", str(d / "config.yaml"), "--skip-linear",
+        "decay-fit": ["decay-fit", str(d / "config.yaml"),
                       "-o", str(d / "decay")],
     }
     codes = {name: main(argv) for name, argv in commands.items()}
@@ -95,6 +97,7 @@ class TestChain:
             d / "verify" / "verify_bounds.csv":
                 "name,measured,limit,passed,note",
             d / "decay" / "decay_nonlinear.csv": ",".join(DECAY_HEADER),
+            d / "decay" / "decay_linear.csv": ",".join(DECAY_HEADER),
         }
         for path, header in headers.items():
             lines = csv_lines(path)
@@ -123,3 +126,15 @@ class TestChain:
                               sol.mu_minus_1)
         assert np.array_equal(read_array(d / "rhp" / "dmu_000.bin", (n,), True),
                               sol.dmu_dx)
+
+    def test_linear_baseline_matches_in_process(self, chain, tmp_path):
+        d, _ = chain
+        cfg = load_config(d / "config.yaml")
+        fits = run_linear_baseline(cfg)
+        summary = yaml.safe_load((d / "decay" / "summary.yaml").read_text())
+        assert [(e["label"], e["xi"], e["eta"]) for e in summary["linear"]] \
+            == [(s.label, s.xi, s.eta) for s in cfg.rays]
+        assert [e["slope"] for e in summary["linear"]] == \
+            [f.slope for f in fits]
+        want = write_decay_csv(fits, tmp_path / "linear.csv")
+        assert csv_lines(d / "decay" / "decay_linear.csv") == csv_lines(want)

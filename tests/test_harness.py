@@ -1,6 +1,8 @@
-"""Fit mechanics, envelope clusters, worker determinism, verify rows."""
+"""Fit mechanics, envelope clusters, rerun determinism, the linear
+baseline's rates, verify rows."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -11,9 +13,10 @@ from kpist.harness import (BoundRow, DecayFit, VerifyReport,
                            _hs_proxy, airy_ratio_tables, cluster_times,
                            compute_scattering, decay_fit_passes,
                            fit_power_law, run_decay_fit, run_linear_baseline,
-                           run_verify_suite, worker_count, write_airy_csv,
+                           run_verify_suite, write_airy_csv,
                            write_decay_csv, write_verify_csv)
-from kpist.io import ExperimentConfig, RaySpec
+from kpist.grids import PotentialField
+from kpist.io import ExperimentConfig, RaySpec, save_potential
 from kpist.phase_airy import RegionLabel, cubic_phase_transform
 from kpist.scattering import ScatteringData, ScatteringGrids
 
@@ -108,22 +111,6 @@ class TestClusterTimes:
         assert min(cl) > 0
 
 
-class TestWorkerCount:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("KPIST_WORKERS", raising=False)
-        assert worker_count() == 1
-
-    def test_parse(self, monkeypatch):
-        monkeypatch.setenv("KPIST_WORKERS", "4")
-        assert worker_count() == 4
-
-    def test_garbage_and_floor(self, monkeypatch):
-        monkeypatch.setenv("KPIST_WORKERS", "many")
-        assert worker_count() == 1
-        monkeypatch.setenv("KPIST_WORKERS", "0")
-        assert worker_count() == 1
-
-
 class TestDecayFitRecord:
     def test_invariants(self):
         rc_args = dict(ray=None, slope=-1.0, slope_stderr=0.01,
@@ -197,23 +184,6 @@ class TestRunDecayFit:
             assert np.isfinite(fit.slope)
             assert fit.ray.xi in (-3.0, 0.0)
 
-    def test_deterministic_across_workers(self, monkeypatch, tmp_path):
-        cfg = small_config(rays=(RaySpec(-3.0, 0.0, "osc"),
-                                 RaySpec(0.0, 0.0, "mid"),
-                                 RaySpec(3.0, 0.0, "rap")))
-        data = smooth_synthetic_data()
-        monkeypatch.setenv("KPIST_WORKERS", "1")
-        fits1 = run_decay_fit(cfg, data=data, conditions=None)
-        write_decay_csv(fits1, tmp_path / "one.csv")
-        monkeypatch.setenv("KPIST_WORKERS", "3")
-        fits3 = run_decay_fit(cfg, data=data, conditions=None)
-        write_decay_csv(fits3, tmp_path / "three.csv")
-        assert (tmp_path / "one.csv").read_bytes() == \
-            (tmp_path / "three.csv").read_bytes()
-        for f1, f3 in zip(fits1, fits3):
-            assert f1.values == f3.values
-            assert f1.slope == f3.slope
-
     def test_rerun_bitwise(self, tmp_path):
         cfg = small_config()
         data = smooth_synthetic_data()
@@ -228,7 +198,7 @@ class TestLinearBaseline:
     def test_fits_complete_and_deterministic(self, tmp_path):
         cfg = small_config(rays=(RaySpec(-3.0, 0.0, "osc"),
                                  RaySpec(3.0, 0.0, "rap")))
-        fits = run_linear_baseline(cfg, n_quad=256, quad_half=4.0)
+        fits = run_linear_baseline(cfg)
         assert [f.label for f in fits] == ["osc", "rap"]
         for fit in fits:
             assert fit.failure is None
@@ -236,8 +206,41 @@ class TestLinearBaseline:
             # u2 has no linear analogue; its slope stays nan
             assert np.isnan(fit.slope_u2)
             assert fit.values_u1 == fit.values
-        again = run_linear_baseline(cfg, n_quad=256, quad_half=4.0)
+        again = run_linear_baseline(cfg)
         assert [f.values for f in again] == [f.values for f in fits]
+
+    def test_reference_rates(self):
+        # the decay reference setting: the bench potential on 128-point
+        # grids over [-8, 8], t in [10, 50]. Oscillatory rays decay like
+        # t^-1 (2-D stationary phase); the rapid-decay ray falls faster
+        # than t^-2. Measured: -1.006 +- 0.019, -1.336 +- 0.007 (xi = 0)
+        # and -2.69 +- 0.21.
+        cfg = ExperimentConfig(
+            potential_path=None,
+            potential_spec={"kind": "gaussian_dx", "amplitude": 0.02,
+                            "width": 1.0, "half_width": 32.0, "n": 256},
+            kl_half_width=8.0, n_kl=128, n_y=128, delta=0.05, tol=1e-10,
+            rays=(RaySpec(-12.0, 0.0), RaySpec(0.0, 0.0), RaySpec(6.0, 0.0)),
+            t_min=10.0, t_max=50.0, n_times=6, output_dir="",
+            fine_cap=8192)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            osc, mid, rapid = run_linear_baseline(cfg)
+        assert osc.region is RegionLabel.OSCILLATORY
+        assert rapid.region is RegionLabel.RAPID
+        assert mid.failure is None
+        assert -1.05 <= osc.slope <= -0.95
+        assert rapid.slope <= -2.0
+
+    def test_nonzero_mean_refused(self, tmp_path):
+        cfg = small_config()
+        g = cfg.resolve_potential().grid_x
+        x, y = g.points[:, None], g.points[None, :]
+        save_potential(PotentialField(g, g, 0.02 * np.exp(-(x**2 + y**2))),
+                       tmp_path / "even")
+        cfg = small_config(potential_path=str(tmp_path / "even"))
+        with pytest.raises(ValueError, match="zero-mean"):
+            run_linear_baseline(cfg)
 
 
 class TestDecayCsv:

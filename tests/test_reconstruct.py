@@ -27,6 +27,7 @@ from kpist.grids import (
 from kpist.scattering import (
     ScatteringData,
     ScatteringGrids,
+    _fill_across_diagonal,
     assemble_T,
     resample_transform,
     solve_mu_sharp,
@@ -37,7 +38,6 @@ from kpist.rhp import (CTOperator, family_kernel, phase_weights, solve_dmul_dx,
 from kpist.phase_airy import RegionLabel
 from kpist.reconstruct import (
     ReconstructionSample,
-    _fill_across_diagonal,
     eval_u1,
     eval_u2,
     linear_field,
