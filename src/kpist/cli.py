@@ -154,18 +154,15 @@ def _cmd_decay_fit(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     fits = run_decay_fit(cfg)
     write_decay_csv(fits, outdir / "decay_nonlinear.csv")
-    ok = decay_fit_passes(cfg.rays, fits)
-    summary = {"nonlinear": [
-        _summary_entry(f, s.slope_window)
-        for s, f in zip(cfg.rays, fits)]}
-    if not args.skip_linear:
-        lfits = run_linear_baseline(cfg)
-        write_decay_csv(lfits, outdir / "decay_linear.csv")
-        ok = ok and decay_fit_passes(cfg.rays, lfits, use_linear=True)
-        summary["linear"] = [
-            _summary_entry(f, s.linear_slope_window)
-            for s, f in zip(cfg.rays, lfits)]
-    summary["passed"] = bool(ok)
+    lfits = run_linear_baseline(cfg)
+    write_decay_csv(lfits, outdir / "decay_linear.csv")
+    ok = (decay_fit_passes(cfg.rays, fits)
+          and decay_fit_passes(cfg.rays, lfits, use_linear=True))
+    summary = {"nonlinear": [_summary_entry(f, s.slope_window)
+                             for s, f in zip(cfg.rays, fits)],
+               "linear": [_summary_entry(f, s.linear_slope_window)
+                          for s, f in zip(cfg.rays, lfits)],
+               "passed": bool(ok)}
     (outdir / "summary.yaml").write_text(yaml.safe_dump(summary,
                                                         sort_keys=True))
     for entry in summary["nonlinear"]:
@@ -256,7 +253,6 @@ def main(argv=None) -> int:
     p.add_argument("config")
     p.add_argument("-o", "--output", default=None,
                    help="override the config output directory")
-    p.add_argument("--skip-linear", action="store_true")
     p.set_defaults(func=_cmd_decay_fit)
 
     p = sub.add_parser("verify", help="bound-verification sweep "

@@ -391,21 +391,18 @@ def _airy_bound_rows(airy_rows) -> list:
     return rows
 
 
-def _hs_proxy(base: ScatteringData, gap: bool = False) -> float:
-    # upper bound for the jump operator norm: Frobenius of each family
-    # (with gap, of its x-derivative kernel i(l - k)K, summed over blocks
-    # of rows) times the grid weight, projectors and phase diagonals being
+def _hs_proxy(base: ScatteringData) -> float:
+    # upper bound for the norm of the jump operator's x-derivative:
+    # Frobenius of each family's gap kernel i(l - k)K, summed over blocks
+    # of rows, times the grid weight, projectors and phase diagonals being
     # contractions in the weighted norm
     pts = base.grids.grid_kl.points
     norms = []
     for kernel in (base.T_plus, base.T_minus):
-        if gap:
-            sq = sum(np.sum(np.abs((pts - pts[i:i + 64, None])
-                                   * kernel[i:i + 64]) ** 2)
-                     for i in range(0, len(pts), 64))
-            norms.append(np.sqrt(sq))
-        else:
-            norms.append(np.linalg.norm(kernel))
+        sq = sum(np.sum(np.abs((pts - pts[i:i + 64, None])
+                               * kernel[i:i + 64]) ** 2)
+                 for i in range(0, len(pts), 64))
+        norms.append(np.sqrt(sq))
     return float(sum(norms) * base.grids.grid_kl.spacing)
 
 
@@ -447,10 +444,10 @@ def run_verify_suite(config: ExperimentConfig,
                                       "5% slack"))
         t0, x0, y0 = VERIFY_PROBE
         op = CTOperator.build(data, t0, x0, y0)
-        sigma = op.norm_estimate()
+        sigma = op.norm()
         rows.append(BoundRow("rhp.contraction", sigma, CONTRACTION_LIMIT,
                              sigma < CONTRACTION_LIMIT,
-                             note=f"power-iteration norm at probe "
+                             note=f"2-norm at probe "
                                   f"(t,x,y)=({t0},{x0},{y0})"))
         sol = solve_dmul_dx(op, tol=config.tol, conditions=report)
         dl = grids.grid_kl.spacing
@@ -461,7 +458,7 @@ def run_verify_suite(config: ExperimentConfig,
                              note="|mu - 1| vs twice the forcing, 5% slack"))
         df_norm = weighted_l2(op.derivative(np.ones(grids.n_kl)), dl)
         d_limit = (2.0 * df_norm
-                   + 4.0 * _hs_proxy(data, gap=True) * f_norm) * 1.10
+                   + 4.0 * _hs_proxy(data) * f_norm) * 1.10
         d_norm = weighted_l2(sol.dmu_dx, dl)
         rows.append(BoundRow("rhp.derivative.l2", d_norm, d_limit,
                              d_norm <= d_limit,

@@ -380,9 +380,10 @@ class SplineKernels:
     C_sigma are the source's spline coefficients (ScatteringData.spline_fit,
     fitted once per source), B the cubic B-spline design matrix on the fine
     points, of which only the band is held (four entries per point), and
-    W_sigma the triangle weight of the fine grid. apply and
-    apply_transpose are the products ScatteringData gives, in O(n_fine +
-    n^2) per row with n the source size; no n_fine^2 array is formed.
+    W_sigma the triangle weight of the fine grid. apply is the product
+    ScatteringData gives, in O(n_fine + n^2) per row with n the source
+    size, from band factors built once per family at construction; no
+    n_fine^2 array is formed.
     The dense T_plus, T_minus and T1 are reference arrays, built on
     first access from _column_blocks, the one dense evaluator, which also
     gives combined_colmax in blocks of bounded size."""
@@ -403,36 +404,22 @@ class SplineKernels:
         self._coeffs = {s: c[lo:hi, lo:hi] for s, c in coeffs.items()}
         vals = np.ascontiguousarray(design.data.reshape(-1, 4).T)
         self._band = _Band(first - lo, vals, hi - lo)
-        self._factors = {}
-
-    @functools.cached_property
-    def _band_reversed(self) -> _Band:
-        return self._band.reversed()
-
-    def _triangle(self, sign: int, transposed: bool, rows) -> np.ndarray:
-        if sign not in (+1, -1):
-            raise ValueError("sign must be +1 or -1")
-        rows = np.asarray(rows, dtype=complex)
-        # K^T = W^T (B C^T B^T): transposing swaps the triangle, and a
-        # lower triangle is an upper one with the order of points and
-        # coefficients reversed
-        upper = (sign == +1) != transposed
-        band = self._band if upper else self._band_reversed
-        key = (sign, transposed)
-        if key not in self._factors:
-            c = self._coeffs[sign].T if transposed else self._coeffs[sign]
-            self._factors[key] = band.factors(c if upper else c[::-1, ::-1])
-        if upper:
-            return band.upper(self._factors[key], rows)
-        return band.upper(self._factors[key], rows[..., ::-1])[..., ::-1]
+        # the lower triangle of the minus family is an upper one with the
+        # order of points and coefficients reversed
+        rev = self._band.reversed()
+        self._families = {
+            +1: (self._band, self._band.factors(self._coeffs[+1])),
+            -1: (rev, rev.factors(self._coeffs[-1][::-1, ::-1]))}
 
     def apply(self, sign: int, rows: np.ndarray) -> np.ndarray:
         """rows @ K^T, K one family's kernel in stored orientation."""
-        return self._triangle(sign, False, rows)
-
-    def apply_transpose(self, sign: int, rows: np.ndarray) -> np.ndarray:
-        """rows @ K, K one family's kernel in stored orientation."""
-        return self._triangle(sign, True, rows)
+        if sign not in (+1, -1):
+            raise ValueError("sign must be +1 or -1")
+        band, factors = self._families[sign]
+        rows = np.asarray(rows, dtype=complex)
+        if sign == +1:
+            return band.upper(factors, rows)
+        return band.upper(factors, rows[..., ::-1])[..., ::-1]
 
     def _column_blocks(self, sign: int):
         """One family (sign 0: the unmasked T1) in blocks of columns:

@@ -93,13 +93,12 @@ class CTOperator:
     one space-time point (t, x, y).
 
     base is the time-zero kernel data, a ScatteringData or a
-    reconstruct.SplineKernels (anything with grids, apply,
-    apply_transpose and combined_colmax), held by reference. The phase
-    diagonals e^{i phi(l)} and e^{-i phi(k)}, evolution time included,
-    are precomputed at construction; build rejects t < 0. Applications
-    share the handle freely across workers since nothing mutates. Inputs
-    are one function or a stack of them as rows, applied in one product
-    per family."""
+    reconstruct.SplineKernels (anything with grids, apply and
+    combined_colmax), held by reference. The phase diagonals
+    e^{i phi(l)} and e^{-i phi(k)}, evolution time included, are
+    precomputed at construction; build rejects t < 0. Inputs are one
+    function or a stack of them as rows, applied in one product per
+    family."""
 
     base: ScatteringData
     t: float
@@ -128,12 +127,6 @@ class CTOperator:
         g = self.e_l * np.asarray(f, dtype=complex)
         return self.e_k * self.base.apply(sign, g) * self._scale(sign)
 
-    def _kernel_apply_adjoint(self, sign: int, f: np.ndarray) -> np.ndarray:
-        # K^H g = conj(conj(g) K) in row form; no conjugated kernel
-        g = self.e_k * np.conj(f)
-        return np.conj(self.e_l * self.base.apply_transpose(sign, g)) \
-            * self._scale(sign)
-
     def __call__(self, f: np.ndarray) -> np.ndarray:
         return (cauchy_project(self.kernel_apply(-1, f), +1)
                 + cauchy_project(self.kernel_apply(+1, f), -1))
@@ -150,32 +143,15 @@ class CTOperator:
 
         return cauchy_project(gap(-1), +1) + cauchy_project(gap(+1), -1)
 
-    def adjoint(self, f: np.ndarray) -> np.ndarray:
-        f = np.asarray(f, dtype=complex)
-        return (self._kernel_apply_adjoint(-1, cauchy_project(f, +1))
-                + self._kernel_apply_adjoint(+1, cauchy_project(f, -1)))
-
     def on_constant(self) -> np.ndarray:
         # the constant is integrated against the kernel rows over the
         # truncated domain; identical arithmetic to applying to ones
         return self(np.ones(self.base.grids.n_kl))
 
-    def norm_estimate(self) -> float:
-        """Largest-singular-value estimate by power iteration: 10 steps
-        from a seed-0 random start."""
-        rng = np.random.default_rng(0)
-        n = self.base.grids.n_kl
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        v /= np.linalg.norm(v)
-        sigma = 0.0
-        for _ in range(10):
-            w = self.adjoint(self(v))
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                return 0.0
-            sigma = np.sqrt(nw)
-            v = w / nw
-        return float(sigma)
+    def norm(self) -> float:
+        """Largest singular value. Applied to the rows of the identity the
+        operator yields its transpose, which has the same 2-norm."""
+        return float(np.linalg.norm(self(np.eye(self.base.grids.n_kl)), 2))
 
 
 def derivative_data(base: ScatteringData) -> ScatteringData:

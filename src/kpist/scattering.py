@@ -78,15 +78,10 @@ __all__ = [
 @dataclasses.dataclass(frozen=True)
 class ScatteringGrids:
     """Working grids: spectral parameters k and l share one grid; y is the
-    slow variable. Defaults resolve unit-width data comfortably."""
+    slow variable."""
 
     grid_kl: Grid1D
     grid_y: Grid1D
-
-    @classmethod
-    def default(cls, n_kl: int = 256, half_kl: float = 8.0,
-                n_y: int = 128, half_y: float = 8.0) -> "ScatteringGrids":
-        return cls(Grid1D(-half_kl, half_kl, n_kl), Grid1D(-half_y, half_y, n_y))
 
     @property
     def n_kl(self) -> int:
@@ -170,44 +165,34 @@ def _k_chunks(m: int, row_bytes: int) -> list[slice]:
 
 class _ConvolutionPlan:
     """FFT plan for the l-convolution (ut conv f)(l_m) = sum_j ut((m-j) dl)
-    f(l_j) dl along axis -2 of f (..., M, n_y).
+    f(l_j) dl along axis -2 of f (..., M, n_y), circular of length pad.
 
     The offset kernel has support d = -(M-1)..(M-1) and the operand
     0..M-1, so the linear convolution lives on -(M-1)..2M-2. A circular
     convolution of length P returns at index t the sum of the linear values
-    at every t' = t mod P. `same` reads t = 0..M-1, whose nearest aliases
-    t - P and t + P leave that support once P >= 2M - 1: P = 2M is exact.
-    `full` reads every offset -(M-1)..(M-1) (index d mod P), exact once
-    P >= 3M - 2: P = 3M. Offsets beyond the table are zero, so nothing
-    else wraps in. The transformed kernels carry the factor dl.
+    at every t' = t mod P. The Volterra solve reads t = 0..M-1, whose
+    nearest aliases t - P and t + P leave that support once P >= 2M - 1:
+    P = 2M is exact. Assembly reads every offset -(M-1)..(M-1) (index
+    d mod P), exact once P >= 3M - 2: P = 3M. Offsets beyond the table are
+    zero, so nothing else wraps in. The transformed kernel carries the
+    factor dl.
     """
 
-    def __init__(self, ut_work: np.ndarray, grids: ScatteringGrids):
+    def __init__(self, ut_work: np.ndarray, grids: ScatteringGrids, pad: int):
         m = grids.n_kl
-        self.m = m
+        self.pad = pad
         self.offsets = _offset_kernel(ut_work, grids)
-        d = np.arange(-(m - 1), m)
-        self.kernel_hat = {}
-        for pad in (2 * m, 3 * m):
-            wrapped = np.zeros((pad, grids.n_y), dtype=np.complex128)
-            wrapped[d % pad] = self.offsets * grids.grid_kl.spacing
-            self.kernel_hat[pad] = sfft.fft(wrapped, axis=0)
+        wrapped = np.zeros((pad, grids.n_y), dtype=np.complex128)
+        wrapped[np.arange(-(m - 1), m) % pad] = \
+            self.offsets * grids.grid_kl.spacing
+        self.kernel_hat = sfft.fft(wrapped, axis=0)
 
-    def circular(self, f: np.ndarray, pad: int) -> np.ndarray:
+    def circular(self, f: np.ndarray) -> np.ndarray:
         """Length-pad circular convolution: index t holds the linear
         convolution at l index t (mod pad)."""
-        fh = sfft.fft(f, n=pad, axis=-2)
-        fh *= self.kernel_hat[pad]
+        fh = sfft.fft(f, n=self.pad, axis=-2)
+        fh *= self.kernel_hat
         return sfft.ifft(fh, axis=-2, overwrite_x=True)
-
-    def same(self, f: np.ndarray) -> np.ndarray:
-        """(ut conv f) dl on the working l window; f: (..., M, n_y)."""
-        return self.circular(f, 2 * self.m)[..., :self.m, :]
-
-    def full(self, f: np.ndarray) -> np.ndarray:
-        """All offsets d = -(M-1)..(M-1); output axis length 2M-1."""
-        d = np.arange(-(self.m - 1), self.m)
-        return self.circular(f, 3 * self.m)[..., d % (3 * self.m), :]
 
 
 class _VolterraPlan:
@@ -217,7 +202,7 @@ class _VolterraPlan:
     one-panel phase factor r = e^(-i theta dy)."""
 
     def __init__(self, ut_work: np.ndarray, grids: ScatteringGrids):
-        self.conv = _ConvolutionPlan(ut_work, grids)
+        self.conv = _ConvolutionPlan(ut_work, grids, 2 * grids.n_kl)
         dy = grids.grid_y.spacing
         kl = grids.grid_kl.points
         theta = kl[None, :] * (kl[None, :] + 2.0 * kl[:, None])
@@ -306,8 +291,8 @@ def apply_g(ut_work: np.ndarray, f: np.ndarray, sign: int,
     # per k row: the padded transform (2M), the panel sums and the
     # y-leading result (M each)
     for ks in _k_chunks(m, 16 * 4 * m * grids.n_y):
-        _volterra_integral(plan.conv.same(f[ks]), w0[ks], w1[ks], plan.r[ks],
-                           sign, out[ks])
+        _volterra_integral(plan.conv.circular(f[ks])[..., :m, :], w0[ks],
+                           w1[ks], plan.r[ks], sign, out[ks])
     return out
 
 
@@ -414,10 +399,6 @@ class ScatteringData:
         """rows @ K^T, K one family's kernel in stored orientation."""
         return rows @ self._kernel(sign).T
 
-    def apply_transpose(self, sign: int, rows: np.ndarray) -> np.ndarray:
-        """rows @ K, K one family's kernel in stored orientation."""
-        return rows @ self._kernel(sign)
-
     @functools.cached_property
     def combined_colmax(self) -> np.ndarray:
         """Column maxima of |T_plus - T_minus| (both families in
@@ -520,9 +501,8 @@ def assemble_T(mu_plus: MuSharpField, mu_minus: MuSharpField,
     convolution, and one batched Filon sum integrates it together with
     ut(p; y) (the delta route, which is also T1).
     """
-    plan = _ConvolutionPlan(ut_work, grids)
     m = grids.n_kl
-    pad = 3 * m
+    plan = _ConvolutionPlan(ut_work, grids, 3 * m)
     kl = grids.grid_kl.points
     d = np.arange(m)[None, :] - np.arange(m)[:, None]  # l index - k index
     q = kl[None, :] ** 2 - kl[:, None] ** 2
@@ -541,7 +521,7 @@ def assemble_T(mu_plus: MuSharpField, mu_minus: MuSharpField,
                         dtype=np.complex128)
         amps[0] = plan.offsets[d[ks] + m - 1]
         for a, mu in ((amps[1], mu_plus), (amps[2], mu_minus)):
-            a[...] = plan.circular(mu.values[ks], pad)[rows, d_conv[ks] % pad]
+            a[...] = plan.circular(mu.values[ks])[rows, d_conv[ks] % plan.pad]
             a[out_of_table[ks]] = 0.0
         s_lin, s_plus, s_minus = _filon_rows(amps, q[ks], grids)
         T1[ks] = -(1j / SQRT_2PI) * s_lin

@@ -330,11 +330,13 @@ class TestVerifySuite:
 
 class TestHSProxy:
     def test_matches_frobenius(self):
+        # Frobenius norms of the gap kernels i(l - k)K, reference definition
         data = smooth_synthetic_data()
         dl = data.grids.grid_kl.spacing
-        from kpist.rhp import family_kernel
-        expect = (np.linalg.norm(family_kernel(data, +1))
-                  + np.linalg.norm(family_kernel(data, -1))) * dl
+        from kpist.rhp import derivative_data
+        gap = derivative_data(data)
+        expect = (np.linalg.norm(gap.T_plus)
+                  + np.linalg.norm(gap.T_minus)) * dl
         assert _hs_proxy(data) == pytest.approx(expect, rel=1e-14)
 
 

@@ -229,40 +229,54 @@ class TestApplyScriptT:
 
 
 class TestCTOperator:
-    def test_adjoint_pairing_is_exact(self, ref05):
-        data, _ = ref05
-        op = CTOperator.build(data, 0.5, 1.2, 0.8)
-        dl = data.grids.grid_kl.spacing
-        rng = np.random.default_rng(23)
-        n = data.grids.n_kl
-        for _ in range(10):
-            f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            lhs = np.sum(np.conj(g) * op(f)) * dl
-            rhs = np.sum(np.conj(op.adjoint(g)) * f) * dl
-            scale = weighted_l2(f, dl) * weighted_l2(g, dl)
-            assert abs(lhs - rhs) <= 1e-14 * scale
-
     def test_zero_data_gives_zero_operator(self, ref05):
         data, _ = ref05
         op = CTOperator.build(zero_data(data.grids), 0.0, 0.0, 0.0)
         f = np.ones(data.grids.n_kl)
         assert np.all(op(f) == 0.0)
-        assert op.norm_estimate() == 0.0
+        assert op.norm() == 0.0
 
     def test_on_constant_matches_apply_to_ones(self, ref05):
         data, _ = ref05
         op = CTOperator.build(data, 0.5, 1.2, 0.8)
         assert np.array_equal(op.on_constant(), op(np.ones(data.grids.n_kl)))
 
-    def test_norm_estimate_within_contraction_budget(self, ref05):
+    def test_norm_within_contraction_budget(self, ref05):
         data, report = ref05
         budget = 2.0 * report.w_norm / (1.0 - report.c)
         for t, x, y in [(0.0, 0.7, -0.4), (0.5, 1.2, 0.8), (5.0, 2.0, 1.0)]:
-            sigma = CTOperator.build(data, t, x, y).norm_estimate()
+            sigma = CTOperator.build(data, t, x, y).norm()
             assert 0.015 <= sigma <= 0.05
             assert sigma <= budget
             assert sigma < 0.5
+
+    @staticmethod
+    def dense_jump_matrix(base, t, x, y):
+        # P = C_plus A_minus + C_minus A_plus from the reference
+        # definitions, A_sign = diag(e^{-i phi}) K_sign diag(e^{i phi}) dl;
+        # the projections act along the last axis, so applied to the
+        # identity they give their transposes
+        pts = base.grids.grid_kl.points
+        dl = base.grids.grid_kl.spacing
+        phi = phase_weights(pts, t, x, y)
+        eye = np.eye(len(pts))
+
+        def family(sign):
+            k = family_kernel(base, sign) * dl
+            return np.exp(-1j * phi)[:, None] * k * np.exp(1j * phi)[None, :]
+
+        return (cauchy_project(eye, +1).T @ family(-1)
+                + cauchy_project(eye, -1).T @ family(+1))
+
+    def test_norm_is_largest_singular_value(self, ref05):
+        data, _ = ref05
+        res = resample_scattering_data(data, Grid1D(-4.0, 4.0, 256))
+        for base, (t, x, y) in ((data, (0.0, 0.7, -0.4)),
+                                (data, (0.5, 1.2, 0.8)),
+                                (res, (1.0, 0.3, 0.2))):
+            want = np.linalg.norm(self.dense_jump_matrix(base, t, x, y), 2)
+            got = CTOperator.build(base, t, x, y).norm()
+            assert got == pytest.approx(want, rel=1e-12)
 
     def test_linearity(self, ref05):
         data, _ = ref05
