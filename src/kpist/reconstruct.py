@@ -25,10 +25,13 @@ spline constant. Per fine grid of n_fine points the refinement costs
 O(n_fine) time and memory, each kernel product O(n_fine + n^2) per row
 (segmented suffix sums inside knot intervals, interval totals across
 them), and the column maxima of the resolution check O(n_fine^2) time
-once, in blocks of bounded memory. The dense n_fine^2 arrays T_plus,
-T_minus and T1 of a refinement are reference arrays for the tests and
-the reference definitions family_kernel and derivative_data; nothing on
-the probe path reads them.
+once, in blocks of bounded memory. A source keeps its last
+REFINED_PER_SOURCE refinements by grid, each with its band factors and,
+once a probe has read them, its column maxima, so probes that share a
+grid pay the refinement and the O(n_fine^2) step once. The dense n_fine^2
+arrays T_plus, T_minus and T1 of a refinement are reference arrays for
+the tests and the reference definitions family_kernel and
+derivative_data; nothing on the probe path reads them.
 
 The linearized flow evolves the potential's 2-D transform under the
 dispersion relation p^3 + 3 q^2 / p, excluding the p = 0 line (zero-mean
@@ -43,6 +46,7 @@ check the probe path and the oracle against.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import warnings
@@ -57,6 +61,7 @@ from .phase_airy import RayCoordinates, RegionLabel, DEFAULT_REGION_DELTA
 from .rhp import (  # noqa: F401
     CTOperator,
     RHPSolution,
+    _require_finite,
     family_kernel,
     solve_dmul_dx,
 )
@@ -81,6 +86,10 @@ SUPPORT_CUTOFF = 1e-3
 FRESNEL_CELLS = 4
 # fewest points of a probe grid from ray_resolution_grid
 GRID_FLOOR = 256
+# refinements a source keeps (resample_scattering_data), least recently
+# used dropped first; a wide 1024-point one holds about 7 MB, more once
+# its dense reference arrays are read
+REFINED_PER_SOURCE = 8
 
 
 @dataclasses.dataclass(frozen=True)
@@ -283,6 +292,7 @@ def ray_resolution_grid(t: float, x: float, y: float,
     so periodization images of the stationary points stay off the grid
     with a factor-two margin. The point count is a power of two between
     GRID_FLOOR and cap."""
+    _require_finite(t, x, y)
     half = 1.5
     if t > 0:
         disc = y * y - 12.0 * t * x
@@ -480,11 +490,16 @@ def resample_scattering_data(data: ScatteringData,
     The fine grid must lie inside the source grid; the check comes before
     any work. The bicubic coefficients of the source are fitted on first
     use and kept with the source (ScatteringData.spline_fit, O(n^2) for
-    an n-point source); each call then builds the band of the B-spline
-    design matrix on the fine points, O(n_fine) time and memory. Fine
-    points past the last source sample are clipped to the knot interval,
-    where fitpack holds the spline constant, so the values are those of
-    the splines evaluated there. Products cost O(n_fine + n^2) per row;
+    an n-point source). The source also keeps its last REFINED_PER_SOURCE
+    refinements by grid, in its instance dict as spline_fit is, so a
+    dataclasses.replace copy starts empty: a kept grid returns the same
+    SplineKernels, with its band factors and, once read, its column
+    maxima; a new grid builds the band of the B-spline design matrix on
+    the fine points, O(n_fine) time and memory, and drops the least
+    recently used refinement when the cache is full. Fine points past
+    the last source sample are clipped to the knot interval, where
+    fitpack holds the spline constant, so the values are those of the
+    splines evaluated there. Products cost O(n_fine + n^2) per row;
     the dense T_plus, T_minus and T1 of the result are reference arrays,
     O(n_fine^2), built only when read. Direct reassembly at the fine size
     would redo the layered solve at quadratic cost; splines keep
@@ -492,7 +507,14 @@ def resample_scattering_data(data: ScatteringData,
     src = data.grids.grid_kl
     if grid_fine.min < src.min or grid_fine.max > src.max:
         raise ValueError("fine grid must lie inside the source grid")
-    return SplineKernels(data, grid_fine)
+    cache = vars(data).setdefault("_refined", collections.OrderedDict())
+    if grid_fine in cache:
+        cache.move_to_end(grid_fine)
+        return cache[grid_fine]
+    if len(cache) >= REFINED_PER_SOURCE:
+        cache.popitem(last=False)
+    fine = cache[grid_fine] = SplineKernels(data, grid_fine)
+    return fine
 
 
 def working_data(data: ScatteringData,

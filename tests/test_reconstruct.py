@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import RectBivariateSpline
 
+from kpist import reconstruct as reconstruct_module
 from kpist import scattering
 from kpist.grids import (
     ConditionsReport,
@@ -37,7 +38,9 @@ from kpist.rhp import (CTOperator, family_kernel, phase_weights, solve_dmul_dx,
                        solve_mul)
 from kpist.phase_airy import RegionLabel
 from kpist.reconstruct import (
+    REFINED_PER_SOURCE,
     ReconstructionSample,
+    SplineKernels,
     eval_u1,
     eval_u2,
     linear_field,
@@ -447,6 +450,15 @@ class TestRayResolutionGrid:
         assert g.n <= 4096
         assert g.n & (g.n - 1) == 0
 
+    @pytest.mark.parametrize("point", [(np.nan, 0.0, 0.0),
+                                       (1.0, np.inf, 0.0),
+                                       (1.0, 0.0, -np.inf)])
+    def test_non_finite_point_rejected(self, point):
+        with pytest.raises(ValueError, match="not finite") as err:
+            ray_resolution_grid(*point)
+        assert str(tuple(float(v) for v in point)) in str(err.value)
+        assert "fine grid must lie inside" not in str(err.value)
+
     def test_phase_advance_bounded(self):
         for (t, x, y) in [(5.0, -10.0, 8.0), (25.0, -75.0, 0.0),
                           (100.0, -300.0, 0.0)]:
@@ -644,3 +656,74 @@ class TestFactoredKernels:
             tracemalloc.stop()
         assert np.isfinite(sample.u)
         assert peak < 128 * 2 ** 20
+
+
+class TestRefinementCache:
+    """A source keeps its last REFINED_PER_SOURCE refinements by grid."""
+
+    def test_same_grid_same_object(self, ref05):
+        _, data = ref05
+        src = dataclasses.replace(data)
+        a = resample_scattering_data(src, Grid1D(-1.5, 1.5, 256))
+        assert resample_scattering_data(src, Grid1D(-1.5, 1.5, 256)) is a
+        b = resample_scattering_data(src, Grid1D(-2.0, 2.0, 256))
+        assert b is not a
+        assert resample_scattering_data(src, Grid1D(-1.5, 1.5, 256)) is a
+        # a copy of the source starts with an empty cache
+        assert resample_scattering_data(
+            dataclasses.replace(src), Grid1D(-1.5, 1.5, 256)) is not a
+
+    def test_cached_refinement_matches_fresh(self, ref05):
+        _, data = ref05
+        src = dataclasses.replace(data)
+        t, x, y = 0.5, 1.0, 0.5
+        grid = ray_resolution_grid(t, x, y)
+        cached = resample_scattering_data(src, grid)
+        first = reconstruct(cached, t, x, y)
+        # the second probe reads the cached band factors and column max
+        again = reconstruct(resample_scattering_data(src, grid), t, x, y)
+        fresh = reconstruct(SplineKernels(src, grid), t, x, y)
+        assert repr(again) == repr(fresh) == repr(first)
+
+    def test_least_recently_used_is_rebuilt(self, ref05, monkeypatch):
+        _, data = ref05
+        src = dataclasses.replace(data)
+        built = []
+
+        def counting(source, grid):
+            built.append(grid)
+            return SplineKernels(source, grid)
+
+        monkeypatch.setattr(reconstruct_module, "SplineKernels", counting)
+        grids = [Grid1D(-1.0 - 0.125 * i, 1.0 + 0.125 * i, 64)
+                 for i in range(REFINED_PER_SOURCE + 1)]
+        for g in grids:
+            resample_scattering_data(src, g)
+        assert built == grids
+        # the oldest was dropped when the last came in; a kept grid used
+        # again outlives the ones kept since
+        resample_scattering_data(src, grids[1])
+        resample_scattering_data(src, grids[0])
+        resample_scattering_data(src, grids[1])
+        assert built == grids + [grids[0]]
+        resample_scattering_data(src, grids[2])
+        assert built == grids + [grids[0], grids[2]]
+
+    def test_full_cache_memory_is_bounded(self, ref05):
+        # wide 1024-point refinements with their column maxima, the
+        # largest the probe path holds per entry (measured about 7 MB)
+        _, data = ref05
+        src = dataclasses.replace(data)
+        src.spline_fit  # the fit belongs to the source, not the cache
+        tracemalloc.start()
+        try:
+            for i in range(REFINED_PER_SOURCE + 2):
+                half = 7.875 - 0.125 * i
+                fine = resample_scattering_data(src,
+                                                Grid1D(-half, half, 1024))
+                fine.combined_colmax
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(vars(src)["_refined"]) == REFINED_PER_SOURCE
+        assert held < REFINED_PER_SOURCE * 10 * 2 ** 20

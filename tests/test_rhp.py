@@ -161,6 +161,17 @@ class TestPhaseAndEvolvedData:
         with pytest.raises(ValueError, match="nonnegative"):
             reconstruct(data, -0.1, 0.0, 0.0)
 
+    @pytest.mark.parametrize("point", [(np.nan, 0.0, 0.0),
+                                       (1.0, np.inf, 0.0),
+                                       (1.0, 0.0, -np.inf)])
+    def test_non_finite_point_rejected(self, ref05, point):
+        data, _ = ref05
+        for call in (CTOperator.build, reconstruct):
+            with pytest.raises(ValueError, match="not finite") as err:
+                call(data, *point)
+            assert str(tuple(float(v) for v in point)) in str(err.value)
+            assert "fine grid must lie inside" not in str(err.value)
+
     def test_evolution_preserves_kernel_magnitudes(self, ref05):
         data, _ = ref05
         j = 40
@@ -287,6 +298,41 @@ class TestCTOperator:
         g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         a = -0.4 + 1.1j
         assert np.max(np.abs(op(a * f + g) - a * op(f) - op(g))) <= 1e-12
+
+
+def two_projection_reference(op, f):
+    """op(f) and op.derivative(f) through two cauchy_project calls each."""
+    pts = op.base.grids.grid_kl.points
+
+    def gap(sign):
+        a = op.kernel_apply(sign, np.stack([pts * f, f]))
+        return 1j * (a[0] - pts * a[1])
+
+    return (cauchy_project(op.kernel_apply(-1, f), +1)
+            + cauchy_project(op.kernel_apply(+1, f), -1),
+            cauchy_project(gap(-1), +1) + cauchy_project(gap(+1), -1))
+
+
+class TestFusedProjection:
+    """The one-FFT-pair application against the reference projections."""
+
+    @pytest.mark.parametrize("refined", [False, True],
+                             ids=["stored", "refined256"])
+    def test_matches_two_projections(self, ref05, refined):
+        data, _ = ref05
+        base, (t, x, y) = data, (0.5, 1.2, 0.8)
+        if refined:
+            base = resample_scattering_data(data, Grid1D(-1.5, 1.5, 256))
+            t, x, y = 1.0, 0.3, 0.2
+        op = CTOperator.build(base, t, x, y)
+        n = base.grids.n_kl
+        rng = np.random.default_rng(9)
+        rows = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+        for f in (rows[0], rows):
+            want, dwant = two_projection_reference(op, f)
+            for got, ref in ((op(f), want), (op.derivative(f), dwant)):
+                assert got.shape == ref.shape
+                assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 class TestSolveMu:
