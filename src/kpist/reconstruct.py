@@ -22,15 +22,18 @@ and the refined family is W_sigma (B C_sigma B^T), W_sigma the triangle
 weight of the fine grid (SplineKernels). Fine points past the last
 source sample are clipped to the knot interval, where fitpack holds the
 spline constant. Per fine grid of n_fine points the refinement costs
-O(n_fine) time and memory, each kernel product O(n_fine + n^2) per row
-(segmented suffix sums inside knot intervals, interval totals across
-them), and the column maxima of the resolution check O(n_fine^2) time
-once, in blocks of bounded memory. A source keeps its last
-REFINED_PER_SOURCE refinements by grid, each with its band factors and,
-once a probe has read them, its column maxima, so probes that share a
-grid pay the refinement and the O(n_fine^2) step once. The dense n_fine^2
-arrays T_plus, T_minus and T1 of a refinement are reference arrays for
-the tests and the reference definitions family_kernel and
+O(n_fine) time and memory. Above DENSE_MAX points each kernel product
+costs O(n_fine + n^2) per row (segmented suffix sums inside knot
+intervals, interval totals across them) and no n_fine^2 array is formed.
+Up to DENSE_MAX points, the floor grid of most short-time probes, the
+band's fixed cost per call exceeds a whole dense product, so products
+take the dense T_plus and T_minus (2 MB at 256 points). The column
+maxima of the resolution check cost O(n_fine^2) time once, in blocks of
+bounded memory. A source keeps its last REFINED_PER_SOURCE refinements
+by grid, each with its band factors or dense arrays and, once a probe
+has read them, its column maxima, so probes that share a grid pay these
+once. T1, and the dense arrays of a band-route grid, are reference
+arrays for the tests and the reference definitions family_kernel and
 derivative_data; nothing on the probe path reads them.
 
 The linearized flow evolves the potential's 2-D transform under the
@@ -90,6 +93,10 @@ GRID_FLOOR = 256
 # used dropped first; a wide 1024-point one holds about 7 MB, more once
 # its dense reference arrays are read
 REFINED_PER_SOURCE = 8
+# largest fine grid whose kernel products are dense (SplineKernels): at
+# 256 points one dense product takes a third of the banded one's time, at
+# 512 already more than it
+DENSE_MAX = 256
 
 
 @dataclasses.dataclass(frozen=True)
@@ -287,11 +294,14 @@ def ray_resolution_grid(t: float, x: float, y: float,
     """Spectral grid resolving the oscillatory weight at one probe.
 
     The domain covers twice the stationary points of the phase rate
-    x - 2 y s + 12 t s^2 (half-width at least 1.5, enough for the kernel
-    offset decay); the spacing keeps the phase advance per cell below pi
-    so periodization images of the stationary points stay off the grid
-    with a factor-two margin. The point count is a power of two between
-    GRID_FLOOR and cap."""
+    x - 2 y s + 12 t s^2, with a fixed floor of 1.5 on the half-width.
+    The floor does not bound the kernel tail: near the diagonal the
+    kernels decay in the offset l - k, not in k, and on the bench data
+    |T+-| past |k| = 4 still reaches 12% of its maximum (ROADMAP.md,
+    item 1: size the window by its tail). The spacing keeps the phase
+    advance per cell below pi so periodization images of the stationary
+    points stay off the grid with a factor-two margin. The point count is
+    a power of two between GRID_FLOOR and cap."""
     _require_finite(t, x, y)
     half = 1.5
     if t > 0:
@@ -391,12 +401,13 @@ class SplineKernels:
     fitted once per source), B the cubic B-spline design matrix on the fine
     points, of which only the band is held (four entries per point), and
     W_sigma the triangle weight of the fine grid. apply is the product
-    ScatteringData gives, in O(n_fine + n^2) per row with n the source
-    size, from band factors built once per family at construction; no
-    n_fine^2 array is formed.
-    The dense T_plus, T_minus and T1 are reference arrays, built on
-    first access from _column_blocks, the one dense evaluator, which also
-    gives combined_colmax in blocks of bounded size."""
+    ScatteringData gives: above DENSE_MAX points in O(n_fine + n^2) per
+    row, n the source size, from band factors built once per family at
+    construction, forming no n_fine^2 array; up to DENSE_MAX points with
+    the dense T_plus or T_minus, cheaper there than the band's fixed work
+    per call. T_plus, T_minus and T1 are built on first access from
+    _column_blocks, the one dense evaluator, which also gives a band-route
+    grid's combined_colmax in blocks of bounded size."""
 
     def __init__(self, source: ScatteringData, grid: Grid1D):
         knots, coeffs = source.spline_fit
@@ -414,19 +425,23 @@ class SplineKernels:
         self._coeffs = {s: c[lo:hi, lo:hi] for s, c in coeffs.items()}
         vals = np.ascontiguousarray(design.data.reshape(-1, 4).T)
         self._band = _Band(first - lo, vals, hi - lo)
-        # the lower triangle of the minus family is an upper one with the
-        # order of points and coefficients reversed
-        rev = self._band.reversed()
-        self._families = {
-            +1: (self._band, self._band.factors(self._coeffs[+1])),
-            -1: (rev, rev.factors(self._coeffs[-1][::-1, ::-1]))}
+        self._families = None
+        if grid.n > DENSE_MAX:
+            # the lower triangle of the minus family is an upper one with
+            # the order of points and coefficients reversed
+            rev = self._band.reversed()
+            self._families = {
+                +1: (self._band, self._band.factors(self._coeffs[+1])),
+                -1: (rev, rev.factors(self._coeffs[-1][::-1, ::-1]))}
 
     def apply(self, sign: int, rows: np.ndarray) -> np.ndarray:
         """rows @ K^T, K one family's kernel in stored orientation."""
         if sign not in (+1, -1):
             raise ValueError("sign must be +1 or -1")
-        band, factors = self._families[sign]
         rows = np.asarray(rows, dtype=complex)
+        if self._families is None:
+            return rows @ (self.T_plus if sign == +1 else self.T_minus).T
+        band, factors = self._families[sign]
         if sign == +1:
             return band.upper(factors, rows)
         return band.upper(factors, rows[..., ::-1])[..., ::-1]
@@ -443,13 +458,17 @@ class SplineKernels:
         bt[f + np.arange(4)[:, None], np.arange(m)] = self._band.vals
         bc = bt.T @ self._coeffs[sign]
         step = max(1, min(64, (1 << 17) // m))  # few coefficients per block
+        # the weights of a diagonal block depend only on the offset of
+        # column from row: every block takes one mask, a narrower block
+        # (a grid under step points) its corner
+        tri = _triangle_weights(step, sign) if sign else None
         for j0 in range(0, m, step):
             j1 = min(j0 + step, m)
             a = slice(f[j0], f[j1 - 1] + 4)
             r0, r1 = {+1: (0, j1), -1: (j0, m)}.get(sign, (0, m))
             vals = bc[r0:r1, a] @ bt[a, j0:j1]
             if sign:  # rows j0 .. j1 hold the diagonal
-                vals[j0 - r0:j1 - r0] *= _triangle_weights(j1 - j0, sign)
+                vals[j0 - r0:j1 - r0] *= tri[:j1 - j0, :j1 - j0]
             yield j0, j1, r0, vals
 
     def _dense(self, sign: int) -> np.ndarray:
@@ -467,8 +486,11 @@ class SplineKernels:
     @functools.cached_property
     def combined_colmax(self) -> np.ndarray:
         """Column maxima of |T_plus - T_minus|, equal to those of the
-        reference arrays bit for bit; the one O(n_fine^2) step, done
-        once per grid in column blocks of bounded size."""
+        reference arrays bit for bit; done once per grid, off the product
+        arrays of a dense-route grid, else in column blocks of bounded
+        size."""
+        if self._families is None:
+            return np.max(np.abs(self.T_plus - self.T_minus), axis=0)
         m = self.grids.n_kl
         out = np.empty(m)
         for (j0, j1, _, tp), (*_, tm) in zip(self._column_blocks(+1),
@@ -499,11 +521,10 @@ def resample_scattering_data(data: ScatteringData,
     recently used refinement when the cache is full. Fine points past
     the last source sample are clipped to the knot interval, where
     fitpack holds the spline constant, so the values are those of the
-    splines evaluated there. Products cost O(n_fine + n^2) per row;
-    the dense T_plus, T_minus and T1 of the result are reference arrays,
-    O(n_fine^2), built only when read. Direct reassembly at the fine size
-    would redo the layered solve at quadratic cost; splines keep
-    large-time probes affordable."""
+    splines evaluated there. Products are dense up to DENSE_MAX points
+    and cost O(n_fine + n^2) per row above it (SplineKernels). Direct
+    reassembly at the fine size would redo the layered solve at quadratic
+    cost; splines keep large-time probes affordable."""
     src = data.grids.grid_kl
     if grid_fine.min < src.min or grid_fine.max > src.max:
         raise ValueError("fine grid must lie inside the source grid")

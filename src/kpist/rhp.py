@@ -13,9 +13,11 @@ Every kernel application of the solve and of the field evaluation goes
 through CTOperator. The weight factorizes into the phase diagonals
 e^{-i phi(k)} and e^{i phi(l)}, so a family costs one product through the
 kernel data's apply, shared by all right-hand sides: a dense product for
-stored kernels (scattering.ScatteringData), a banded factored one for
-kernels refined onto a probe grid (reconstruct.SplineKernels). Nothing of
-the kernels' size is allocated: the minus family, -T_minus in consumption
+stored kernels (scattering.ScatteringData) and for kernels refined onto
+a probe grid of at most reconstruct.DENSE_MAX points, where it is the
+cheaper; a banded factored one, which forms no n_fine^2 array, for
+larger refined grids (reconstruct.SplineKernels). No kernel is copied
+or formed anew: the minus family, -T_minus in consumption
 orientation, carries its sign on the scalar grid weight, and the
 x-derivative kernels i(l - k)K act through i(l - k)K g = i(K(l g) - k K g).
 family_kernel and derivative_data remain as the reference definitions.

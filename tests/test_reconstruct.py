@@ -543,7 +543,9 @@ class TestCopyFreeEvaluation:
 
     def test_cached_column_max_is_exact(self, ref05, fine1024):
         _, data = ref05
-        for base in (data, fine1024):
+        floor = resample_scattering_data(data,
+                                         ray_resolution_grid(0.0, 1.0, 0.5))
+        for base in (data, fine1024, floor):
             want = np.max(np.abs(base.T_plus - base.T_minus), axis=0)
             assert np.array_equal(base.combined_colmax, want)
             assert base.combined_colmax is base.combined_colmax
@@ -571,6 +573,8 @@ class TestCopyFreeEvaluation:
 
 # reaches past the last source sample (7.875) to the source edge 8
 EDGE_WINDOW = Grid1D(-8.0, 8.0, 256)
+# the same window above DENSE_MAX, where products take the band route
+EDGE_WINDOW_512 = Grid1D(-8.0, 8.0, 512)
 
 
 class TestFactoredKernels:
@@ -579,8 +583,9 @@ class TestFactoredKernels:
 
     @pytest.mark.parametrize("grid", [ray_resolution_grid(0.0, 1.0, 0.5),
                                       ray_resolution_grid(*FINE_PROBE),
-                                      EDGE_WINDOW],
-                             ids=["floor256", "probe1024", "edge256"])
+                                      EDGE_WINDOW, EDGE_WINDOW_512],
+                             ids=["floor256", "probe1024", "edge256",
+                                  "edge512"])
     def test_products_match_reference_arrays(self, ref05, grid):
         _, data = ref05
         res = resample_scattering_data(data, grid)
@@ -613,6 +618,19 @@ class TestFactoredKernels:
         for name in ("u", "u1", "u2"):
             want = getattr(b, name)
             assert abs(getattr(a, name) - want) <= 1e-12 * abs(want)
+
+    def test_route_follows_grid_size(self, ref05):
+        # the floor grid applies its product arrays; a 512-point grid
+        # forms no n_fine^2 array on the probe path
+        _, data = ref05
+        src = dataclasses.replace(data)
+        t, x, y = 0.5, 1.0, 0.5
+        for n, dense in ((256, True), (512, False)):
+            fine = resample_scattering_data(src, Grid1D(-2.0, 2.0, n))
+            assert np.isfinite(reconstruct(fine, t, x, y).u)
+            assert ("T_plus" in vars(fine)) is dense
+            assert ("T_minus" in vars(fine)) is dense
+            assert "T1" not in vars(fine)
 
     def test_fit_runs_once_per_source(self, ref05, monkeypatch):
         _, data = ref05
@@ -727,3 +745,24 @@ class TestRefinementCache:
             tracemalloc.stop()
         assert len(vars(src)["_refined"]) == REFINED_PER_SOURCE
         assert held < REFINED_PER_SOURCE * 10 * 2 ** 20
+
+    def test_full_cache_of_dense_refinements_is_bounded(self, ref05):
+        # a read 256-point refinement holds its two product arrays, 2 MB
+        # (measured 16.2 MB for the 8 kept entries)
+        _, data = ref05
+        src = dataclasses.replace(data)
+        src.spline_fit
+        rows = np.ones((3, 256), dtype=complex)
+        tracemalloc.start()
+        try:
+            for i in range(REFINED_PER_SOURCE + 2):
+                half = 1.5 + 0.125 * i
+                fine = resample_scattering_data(src, Grid1D(-half, half, 256))
+                fine.apply(+1, rows)
+                fine.apply(-1, rows)
+                fine.combined_colmax
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(vars(src)["_refined"]) == REFINED_PER_SOURCE
+        assert held < REFINED_PER_SOURCE * 3 * 2 ** 20
