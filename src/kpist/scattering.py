@@ -20,15 +20,19 @@ e^(i theta eta) factors cost no resolution; only the smooth amplitude must
 live on the y grid. Contraction holds when the admissibility ratio c < 1,
 with ||G||_X <= c in X = L^inf_y L^2(dk dl).
 
-One application of G costs two FFTs and two recurrences per (k, l). The
-l-convolution is a circular FFT convolution of length 2M, the shortest
-whose aliases miss the M working outputs (3M when every offset of the
-kernel table is read, as in assembly). The eta integral from the bottom
-end is the one-factor recurrence E_(j+1) = e^(-i theta dy) (E_j + P_j),
-and from the top end F_j = e^(i theta dy) F_(j+1) - P_j, over the Filon
-panel sums P_j. Both are exact rewritings of the cumulative Filon sum,
-and their unit-modulus factor amplifies no rounding. The weights and
-factors depend only on theta and dy, so they are built once per solve.
+One application of G costs two FFTs and two recurrences per (k, l).
+Every field of the solve is stored y-leading, as (n_y, k, l) in memory;
+the public (k, l, y) arrays are np.moveaxis views of that storage. So the
+l-convolution runs along the contiguous last axis, and each recurrence
+step works on a whole contiguous (k, l) layer. The convolution is
+circular of length 3M/2, the shortest whose aliases miss the M working
+outputs (2M when every offset that assembly reads must be exact). The
+eta integral from the bottom end is the one-factor recurrence
+E_(j+1) = e^(-i theta dy) (E_j + P_j), and from the top end
+F_j = e^(i theta dy) F_(j+1) - P_j, over the Filon panel sums P_j. Both
+are exact rewritings of the cumulative Filon sum, and their unit-modulus
+factor amplifies no rounding. The weights and factors depend only on
+theta and dy, so they are built once per solve.
 
 Scattering kernels on the (k, l) grid, with p = l - k and q = l^2 - k^2:
 
@@ -137,9 +141,10 @@ def x_norm(f: np.ndarray, grids: ScatteringGrids) -> float:
 def _offset_kernel(ut_work: np.ndarray, grids: ScatteringGrids) -> np.ndarray:
     """ut on the offset lattice d*dl, d = -(M-1)..(M-1): row d+M-1.
 
-    Offsets outside the working window carry exponentially negligible
-    weight and are zero (the grid is half-open, so index d + M/2 of the
-    working array holds exactly the value at offset d*dl).
+    The grid is half-open, so index d + M/2 of the working array holds
+    exactly the value at offset d*dl, and only the rows of
+    d = -M/2..M/2-1 carry data. Offsets outside the working window carry
+    exponentially negligible weight; their rows are zero.
     """
     m = grids.n_kl
     out = np.zeros((2 * m - 1, grids.n_y), dtype=np.complex128)
@@ -150,49 +155,51 @@ def _offset_kernel(ut_work: np.ndarray, grids: ScatteringGrids) -> np.ndarray:
     return out
 
 
-# working-set budget of one k-chunk's temporaries in the hot loops
+# working-set budget of one chunk's temporaries in the hot loops
 _CHUNK_BYTES = 1 << 23
 # iteration cap of the layered Neumann solve
 MAX_ITER = 200
 
 
-def _k_chunks(m: int, row_bytes: int) -> list[slice]:
-    """Slices of the k axis whose temporaries, row_bytes per k row, stay
-    within _CHUNK_BYTES."""
+def _chunks(n: int, row_bytes: int) -> list[slice]:
+    """Slices of an axis of length n whose temporaries, row_bytes per
+    index, stay within _CHUNK_BYTES."""
     step = max(1, _CHUNK_BYTES // row_bytes)
-    return [slice(s, min(s + step, m)) for s in range(0, m, step)]
+    return [slice(s, min(s + step, n)) for s in range(0, n, step)]
 
 
 class _ConvolutionPlan:
     """FFT plan for the l-convolution (ut conv f)(l_m) = sum_j ut((m-j) dl)
-    f(l_j) dl along axis -2 of f (..., M, n_y), circular of length pad.
+    f(l_j) dl along the last axis of a y-leading f (n_y, K, M), circular
+    of length pad.
 
-    The offset kernel has support d = -(M-1)..(M-1) and the operand
-    0..M-1, so the linear convolution lives on -(M-1)..2M-2. A circular
-    convolution of length P returns at index t the sum of the linear values
-    at every t' = t mod P. The Volterra solve reads t = 0..M-1, whose
-    nearest aliases t - P and t + P leave that support once P >= 2M - 1:
-    P = 2M is exact. Assembly reads every offset -(M-1)..(M-1) (index
-    d mod P), exact once P >= 3M - 2: P = 3M. Offsets beyond the table are
-    zero, so nothing else wraps in. The transformed kernel carries the
-    factor dl.
+    The offset table is nonzero only for d = -M/2..M/2-1 and the operand
+    lives on 0..M-1, so the linear convolution lives on -M/2..3M/2-2. A
+    circular convolution of length P returns at index t the sum of the
+    linear values at every t' = t mod P. The Volterra solve reads
+    t = 0..M-1: the alias t + P of t = 0 leaves the support once
+    P >= 3M/2 - 1, and the alias t - P of t = M-1 once P >= 3M/2, so
+    P = 3M/2 is exact. Assembly reads t = -(M/2-1)..3M/2-1 (index
+    t mod P): the alias of the lowest leaves once P >= 2M - 2, that of
+    the highest once P >= 2M, so P = 2M is exact. The transformed kernel,
+    (n_y, 1, P), carries the factor dl.
     """
 
     def __init__(self, ut_work: np.ndarray, grids: ScatteringGrids, pad: int):
         m = grids.n_kl
         self.pad = pad
-        self.offsets = _offset_kernel(ut_work, grids)
-        wrapped = np.zeros((pad, grids.n_y), dtype=np.complex128)
-        wrapped[np.arange(-(m - 1), m) % pad] = \
-            self.offsets * grids.grid_kl.spacing
-        self.kernel_hat = sfft.fft(wrapped, axis=0)
+        wrapped = np.zeros((grids.n_y, 1, pad), dtype=np.complex128)
+        wrapped[:, 0, (np.arange(m) - m // 2) % pad] = \
+            ut_work.T * grids.grid_kl.spacing
+        self.kernel_hat = sfft.fft(wrapped, axis=-1)
 
-    def circular(self, f: np.ndarray) -> np.ndarray:
-        """Length-pad circular convolution: index t holds the linear
+    def circular(self, f: np.ndarray, layers: slice = slice(None)) -> np.ndarray:
+        """Length-pad circular convolution of f (n, K, M), the y layers
+        `layers` of a field: index t of the last axis holds the linear
         convolution at l index t (mod pad)."""
-        fh = sfft.fft(f, n=self.pad, axis=-2)
-        fh *= self.kernel_hat
-        return sfft.ifft(fh, axis=-2, overwrite_x=True)
+        fh = sfft.fft(f, n=self.pad, axis=-1)
+        fh *= self.kernel_hat[layers]
+        return sfft.ifft(fh, axis=-1, overwrite_x=True)
 
 
 class _VolterraPlan:
@@ -202,7 +209,7 @@ class _VolterraPlan:
     one-panel phase factor r = e^(-i theta dy)."""
 
     def __init__(self, ut_work: np.ndarray, grids: ScatteringGrids):
-        self.conv = _ConvolutionPlan(ut_work, grids, 2 * grids.n_kl)
+        self.conv = _ConvolutionPlan(ut_work, grids, 3 * grids.n_kl // 2)
         dy = grids.grid_y.spacing
         kl = grids.grid_kl.points
         theta = kl[None, :] * (kl[None, :] + 2.0 * kl[:, None])
@@ -212,71 +219,79 @@ class _VolterraPlan:
         self.r = np.exp(-1j * theta * dy)
 
 
-def _volterra_integral(amps, w0, w1, r, sign: int, out: np.ndarray) -> None:
-    """out(k, l, y) = Int_{start}^{y} e^(-i theta (y - eta)) amp(eta) d eta.
+def _volterra_integral(w0, w1, r, sign: int, out: np.ndarray) -> None:
+    """out(y, k, l) <- Int_{start}^{y} e^(-i theta (y - eta)) out(eta, k, l)
+    d eta, in place on the y-leading out (n_y, M, M).
 
-    amps: (K, M, n_y), or (1, M, n_y) for all K; w0, w1, r: (K, M) rows of a
-    _VolterraPlan (w0, w1 may carry a constant factor); out: (K, M, n_y),
-    written in place. With the Filon panel sums P_j = w0 a_j + w1 a_(j+1),
-    exact for the piecewise-linear amplitude at any rate, the integral
+    w0, w1, r: (M, M) tables of a _VolterraPlan (w0, w1 may carry a
+    constant factor). With the Filon panel sums P_j = w0 a_j + w1 a_(j+1),
+    exact for the piecewise-linear amplitude a at any rate, the integral
     from the bottom end obeys E_0 = 0, E_(j+1) = r (E_j + P_j), and from
     the top end F_(n-1) = 0, F_j = conj(r) F_(j+1) - P_j, with
     r = e^(-i theta dy) (Iserles & Norsett, Proc. R. Soc. A 461, 2005).
     |r| = 1, so neither recurrence amplifies rounding. start is -inf
     (the bottom end) for sign*l < 0 and +inf (the top end) for
-    sign*l > 0; each runs only on its contiguous block of l, and the
-    l = 0 column runs both and takes their average. The grid ends stand
-    in for +-inf (data must have decayed there).
+    sign*l > 0; each runs only on its block of l, and the l = 0 column
+    runs both and takes their average. The grid ends stand in for +-inf
+    (data must have decayed there).
 
-    The recurrences step through y on contiguous (K, M) slabs of a
-    y-leading copy; stepping along the strided last axis of the (k, l, y)
-    layout ran about 1.7x slower at M = n_y = 128.
+    Each step reads the amplitude layer it is about to overwrite and
+    keeps only its product with the weight the next step needs, so the
+    recurrences work on whole (M, l-block) slabs of out with O(M^2)
+    temporaries; the l = 0 amplitudes are saved for the second pass.
     """
-    n = amps.shape[-1]
-    h = amps.shape[-2] // 2  # l = 0
-    a = np.moveaxis(amps, -1, 0)  # (n_y, K, M) view
-    p = np.multiply(w0, a[:-1])
-    p += w1 * a[1:]
-    e = np.empty((n,) + w0.shape, dtype=np.complex128)
+    n = out.shape[0]
+    h = out.shape[-1] // 2  # l = 0
     neg, pos = slice(0, h + 1), slice(h, None)
     up, down = (neg, pos) if sign > 0 else (pos, neg)
-    eu, pu, ru = e[..., up], p[..., up], r[..., up]
-    eu[0] = 0.0
+    amp_h = out[:, :, h].copy()
+
+    o, wa, wb, ru = out[..., up], w0[:, up], w1[:, up], r[:, up]
+    wa_a = np.multiply(wa, o[0])  # w0 a_j
+    t = np.empty_like(wa_a)
+    o[0] = 0.0
     for j in range(n - 1):
-        nxt = eu[j + 1]
-        np.add(eu[j], pu[j], out=nxt)
+        nxt = o[j + 1]
+        np.multiply(wb, nxt, out=t)
+        np.add(wa_a, t, out=t)  # P_j
+        np.multiply(wa, nxt, out=wa_a)
+        np.add(o[j], t, out=nxt)
         np.multiply(nxt, ru, out=nxt)
-    from_bottom = e[..., h].copy()
-    ed, pd, rd = e[..., down], p[..., down], np.conj(r[..., down])
-    ed[-1] = 0.0
+    from_bottom = out[:, :, h].copy()
+    out[:, :, h] = amp_h
+
+    o, wa, wb, rd = out[..., down], w0[:, down], w1[:, down], np.conj(r[:, down])
+    wb_a = np.multiply(wb, o[-1])  # w1 a_(j+1)
+    t = np.empty_like(wb_a)
+    o[-1] = 0.0
     for j in range(n - 2, -1, -1):
-        cur = ed[j]
-        np.multiply(ed[j + 1], rd, out=cur)
-        np.subtract(cur, pd[j], out=cur)
-    e[..., h] = 0.5 * (from_bottom + e[..., h])
-    out[...] = np.moveaxis(e, 0, -1)
+        cur = o[j]
+        np.multiply(wa, cur, out=t)
+        np.add(t, wb_a, out=t)  # P_j
+        np.multiply(wb, cur, out=wb_a)
+        np.multiply(o[j + 1], rd, out=cur)
+        np.subtract(cur, t, out=cur)
+    out[:, :, h] = 0.5 * (from_bottom + out[:, :, h])
 
 
 def g_on_delta(ut_work: np.ndarray, sign: int, grids: ScatteringGrids,
                plan: _VolterraPlan | None = None) -> np.ndarray:
     """Source term i Int e^(-i theta (y-eta)) ut(l; eta) d eta, shape
-    (M, M, n_y) over (k, l, y)."""
+    (M, M, n_y) over (k, l, y), a view of y-leading storage."""
     if plan is None:
         plan = _VolterraPlan(ut_work, grids)
     m = grids.n_kl
-    out = np.empty((m, m, grids.n_y), dtype=np.complex128)
-    # per k row: the panel sums, their product temporary and the y-leading
-    # result (M each)
-    for ks in _k_chunks(m, 16 * 3 * m * grids.n_y):
-        _volterra_integral(ut_work[None], 1j * plan.w0[ks], 1j * plan.w1[ks],
-                           plan.r[ks], sign, out[ks])
-    return out
+    out = np.empty((grids.n_y, m, m), dtype=np.complex128)
+    out[...] = ut_work.T[:, None, :]
+    _volterra_integral(1j * plan.w0, 1j * plan.w1, plan.r, sign, out)
+    return np.moveaxis(out, 0, -1)
 
 
 def apply_g(ut_work: np.ndarray, f: np.ndarray, sign: int,
             grids: ScatteringGrids,
             plan: _VolterraPlan | None = None) -> np.ndarray:
-    """One application of the layered Volterra operator to f(k, l, y)."""
+    """One application of the layered Volterra operator to f(k, l, y);
+    the result is a (k, l, y) view of y-leading storage."""
     expect = (grids.n_kl, grids.n_kl, grids.n_y)
     if f.shape != expect:
         raise ValueError(f"operand shape {f.shape} does not match grids {expect}")
@@ -286,21 +301,20 @@ def apply_g(ut_work: np.ndarray, f: np.ndarray, sign: int,
         plan = _VolterraPlan(ut_work, grids)
     m = grids.n_kl
     c = 1j / SQRT_2PI
-    w0, w1 = c * plan.w0, c * plan.w1
-    out = np.empty((m, m, grids.n_y), dtype=np.complex128)
-    # per k row: the padded transform (2M), the panel sums and the
-    # y-leading result (M each)
-    for ks in _k_chunks(m, 16 * 4 * m * grids.n_y):
-        _volterra_integral(plan.conv.circular(f[ks])[..., :m, :], w0[ks],
-                           w1[ks], plan.r[ks], sign, out[ks])
-    return out
+    fy = np.moveaxis(f, -1, 0)
+    out = np.empty((grids.n_y, m, m), dtype=np.complex128)
+    # per y layer: the padded transform (M rows of 3M/2)
+    for ys in _chunks(grids.n_y, 16 * m * plan.conv.pad):
+        out[ys] = plan.conv.circular(fy[ys], ys)[..., :m]
+    _volterra_integral(c * plan.w0, c * plan.w1, plan.r, sign, out)
+    return np.moveaxis(out, 0, -1)
 
 
 @dataclasses.dataclass
 class MuSharpField:
     """Solution of the layered Volterra system for one sign family."""
 
-    values: np.ndarray  # (M, M, n_y) over (k, l, y)
+    values: np.ndarray  # (M, M, n_y) over (k, l, y), y-leading in memory
     sign: int
     grids: ScatteringGrids
     iterations: int
@@ -326,7 +340,7 @@ def solve_mu_sharp(ut_work: np.ndarray, sign: int, grids: ScatteringGrids,
     plan = _VolterraPlan(ut_work, grids)
     source = g_on_delta(ut_work, sign, grids, plan=plan)
     src_norm = x_norm(source, grids)
-    mu = source.copy()
+    mu = source.copy(order="K")
     term = source
     ratios = []
     prev = src_norm
@@ -449,15 +463,14 @@ class ScatteringData:
 
 def _filon_rows(amps: np.ndarray, q: np.ndarray,
                 grids: ScatteringGrids) -> np.ndarray:
-    """Int e^(i q y) amp(y) dy over the y grid for amps (..., K, M, n_y)
-    at rates q (K, M): Filon panel sums w0 a_j + w1 a_(j+1), summed by
-    Horner in z = e^(i q dy) over contiguous y-leading slabs, times
-    e^(i q y0)."""
+    """Int e^(i q y) amp(y) dy over the y grid for y-leading amps
+    (n_y, ..., K, M) at rates q (K, M): Filon panel sums
+    w0 a_j + w1 a_(j+1), summed by Horner in z = e^(i q dy) over
+    contiguous slabs, times e^(i q y0)."""
     dy = grids.grid_y.spacing
     m0, m1 = filon_moments(q * dy)
-    a = np.moveaxis(amps, -1, 0)
-    p = np.multiply(dy * (m0 - m1), a[:-1])
-    p += (dy * m1) * a[1:]
+    p = np.multiply(dy * (m0 - m1), amps[:-1])
+    p += (dy * m1) * amps[1:]
     z = np.exp(1j * q * dy)
     acc = p[-1].copy()
     for j in range(len(p) - 2, -1, -1):
@@ -478,15 +491,15 @@ def assemble_T1(ut_work: np.ndarray, grids: ScatteringGrids) -> np.ndarray:
 
     Needs no convolution plan, so it stays cheap on very fine y grids.
     """
-    offsets = _offset_kernel(ut_work, grids)
+    offsets = _offset_kernel(ut_work, grids).T
     m = grids.n_kl
     kl = grids.grid_kl.points
     d = np.arange(m)[None, :] - np.arange(m)[:, None]
     q = kl[None, :] ** 2 - kl[:, None] ** 2
     T1 = np.empty((m, m), dtype=np.complex128)
     # per k row: the gathered amplitudes and their panel sums
-    for ks in _k_chunks(m, 16 * 2 * m * grids.n_y):
-        T1[ks] = -(1j / SQRT_2PI) * _filon_rows(offsets[d[ks] + m - 1],
+    for ks in _chunks(m, 16 * 2 * m * grids.n_y):
+        T1[ks] = -(1j / SQRT_2PI) * _filon_rows(offsets[:, d[ks] + m - 1],
                                                  q[ks], grids)
     return T1
 
@@ -499,10 +512,12 @@ def assemble_T(mu_plus: MuSharpField, mu_minus: MuSharpField,
     p = l - k with lattice offsets exactly, so no interpolation enters.
     Per chunk, one gather takes the diagonal band of each family's
     convolution, and one batched Filon sum integrates it together with
-    ut(p; y) (the delta route, which is also T1).
+    ut(p; y) (the delta route, which is also T1). Every array of the
+    chunk is y-leading, as the solve stores mu.
     """
     m = grids.n_kl
-    plan = _ConvolutionPlan(ut_work, grids, 3 * m)
+    plan = _ConvolutionPlan(ut_work, grids, 2 * m)
+    offsets = _offset_kernel(ut_work, grids).T
     kl = grids.grid_kl.points
     d = np.arange(m)[None, :] - np.arange(m)[:, None]  # l index - k index
     q = kl[None, :] ** 2 - kl[:, None] ** 2
@@ -513,16 +528,17 @@ def assemble_T(mu_plus: MuSharpField, mu_minus: MuSharpField,
     T = {+1: np.empty((m, m), dtype=np.complex128),
          -1: np.empty((m, m), dtype=np.complex128)}
     T1 = np.empty((m, m), dtype=np.complex128)
-    # per k row: the padded transform (3M), then three gathered amplitudes
-    # and their panel sums (M each)
-    for ks in _k_chunks(m, 16 * 9 * m * grids.n_y):
-        rows = np.arange(ks.stop - ks.start)[:, None]
-        amps = np.empty((3, ks.stop - ks.start, m, grids.n_y),
+    # per k row: the padded transform (2M), then three gathered amplitudes,
+    # their panel sums and a product temporary (M each)
+    for ks in _chunks(m, 16 * 9 * m * grids.n_y):
+        amps = np.empty((grids.n_y, 3, ks.stop - ks.start, m),
                         dtype=np.complex128)
-        amps[0] = plan.offsets[d[ks] + m - 1]
-        for a, mu in ((amps[1], mu_plus), (amps[2], mu_minus)):
-            a[...] = plan.circular(mu.values[ks])[rows, d_conv[ks] % plan.pad]
-            a[out_of_table[ks]] = 0.0
+        amps[:, 0] = offsets[:, d[ks] + m - 1]
+        at = (d_conv[ks] % plan.pad)[None]
+        for a, mu in ((amps[:, 1], mu_plus), (amps[:, 2], mu_minus)):
+            conv = plan.circular(np.moveaxis(mu.values, -1, 0)[:, ks])
+            a[...] = np.take_along_axis(conv, at, axis=-1)
+            a[:, out_of_table[ks]] = 0.0
         s_lin, s_plus, s_minus = _filon_rows(amps, q[ks], grids)
         T1[ks] = -(1j / SQRT_2PI) * s_lin
         T[+1][ks] = -(1j / (2.0 * np.pi)) * (SQRT_2PI * s_lin + s_plus)

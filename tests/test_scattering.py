@@ -87,6 +87,12 @@ def build_small(eps, n_kl=64, n_y=64, width=1.0):
 
 # ---------------------------------------------------------------- convolution
 
+def circular_kly(plan, f):
+    """The plan's circular convolution of a (..., M, n_y) operand, with
+    the result in the same index order."""
+    return np.moveaxis(plan.circular(np.moveaxis(f, -1, 0)), 0, -1)
+
+
 def test_conv_same_matches_direct_loop():
     rng = np.random.default_rng(7)
     g = small_grids()
@@ -94,7 +100,7 @@ def test_conv_same_matches_direct_loop():
     ut = rng.standard_normal((m, ny)) + 1j * rng.standard_normal((m, ny))
     f = rng.standard_normal((m, m, ny)) + 1j * rng.standard_normal((m, m, ny))
     offs = _offset_kernel(ut, g)
-    got = _ConvolutionPlan(ut, g, 2 * m).circular(f)[..., :m, :]
+    got = circular_kly(_ConvolutionPlan(ut, g, 2 * m), f)[..., :m, :]
     want = np.zeros_like(f)
     for i in range(m):
         for j in range(m):
@@ -116,7 +122,7 @@ def test_conv_full_evaluation_points():
     ut = rng.standard_normal((m, ny)) + 1j * rng.standard_normal((m, ny))
     f = rng.standard_normal((2, m, ny)) + 1j * rng.standard_normal((2, m, ny))
     d = np.arange(-(m - 1), m)
-    full = _ConvolutionPlan(ut, g, 3 * m).circular(f)[..., d % (3 * m), :]
+    full = circular_kly(_ConvolutionPlan(ut, g, 3 * m), f)[..., d % (3 * m), :]
 
     def ut_at(offset_val, iy):
         idx = int(round(offset_val / dl)) + m // 2
@@ -129,6 +135,40 @@ def test_conv_full_evaluation_points():
         for iy in (0, ny // 2):
             want = sum(ut_at(p - lpts[jp], iy) * f[1, jp, iy] for jp in range(m)) * dl
             assert abs(full[1, t, iy] - want) < 1e-12
+
+
+def _linear_convolution(ut, f, g, t):
+    """Direct loop: the linear convolution at l indices t of f (K, M, n_y)."""
+    m = g.n_kl
+    offs = _offset_kernel(ut, g)
+    out = np.zeros((f.shape[0], len(t), f.shape[-1]), complex)
+    for i, ti in enumerate(t):
+        for jp in range(m):
+            if abs(ti - jp) <= m - 1:
+                out[:, i] += offs[(ti - jp) + m - 1] * f[:, jp]
+    return out * g.grid_kl.spacing
+
+
+@pytest.mark.parametrize("reads,pad", [
+    # the solve reads l indices 0..M-1 and takes pad 3M/2
+    (lambda m: np.arange(m), lambda m: 3 * m // 2),
+    # assembly reads -(M/2-1)..3M/2-1 and takes pad 2M
+    (lambda m: np.arange(-(m // 2 - 1), 3 * m // 2), lambda m: 2 * m),
+])
+def test_conv_pads_are_exact_and_minimal(reads, pad):
+    rng = np.random.default_rng(17)
+    g = small_grids()
+    m, ny = g.n_kl, g.n_y
+    ut = rng.standard_normal((m, ny)) + 1j * rng.standard_normal((m, ny))
+    f = rng.standard_normal((3, m, ny)) + 1j * rng.standard_normal((3, m, ny))
+    t = reads(m)
+    want = _linear_convolution(ut, f, g, t)
+    p = pad(m)
+    got = circular_kly(_ConvolutionPlan(ut, g, p), f)[:, t % p]
+    assert np.max(np.abs(got - want)) < 1e-12
+    # one point shorter, an alias of the support wraps onto a read index
+    short = circular_kly(_ConvolutionPlan(ut, g, p - 1), f)[:, t % (p - 1)]
+    assert np.max(np.abs(short - want)) > 1e-2
 
 
 # ------------------------------------------------------------------- volterra
@@ -245,6 +285,28 @@ def test_solve_memory_stays_within_a_few_fields():
     finally:
         tracemalloc.stop()
     assert peak < 8 * field_bytes
+
+
+def test_operands_in_either_memory_order_give_identical_output():
+    rng = np.random.default_rng(19)
+    g = small_grids()
+    m, ny = g.n_kl, g.n_y
+    ut = rng.standard_normal((m, ny)) + 1j * rng.standard_normal((m, ny))
+    f = rng.standard_normal((m, m, ny)) + 1j * rng.standard_normal((m, m, ny))
+    f_y = np.moveaxis(np.ascontiguousarray(np.moveaxis(f, -1, 0)), 0, -1)
+    assert f.flags.c_contiguous and not f_y.flags.c_contiguous
+    ut_y = np.asfortranarray(ut)
+    for sign in (+1, -1):
+        assert np.array_equal(apply_g(ut, f, sign, g), apply_g(ut, f_y, sign, g))
+        assert np.array_equal(g_on_delta(ut, sign, g), g_on_delta(ut_y, sign, g))
+
+
+def test_solve_stores_fields_y_leading():
+    wg, ut = build_small(0.02, 16, 16)
+    mu = solve_mu_sharp(ut, -1, wg)
+    assert mu.values.shape == (16, 16, 16)
+    assert np.moveaxis(mu.values, -1, 0).flags.c_contiguous
+    assert np.moveaxis(g_on_delta(ut, +1, wg), -1, 0).flags.c_contiguous
 
 
 def test_apply_g_zero_and_linearity():
