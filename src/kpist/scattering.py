@@ -521,10 +521,9 @@ def assemble_T(mu_plus: MuSharpField, mu_minus: MuSharpField,
     kl = grids.grid_kl.points
     d = np.arange(m)[None, :] - np.arange(m)[:, None]  # l index - k index
     q = kl[None, :] ** 2 - kl[:, None] ** 2
-    # the convolution at p = l - k sits at l index d + m/2 of the circular
-    # output; offsets past the stored window carry no data and read 0
-    d_conv = d + m // 2
-    out_of_table = d_conv > m - 1
+    # the convolution at p = l - k sits at l index d + m/2 (mod pad) of the
+    # circular output, exact at every offset that either family reads
+    at = (d + m // 2) % plan.pad
     T = {+1: np.empty((m, m), dtype=np.complex128),
          -1: np.empty((m, m), dtype=np.complex128)}
     T1 = np.empty((m, m), dtype=np.complex128)
@@ -534,11 +533,9 @@ def assemble_T(mu_plus: MuSharpField, mu_minus: MuSharpField,
         amps = np.empty((grids.n_y, 3, ks.stop - ks.start, m),
                         dtype=np.complex128)
         amps[:, 0] = offsets[:, d[ks] + m - 1]
-        at = (d_conv[ks] % plan.pad)[None]
         for a, mu in ((amps[:, 1], mu_plus), (amps[:, 2], mu_minus)):
             conv = plan.circular(np.moveaxis(mu.values, -1, 0)[:, ks])
-            a[...] = np.take_along_axis(conv, at, axis=-1)
-            a[:, out_of_table[ks]] = 0.0
+            a[...] = np.take_along_axis(conv, at[ks][None], axis=-1)
         s_lin, s_plus, s_minus = _filon_rows(amps, q[ks], grids)
         T1[ks] = -(1j / SQRT_2PI) * s_lin
         T[+1][ks] = -(1j / (2.0 * np.pi)) * (SQRT_2PI * s_lin + s_plus)

@@ -477,6 +477,50 @@ def test_solve_rejects_failing_conditions():
 
 # ---------------------------------------------------------------- assembly
 
+def test_assemble_T_matches_direct_toeplitz_assembly():
+    # both families and T1 at every (k, l), the convolution at p = l - k
+    # from an explicit Toeplitz sum (far offsets included) and the y
+    # integral from the cumulative Filon sum: no FFT and no Horner sum
+    rng = np.random.default_rng(23)
+    g = small_grids()
+    m, ny = g.n_kl, g.n_y
+    dl, dy = g.grid_kl.spacing, g.grid_y.spacing
+    kl = g.grid_kl.points
+    y0 = g.grid_y.points[0]
+    ut = rng.standard_normal((m, ny)) + 1j * rng.standard_normal((m, ny))
+    mus = {sign: MuSharpField(
+        rng.standard_normal((m, m, ny)) + 1j * rng.standard_normal((m, m, ny)),
+        sign, g, 1, [], 0.0, 0.0) for sign in (+1, -1)}
+    data = assemble_T(mus[+1], mus[-1], ut, g)
+    offs = _offset_kernel(ut, g)
+
+    def y_integral(amp, q):
+        cum = cumulative_phase_integral(amp[None, :], dy, np.array([q]))[0]
+        return np.exp(1j * q * y0) * cum[-1]
+
+    want = {+1: np.empty((m, m), complex), -1: np.empty((m, m), complex),
+            0: np.empty((m, m), complex)}
+    for ik in range(m):
+        for il in range(m):
+            q = kl[il] ** 2 - kl[ik] ** 2
+            lin = offs[il - ik + m - 1]
+            want[0][ik, il] = -(1j / SQRT_2PI) * y_integral(lin, q)
+            t = il - ik + m // 2  # l index of the offset p = l - k
+            for sign in (+1, -1):
+                conv = np.zeros(ny, complex)
+                for jp in range(m):
+                    if abs(t - jp) <= m - 1:
+                        conv += offs[t - jp + m - 1] * mus[sign].values[ik, jp]
+                want[sign][ik, il] = -(1j / (2.0 * np.pi)) * y_integral(
+                    SQRT_2PI * lin + conv * dl, q)
+    d = np.arange(m)[None, :] - np.arange(m)[:, None]
+    for sign, got in ((+1, data.T_plus), (-1, data.T_minus), (0, data.T1)):
+        w = want[sign]
+        if sign:
+            w = w * np.where(sign * d > 0, 1.0, np.where(d == 0, 0.5, 0.0))
+        assert np.max(np.abs(got - w)) <= 3e-15 * np.max(np.abs(w))
+
+
 def test_masks_bitwise(solved128):
     _, _, _, _, data = solved128
     m = data.grids.n_kl
