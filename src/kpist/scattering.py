@@ -281,8 +281,7 @@ def g_on_delta(ut_work: np.ndarray, sign: int, grids: ScatteringGrids,
     if plan is None:
         plan = _VolterraPlan(ut_work, grids)
     m = grids.n_kl
-    out = np.empty((grids.n_y, m, m), dtype=np.complex128)
-    out[...] = ut_work.T[:, None, :]
+    out = np.repeat(ut_work.T[:, None, :], m, axis=1)
     _volterra_integral(1j * plan.w0, 1j * plan.w1, plan.r, sign, out)
     return np.moveaxis(out, 0, -1)
 
@@ -534,8 +533,9 @@ def assemble_T(mu_plus: MuSharpField, mu_minus: MuSharpField,
                         dtype=np.complex128)
         amps[:, 0] = offsets[:, d[ks] + m - 1]
         for a, mu in ((amps[:, 1], mu_plus), (amps[:, 2], mu_minus)):
-            conv = plan.circular(np.moveaxis(mu.values, -1, 0)[:, ks])
-            a[...] = np.take_along_axis(conv, at[ks][None], axis=-1)
+            a[...] = np.take_along_axis(
+                plan.circular(np.moveaxis(mu.values, -1, 0)[:, ks]),
+                at[ks][None], axis=-1)
         s_lin, s_plus, s_minus = _filon_rows(amps, q[ks], grids)
         T1[ks] = -(1j / SQRT_2PI) * s_lin
         T[+1][ks] = -(1j / (2.0 * np.pi)) * (SQRT_2PI * s_lin + s_plus)

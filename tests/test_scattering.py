@@ -274,7 +274,7 @@ def test_volterra_every_column_matches_cumulative_filon():
 
 def test_solve_memory_stays_within_a_few_fields():
     # one solve holds source, mu, the current term and the operator's
-    # output, plus chunk temporaries of bounded size: measured 6.2 field
+    # output, plus chunk temporaries of bounded size: measured 5.6 field
     # sizes at this grid (the fields are M^2 n_y complex values)
     wg, ut = build_small(0.02, 64, 64)
     field_bytes = wg.n_kl ** 2 * wg.n_y * 16
