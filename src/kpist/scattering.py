@@ -339,7 +339,7 @@ def solve_mu_sharp(ut_work: np.ndarray, sign: int, grids: ScatteringGrids,
     plan = _VolterraPlan(ut_work, grids)
     source = g_on_delta(ut_work, sign, grids, plan=plan)
     src_norm = x_norm(source, grids)
-    mu = source.copy(order="K")
+    mu = source.copy(order="K")  # keeps the y-leading storage
     term = source
     ratios = []
     prev = src_norm
