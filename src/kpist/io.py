@@ -15,6 +15,7 @@ import numpy as np
 import yaml
 
 from .grids import Grid1D, PotentialField, make_test_potential
+from .reconstruct import check_fine_cap
 from .scattering import ScatteringData, ScatteringGrids
 
 FLOAT_DTYPE = np.dtype("<f8")
@@ -300,5 +301,5 @@ def load_config(path) -> ExperimentConfig:
         t_max=t_max,
         n_times=n_times,
         output_dir=str(raw.get("output_dir", p.parent / "out")),
-        fine_cap=int(raw.get("fine_cap", 8192)),
+        fine_cap=check_fine_cap(int(raw.get("fine_cap", 8192))),
     )

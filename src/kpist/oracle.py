@@ -28,6 +28,7 @@ times; dispersive tails wrap around long before the decay regime.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 from scipy import fft
@@ -76,6 +77,15 @@ def cfl_bound(u: PotentialField) -> float:
     return 1.0 / (6.0 * p_max * scale) if scale > 0.0 else np.inf
 
 
+def _check_dt(dt: float, bound: float) -> None:
+    """Reject a step that is not finite and positive or exceeds bound."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt = {dt} must be finite and positive")
+    if dt > bound * (1.0 + 1e-12):
+        raise ValueError(
+            f"dt = {dt:.3e} exceeds the admissible bound {bound:.3e}")
+
+
 @dataclasses.dataclass(frozen=True)
 class OracleState:
     """One snapshot of the direct solver.
@@ -104,21 +114,16 @@ class OracleState:
                 "initial field has nonvanishing x-mean per row "
                 f"({u0.x_mean_defect():.3e} relative)")
         bound = cfl_bound(u0)
-        if dt is None:
-            dt = bound
-        elif dt > bound * (1.0 + 1e-12):
-            raise ValueError(
-                f"dt = {dt:.3e} exceeds the admissible bound {bound:.3e}")
-        elif dt <= 0:
-            raise ValueError("dt must be positive")
+        if dt is not None:
+            _check_dt(dt, bound)
         gx, gy = u0.grid_x, u0.grid_y
         p = 2.0 * np.pi * fft.fftfreq(gx.n, d=gx.spacing)[:, None]
         q = 2.0 * np.pi * fft.rfftfreq(gy.n, d=gy.spacing)[None, :]
         mask = _dealias_mask(gx, gy)
         uh = fft.rfft2(u0.values)
         uh[0] = 0.0
-        return cls(gx, gy, uh, 0.0, float(dt), bound, mask, _omega(p, q),
-                   np.where(mask, -3j * p, 0.0))
+        return cls(gx, gy, uh, 0.0, float(bound if dt is None else dt), bound,
+                   mask, _omega(p, q), np.where(mask, -3j * p, 0.0))
 
     def to_field(self) -> PotentialField:
         return PotentialField(self.grid_x, self.grid_y, fft.irfft2(
@@ -137,9 +142,7 @@ def step(state: OracleState, dt: float | None = None) -> OracleState:
     """One integrating-factor RK4 step."""
     if dt is None:
         dt = state.dt
-    if dt > state.bound * (1.0 + 1e-12):
-        raise ValueError(
-            f"dt = {dt:.3e} exceeds the admissible bound {state.bound:.3e}")
+    _check_dt(dt, state.bound)
     if state.phases is not None and state.phases[0] == dt:
         _, e_half, e_full = state.phases
     else:

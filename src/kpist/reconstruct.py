@@ -289,6 +289,14 @@ def linear_field(u0: PotentialField, t: float) -> np.ndarray:
     return np.real(np.fft.ifft2(raw))
 
 
+def check_fine_cap(cap: int) -> int:
+    """The fine-grid cap, which must be a power of two >= GRID_FLOOR."""
+    if cap < GRID_FLOOR or cap & (cap - 1):
+        raise ValueError(f"fine_cap {cap} must be a power of two "
+                         f">= {GRID_FLOOR}")
+    return cap
+
+
 def ray_resolution_grid(t: float, x: float, y: float,
                         cap: int = 8192) -> Grid1D:
     """Spectral grid resolving the oscillatory weight at one probe.
@@ -301,7 +309,8 @@ def ray_resolution_grid(t: float, x: float, y: float,
     item 1: size the window by its tail). The spacing keeps the phase
     advance per cell below pi so periodization images of the stationary
     points stay off the grid with a factor-two margin. The point count is
-    a power of two between GRID_FLOOR and cap."""
+    a power of two between GRID_FLOOR and cap (check_fine_cap)."""
+    check_fine_cap(cap)
     _require_finite(t, x, y)
     half = 1.5
     if t > 0:

@@ -5,9 +5,11 @@ space-time point. It satisfies mu = 1 + P(mu) where P composes two
 half-line Fourier projections with the two triangular kernel operators,
 each carrying the oscillatory weight exp(i(phi(l) - phi(k))) with
 phi(s) = x s - y s^2 + 4 t s^3. The composition contracts on the small
-data this package targets, so plain fixed-point accumulation converges
+data this package targets, so its Neumann series converges
 geometrically; the x-derivative of the unknown solves the same equation
-with a once-differentiated forcing.
+with a once-differentiated forcing. Both solves sum their series in the
+grid-weighted L2 norm with scattering.neumann_series, the accumulator of
+the direct map, so every series shares one stopping rule, cap and residual.
 
 Every kernel application of the solve and of the field evaluation goes
 through CTOperator. The weight factorizes into the phase diagonals
@@ -41,12 +43,13 @@ per family and one inverse transform instead of two of each.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .grids import ConditionsReport
-from .scattering import MAX_ITER, ScatteringData
+from .scattering import ScatteringData, neumann_series
 
 
 def cauchy_project(f: np.ndarray, sign: int) -> np.ndarray:
@@ -210,34 +213,8 @@ def weighted_l2(f: np.ndarray, dl: float) -> float:
     return float(np.sqrt(np.sum(np.abs(f) ** 2) * dl))
 
 
-def _neumann(op: CTOperator, forcing: np.ndarray, tol: float, max_iter: int):
-    """Accumulate (I - op)^{-1} forcing; returns (solution, iterations,
-    ratio history)."""
-    dl = op.base.grids.grid_kl.spacing
-    ratios = []
-    acc = forcing.copy()
-    term = forcing
-    prev = weighted_l2(forcing, dl)
-    for it in range(1, max_iter + 1):
-        term = op(term)
-        tn = weighted_l2(term, dl)
-        if prev > 0:
-            ratios.append(tn / prev)
-        prev = tn
-        acc = acc + term
-        if tn <= tol * max(1.0, weighted_l2(acc, dl)):
-            return acc, it, ratios
-    raise RuntimeError(
-        "fixed-point accumulation did not reach the tolerance; "
-        f"last ratios {ratios[-5:]} (preconditions likely violated)")
-
-
-def _solve(op: CTOperator, forcing: np.ndarray, tol: float):
-    """(solution, iterations, relative residual) of u = forcing + op(u)."""
-    dl = op.base.grids.grid_kl.spacing
-    sol, iters, _ = _neumann(op, forcing, tol, MAX_ITER)
-    resid = weighted_l2(sol - forcing - op(sol), dl) / max(1.0, weighted_l2(sol, dl))
-    return sol, iters, float(resid)
+def _norm(op: CTOperator):
+    return functools.partial(weighted_l2, dl=op.base.grids.grid_kl.spacing)
 
 
 def solve_mul(op: CTOperator, tol: float = 1e-10,
@@ -246,7 +223,7 @@ def solve_mul(op: CTOperator, tol: float = 1e-10,
     if conditions is not None and not conditions.passed:
         raise ValueError("input data failed its smallness conditions; "
                          "the contraction guarantee does not apply")
-    sol, iters, resid = _solve(op, op.on_constant(), tol)
+    sol, iters, _, resid = neumann_series(op, op.on_constant(), _norm(op), tol)
     return RHPSolution((op.t, op.x, op.y), sol, None, resid, None, iters)
 
 
@@ -262,7 +239,7 @@ def solve_dmul_dx(op: CTOperator, tol: float = 1e-10,
     if mu is None:
         mu = solve_mul(op, tol, conditions)
     forcing = op.derivative(1.0 + mu.mu_minus_1)
-    sol, iters, resid = _solve(op, forcing, tol)
+    sol, iters, _, resid = neumann_series(op, forcing, _norm(op), tol)
     return replace(mu, dmu_dx=sol, residual_dmu=resid,
                    iterations=mu.iterations + iters)
 

@@ -67,6 +67,7 @@ __all__ = [
     "transform_norms",
     "apply_g",
     "g_on_delta",
+    "neumann_series",
     "solve_mu_sharp",
     "assemble_T",
     "assemble_T1",
@@ -133,9 +134,10 @@ def transform_norms(ut_work: np.ndarray, grids: ScatteringGrids):
 
 
 def x_norm(f: np.ndarray, grids: ScatteringGrids) -> float:
-    """sup over y of the L2(dk dl) norm; f has shape (n_k, n_l, n_y)."""
-    dkl = grids.grid_kl.spacing
-    return float(np.sqrt(np.max(np.sum(np.abs(f) ** 2, axis=(0, 1))) * dkl * dkl))
+    """sup over y of the L2(dk dl) norm; f has shape (n_k, n_l, n_y).
+    One vdot per y layer, in place for y-leading storage; NaN propagates."""
+    sq = [np.vdot(layer, layer).real for layer in np.moveaxis(f, -1, 0)]
+    return float(np.sqrt(np.max(sq)) * grids.grid_kl.spacing)
 
 
 def _offset_kernel(ut_work: np.ndarray, grids: ScatteringGrids) -> np.ndarray:
@@ -157,7 +159,7 @@ def _offset_kernel(ut_work: np.ndarray, grids: ScatteringGrids) -> np.ndarray:
 
 # working-set budget of one chunk's temporaries in the hot loops
 _CHUNK_BYTES = 1 << 23
-# iteration cap of the layered Neumann solve
+# term cap of every Neumann series (neumann_series)
 MAX_ITER = 200
 
 
@@ -309,6 +311,38 @@ def apply_g(ut_work: np.ndarray, f: np.ndarray, sign: int,
     return np.moveaxis(out, 0, -1)
 
 
+def neumann_series(apply, source: np.ndarray, norm, tol: float):
+    """u = source + apply(source) + apply(apply(source)) + ..., which
+    solves u = source + apply(u) when apply contracts; returns (u, terms,
+    term ratios, residual norm(apply(u) - u + source) / max(1, norm(u))).
+
+    Stops at the first term with norm(term) <= tol * max(1, norm(u)), or
+    raises RuntimeError after MAX_ITER terms. Everything runs in place on
+    a layout-keeping copy of source: at most four operand-sized arrays."""
+    acc = source.copy(order="K")
+    term = source
+    prev = norm(source)
+    ratios = []
+    for it in range(1, MAX_ITER + 1):
+        term = apply(term)
+        tn = norm(term)
+        acc += term
+        if prev > 0:
+            ratios.append(tn / prev)
+        prev = tn
+        scale = max(1.0, norm(acc))
+        if tn <= tol * scale:
+            break
+    else:
+        raise RuntimeError(
+            f"Neumann series did not converge in {MAX_ITER} terms; "
+            f"term-ratio history: {[round(r, 4) for r in ratios]}")
+    rest = apply(acc)
+    rest -= acc
+    rest += source
+    return acc, it, ratios, norm(rest) / scale
+
+
 @dataclasses.dataclass
 class MuSharpField:
     """Solution of the layered Volterra system for one sign family."""
@@ -318,13 +352,14 @@ class MuSharpField:
     grids: ScatteringGrids
     iterations: int
     contraction_ratios: list
-    residual: float
+    residual: float  # X norm of G mu - mu + source, relative to max(1, ||mu||)
     source_norm: float  # X norm of the delta-route source
 
 
 def solve_mu_sharp(ut_work: np.ndarray, sign: int, grids: ScatteringGrids,
                    tol: float = 1e-10, conditions=None) -> MuSharpField:
-    """Neumann iteration for mu#; contracts at rate <= c < 1.
+    """Neumann series for mu# (neumann_series in the X norm, y-leading
+    like the source); contracts at rate <= c < 1.
 
     When an admissibility report is supplied it is enforced (a failing
     report is rejected; iterating outside the contractive regime risks
@@ -338,39 +373,11 @@ def solve_mu_sharp(ut_work: np.ndarray, sign: int, grids: ScatteringGrids,
         )
     plan = _VolterraPlan(ut_work, grids)
     source = g_on_delta(ut_work, sign, grids, plan=plan)
-    src_norm = x_norm(source, grids)
-    mu = source.copy(order="K")  # keeps the y-leading storage
-    term = source
-    ratios = []
-    prev = src_norm
-    # src_norm + sum of term norms bounds x_norm(mu) by the triangle
-    # inequality (the factor covers rounding), so the stopping test
-    # needs x_norm(mu) only once tn is within tol of that bound
-    reach = src_norm
-    for it in range(1, MAX_ITER + 1):
-        term = apply_g(ut_work, term, sign, grids, plan=plan)
-        tn = x_norm(term, grids)
-        mu += term
-        if prev > 0:
-            ratios.append(tn / prev)
-        prev = tn
-        reach += tn
-        bound = reach * (1.0 + 1e-9)
-        if tn <= tol * max(1.0, bound) and (
-                bound <= 1.0 or tn <= tol * max(1.0, x_norm(mu, grids))):
-            break
-    else:
-        raise RuntimeError(
-            f"no convergence in {MAX_ITER} iterations; "
-            f"term-ratio history: {[round(r, 4) for r in ratios]}"
-        )
-    # residual G mu - mu + source, formed in place: the solve holds at
-    # most four fields (source, mu, term and the operator's output)
-    rest = apply_g(ut_work, mu, sign, grids, plan=plan)
-    rest -= mu
-    rest += source
-    residual = x_norm(rest, grids)
-    return MuSharpField(mu, sign, grids, it, ratios, residual, src_norm)
+    mu, iterations, ratios, residual = neumann_series(
+        lambda f: apply_g(ut_work, f, sign, grids, plan=plan), source,
+        lambda f: x_norm(f, grids), tol)
+    return MuSharpField(mu, sign, grids, iterations, ratios, residual,
+                        x_norm(source, grids))
 
 
 def _fill_across_diagonal(tri: np.ndarray, upper: bool) -> np.ndarray:

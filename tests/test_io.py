@@ -227,6 +227,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="6 time samples"):
             load_config(p)
 
+    def test_fine_cap_must_be_a_power_of_two(self, tmp_path):
+        p = tmp_path / "c.yaml"
+        p.write_text("potential: {amplitude: 0.05}\nfine_cap: 1000\n")
+        with pytest.raises(ValueError, match="fine_cap 1000 "):
+            load_config(p)
+
     def test_window_order_checked(self, tmp_path):
         p = tmp_path / "c.yaml"
         p.write_text("potential: {amplitude: 0.05}\n"

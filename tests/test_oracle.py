@@ -53,11 +53,15 @@ class TestStateConstruction:
         b = cfl_bound(profile(0.05))
         with pytest.raises(ValueError, match="bound"):
             OracleState.from_field(profile(0.05), dt=2.0 * b)
-        with pytest.raises(ValueError, match="positive"):
-            OracleState.from_field(profile(0.05), dt=-1e-4)
+        for bad in (-1e-4, np.nan):
+            with pytest.raises(ValueError, match="positive"):
+                OracleState.from_field(profile(0.05), dt=bad)
         s = OracleState.from_field(profile(0.05))
         with pytest.raises(ValueError, match="bound"):
             step(s, 2.0 * b)
+        for bad in (0.0, -1e-4, np.nan, np.inf):
+            with pytest.raises(ValueError, match="positive"):
+                step(s, bad)
 
     def test_bound_values(self):
         # 1/(6 p_max max|u|): p_max = 42 * 2 pi/64 on GRID, max|u| =

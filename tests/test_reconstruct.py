@@ -449,6 +449,10 @@ class TestRayResolutionGrid:
         g = ray_resolution_grid(1000.0, -12000.0, 5.0, cap=4096)
         assert g.n <= 4096
         assert g.n & (g.n - 1) == 0
+        assert ray_resolution_grid(20.0, -240.0, 0.0, cap=2 ** 62).n == 1024
+        for cap in (1000, 128):
+            with pytest.raises(ValueError, match=f"fine_cap {cap} "):
+                ray_resolution_grid(20.0, -240.0, 0.0, cap=cap)
 
     @pytest.mark.parametrize("point", [(np.nan, 0.0, 0.0),
                                        (1.0, np.inf, 0.0),

@@ -6,6 +6,7 @@ derivative-of-gaussian profile; grids are the 128-point working pair on
 otherwise.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -18,10 +19,12 @@ from kpist.grids import (
     make_test_potential,
     partial_fourier_x,
 )
+from kpist import scattering
 from kpist.scattering import (
     ScatteringData,
     ScatteringGrids,
     assemble_T,
+    neumann_series,
     resample_transform,
     solve_mu_sharp,
 )
@@ -37,7 +40,6 @@ from kpist.rhp import (
     solve_dmul_dx,
     solve_mul,
     weighted_l2,
-    _neumann,
 )
 
 
@@ -357,10 +359,32 @@ class TestSolveMu:
     def test_accumulation_ratios_stay_contractive(self, ref05):
         data, _ = ref05
         op = CTOperator.build(data, 0.5, 1.2, 0.8)
-        _, _, ratios = _neumann(op, op.on_constant(), 1e-10, 200)
+        dl = data.grids.grid_kl.spacing
+        _, _, ratios, _ = neumann_series(
+            op, op.on_constant(), lambda f: weighted_l2(f, dl), 1e-10)
         assert ratios
         assert max(ratios) <= 0.55
         assert max(ratios) <= 0.1
+
+    def test_direct_and_inverse_solves_share_one_iteration_cap(
+            self, ref05, monkeypatch):
+        # both solves sum their series in scattering.neumann_series, so
+        # one MAX_ITER bounds them and they fail with one text
+        data, _ = ref05
+        gx = Grid1D(-32.0, 32.0, 256)
+        pt = partial_fourier_x(make_test_potential("gaussian_dx", 0.05, 1.0,
+                                                   gx, gx))
+        wg = ScatteringGrids(Grid1D(-8.0, 8.0, 16), Grid1D(-8.0, 8.0, 16))
+        ut = resample_transform(pt, wg)
+        monkeypatch.setattr(scattering, "MAX_ITER", 1)
+        texts = []
+        for solve in (lambda: solve_mu_sharp(ut, +1, wg),
+                      lambda: solve_mul(CTOperator.build(data, 0.5, 1.2, 0.8))):
+            with pytest.raises(RuntimeError) as err:
+                solve()
+            texts.append(re.sub(r"\[.*\]", "[...]", str(err.value)))
+        assert texts == ["Neumann series did not converge in 1 terms; "
+                         "term-ratio history: [...]"] * 2
 
     def test_quadratic_response_coefficient(self, ref_cal, ref02, ref05):
         # departure of mu - 1 from its leading term, normalized so the

@@ -410,6 +410,33 @@ def test_g_on_delta_norm_bound(work128):
     assert x_norm(gd, wg) <= np.sqrt(np.pi) * w * 1.05
 
 
+@pytest.mark.parametrize("y_leading", [True, False])
+def test_x_norm_is_sup_over_y_of_layer_l2(y_leading):
+    g = small_grids(n_kl=32, n_y=16)
+    rng = np.random.default_rng(23)
+    shape = (g.n_y, g.n_kl, g.n_kl) if y_leading else (g.n_kl, g.n_kl, g.n_y)
+    f = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if y_leading:
+        f = np.moveaxis(f, 0, -1)
+    want = np.sqrt(np.max(np.sum(np.abs(f) ** 2, axis=(0, 1)))) \
+        * g.grid_kl.spacing
+    assert x_norm(f, g) == pytest.approx(want, rel=1e-14, abs=0.0)
+    f[3, 4, 5] = np.nan
+    assert np.isnan(x_norm(f, g))
+
+
+def test_x_norm_allocates_no_field_sized_temporary():
+    g = small_grids(n_kl=64, n_y=64)
+    f = np.moveaxis(np.ones((64, 64, 64), dtype=complex), 0, -1)
+    tracemalloc.start()
+    try:
+        x_norm(f, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < f.nbytes / 8
+
+
 def test_operator_norm_proxy(work128):
     wg, ut, _ = work128
     c, _ = transform_norms(ut, wg)
