@@ -86,8 +86,9 @@ class Grid1D:
 class PotentialField:
     """Real field u(x, y) sampled on a tensor grid; values[i, j] = u(x_i, y_j).
 
-    Rejects non-finite entries. Fields intended for the scattering pipeline
-    must have vanishing x-mean on every y-row (checked to 1e-12 of the max).
+    Rejects non-finite entries. Every y-row must have vanishing x-mean:
+    check_conditions holds the l = 0 column of the transform to
+    ZERO_MODE_TOL, and the oracle the x-mean defect to ZERO_MEAN_TOL.
     """
 
     grid_x: Grid1D
@@ -111,13 +112,6 @@ class PotentialField:
             return 0.0
         row_means = np.abs(self.values.mean(axis=0))
         return float(row_means.max() / scale)
-
-    def require_zero_x_mean(self, tol: float = 1e-12) -> None:
-        if self.x_mean_defect() > tol:
-            raise ValueError(
-                "field has nonvanishing x-mean per row "
-                f"({self.x_mean_defect():.3e} relative, tol {tol:.1e})"
-            )
 
     def l2_norm(self) -> float:
         w = self.grid_x.spacing * self.grid_y.spacing

@@ -152,6 +152,8 @@ def load_probes(path) -> list[tuple[float, float, float]]:
         t, x, y = (float(p) for p in parts)
         if t < 0:
             raise ValueError(f"{path}:{lineno}: negative time {t}")
+        if not np.all(np.isfinite((t, x, y))):
+            raise ValueError(f"{path}:{lineno}: non-finite probe {line!r}")
         rows.append((t, x, y))
     if not rows:
         raise ValueError(f"{path}: no probe rows")
@@ -261,7 +263,7 @@ def load_config(path) -> ExperimentConfig:
 
     sc = raw.get("scattering") or {}
     delta = float(raw.get("delta", 0.05))
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError(f"{path}: delta must be positive")
     times = raw.get("times") or {}
     t_min = float(times.get("t_min", 10.0))

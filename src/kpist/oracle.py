@@ -206,8 +206,8 @@ def evolve(u0: PotentialField, t_final: float, dt: float | None = None
     and is not checked for accuracy. Either way the discrete L2 norm is
     conserved by the flow; a relative drift beyond L2_DRIFT_TOL from the
     start aborts with a sizing hint."""
-    if t_final < 0:
-        raise ValueError("t_final must be nonnegative")
+    if not 0 <= t_final < np.inf:
+        raise ValueError("t_final must be finite and nonnegative")
     state = OracleState.from_field(u0, dt)
     if t_final == 0:
         return u0

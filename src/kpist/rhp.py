@@ -8,8 +8,8 @@ phi(s) = x s - y s^2 + 4 t s^3. The composition contracts on the small
 data this package targets, so its Neumann series converges
 geometrically; the x-derivative of the unknown solves the same equation
 with a once-differentiated forcing. Both solves sum their series in the
-grid-weighted L2 norm with scattering.neumann_series, the accumulator of
-the direct map, so every series shares one stopping rule, cap and residual.
+grid-weighted L2 norm with scattering.neumann_series, the direct map's
+accumulator, so all share one stopping rule, cap, residual and finite guard.
 
 Every kernel application of the solve and of the field evaluation goes
 through CTOperator. The weight factorizes into the phase diagonals

@@ -42,9 +42,10 @@ Scattering kernels on the (k, l) grid, with p = l - k and q = l^2 - k^2:
 
 step the half-at-zero Heaviside. The delta route alone gives the
 linear-order kernel T1(k, l) = -(i / sqrt(2 pi)) Int e^(i q y) ut(p; y) dy,
-stored unmasked; split_T recovers the masked linear pieces and the
-quadratic remainders. linearized_T builds the same linear order directly
-from the 2-D transform: -i uhat(l - k, -(l^2 - k^2)).
+stored unmasked and built by assemble_T1 alone; assemble_T adds each
+family's convolution route to it. split_T recovers the masked linear
+pieces and the quadratic remainders. linearized_T builds the same linear
+order directly from the 2-D transform: -i uhat(l - k, -(l^2 - k^2)).
 """
 
 from __future__ import annotations
@@ -296,8 +297,6 @@ def apply_g(ut_work: np.ndarray, f: np.ndarray, sign: int,
     expect = (grids.n_kl, grids.n_kl, grids.n_y)
     if f.shape != expect:
         raise ValueError(f"operand shape {f.shape} does not match grids {expect}")
-    if not np.all(np.isfinite(f)):
-        raise ValueError("operand contains non-finite entries")
     if plan is None:
         plan = _VolterraPlan(ut_work, grids)
     m = grids.n_kl
@@ -317,15 +316,26 @@ def neumann_series(apply, source: np.ndarray, norm, tol: float):
     term ratios, residual norm(apply(u) - u + source) / max(1, norm(u))).
 
     Stops at the first term with norm(term) <= tol * max(1, norm(u)), or
-    raises RuntimeError after MAX_ITER terms. Everything runs in place on
+    raises RuntimeError after MAX_ITER terms. The solves' one finite guard:
+    ValueError for a tol outside (0, inf) or a term (the source is term 0)
+    whose norm, which must propagate NaN, is not finite. Runs in place on
     a layout-keeping copy of source: at most four operand-sized arrays."""
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+
+    def check(tn, it):
+        if not np.isfinite(tn):
+            raise ValueError(f"Neumann series term {it} is not finite (norm {tn})")
+
+    prev = norm(source)
+    check(prev, 0)
     acc = source.copy(order="K")
     term = source
-    prev = norm(source)
     ratios = []
     for it in range(1, MAX_ITER + 1):
         term = apply(term)
         tn = norm(term)
+        check(tn, it)
         acc += term
         if prev > 0:
             ratios.append(tn / prev)
@@ -512,44 +522,37 @@ def assemble_T1(ut_work: np.ndarray, grids: ScatteringGrids) -> np.ndarray:
 
 def assemble_T(mu_plus: MuSharpField, mu_minus: MuSharpField,
                ut_work: np.ndarray, grids: ScatteringGrids) -> ScatteringData:
-    """Assemble both triangular kernels and the linear route.
+    """Assemble both triangular kernels and the linear route T1
+    (assemble_T1): T_sigma = (T1 - (i / 2 pi) S_sigma) * step, S_sigma the
+    Filon sum of ut conv_l mu#_sigma at p = l - k.
 
-    Works on chunks of k rows: the full offset convolution aligns
-    p = l - k with lattice offsets exactly, so no interpolation enters.
-    Per chunk, one gather takes the diagonal band of each family's
-    convolution, and one batched Filon sum integrates it together with
-    ut(p; y) (the delta route, which is also T1). Every array of the
-    chunk is y-leading, as the solve stores mu.
+    Works on chunks of k rows: the full offset convolution aligns p with
+    lattice offsets exactly, so no interpolation enters. Per chunk, one
+    gather takes each family's diagonal band and one batched Filon sum
+    integrates both. Every array is y-leading, as the solve stores mu.
     """
     m = grids.n_kl
+    T1 = assemble_T1(ut_work, grids)
     plan = _ConvolutionPlan(ut_work, grids, 2 * m)
-    offsets = _offset_kernel(ut_work, grids).T
     kl = grids.grid_kl.points
     d = np.arange(m)[None, :] - np.arange(m)[:, None]  # l index - k index
     q = kl[None, :] ** 2 - kl[:, None] ** 2
     # the convolution at p = l - k sits at l index d + m/2 (mod pad) of the
     # circular output, exact at every offset that either family reads
     at = (d + m // 2) % plan.pad
-    T = {+1: np.empty((m, m), dtype=np.complex128),
-         -1: np.empty((m, m), dtype=np.complex128)}
-    T1 = np.empty((m, m), dtype=np.complex128)
-    # per k row: the padded transform (2M), then three gathered amplitudes,
-    # their panel sums and a product temporary (M each)
-    for ks in _chunks(m, 16 * 9 * m * grids.n_y):
-        amps = np.empty((grids.n_y, 3, ks.stop - ks.start, m),
+    T = {sign: np.empty((m, m), dtype=np.complex128) for sign in (+1, -1)}
+    w = {sign: _triangle_weights(m, sign) for sign in (+1, -1)}
+    # per k row: two gathered amplitudes, their panel sums and a product
+    # temporary (M each); the gather's padded transform (2M) needs less
+    for ks in _chunks(m, 16 * 6 * m * grids.n_y):
+        amps = np.empty((grids.n_y, 2, ks.stop - ks.start, m),
                         dtype=np.complex128)
-        amps[:, 0] = offsets[:, d[ks] + m - 1]
-        for a, mu in ((amps[:, 1], mu_plus), (amps[:, 2], mu_minus)):
+        for a, mu in ((amps[:, 0], mu_plus), (amps[:, 1], mu_minus)):
             a[...] = np.take_along_axis(
                 plan.circular(np.moveaxis(mu.values, -1, 0)[:, ks]),
                 at[ks][None], axis=-1)
-        s_lin, s_plus, s_minus = _filon_rows(amps, q[ks], grids)
-        T1[ks] = -(1j / SQRT_2PI) * s_lin
-        T[+1][ks] = -(1j / (2.0 * np.pi)) * (SQRT_2PI * s_lin + s_plus)
-        T[-1][ks] = -(1j / (2.0 * np.pi)) * (SQRT_2PI * s_lin + s_minus)
-
-    for sign in (+1, -1):
-        T[sign] *= _triangle_weights(m, sign)
+        for sign, s in zip((+1, -1), _filon_rows(amps, q[ks], grids)):
+            T[sign][ks] = (T1[ks] - (1j / (2.0 * np.pi)) * s) * w[sign][ks]
 
     dkl = grids.grid_kl.spacing
     qmax = float(np.max(np.abs(q)))

@@ -127,6 +127,12 @@ class TestProbes:
         p.write_text("-1.0 0.0 0.0\n")
         with pytest.raises(ValueError, match="negative time"):
             load_probes(p)
+        # non-finite rows fail here, with their file and line
+        for row in ("nan 0.0 0.0", "0.5 inf 0.0", "0.5 0.0 -inf"):
+            p.write_text(f"0.5 0.0 0.0\n{row}\n")
+            with pytest.raises(ValueError,
+                               match=r"probes\.txt:2: non-finite probe"):
+                load_probes(p)
 
     def test_empty(self, tmp_path):
         p = tmp_path / "probes.txt"
@@ -216,9 +222,10 @@ class TestConfig:
 
     def test_bad_delta(self, tmp_path):
         p = tmp_path / "c.yaml"
-        p.write_text("potential: {amplitude: 0.05}\ndelta: 0.0\n")
-        with pytest.raises(ValueError, match="delta"):
-            load_config(p)
+        for delta in ("0.0", "nan"):
+            p.write_text(f"potential: {{amplitude: 0.05}}\ndelta: {delta}\n")
+            with pytest.raises(ValueError, match="delta"):
+                load_config(p)
 
     def test_too_few_times(self, tmp_path):
         p = tmp_path / "c.yaml"

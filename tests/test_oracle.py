@@ -98,8 +98,10 @@ class TestEvolve:
         assert np.array_equal(out.values, u0.values)
 
     def test_negative_time_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            evolve(profile(0.05), -1.0)
+        for t_final in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError,
+                               match="finite and nonnegative"):
+                evolve(profile(0.05), t_final)
 
     def test_determinism(self):
         a = evolve(profile(0.05), 0.1)

@@ -6,6 +6,7 @@ derivative-of-gaussian profile; grids are the 128-point working pair on
 otherwise.
 """
 
+import dataclasses
 import re
 import tracemalloc
 
@@ -52,6 +53,15 @@ def build_reference(eps, n_kl=128, n_y=128, field_n=256):
     mu_p = solve_mu_sharp(ut, +1, wg)
     mu_m = solve_mu_sharp(ut, -1, wg)
     return assemble_T(mu_p, mu_m, ut, wg), check_conditions(field, pt)
+
+
+def small_transform():
+    """ut of the 0.05 reference profile on a 16-point working pair."""
+    gx = Grid1D(-32.0, 32.0, 256)
+    pt = partial_fourier_x(make_test_potential("gaussian_dx", 0.05, 1.0,
+                                               gx, gx))
+    wg = ScatteringGrids(Grid1D(-8.0, 8.0, 16), Grid1D(-8.0, 8.0, 16))
+    return resample_transform(pt, wg), wg
 
 
 def zero_data(grids: ScatteringGrids) -> ScatteringData:
@@ -371,11 +381,7 @@ class TestSolveMu:
         # both solves sum their series in scattering.neumann_series, so
         # one MAX_ITER bounds them and they fail with one text
         data, _ = ref05
-        gx = Grid1D(-32.0, 32.0, 256)
-        pt = partial_fourier_x(make_test_potential("gaussian_dx", 0.05, 1.0,
-                                                   gx, gx))
-        wg = ScatteringGrids(Grid1D(-8.0, 8.0, 16), Grid1D(-8.0, 8.0, 16))
-        ut = resample_transform(pt, wg)
+        ut, wg = small_transform()
         monkeypatch.setattr(scattering, "MAX_ITER", 1)
         texts = []
         for solve in (lambda: solve_mu_sharp(ut, +1, wg),
@@ -385,6 +391,53 @@ class TestSolveMu:
             texts.append(re.sub(r"\[.*\]", "[...]", str(err.value)))
         assert texts == ["Neumann series did not converge in 1 terms; "
                          "term-ratio history: [...]"] * 2
+
+    def test_non_finite_data_fails_at_the_named_term(self, ref05,
+                                                      monkeypatch):
+        # neumann_series checks the norm of every term, the source being
+        # term 0, so NaN data stops the direct and the probe solve with one
+        # text before a second operator call
+        data, _ = ref05
+        ut, wg = small_transform()
+        ut[5, 7] = np.nan
+        t_plus = data.T_plus.copy()
+        t_plus[40, 90] = np.nan
+        bad = dataclasses.replace(data, T_plus=t_plus)
+        calls = {"apply_g": 0, "op": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(scattering, "apply_g",
+                            counted("apply_g", scattering.apply_g))
+        monkeypatch.setattr(CTOperator, "__call__",
+                            counted("op", CTOperator.__call__))
+        texts = []
+        for solve in (lambda: solve_mu_sharp(ut, +1, wg),
+                      lambda: solve_mul(CTOperator.build(bad, 0.5, 1.2, 0.8))):
+            with pytest.raises(ValueError) as err:
+                solve()
+            texts.append(str(err.value))
+        assert texts == ["Neumann series term 0 is not finite (norm nan)"] * 2
+        assert calls == {"apply_g": 0, "op": 1}
+        # a later term is named by its index
+        with pytest.raises(ValueError, match="term 1 is not finite"):
+            neumann_series(lambda f: f * np.inf, np.ones(4), np.linalg.norm,
+                           1e-10)
+
+    def test_solves_reject_a_tolerance_that_is_not_positive(self, ref05):
+        data, _ = ref05
+        ut, wg = small_transform()
+        op = CTOperator.build(data, 0.5, 1.2, 0.8)
+        for tol in (0.0, -1.0, np.nan, np.inf):
+            for solve in (lambda: solve_mu_sharp(ut, +1, wg, tol=tol),
+                          lambda: solve_mul(op, tol=tol)):
+                with pytest.raises(ValueError,
+                                   match="tol must be finite and positive"):
+                    solve()
 
     def test_quadratic_response_coefficient(self, ref_cal, ref02, ref05):
         # departure of mu - 1 from its leading term, normalized so the

@@ -325,14 +325,12 @@ def test_apply_g_zero_and_linearity():
 
 
 def test_apply_g_rejects_bad_operands():
+    # non-finite operands are caught by neumann_series, which checks the
+    # norm of every term (tests/test_rhp.py)
     g = small_grids()
     ut = np.zeros((g.n_kl, g.n_y), complex)
     with pytest.raises(ValueError):
         apply_g(ut, np.zeros((4, 4, 4), complex), +1, g)
-    bad = np.zeros((g.n_kl, g.n_kl, g.n_y), complex)
-    bad[0, 0, 0] = np.nan
-    with pytest.raises(ValueError):
-        apply_g(ut, bad, +1, g)
 
 
 def test_single_cell_kernel_one_term():
