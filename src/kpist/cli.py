@@ -24,18 +24,20 @@ from .io import (load_config, load_potential, load_probes, load_scattering,
                  save_potential, save_scattering, write_array, write_csv)
 from .oracle import STEP_TOL, evolve
 from .phase_airy import RayCoordinates
-from .reconstruct import ray_resolution_grid, reconstruct, working_data
+from .reconstruct import (ray_resolution_grid, reconstruct,
+                          resample_scattering_data)
 from .rhp import CTOperator, solve_dmul_dx
 
 RECON_HEADER = ("t", "x", "y", "xi", "eta", "a", "region",
                 "re_u1", "im_u1", "re_u2", "im_u2", "re_u", "im_u")
 
 
-def _fine_data(data, t, x, y, cap, direct):
-    """Per-probe working grid: sized to the phase unless --direct."""
-    if direct or t == 0.0:
-        return data
-    return working_data(data, ray_resolution_grid(t, x, y, cap=cap))
+def _fine_data(data, t, x, y, cap):
+    """Per-probe kernel data on a grid sized to the phase; a t = 0 probe
+    has no phase to resolve and keeps the stored grid."""
+    grid = (data.grids.grid_kl if t == 0.0
+            else ray_resolution_grid(t, x, y, cap=cap))
+    return resample_scattering_data(data, grid)
 
 
 def _cmd_make_potential(args) -> int:
@@ -69,7 +71,7 @@ def _cmd_reconstruct(args) -> int:
     data = load_scattering(args.data)
     rows = []
     for t, x, y in load_probes(args.probes):
-        work = _fine_data(data, t, x, y, args.fine_cap, args.direct)
+        work = _fine_data(data, t, x, y, args.fine_cap)
         s = reconstruct(work, t, x, y, delta=args.delta, tol=args.tol)
         rc = RayCoordinates(t, x, y)
         rows.append((t, x, y, rc.xi, rc.eta, rc.a, s.region.value,
@@ -87,7 +89,7 @@ def _cmd_rhp_solve(args) -> int:
     rows = []
     files = []
     for i, (t, x, y) in enumerate(load_probes(args.probes)):
-        work = _fine_data(data, t, x, y, args.fine_cap, args.direct)
+        work = _fine_data(data, t, x, y, args.fine_cap)
         sol = solve_dmul_dx(CTOperator.build(work, t, x, y), tol=args.tol)
         mu_name, dmu_name = f"mu_{i:03d}.bin", f"dmu_{i:03d}.bin"
         write_array(outdir / mu_name, sol.mu_minus_1)
@@ -110,13 +112,16 @@ def _cmd_rhp_solve(args) -> int:
 
 
 def _cmd_evolve_direct(args) -> int:
+    if args.segments < 1:
+        raise ValueError("--segments must be at least 1")
+    if not 0 <= args.t < np.inf:
+        raise ValueError("--t must be finite and nonnegative")
     field = load_potential(args.potential)
     n0 = field.l2_norm()
-    seg_ends = np.linspace(0.0, args.t, args.segments + 1)[1:]
+    ends = np.linspace(0.0, args.t, args.segments + 1)
     rows = [(0.0, n0, 0.0)]
     u = field
-    for prev, end in zip(np.linspace(0.0, args.t, args.segments + 1),
-                         seg_ends):
+    for prev, end in zip(ends[:-1], ends[1:]):
         u = evolve(u, float(end - prev), dt=args.dt)
         n1 = u.l2_norm()
         rows.append((float(end), n1, abs(n1 - n0) / n0 if n0 > 0 else 0.0))
@@ -224,8 +229,6 @@ def main(argv=None) -> int:
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--fine-cap", type=int, default=8192)
-    p.add_argument("--direct", action="store_true",
-                   help="skip per-probe grid refinement")
     p.set_defaults(func=_cmd_reconstruct)
 
     p = sub.add_parser("rhp-solve", help="raw jump-equation solves at probes")
@@ -235,7 +238,6 @@ def main(argv=None) -> int:
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--fine-cap", type=int, default=8192)
-    p.add_argument("--direct", action="store_true")
     p.set_defaults(func=_cmd_rhp_solve)
 
     p = sub.add_parser("evolve-direct", help="pseudospectral time stepping")

@@ -21,10 +21,8 @@ from .io import ExperimentConfig, RaySpec, write_csv
 from .oscillatory import oscillatory_integral, oscillatory_tail
 from .phase_airy import (RayCoordinates, RegionLabel, cubic_phase_transform,
                          half_airy_H)
-# resample_scattering_data is not called here: perfbench wraps this module's
-# global of that name, so the name stays importable
-from .reconstruct import (eval_u1, ray_resolution_grid,  # noqa: F401
-                          reconstruct, resample_scattering_data, working_data)
+from .reconstruct import (eval_u1, ray_resolution_grid, reconstruct,
+                          resample_scattering_data)
 from .rhp import CTOperator, solve_dmul_dx, weighted_l2
 from .scattering import (ScatteringData, ScatteringGrids, _triangle_weights,
                          assemble_T, assemble_T1, resample_transform,
@@ -154,7 +152,7 @@ def _fit_ray(spec: RaySpec, config: ExperimentConfig, data: ScatteringData,
             t_ref = max(cluster)
             grid = ray_resolution_grid(t_ref, spec.xi * t_ref,
                                        spec.eta * t_ref, cap=config.fine_cap)
-            fine = working_data(data, grid)
+            fine = resample_scattering_data(data, grid)
             triples = [probe_values(fine, tc, spec.xi * tc, spec.eta * tc)
                        for tc in cluster]
             env.append(max(v[0] for v in triples))
@@ -229,9 +227,10 @@ def run_linear_baseline(config: ExperimentConfig) -> list[DecayFit]:
     sign(l - k) T1 = |l - k| uhat(l - k, -(l^2 - k^2)) against the
     evolved phase, which is the (k, l) form of the linearized evolution
     (reconstruct.linear_kp_crosscheck). Each probe then takes the path of
-    a nonlinear probe (ray_resolution_grid, working_data, CTOperator) with
-    no Volterra solve, no Neumann solve and no smallness check. Data that
-    is not zero-mean in x is refused (ValueError), as by check_conditions.
+    a nonlinear probe (ray_resolution_grid, resample_scattering_data,
+    CTOperator) with no Volterra solve, no Neumann solve and no smallness
+    check. Data that is not zero-mean in x is refused (ValueError), as by
+    check_conditions.
     u2 has no linear analogue: its values are 0 and its slope nan."""
     field = config.resolve_potential()
     grids = config.scattering_grids()

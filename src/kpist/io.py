@@ -263,8 +263,11 @@ def load_config(path) -> ExperimentConfig:
 
     sc = raw.get("scattering") or {}
     delta = float(raw.get("delta", 0.05))
-    if not delta > 0:
-        raise ValueError(f"{path}: delta must be positive")
+    if not 0 < delta < np.inf:
+        raise ValueError(f"{path}: delta must be finite and positive")
+    tol = float(raw.get("tol", 1e-10))
+    if not 0 < tol < np.inf:
+        raise ValueError(f"{path}: tol must be finite and positive")
     times = raw.get("times") or {}
     t_min = float(times.get("t_min", 10.0))
     t_max = float(times.get("t_max", 100.0))
@@ -297,7 +300,7 @@ def load_config(path) -> ExperimentConfig:
         n_kl=int(sc.get("n_kl", 128)),
         n_y=int(sc.get("n_y", 128)),
         delta=delta,
-        tol=float(raw.get("tol", 1e-10)),
+        tol=tol,
         rays=tuple(rays),
         t_min=t_min,
         t_max=t_max,

@@ -60,6 +60,9 @@ class RegionLabel(str, enum.Enum):
 
 
 def classify(a: float, delta: float = DEFAULT_REGION_DELTA) -> RegionLabel:
+    """Region of a; delta must be finite and positive."""
+    if not 0 < delta < np.inf:
+        raise ValueError(f"delta {delta} must be finite and positive")
     if a > delta:
         return RegionLabel.RAPID
     if a < -delta:

@@ -14,25 +14,26 @@ per family, so no combined or gap-weighted kernel is formed.
 
 Large-time probes need a spectral grid that resolves the phase, with up
 to thousands of points, finer than the n-point grid of the direct map.
-resample_scattering_data refines the kernels by bicubic interpolation
-without forming them. The source's spline coefficients C_sigma are fitted
-once per source (ScatteringData.spline_fit, O(n^2)); a fine grid keeps
-only the band of its B-spline design matrix B, four entries per point,
-and the refined family is W_sigma (B C_sigma B^T), W_sigma the triangle
-weight of the fine grid (SplineKernels). Fine points past the last
-source sample are clipped to the knot interval, where fitpack holds the
-spline constant. Per fine grid of n_fine points the refinement costs
-O(n_fine) time and memory. Above DENSE_MAX points each kernel product
-costs O(n_fine + n^2) per row (segmented suffix sums inside knot
-intervals, interval totals across them) and no n_fine^2 array is formed.
-Up to DENSE_MAX points, the floor grid of most short-time probes, the
-band's fixed cost per call exceeds a whole dense product, so products
-take the dense T_plus and T_minus (2 MB at 256 points). The column
-maxima of the resolution check cost O(n_fine^2) time once, in blocks of
-bounded memory. A source keeps its last REFINED_PER_SOURCE refinements
-by grid, each with its band factors or dense arrays and, once a probe
-has read them, its column maxima, so probes that share a grid pay these
-once. T1, and the dense arrays of a band-route grid, are reference
+resample_scattering_data gives every probe its kernel data: the source
+itself on the source's own grid, otherwise the kernels refined by bicubic
+interpolation without forming them. The source's spline coefficients
+C_sigma are fitted once per source (ScatteringData.spline_fit, O(n^2)); a
+fine grid keeps only the band of its B-spline design matrix B, four
+entries per point, and the refined family is W_sigma (B C_sigma B^T),
+W_sigma the triangle weight of the fine grid (SplineKernels). Fine points
+past the last source sample are clipped to the knot interval, where
+fitpack holds the spline constant. Per fine grid of n_fine points the
+refinement costs O(n_fine) time and memory. Above DENSE_MAX points each
+kernel product costs O(n_fine + n^2) per row (segmented suffix sums
+inside knot intervals, interval totals across them) and no n_fine^2 array
+is formed. Up to DENSE_MAX points, the floor grid of most short-time
+probes, the band's fixed cost per call exceeds a whole dense product, so
+products take the dense T_plus and T_minus (2 MB at 256 points). The
+column maxima of the resolution check cost O(n_fine^2) time once, in
+blocks of bounded memory. A source keeps its last REFINED_PER_SOURCE
+refinements by grid, each with its band factors or dense arrays and, once
+a probe has read them, its column maxima, so probes that share a grid pay
+these once. T1, and the dense arrays of a band-route grid, are reference
 arrays for the tests and the reference definitions family_kernel and
 derivative_data; nothing on the probe path reads them.
 
@@ -81,7 +82,6 @@ __all__ = [
     "ray_resolution_grid",
     "resample_scattering_data",
     "SplineKernels",
-    "working_data",
 ]
 
 OSCILLATION_THRESHOLD = np.pi / 4.0
@@ -189,12 +189,13 @@ def reconstruct(data: ScatteringData | SplineKernels, t: float, x: float,
                 tol: float = 1e-10,
                 conditions: ConditionsReport | None = None,
                 ) -> ReconstructionSample:
-    """Solve and evaluate at one probe point."""
+    """Solve and evaluate at one probe point; an invalid delta is refused
+    before the solve."""
+    region = RayCoordinates(t, x, y).region(delta)
     op = CTOperator.build(data, t, x, y)
     sol = solve_dmul_dx(op, tol=tol, conditions=conditions)
     u1 = eval_u1(op)
     u2 = eval_u2(op, sol)
-    region = RayCoordinates(t, x, y).region(delta)
     return ReconstructionSample((t, x, y), u1, u2, u1 + u2, region)
 
 
@@ -513,13 +514,15 @@ class SplineKernels:
         return out
 
 
-def resample_scattering_data(data: ScatteringData,
-                             grid_fine: Grid1D) -> SplineKernels:
-    """Kernels interpolated onto a finer (possibly truncated) grid, in
-    factored form (SplineKernels).
+def resample_scattering_data(data: ScatteringData, grid_fine: Grid1D
+                             ) -> ScatteringData | SplineKernels:
+    """A probe's kernel data on grid_fine: data itself when grid_fine is
+    its own spectral grid, otherwise the kernels interpolated onto the
+    finer (possibly truncated) grid in factored form (SplineKernels).
 
     The fine grid must lie inside the source grid; the check comes before
-    any work. The bicubic coefficients of the source are fitted on first
+    any work; the own grid then returns the source and keeps nothing
+    with it. The bicubic coefficients of the source are fitted on first
     use and kept with the source (ScatteringData.spline_fit, O(n^2) for
     an n-point source). The source also keeps its last REFINED_PER_SOURCE
     refinements by grid, in its instance dict as spline_fit is, so a
@@ -537,6 +540,8 @@ def resample_scattering_data(data: ScatteringData,
     src = data.grids.grid_kl
     if grid_fine.min < src.min or grid_fine.max > src.max:
         raise ValueError("fine grid must lie inside the source grid")
+    if grid_fine == src:
+        return data
     cache = vars(data).setdefault("_refined", collections.OrderedDict())
     if grid_fine in cache:
         cache.move_to_end(grid_fine)
@@ -545,13 +550,3 @@ def resample_scattering_data(data: ScatteringData,
         cache.popitem(last=False)
     fine = cache[grid_fine] = SplineKernels(data, grid_fine)
     return fine
-
-
-def working_data(data: ScatteringData,
-                 grid: Grid1D) -> ScatteringData | SplineKernels:
-    """The data itself when grid is its own spectral grid, otherwise its
-    resample onto grid."""
-    src = data.grids.grid_kl
-    if grid.n == src.n and grid.min == src.min and grid.max == src.max:
-        return data
-    return resample_scattering_data(data, grid)

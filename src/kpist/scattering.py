@@ -433,14 +433,8 @@ class ScatteringData:
     def combined_colmax(self) -> np.ndarray:
         """Column maxima of |T_plus - T_minus| (both families in
         consumption orientation), for the resolution check of every probe
-        on this data; computed once, in row blocks of bounded size."""
-        n = self.grids.n_kl
-        out = np.zeros(n)
-        step = max(1, (1 << 18) // n)
-        for i in range(0, n, step):
-            rows = np.abs(self.T_plus[i:i + step] - self.T_minus[i:i + step])
-            np.maximum(out, np.max(rows, axis=0), out=out)
-        return out
+        on this data's own grid; computed once."""
+        return np.max(np.abs(self.T_plus - self.T_minus), axis=0)
 
     @functools.cached_property
     def spline_fit(self) -> tuple[np.ndarray, dict]:

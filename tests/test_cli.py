@@ -2,10 +2,11 @@
 
 One chain of commands shares a module-scoped directory: a 128^2 potential
 over [-16, 16]^2, its scattering data on 32-point grids, then
-reconstruction (per-probe grids and --direct), raw solves, the direct
-spectral evolution, the bound sweep and a decay fit with its linear
-baseline. Written values are checked against the same calls made
-in-process, by repr.
+reconstruction on per-probe grids (the stored grid at t = 0), raw
+solves, the direct spectral evolution, the bound sweep and a decay fit
+with its linear baseline. Written values are checked against the same
+calls made in-process, by repr. Commands given invalid arguments exit 1
+and write nothing.
 """
 
 import numpy as np
@@ -16,15 +17,12 @@ from kpist.cli import RECON_HEADER, main
 from kpist.harness import DECAY_HEADER, run_linear_baseline, write_decay_csv
 from kpist.io import format_cell, load_config, load_scattering, read_array
 from kpist.phase_airy import RayCoordinates
-from kpist.reconstruct import ray_resolution_grid, reconstruct, working_data
+from kpist.reconstruct import (ray_resolution_grid, reconstruct,
+                               resample_scattering_data)
 from kpist.rhp import CTOperator, solve_dmul_dx
 
-PROBES = [(0.5, 1.2, 0.8), (2.0, -3.0, 1.0), (1.0, 2.0, -1.5)]
-
-# --direct keeps the 32-point grid, which the later probes' phase outruns:
-# the under-resolution warning is the documented outcome there
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:oscillatory weight advances:RuntimeWarning")
+PROBES = [(0.5, 1.2, 0.8), (2.0, -3.0, 1.0), (1.0, 2.0, -1.5),
+          (0.0, 0.5, -0.25)]
 
 CONFIG = """\
 potential: pot
@@ -53,9 +51,6 @@ def chain(tmp_path_factory):
                     "--n-kl", "32", "--n-y", "32"],
         "reconstruct": ["reconstruct", str(d / "scat"), "--probes", probes,
                         "-o", str(d / "recon.csv")],
-        "reconstruct --direct": ["reconstruct", str(d / "scat"), "--probes",
-                                 probes, "--direct",
-                                 "-o", str(d / "recon_direct.csv")],
         "rhp-solve": ["rhp-solve", str(d / "scat"), "--probes", probes,
                       "-o", str(d / "rhp")],
         "evolve-direct": ["evolve-direct", str(d / "pot"), "--t", "0.002",
@@ -89,7 +84,6 @@ class TestChain:
         d, _ = chain
         headers = {
             d / "recon.csv": ",".join(RECON_HEADER),
-            d / "recon_direct.csv": ",".join(RECON_HEADER),
             d / "rhp" / "residuals.csv":
                 "index,t,x,y,xi,eta,a,region,residual_mu,residual_dmu,"
                 "iterations,n_grid",
@@ -107,19 +101,18 @@ class TestChain:
     def test_reconstruct_rows_match_in_process(self, chain):
         d, _ = chain
         data = load_scattering(d / "scat")
-        for name, direct in (("recon.csv", False), ("recon_direct.csv", True)):
-            want = []
-            for t, x, y in PROBES:
-                work = data if direct else working_data(
-                    data, ray_resolution_grid(t, x, y))
-                want.append(recon_line(t, x, y, reconstruct(work, t, x, y)))
-            assert csv_lines(d / name)[1:] == want
+        want = []
+        for t, x, y in PROBES:
+            work = data if t == 0.0 else resample_scattering_data(
+                data, ray_resolution_grid(t, x, y))
+            want.append(recon_line(t, x, y, reconstruct(work, t, x, y)))
+        assert csv_lines(d / "recon.csv")[1:] == want
 
     def test_rhp_solution_matches_in_process(self, chain):
         d, _ = chain
         data = load_scattering(d / "scat")
         t, x, y = PROBES[0]
-        work = working_data(data, ray_resolution_grid(t, x, y))
+        work = resample_scattering_data(data, ray_resolution_grid(t, x, y))
         sol = solve_dmul_dx(CTOperator.build(work, t, x, y))
         n = work.grids.n_kl
         assert np.array_equal(read_array(d / "rhp" / "mu_000.bin", (n,), True),
@@ -138,3 +131,25 @@ class TestChain:
             [f.slope for f in fits]
         want = write_decay_csv(fits, tmp_path / "linear.csv")
         assert csv_lines(d / "decay" / "decay_linear.csv") == csv_lines(want)
+
+
+class TestInvalidArguments:
+    """Refused arguments exit 1 before any output is written."""
+
+    @pytest.mark.parametrize("flags", [
+        ["--segments", "0"], ["--segments", "-1"], ["--t", "inf"],
+        ["--t", "nan"]])
+    def test_evolve_direct_refuses(self, chain, tmp_path, flags):
+        d, _ = chain
+        argv = ["evolve-direct", str(d / "pot"), "--t", "0.002",
+                "-o", str(tmp_path / "out")] + flags
+        assert main(argv) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_reconstruct_refuses_nan_delta(self, chain, tmp_path):
+        d, _ = chain
+        out = tmp_path / "recon.csv"
+        assert main(["reconstruct", str(d / "scat"), "--probes",
+                     str(d / "probes.txt"), "--delta", "nan",
+                     "-o", str(out)]) == 1
+        assert not out.exists()

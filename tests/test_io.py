@@ -222,9 +222,17 @@ class TestConfig:
 
     def test_bad_delta(self, tmp_path):
         p = tmp_path / "c.yaml"
-        for delta in ("0.0", "nan"):
+        for delta in ("0.0", "nan", "inf"):
             p.write_text(f"potential: {{amplitude: 0.05}}\ndelta: {delta}\n")
             with pytest.raises(ValueError, match="delta"):
+                load_config(p)
+
+    def test_bad_tol(self, tmp_path):
+        p = tmp_path / "c.yaml"
+        for tol in ("0.0", "-1.0e-10", "nan", "inf"):
+            p.write_text(f"potential: {{amplitude: 0.05}}\ntol: {tol}\n")
+            with pytest.raises(ValueError,
+                               match="tol must be finite and positive"):
                 load_config(p)
 
     def test_too_few_times(self, tmp_path):

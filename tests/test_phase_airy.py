@@ -56,6 +56,9 @@ class TestRegions:
         assert classify(-0.05) is RegionLabel.TRANSITION
         assert classify(-0.0500001) is RegionLabel.OSCILLATORY
         assert classify(0.3, delta=0.5) is RegionLabel.TRANSITION
+        for delta in (float("nan"), 0.0, -1.0, float("inf")):
+            with pytest.raises(ValueError, match="delta"):
+                classify(0.0, delta=delta)
 
     def test_ray_coordinates(self):
         rc = RayCoordinates.from_ray(10.0, -3.0, 0.0)

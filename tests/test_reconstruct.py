@@ -49,7 +49,6 @@ from kpist.reconstruct import (
     ray_resolution_grid,
     reconstruct,
     resample_scattering_data,
-    working_data,
 )
 
 WORK_KL = Grid1D(-8.0, 8.0, 128)
@@ -351,7 +350,7 @@ def oracle_at_05(ref05):
     for x, y, _ in core_probes(field):
         ref = oracle.values[int(np.rint((x - gx.min) / gx.spacing)),
                             int(np.rint((y - gy.min) / gy.spacing))]
-        fine = working_data(data, ray_resolution_grid(0.5, x, y))
+        fine = resample_scattering_data(data, ray_resolution_grid(0.5, x, y))
         s = reconstruct(fine, 0.5, x, y)
         out.append((x, y, abs(s.u - ref) / scale, abs(s.u1 - ref) / scale))
     return out
@@ -567,10 +566,12 @@ class TestCopyFreeEvaluation:
         assert np.all(fine1024.T_plus[d < 0] == 0.0)
         assert np.all(fine1024.T_minus[d > 0] == 0.0)
 
-    def test_working_data_resamples_only_off_grid(self, ref05):
+    def test_resample_returns_the_source_on_its_own_grid(self, ref05):
         _, data = ref05
-        assert working_data(data, Grid1D(-8.0, 8.0, 128)) is data
-        res = working_data(data, Grid1D(-4.0, 4.0, 128))
+        own = dataclasses.replace(data)
+        assert resample_scattering_data(own, Grid1D(-8.0, 8.0, 128)) is own
+        assert "_refined" not in vars(own)
+        res = resample_scattering_data(data, Grid1D(-4.0, 4.0, 128))
         assert res.grids.grid_kl == Grid1D(-4.0, 4.0, 128)
         assert res.meta["resampled_from_n"] == 128
 
