@@ -84,23 +84,28 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_rhp_solve(args) -> int:
     data = load_scattering(args.data)
-    outdir = pathlib.Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
     rows = []
     files = []
+    sols = []
+    # every probe is labeled and solved before anything is written, so a
+    # refused probe leaves no partial output
     for i, (t, x, y) in enumerate(load_probes(args.probes)):
+        rc = RayCoordinates(t, x, y)
+        region = rc.region(args.delta).value
         work = _fine_data(data, t, x, y, args.fine_cap)
         sol = solve_dmul_dx(CTOperator.build(work, t, x, y), tol=args.tol)
-        mu_name, dmu_name = f"mu_{i:03d}.bin", f"dmu_{i:03d}.bin"
-        write_array(outdir / mu_name, sol.mu_minus_1)
-        write_array(outdir / dmu_name, sol.dmu_dx)
-        files.append({"index": i, "mu": mu_name, "dmu": dmu_name,
-                      "n": int(work.grids.n_kl),
+        sols.append(sol)
+        files.append({"index": i, "mu": f"mu_{i:03d}.bin",
+                      "dmu": f"dmu_{i:03d}.bin", "n": int(work.grids.n_kl),
                       "half_width": float(work.grids.grid_kl.max)})
-        rc = RayCoordinates(t, x, y)
-        rows.append((i, t, x, y, rc.xi, rc.eta, rc.a,
-                     rc.region(args.delta).value, sol.residual_mu,
-                     sol.residual_dmu, sol.iterations, work.grids.n_kl))
+        rows.append((i, t, x, y, rc.xi, rc.eta, rc.a, region,
+                     sol.residual_mu, sol.residual_dmu, sol.iterations,
+                     work.grids.n_kl))
+    outdir = pathlib.Path(args.output)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for entry, sol in zip(files, sols):
+        write_array(outdir / entry["mu"], sol.mu_minus_1)
+        write_array(outdir / entry["dmu"], sol.dmu_dx)
     write_csv(outdir / "residuals.csv",
               ("index", "t", "x", "y", "xi", "eta", "a", "region",
                "residual_mu", "residual_dmu", "iterations", "n_grid"), rows)
@@ -155,11 +160,11 @@ def _summary_entry(fit, window):
 
 def _cmd_decay_fit(args) -> int:
     cfg = load_config(args.config)
+    fits = run_decay_fit(cfg)
+    lfits = run_linear_baseline(cfg)
     outdir = pathlib.Path(args.output or cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    fits = run_decay_fit(cfg)
     write_decay_csv(fits, outdir / "decay_nonlinear.csv")
-    lfits = run_linear_baseline(cfg)
     write_decay_csv(lfits, outdir / "decay_linear.csv")
     ok = (decay_fit_passes(cfg.rays, fits)
           and decay_fit_passes(cfg.rays, lfits, use_linear=True))

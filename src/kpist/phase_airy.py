@@ -101,11 +101,6 @@ class RayCoordinates:
     def from_ray(cls, t: float, xi: float, eta: float) -> "RayCoordinates":
         return cls(t, xi * t, eta * t)
 
-    @classmethod
-    def from_region_params(cls, t: float, a: float, eta: float = 0.0):
-        """Point with prescribed a along the eta-ray: xi = 12 a + eta^2/12."""
-        return cls.from_ray(t, 12.0 * a + eta**2 / 12.0, eta)
-
 
 # --- Airy function -------------------------------------------------------
 

@@ -228,16 +228,13 @@ def solve_mul(op: CTOperator, tol: float = 1e-10,
 
 
 def solve_dmul_dx(op: CTOperator, tol: float = 1e-10,
-                  mu: RHPSolution | None = None,
                   conditions: ConditionsReport | None = None) -> RHPSolution:
-    """Extend a solved record with the x-derivative part, solving for mu
-    first when it is not given.
+    """Solve for mu, then extend its record with the x-derivative part.
 
     The derivative solves the same fixed-point equation with forcing
     given by the i(l-k)-weighted kernels applied to the full unknown
     1 + (mu - 1)."""
-    if mu is None:
-        mu = solve_mul(op, tol, conditions)
+    mu = solve_mul(op, tol, conditions)
     forcing = op.derivative(1.0 + mu.mu_minus_1)
     sol, iters, _, resid = neumann_series(op, forcing, _norm(op), tol)
     return replace(mu, dmu_dx=sol, residual_dmu=resid,

@@ -27,12 +27,13 @@ l-convolution runs along the contiguous last axis, and each recurrence
 step works on a whole contiguous (k, l) layer. The convolution is
 circular of length 3M/2, the shortest whose aliases miss the M working
 outputs (2M when every offset that assembly reads must be exact). The
-eta integral from the bottom end is the one-factor recurrence
-E_(j+1) = e^(-i theta dy) (E_j + P_j), and from the top end
-F_j = e^(i theta dy) F_(j+1) - P_j, over the Filon panel sums P_j. Both
-are exact rewritings of the cumulative Filon sum, and their unit-modulus
-factor amplifies no rounding. The weights and factors depend only on
-theta and dy, so they are built once per solve.
+eta integral from the top end is the one-factor recurrence
+F_j = e^(i theta dy) F_(j+1) - P_j over the Filon panel sums P_j, and
+from the bottom end, E_(j+1) = e^(-i theta dy) (E_j + P_j), is the same
+downward sweep run on the reversed y axis. Both are exact rewritings of
+the cumulative Filon sum, and their unit-modulus factor amplifies no
+rounding. The weights and factors depend only on theta and dy, so they
+are built once per solve.
 
 Scattering kernels on the (k, l) grid, with p = l - k and q = l^2 - k^2:
 
@@ -222,6 +223,25 @@ class _VolterraPlan:
         self.r = np.exp(-1j * theta * dy)
 
 
+def _sweep_down(o: np.ndarray, a, b, rho) -> None:
+    """X_(n-1) = 0, X_j = rho X_(j+1) + a o_j + b o_(j+1), in place on
+    the leading axis of o (n, ...); a, b, rho broadcast against one layer.
+
+    Each step reads the layer it is about to overwrite and keeps only its
+    product with the weight the next step needs, so the sweep works on
+    whole layers with two layer-sized temporaries."""
+    b_o = np.multiply(b, o[-1])  # b o_(j+1)
+    t = np.empty_like(b_o)
+    o[-1] = 0.0
+    for j in range(len(o) - 2, -1, -1):
+        cur = o[j]
+        np.multiply(a, cur, out=t)
+        np.add(t, b_o, out=t)
+        np.multiply(b, cur, out=b_o)
+        np.multiply(o[j + 1], rho, out=cur)
+        np.add(cur, t, out=cur)
+
+
 def _volterra_integral(w0, w1, r, sign: int, out: np.ndarray) -> None:
     """out(y, k, l) <- Int_{start}^{y} e^(-i theta (y - eta)) out(eta, k, l)
     d eta, in place on the y-leading out (n_y, M, M).
@@ -229,51 +249,26 @@ def _volterra_integral(w0, w1, r, sign: int, out: np.ndarray) -> None:
     w0, w1, r: (M, M) tables of a _VolterraPlan (w0, w1 may carry a
     constant factor). With the Filon panel sums P_j = w0 a_j + w1 a_(j+1),
     exact for the piecewise-linear amplitude a at any rate, the integral
-    from the bottom end obeys E_0 = 0, E_(j+1) = r (E_j + P_j), and from
-    the top end F_(n-1) = 0, F_j = conj(r) F_(j+1) - P_j, with
+    from the top end obeys F_(n-1) = 0, F_j = conj(r) F_(j+1) - P_j, and
+    from the bottom end E_0 = 0, E_(j+1) = r E_j + r P_j, with
     r = e^(-i theta dy) (Iserles & Norsett, Proc. R. Soc. A 461, 2005).
-    |r| = 1, so neither recurrence amplifies rounding. start is -inf
-    (the bottom end) for sign*l < 0 and +inf (the top end) for
-    sign*l > 0; each runs only on its block of l, and the l = 0 column
-    runs both and takes their average. The grid ends stand in for +-inf
-    (data must have decayed there).
-
-    Each step reads the amplitude layer it is about to overwrite and
-    keeps only its product with the weight the next step needs, so the
-    recurrences work on whole (M, l-block) slabs of out with O(M^2)
-    temporaries; the l = 0 amplitudes are saved for the second pass.
+    Both are one downward sweep (_sweep_down): the bottom start runs it on
+    the reversed y axis with the weights swapped. |r| = 1, so neither
+    amplifies rounding. start is -inf (the bottom end) for sign*l < 0 and
+    +inf (the top end) for sign*l > 0; each runs only on its block of l,
+    and the l = 0 column runs both and takes their average. The grid ends
+    stand in for +-inf (data must have decayed there).
     """
-    n = out.shape[0]
     h = out.shape[-1] // 2  # l = 0
     neg, pos = slice(0, h + 1), slice(h, None)
     up, down = (neg, pos) if sign > 0 else (pos, neg)
     amp_h = out[:, :, h].copy()
-
-    o, wa, wb, ru = out[..., up], w0[:, up], w1[:, up], r[:, up]
-    wa_a = np.multiply(wa, o[0])  # w0 a_j
-    t = np.empty_like(wa_a)
-    o[0] = 0.0
-    for j in range(n - 1):
-        nxt = o[j + 1]
-        np.multiply(wb, nxt, out=t)
-        np.add(wa_a, t, out=t)  # P_j
-        np.multiply(wa, nxt, out=wa_a)
-        np.add(o[j], t, out=nxt)
-        np.multiply(nxt, ru, out=nxt)
+    ru = r[:, up]
+    _sweep_down(out[::-1, :, up], ru * w1[:, up], ru * w0[:, up], ru)
     from_bottom = out[:, :, h].copy()
     out[:, :, h] = amp_h
-
-    o, wa, wb, rd = out[..., down], w0[:, down], w1[:, down], np.conj(r[:, down])
-    wb_a = np.multiply(wb, o[-1])  # w1 a_(j+1)
-    t = np.empty_like(wb_a)
-    o[-1] = 0.0
-    for j in range(n - 2, -1, -1):
-        cur = o[j]
-        np.multiply(wa, cur, out=t)
-        np.add(t, wb_a, out=t)  # P_j
-        np.multiply(wb, cur, out=wb_a)
-        np.multiply(o[j + 1], rd, out=cur)
-        np.subtract(cur, t, out=cur)
+    _sweep_down(out[:, :, down], -w0[:, down], -w1[:, down],
+                np.conj(r[:, down]))
     out[:, :, h] = 0.5 * (from_bottom + out[:, :, h])
 
 

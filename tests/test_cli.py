@@ -153,3 +153,35 @@ class TestInvalidArguments:
                      str(d / "probes.txt"), "--delta", "nan",
                      "-o", str(out)]) == 1
         assert not out.exists()
+
+    def test_rhp_solve_refuses_nan_delta(self, chain, tmp_path):
+        d, _ = chain
+        out = tmp_path / "rhp"
+        assert main(["rhp-solve", str(d / "scat"), "--probes",
+                     str(d / "probes.txt"), "--delta", "nan",
+                     "-o", str(out)]) == 1
+        assert not out.exists()
+
+    def test_rhp_solve_refused_later_probe_writes_nothing(self, chain,
+                                                          tmp_path, capsys):
+        # the first probe solves; the second one's window (half-width
+        # about 12.9) leaves the stored [-8, 8] grid and is refused
+        d, _ = chain
+        probes = tmp_path / "probes.txt"
+        probes.write_text("0.5 1.0 0.5\n0.1 -50 0\n")
+        out = tmp_path / "rhp"
+        assert main(["rhp-solve", str(d / "scat"), "--probes", str(probes),
+                     "-o", str(out)]) == 1
+        assert "inside the source grid" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_decay_fit_refused_potential_writes_nothing(self, tmp_path,
+                                                        capsys):
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(CONFIG.replace(
+            "potential: pot",
+            "potential: {amplitude: 5.0, n: 64, half_width: 16}"))
+        out = tmp_path / "decay"
+        assert main(["decay-fit", str(cfg), "-o", str(out)]) == 1
+        assert "grid too coarse" in capsys.readouterr().err
+        assert not out.exists()

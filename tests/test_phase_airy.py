@@ -66,12 +66,6 @@ class TestRegions:
         assert rc.a == pytest.approx(-0.25, rel=1e-14)
         assert rc.region() is RegionLabel.OSCILLATORY
 
-    def test_from_region_params_round_trip(self):
-        rc = RayCoordinates.from_region_params(20.0, 0.25, eta=1.5)
-        assert rc.a == pytest.approx(0.25, rel=1e-12)
-        assert rc.eta == pytest.approx(1.5, rel=1e-12)
-        assert rc.region() is RegionLabel.RAPID
-
     def test_time_zero_is_transition(self):
         rc = RayCoordinates(0.0, 3.0, -2.0)
         assert rc.xi == 0.0 and rc.eta == 0.0 and rc.a == 0.0

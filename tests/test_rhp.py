@@ -521,7 +521,7 @@ class TestSolveDmu:
     def test_residual_and_iteration_accounting(self, ref05):
         data, _ = ref05
         mu_only = solve_mul(CTOperator.build(data, 0.5, 1.2, 0.8))
-        full = solve_dmul_dx(CTOperator.build(data, 0.5, 1.2, 0.8), mu=mu_only)
+        full = solve_dmul_dx(CTOperator.build(data, 0.5, 1.2, 0.8))
         assert full.residual_dmu <= 1e-11
         assert full.iterations > mu_only.iterations
         assert np.array_equal(full.mu_minus_1, mu_only.mu_minus_1)
@@ -625,14 +625,13 @@ class TestCopyFreeOperator:
         t, x, y = FINE_PROBE
         n = fine1024.grids.n_kl
         op = CTOperator.build(fine1024, t, x, y)
-        mu = solve_mul(op)
         f = np.ones(n, dtype=complex)
         tracemalloc.start()
         try:
             op(f)
             _, peak_apply = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            sol = solve_dmul_dx(op, mu=mu)
+            sol = solve_dmul_dx(op)
             _, peak_dmu = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -23,6 +23,7 @@ from kpist.grids import (
     make_test_potential,
     partial_fourier_x,
 )
+from kpist import scattering
 from kpist.oscillatory import cumulative_phase_integral, filon_moments
 from kpist.scattering import (
     MuSharpField,
@@ -476,6 +477,27 @@ def test_solve_contraction_and_x_bound(work128, solved128):
             assert r <= c + 0.05
         assert x_norm(mu.values, wg) <= np.sqrt(np.pi) * w / (1.0 - c) * 1.05
         assert mu.source_norm <= np.sqrt(np.pi) * w * 1.05
+
+
+def test_solve_calls_the_module_global_operators(monkeypatch):
+    # profilers wrap scattering.g_on_delta and scattering.apply_g by name:
+    # a solve makes one source call, then one apply per Neumann term and
+    # one for the residual
+    calls = dict.fromkeys(("g_on_delta", "apply_g"), 0)
+
+    def counting(name, orig):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return orig(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(scattering, name,
+                            counting(name, getattr(scattering, name)))
+    wg, ut = build_small(0.02, 32, 32)
+    mu = solve_mu_sharp(ut, +1, wg)
+    assert mu.iterations > 0
+    assert calls == {"g_on_delta": 1, "apply_g": mu.iterations + 1}
 
 
 def test_born_remainder_scaling():
