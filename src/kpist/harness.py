@@ -24,9 +24,9 @@ from .phase_airy import (RayCoordinates, RegionLabel, cubic_phase_transform,
 from .reconstruct import (eval_u1, ray_resolution_grid, reconstruct,
                           resample_scattering_data)
 from .rhp import CTOperator, solve_dmul_dx, weighted_l2
-from .scattering import (ScatteringData, ScatteringGrids, _triangle_weights,
-                         assemble_T, assemble_T1, resample_transform,
-                         solve_mu_sharp)
+from .scattering import (_CHUNK_BYTES, ScatteringData, ScatteringGrids,
+                         _triangle_weights, assemble_T, assemble_T1,
+                         resample_transform, solve_mu_sharp)
 
 __all__ = [
     "DecayFit", "BoundRow", "VerifyReport", "fit_power_law", "cluster_times",
@@ -180,6 +180,11 @@ def compute_scattering(field: PotentialField, grids: ScatteringGrids,
 
     The smallness report is enforced: outside the contractive regime the
     layered solve has no convergence guarantee, so this refuses to run.
+    The direct map holds one family at a time, so its working set is one
+    solve's three M^2 n_y complex fields (source, sum and work term) plus
+    bounded chunk temporaries. Where /proc/meminfo gives a MemAvailable
+    smaller than that, the call is refused with ValueError before
+    anything is resampled or solved.
     """
     pt = partial_fourier_x(field)
     report = check_conditions(field, pt)
@@ -188,12 +193,41 @@ def compute_scattering(field: PotentialField, grids: ScatteringGrids,
     return _direct_map(pt, report, grids, tol), report
 
 
+def _available_bytes() -> int | None:
+    """MemAvailable of /proc/meminfo in bytes; None where it cannot be
+    read."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
 def _direct_map(pt, report, grids: ScatteringGrids, tol: float):
-    """Kernels from a transform whose conditions report has passed."""
+    """Kernels from a transform whose conditions report has passed.
+
+    T1 is built once; then each family is solved, assembled and released
+    before the next, so at most one mu# is alive. The working set, three
+    fields of one solve plus two chunk budgets, is checked against
+    MemAvailable first (no check where that cannot be read)."""
+    needed = 3 * 16 * grids.n_kl ** 2 * grids.n_y + 2 * _CHUNK_BYTES
+    available = _available_bytes()
+    if available is not None and available < needed:
+        raise ValueError(
+            f"the direct map needs about {needed} bytes but only "
+            f"{available} are available (n_kl = {grids.n_kl}, "
+            f"n_y = {grids.n_y})")
     ut = resample_transform(pt, grids)
-    mu_p = solve_mu_sharp(ut, +1, grids, tol=tol, conditions=report)
-    mu_m = solve_mu_sharp(ut, -1, grids, tol=tol, conditions=report)
-    return assemble_T(mu_p, mu_m, ut, grids)
+    T1 = assemble_T1(ut, grids)
+    # each mu# is dropped as soon as assemble_T has returned its kernel
+    plus, minus = (assemble_T(solve_mu_sharp(ut, sign, grids, tol=tol,
+                                             conditions=report),
+                              ut, grids, T1)
+                   for sign in (+1, -1))
+    return ScatteringData.from_families(plus, minus, T1, ut, grids)
 
 
 def run_decay_fit(config: ExperimentConfig, data: ScatteringData | None = None,

@@ -20,17 +20,19 @@ e^(i theta eta) factors cost no resolution; only the smooth amplitude must
 live on the y grid. Contraction holds when the admissibility ratio c < 1,
 with ||G||_X <= c in X = L^inf_y L^2(dk dl).
 
-One application of G costs two FFTs and two recurrences per (k, l).
-Every field of the solve is stored y-leading, as (n_y, k, l) in memory;
-the public (k, l, y) arrays are np.moveaxis views of that storage. So the
-l-convolution runs along the contiguous last axis, and each recurrence
-step works on a whole contiguous (k, l) layer. The convolution is
-circular of length 3M/2, the shortest whose aliases miss the M working
-outputs (2M when every offset that assembly reads must be exact). The
-eta integral from the top end is the one-factor recurrence
-F_j = e^(i theta dy) F_(j+1) - P_j over the Filon panel sums P_j, and
-from the bottom end, E_(j+1) = e^(-i theta dy) (E_j + P_j), is the same
-downward sweep run on the reversed y axis. Both are exact rewritings of
+One application of G costs two FFTs and two recurrences per (k, l). It
+works in place: apply_g overwrites its operand, so a solve holds three
+fields (source, sum and one work term; neumann_series) plus chunk
+temporaries. Every field of the solve is stored y-leading, as
+(n_y, k, l) in memory; the public (k, l, y) arrays are np.moveaxis views
+of that storage. So the l-convolution runs along the contiguous last
+axis, and each recurrence step works on a whole contiguous (k, l) layer.
+The convolution is circular of length 3M/2, the shortest whose aliases
+miss the M working outputs (2M when every offset that assembly reads
+must be exact). The eta integral from the top end is the one-factor
+recurrence F_j = e^(i theta dy) F_(j+1) - P_j over the Filon panel sums
+P_j, and from the bottom end, E_(j+1) = e^(-i theta dy) (E_j + P_j), is
+the same downward sweep run on the reversed y axis. Both are exact rewritings of
 the cumulative Filon sum, and their unit-modulus factor amplifies no
 rounding. The weights and factors depend only on theta and dy, so they
 are built once per solve.
@@ -43,10 +45,13 @@ Scattering kernels on the (k, l) grid, with p = l - k and q = l^2 - k^2:
 
 step the half-at-zero Heaviside. The delta route alone gives the
 linear-order kernel T1(k, l) = -(i / sqrt(2 pi)) Int e^(i q y) ut(p; y) dy,
-stored unmasked and built by assemble_T1 alone; assemble_T adds each
-family's convolution route to it. split_T recovers the masked linear
-pieces and the quadratic remainders. linearized_T builds the same linear
-order directly from the 2-D transform: -i uhat(l - k, -(l^2 - k^2)).
+stored unmasked and built once by assemble_T1; assemble_T adds one
+family's convolution route to it. The direct map (harness) holds one
+family at a time: it solves, assembles and releases mu#_+ before it
+solves for mu#_-, and ScatteringData.from_families joins the kernels.
+split_T recovers the masked linear pieces and the quadratic remainders.
+linearized_T builds the same linear order directly from the 2-D
+transform: -i uhat(l - k, -(l^2 - k^2)).
 """
 
 from __future__ import annotations
@@ -64,6 +69,7 @@ from .oscillatory import filon_moments
 __all__ = [
     "ScatteringGrids",
     "MuSharpField",
+    "FamilyKernel",
     "ScatteringData",
     "resample_transform",
     "transform_norms",
@@ -287,8 +293,10 @@ def g_on_delta(ut_work: np.ndarray, sign: int, grids: ScatteringGrids,
 def apply_g(ut_work: np.ndarray, f: np.ndarray, sign: int,
             grids: ScatteringGrids,
             plan: _VolterraPlan | None = None) -> np.ndarray:
-    """One application of the layered Volterra operator to f(k, l, y);
-    the result is a (k, l, y) view of y-leading storage."""
+    """One application of the layered Volterra operator to f(k, l, y), in
+    place: f is overwritten with G f and returned. Each y chunk's
+    convolution reads only its own layers before writing them back and
+    the y integral runs in place, so no application allocates a field."""
     expect = (grids.n_kl, grids.n_kl, grids.n_y)
     if f.shape != expect:
         raise ValueError(f"operand shape {f.shape} does not match grids {expect}")
@@ -297,12 +305,11 @@ def apply_g(ut_work: np.ndarray, f: np.ndarray, sign: int,
     m = grids.n_kl
     c = 1j / SQRT_2PI
     fy = np.moveaxis(f, -1, 0)
-    out = np.empty((grids.n_y, m, m), dtype=np.complex128)
     # per y layer: the padded transform (M rows of 3M/2)
     for ys in _chunks(grids.n_y, 16 * m * plan.conv.pad):
-        out[ys] = plan.conv.circular(fy[ys], ys)[..., :m]
-    _volterra_integral(c * plan.w0, c * plan.w1, plan.r, sign, out)
-    return np.moveaxis(out, 0, -1)
+        fy[ys] = plan.conv.circular(fy[ys], ys)[..., :m]
+    _volterra_integral(c * plan.w0, c * plan.w1, plan.r, sign, fy)
+    return f
 
 
 def neumann_series(apply, source: np.ndarray, norm, tol: float):
@@ -313,8 +320,13 @@ def neumann_series(apply, source: np.ndarray, norm, tol: float):
     Stops at the first term with norm(term) <= tol * max(1, norm(u)), or
     raises RuntimeError after MAX_ITER terms. The solves' one finite guard:
     ValueError for a tol outside (0, inf) or a term (the source is term 0)
-    whose norm, which must propagate NaN, is not finite. Runs in place on
-    a layout-keeping copy of source: at most four operand-sized arrays."""
+    whose norm, which must propagate NaN, is not finite.
+
+    Holds three operand-sized arrays: the source, the sum and one work
+    array, both layout-keeping copies of the source. apply may overwrite
+    its argument (apply_g does) or return a new array (CTOperator does);
+    it only ever sees the work array, never the source, and the residual
+    is taken by copying the sum into it."""
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
 
@@ -325,7 +337,7 @@ def neumann_series(apply, source: np.ndarray, norm, tol: float):
     prev = norm(source)
     check(prev, 0)
     acc = source.copy(order="K")
-    term = source
+    term = source.copy(order="K")
     ratios = []
     for it in range(1, MAX_ITER + 1):
         term = apply(term)
@@ -342,7 +354,8 @@ def neumann_series(apply, source: np.ndarray, norm, tol: float):
         raise RuntimeError(
             f"Neumann series did not converge in {MAX_ITER} terms; "
             f"term-ratio history: {[round(r, 4) for r in ratios]}")
-    rest = apply(acc)
+    np.copyto(term, acc)
+    rest = apply(term)
     rest -= acc
     rest += source
     return acc, it, ratios, norm(rest) / scale
@@ -396,6 +409,17 @@ def _fill_across_diagonal(tri: np.ndarray, upper: bool) -> np.ndarray:
     return np.where(own, tri, tri.T)
 
 
+@dataclasses.dataclass(frozen=True)
+class FamilyKernel:
+    """One family's triangular kernel (assemble_T) and the figures of the
+    solve it came from, which ScatteringData.meta records."""
+
+    T: np.ndarray  # (M, M) over (k, l), masked to the family's triangle
+    iterations: int
+    residual: float
+    xnorm: float  # X norm of mu#
+
+
 @dataclasses.dataclass
 class ScatteringData:
     """Triangular kernels on the (k, l) grid plus the unmasked linear route.
@@ -409,6 +433,54 @@ class ScatteringData:
     T1: np.ndarray
     grids: ScatteringGrids
     meta: dict
+
+    @classmethod
+    def from_families(cls, plus: FamilyKernel, minus: FamilyKernel,
+                      T1: np.ndarray, ut_work: np.ndarray,
+                      grids: ScatteringGrids) -> ScatteringData:
+        """Both families' kernels (assemble_T) with the assembly
+        diagnostics and the solves' figures in meta."""
+        T = {+1: plus.T, -1: minus.T}
+        dkl = grids.grid_kl.spacing
+        m = grids.n_kl
+        kl = grids.grid_kl.points
+        d = np.arange(m)[None, :] - np.arange(m)[:, None]
+        q = kl[None, :] ** 2 - kl[:, None] ** 2
+        qmax = float(np.max(np.abs(q)))
+        edge = np.concatenate([T[+1][0], T[+1][-1], T[+1][:, 0], T[+1][:, -1],
+                               T[-1][0], T[-1][-1], T[-1][:, 0], T[-1][:, -1]])
+        scale = max(np.max(np.abs(T[+1])), np.max(np.abs(T[-1])))
+        # domain-adequacy check: the kernel decays in the offset l - k, not
+        # toward the square edge (the near-diagonal band never decays), so
+        # the post-hoc criterion looks at large offsets only
+        offd = np.abs(d) * dkl
+        far = offd >= 0.75 * (grids.grid_kl.max - grids.grid_kl.min) / 2.0
+        tail = max(np.max(np.abs(T[+1][far])), np.max(np.abs(T[-1][far])))
+        meta = {
+            "square_edge_ratio":
+                float(np.max(np.abs(edge)) / scale) if scale > 0 else 0.0,
+            "offset_tail_ratio": float(tail / scale) if scale > 0 else 0.0,
+            # count of pairs whose y-phase advances by more than pi/4 per
+            # panel; informational, since the per-panel moments are exact
+            # in the rate
+            "n_fast_phase_pairs": int(np.sum(np.abs(q) * grids.grid_y.spacing
+                                             > np.pi / 4)),
+            "max_abs_q": qmax,
+            "y_truncation_radius": float(grids.grid_y.max),
+            "y_edge_max_abs_ut": float(max(np.max(np.abs(ut_work[:, 0])),
+                                           np.max(np.abs(ut_work[:, -1])))),
+            "l2_norm_plus":
+                float(np.sqrt(np.sum(np.abs(T[+1]) ** 2) * dkl * dkl)),
+            "l2_norm_minus":
+                float(np.sqrt(np.sum(np.abs(T[-1]) ** 2) * dkl * dkl)),
+            "mu_plus_iterations": plus.iterations,
+            "mu_minus_iterations": minus.iterations,
+            "mu_plus_residual": plus.residual,
+            "mu_minus_residual": minus.residual,
+            "mu_plus_xnorm": plus.xnorm,
+            "mu_minus_xnorm": minus.xnorm,
+        }
+        return cls(T[+1], T[-1], T1, grids, meta)
 
     def mask(self, sign: int) -> np.ndarray:
         return _triangle_weights(self.grids.n_kl, sign)
@@ -509,19 +581,19 @@ def assemble_T1(ut_work: np.ndarray, grids: ScatteringGrids) -> np.ndarray:
     return T1
 
 
-def assemble_T(mu_plus: MuSharpField, mu_minus: MuSharpField,
-               ut_work: np.ndarray, grids: ScatteringGrids) -> ScatteringData:
-    """Assemble both triangular kernels and the linear route T1
-    (assemble_T1): T_sigma = (T1 - (i / 2 pi) S_sigma) * step, S_sigma the
-    Filon sum of ut conv_l mu#_sigma at p = l - k.
+def assemble_T(mu: MuSharpField, ut_work: np.ndarray, grids: ScatteringGrids,
+               T1: np.ndarray) -> FamilyKernel:
+    """One family's triangular kernel from its solve and the linear route
+    T1 (assemble_T1): T_sigma = (T1 - (i / 2 pi) S_sigma) * step, S_sigma
+    the Filon sum of ut conv_l mu#_sigma at p = l - k. The result keeps
+    the solve's figures and x norm, and no reference to mu#.
 
     Works on chunks of k rows: the full offset convolution aligns p with
     lattice offsets exactly, so no interpolation enters. Per chunk, one
-    gather takes each family's diagonal band and one batched Filon sum
-    integrates both. Every array is y-leading, as the solve stores mu.
+    gather takes the diagonal band and one Filon sum integrates it. Every
+    array is y-leading, as the solve stores mu.
     """
     m = grids.n_kl
-    T1 = assemble_T1(ut_work, grids)
     plan = _ConvolutionPlan(ut_work, grids, 2 * m)
     kl = grids.grid_kl.points
     d = np.arange(m)[None, :] - np.arange(m)[:, None]  # l index - k index
@@ -529,52 +601,18 @@ def assemble_T(mu_plus: MuSharpField, mu_minus: MuSharpField,
     # the convolution at p = l - k sits at l index d + m/2 (mod pad) of the
     # circular output, exact at every offset that either family reads
     at = (d + m // 2) % plan.pad
-    T = {sign: np.empty((m, m), dtype=np.complex128) for sign in (+1, -1)}
-    w = {sign: _triangle_weights(m, sign) for sign in (+1, -1)}
-    # per k row: two gathered amplitudes, their panel sums and a product
-    # temporary (M each); the gather's padded transform (2M) needs less
+    w = _triangle_weights(m, mu.sign)
+    mu_y = np.moveaxis(mu.values, -1, 0)
+    T = np.empty((m, m), dtype=np.complex128)
+    # per k row: the gather's padded transform (2M), then the gathered
+    # amplitudes, their panel sums and a product temporary (M each)
     for ks in _chunks(m, 16 * 6 * m * grids.n_y):
-        amps = np.empty((grids.n_y, 2, ks.stop - ks.start, m),
-                        dtype=np.complex128)
-        for a, mu in ((amps[:, 0], mu_plus), (amps[:, 1], mu_minus)):
-            a[...] = np.take_along_axis(
-                plan.circular(np.moveaxis(mu.values, -1, 0)[:, ks]),
-                at[ks][None], axis=-1)
-        for sign, s in zip((+1, -1), _filon_rows(amps, q[ks], grids)):
-            T[sign][ks] = (T1[ks] - (1j / (2.0 * np.pi)) * s) * w[sign][ks]
-
-    dkl = grids.grid_kl.spacing
-    qmax = float(np.max(np.abs(q)))
-    edge = np.concatenate([T[+1][0], T[+1][-1], T[+1][:, 0], T[+1][:, -1],
-                           T[-1][0], T[-1][-1], T[-1][:, 0], T[-1][:, -1]])
-    scale = max(np.max(np.abs(T[+1])), np.max(np.abs(T[-1])))
-    # domain-adequacy check: the kernel decays in the offset l - k, not
-    # toward the square edge (the near-diagonal band never decays), so the
-    # post-hoc criterion looks at large offsets only
-    offd = np.abs(d) * dkl
-    far = offd >= 0.75 * (grids.grid_kl.max - grids.grid_kl.min) / 2.0
-    tail = max(np.max(np.abs(T[+1][far])), np.max(np.abs(T[-1][far])))
-    meta = {
-        "square_edge_ratio": float(np.max(np.abs(edge)) / scale) if scale > 0 else 0.0,
-        "offset_tail_ratio": float(tail / scale) if scale > 0 else 0.0,
-        # count of pairs whose y-phase advances by more than pi/4 per panel;
-        # informational, since the per-panel moments are exact in the rate
-        "n_fast_phase_pairs": int(np.sum(np.abs(q) * grids.grid_y.spacing
-                                         > np.pi / 4)),
-        "max_abs_q": qmax,
-        "y_truncation_radius": float(grids.grid_y.max),
-        "y_edge_max_abs_ut": float(max(np.max(np.abs(ut_work[:, 0])),
-                                       np.max(np.abs(ut_work[:, -1])))),
-        "l2_norm_plus": float(np.sqrt(np.sum(np.abs(T[+1]) ** 2) * dkl * dkl)),
-        "l2_norm_minus": float(np.sqrt(np.sum(np.abs(T[-1]) ** 2) * dkl * dkl)),
-        "mu_plus_iterations": mu_plus.iterations,
-        "mu_minus_iterations": mu_minus.iterations,
-        "mu_plus_residual": mu_plus.residual,
-        "mu_minus_residual": mu_minus.residual,
-        "mu_plus_xnorm": x_norm(mu_plus.values, grids),
-        "mu_minus_xnorm": x_norm(mu_minus.values, grids),
-    }
-    return ScatteringData(T[+1], T[-1], T1, grids, meta)
+        amps = np.take_along_axis(plan.circular(mu_y[:, ks]),
+                                  at[ks][None], axis=-1)
+        T[ks] = (T1[ks] - (1j / (2.0 * np.pi))
+                 * _filon_rows(amps, q[ks], grids)) * w[ks]
+    return FamilyKernel(T, mu.iterations, mu.residual,
+                        x_norm(mu.values, grids))
 
 
 def linearized_T(grid_p: Grid1D, grid_q: Grid1D, uhat: np.ndarray,

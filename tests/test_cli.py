@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import yaml
 
+from kpist import harness
 from kpist.cli import RECON_HEADER, main
 from kpist.harness import DECAY_HEADER, run_linear_baseline, write_decay_csv
 from kpist.io import format_cell, load_config, load_scattering, read_array
@@ -173,6 +174,16 @@ class TestInvalidArguments:
         assert main(["rhp-solve", str(d / "scat"), "--probes", str(probes),
                      "-o", str(out)]) == 1
         assert "inside the source grid" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_scatter_over_the_memory_budget_writes_nothing(
+            self, chain, tmp_path, monkeypatch, capsys):
+        d, _ = chain
+        monkeypatch.setattr(harness, "_available_bytes", lambda: 1 << 20)
+        out = tmp_path / "scat"
+        assert main(["scatter", str(d / "pot"), "-o", str(out)]) == 1
+        assert "are available (n_kl = 128, n_y = 128)" in \
+            capsys.readouterr().err
         assert not out.exists()
 
     def test_decay_fit_refused_potential_writes_nothing(self, tmp_path,

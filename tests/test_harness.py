@@ -2,11 +2,13 @@
 baseline's rates, verify rows."""
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from kpist import harness
 from kpist.grids import Grid1D, make_test_potential
 from kpist.harness import (BoundRow, DecayFit, VerifyReport,
                            _airy_bound_rows, _cubic_phase_quadrature,
@@ -326,6 +328,55 @@ class TestVerifySuite:
         assert vb.read_text().splitlines()[0] == \
             "name,measured,limit,passed,note"
         assert va.read_text().splitlines()[1] == "nondegenerate,10.0,1.0"
+
+
+class TestMemoryBudget:
+    """The direct map checks its working set against MemAvailable before
+    it resamples or solves."""
+
+    def test_refused_before_any_field_is_made(self, monkeypatch):
+        monkeypatch.setattr(harness, "_available_bytes", lambda: 1 << 20)
+        gx = Grid1D(-32.0, 32.0, 256)
+        field = make_test_potential("gaussian_dx", 0.02, 1.0, gx, gx)
+        g = Grid1D(-8.0, 8.0, 128)
+        field_bytes = 16 * 128 ** 3
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as err:
+                compute_scattering(field, ScatteringGrids(g, g))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < field_bytes
+        needed = 3 * field_bytes + 2 * harness._CHUNK_BYTES
+        assert str(err.value) == (
+            f"the direct map needs about {needed} bytes but only 1048576 "
+            f"are available (n_kl = 128, n_y = 128)")
+
+    def test_verify_suite_is_refused_too(self, monkeypatch):
+        monkeypatch.setattr(harness, "_available_bytes", lambda: 1 << 20)
+        with pytest.raises(ValueError, match="are available"):
+            run_verify_suite(small_config(), include_airy=False)
+
+    def test_no_figure_means_no_check(self, monkeypatch):
+        monkeypatch.setattr(harness, "_available_bytes", lambda: None)
+        cfg = small_config()
+        data, _ = compute_scattering(cfg.resolve_potential(),
+                                     cfg.scattering_grids())
+        assert data.meta["mu_plus_iterations"] > 0
+
+    @pytest.mark.parametrize("text, want", [
+        ("MemTotal: 8000 kB\nMemAvailable:    2048 kB\n", 2 << 20),
+        ("MemTotal: 8000 kB\n", None),
+        ("MemAvailable: many kB\n", None),
+        (None, None)])
+    def test_reader(self, monkeypatch, tmp_path, text, want):
+        path = tmp_path / "meminfo"
+        if text is not None:
+            path.write_text(text)
+        monkeypatch.setattr(harness, "open", lambda name: open(path),
+                            raising=False)
+        assert harness._available_bytes() == want
 
 
 class TestHSProxy:

@@ -18,20 +18,17 @@ from scipy.interpolate import RectBivariateSpline
 
 from kpist import reconstruct as reconstruct_module
 from kpist import scattering
+from kpist.harness import compute_scattering
 from kpist.grids import (
     ConditionsReport,
     Grid1D,
     PotentialField,
     make_test_potential,
-    partial_fourier_x,
 )
 from kpist.scattering import (
     ScatteringData,
     ScatteringGrids,
     _fill_across_diagonal,
-    assemble_T,
-    resample_transform,
-    solve_mu_sharp,
 )
 from kpist.oracle import evolve
 from kpist.rhp import (CTOperator, family_kernel, phase_weights, solve_dmul_dx,
@@ -58,12 +55,7 @@ FIELD_GRID = Grid1D(-32.0, 32.0, 256)
 
 def build_reference(eps, grid_kl=WORK_KL, grid_y=WORK_Y):
     field = make_test_potential("gaussian_dx", eps, 1.0, FIELD_GRID, FIELD_GRID)
-    pt = partial_fourier_x(field)
-    wg = ScatteringGrids(grid_kl, grid_y)
-    ut = resample_transform(pt, wg)
-    mu_p = solve_mu_sharp(ut, +1, wg)
-    mu_m = solve_mu_sharp(ut, -1, wg)
-    return field, assemble_T(mu_p, mu_m, ut, wg)
+    return field, compute_scattering(field, ScatteringGrids(grid_kl, grid_y))[0]
 
 
 def zero_data():

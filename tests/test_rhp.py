@@ -16,15 +16,14 @@ import pytest
 from kpist.grids import (
     ConditionsReport,
     Grid1D,
-    check_conditions,
     make_test_potential,
     partial_fourier_x,
 )
 from kpist import scattering
+from kpist.harness import compute_scattering
 from kpist.scattering import (
     ScatteringData,
     ScatteringGrids,
-    assemble_T,
     neumann_series,
     resample_transform,
     solve_mu_sharp,
@@ -47,12 +46,8 @@ from kpist.rhp import (
 def build_reference(eps, n_kl=128, n_y=128, field_n=256):
     gx = Grid1D(-32.0, 32.0, field_n)
     field = make_test_potential("gaussian_dx", eps, 1.0, gx, gx)
-    pt = partial_fourier_x(field)
     wg = ScatteringGrids(Grid1D(-8.0, 8.0, n_kl), Grid1D(-8.0, 8.0, n_y))
-    ut = resample_transform(pt, wg)
-    mu_p = solve_mu_sharp(ut, +1, wg)
-    mu_m = solve_mu_sharp(ut, -1, wg)
-    return assemble_T(mu_p, mu_m, ut, wg), check_conditions(field, pt)
+    return compute_scattering(field, wg)
 
 
 def small_transform():

@@ -23,10 +23,11 @@ from kpist.grids import (
     make_test_potential,
     partial_fourier_x,
 )
-from kpist import scattering
+from kpist import harness, scattering
 from kpist.oscillatory import cumulative_phase_integral, filon_moments
 from kpist.scattering import (
     MuSharpField,
+    ScatteringData,
     ScatteringGrids,
     _ConvolutionPlan,
     _offset_kernel,
@@ -38,6 +39,7 @@ from kpist.scattering import (
     g_on_delta,
     kernel_continuity_constant,
     linearized_T,
+    neumann_series,
     resample_transform,
     solve_mu_sharp,
     split_T,
@@ -74,16 +76,30 @@ def solved128(work128):
     wg, ut, report = work128
     mu_p = solve_mu_sharp(ut, +1, wg, conditions=report)
     mu_m = solve_mu_sharp(ut, -1, wg, conditions=report)
-    data = assemble_T(mu_p, mu_m, ut, wg)
+    T1 = assemble_T1(ut, wg)
+    data = ScatteringData.from_families(assemble_T(mu_p, ut, wg, T1),
+                                        assemble_T(mu_m, ut, wg, T1),
+                                        T1, ut, wg)
     return wg, ut, mu_p, mu_m, data
 
 
-def build_small(eps, n_kl=64, n_y=64, width=1.0):
+def small_field(eps, width=1.0):
     gx = Grid1D(-32.0, 32.0, 256)
-    field = make_test_potential("gaussian_dx", eps, width, gx, gx)
-    pt = partial_fourier_x(field)
+    return make_test_potential("gaussian_dx", eps, width, gx, gx)
+
+
+def build_small(eps, n_kl=64, n_y=64, width=1.0):
     wg = ScatteringGrids(Grid1D(-8.0, 8.0, n_kl), Grid1D(-8.0, 8.0, n_y))
-    return wg, resample_transform(pt, wg)
+    return wg, resample_transform(partial_fourier_x(small_field(eps, width)),
+                                  wg)
+
+
+def small_data(eps, width=1.0):
+    """Kernels of the reference profile on 64-point grids by the
+    harness's direct map, with the transform and grids they came from."""
+    wg, ut = build_small(eps, width=width)
+    data, _ = harness.compute_scattering(small_field(eps, width), wg)
+    return data, ut, wg
 
 
 # ---------------------------------------------------------------- convolution
@@ -224,7 +240,7 @@ def test_apply_g_direct_oracle():
     f = rng.standard_normal((m, m, ny)) + 1j * rng.standard_normal((m, m, ny))
     offs = _offset_kernel(ut, g)
     for sign in (+1, -1):
-        got = apply_g(ut, f, sign, g)
+        got = apply_g(ut, f.copy(), sign, g)
         for ik in (1, m // 2, m - 2):
             for il in (0, 2, m // 2, m - 1):
                 conv = np.zeros(ny, complex)
@@ -259,7 +275,7 @@ def test_volterra_every_column_matches_cumulative_filon():
     conv = np.einsum("ljy,kjy->kly", toe, f) * g.grid_kl.spacing
     for sign in (+1, -1):
         cases = ((g_on_delta(ut, sign, g), np.broadcast_to(ut, f.shape), 1j),
-                 (apply_g(ut, f, sign, g), conv, 1j / SQRT_2PI))
+                 (apply_g(ut, f.copy(), sign, g), conv, 1j / SQRT_2PI))
         for got, amps, scale in cases:
             want = np.empty_like(got)
             for ik in range(m):
@@ -274,9 +290,10 @@ def test_volterra_every_column_matches_cumulative_filon():
 
 
 def test_solve_memory_stays_within_a_few_fields():
-    # one solve holds source, mu, the current term and the operator's
-    # output, plus chunk temporaries of bounded size: measured 5.6 field
-    # sizes at this grid (the fields are M^2 n_y complex values)
+    # one solve holds the source, the sum and one work term, which
+    # apply_g overwrites in place, plus chunk temporaries of bounded size:
+    # measured 4.6 field sizes at this grid, where one chunk is the whole
+    # padded transform (the fields are M^2 n_y complex values)
     wg, ut = build_small(0.02, 64, 64)
     field_bytes = wg.n_kl ** 2 * wg.n_y * 16
     tracemalloc.start()
@@ -285,7 +302,64 @@ def test_solve_memory_stays_within_a_few_fields():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * field_bytes
+    assert peak < 5 * field_bytes
+
+
+def test_direct_map_holds_one_family_at_a_time():
+    # T1 once, then each family solved, assembled and released: three
+    # fields of one solve and chunk temporaries, never two mu# at once
+    # (measured 4.9 field sizes at this grid; holding both families for
+    # assembly takes 6.9)
+    field = small_field(0.02)
+    wg = ScatteringGrids(Grid1D(-8.0, 8.0, 64), Grid1D(-8.0, 8.0, 64))
+    field_bytes = wg.n_kl ** 2 * wg.n_y * 16
+    tracemalloc.start()
+    try:
+        harness.compute_scattering(field, wg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5 * field_bytes
+
+
+def test_apply_g_works_in_place(work128):
+    # the result is the operand itself, and no field-sized array is made:
+    # only chunk temporaries (measured 0.25 field sizes at 128^3)
+    wg, ut, _ = work128
+    plan = scattering._VolterraPlan(ut, wg)
+    f = g_on_delta(ut, +1, wg, plan=plan)
+    want = apply_g(ut, f.copy(order="K"), +1, wg, plan=plan)
+    tracemalloc.start()
+    try:
+        got = apply_g(ut, f, +1, wg, plan=plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got is f
+    assert np.array_equal(got, want)
+    assert peak < f.nbytes / 2
+
+
+def test_neumann_series_never_hands_the_source_to_apply():
+    # apply sees only the series' work array, so an apply that overwrites
+    # its argument, as apply_g does, sums the same series as one that
+    # returns a new array, and the source keeps its values
+    rng = np.random.default_rng(29)
+    a = 0.1 * (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    source = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    kept = source.copy()
+
+    def overwriting(f):
+        f[...] = a @ f
+        return f
+
+    copied = neumann_series(lambda f: a @ f, source, np.linalg.norm, 1e-12)
+    assert np.array_equal(source, kept)
+    inplace = neumann_series(overwriting, source, np.linalg.norm, 1e-12)
+    assert np.array_equal(source, kept)
+    assert np.array_equal(inplace[0], copied[0])
+    assert inplace[1:] == copied[1:]
+    assert inplace[1] > 3
 
 
 def test_operands_in_either_memory_order_give_identical_output():
@@ -298,7 +372,8 @@ def test_operands_in_either_memory_order_give_identical_output():
     assert f.flags.c_contiguous and not f_y.flags.c_contiguous
     ut_y = np.asfortranarray(ut)
     for sign in (+1, -1):
-        assert np.array_equal(apply_g(ut, f, sign, g), apply_g(ut, f_y, sign, g))
+        assert np.array_equal(apply_g(ut, f.copy(), sign, g),
+                              apply_g(ut, f_y.copy(order="K"), sign, g))
         assert np.array_equal(g_on_delta(ut, sign, g), g_on_delta(ut_y, sign, g))
 
 
@@ -452,7 +527,8 @@ def test_operator_norm_proxy(work128):
         spec[:, -cut:, -cut:] = blk[:, cut:, cut:]
         f = np.fft.ifft2(spec, axes=(1, 2))
         sign = +1 if trial % 2 == 0 else -1
-        ratio = x_norm(apply_g(ut, f, sign, wg), wg) / x_norm(f, wg)
+        f_norm = x_norm(f, wg)
+        ratio = x_norm(apply_g(ut, f, sign, wg), wg) / f_norm
         assert ratio <= c + 0.05
 
 
@@ -538,7 +614,8 @@ def test_assemble_T_matches_direct_toeplitz_assembly():
     mus = {sign: MuSharpField(
         rng.standard_normal((m, m, ny)) + 1j * rng.standard_normal((m, m, ny)),
         sign, g, 1, [], 0.0, 0.0) for sign in (+1, -1)}
-    data = assemble_T(mus[+1], mus[-1], ut, g)
+    T1 = assemble_T1(ut, g)
+    kernels = {sign: assemble_T(mus[sign], ut, g, T1) for sign in (+1, -1)}
     offs = _offset_kernel(ut, g)
 
     def y_integral(amp, q):
@@ -561,7 +638,7 @@ def test_assemble_T_matches_direct_toeplitz_assembly():
                 want[sign][ik, il] = -(1j / (2.0 * np.pi)) * y_integral(
                     SQRT_2PI * lin + conv * dl, q)
     d = np.arange(m)[None, :] - np.arange(m)[:, None]
-    for sign, got in ((+1, data.T_plus), (-1, data.T_minus), (0, data.T1)):
+    for sign, got in ((+1, kernels[+1].T), (-1, kernels[-1].T), (0, T1)):
         w = want[sign]
         if sign:
             w = w * np.where(sign * d > 0, 1.0, np.where(d == 0, 0.5, 0.0))
@@ -628,10 +705,8 @@ def _born2_oracle(k, l, sign, eps):
 
 def test_second_order_term_pointwise_oracle():
     eps = 0.01
-    wg, ut = build_small(eps)
-    mu_p = solve_mu_sharp(ut, +1, wg)
-    mu_m = solve_mu_sharp(ut, -1, wg)
-    sp = split_T(assemble_T(mu_p, mu_m, ut, wg))
+    data, _, wg = small_data(eps)
+    sp = split_T(data)
     pts = wg.grid_kl.points
 
     def idx(v):
@@ -669,10 +744,7 @@ def test_split_recomposition_and_ratio(solved128):
 def test_linearization_ratio_scales_with_amplitude():
     ratios = {}
     for eps in (0.01, 0.02):
-        wg, ut = build_small(eps)
-        mu_p = solve_mu_sharp(ut, +1, wg)
-        mu_m = solve_mu_sharp(ut, -1, wg)
-        sp = split_T(assemble_T(mu_p, mu_m, ut, wg))
+        sp = split_T(small_data(eps)[0])
         assert sp["ratio_plus"] <= 10.0 * eps
         assert sp["ratio_minus"] <= 10.0 * eps
         ratios[eps] = sp["ratio_plus"]
@@ -785,16 +857,10 @@ def test_diagnostic_amplitude_linearity():
 
 
 def test_kernel_continuity_constant_stable():
-    def make(eps, width):
-        wg, ut = build_small(eps, width=width)
-        mu_p = solve_mu_sharp(ut, +1, wg)
-        mu_m = solve_mu_sharp(ut, -1, wg)
-        return assemble_T(mu_p, mu_m, ut, wg), ut, wg
-
-    base, ut_base, wg = make(0.05, 1.0)
+    base, ut_base, wg = small_data(0.05, 1.0)
     consts = []
     for eps, width in ((0.055, 1.0), (0.05, 1.08), (0.045, 1.0)):
-        other, ut_other, _ = make(eps, width)
+        other, ut_other, _ = small_data(eps, width)
         consts.append(kernel_continuity_constant(
             base.T_plus, other.T_plus, ut_base, ut_other, wg))
     assert max(consts) / min(consts) < 2.0
