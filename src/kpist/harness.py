@@ -24,8 +24,8 @@ from .phase_airy import (RayCoordinates, RegionLabel, cubic_phase_transform,
 from .reconstruct import (eval_u1, ray_resolution_grid, reconstruct,
                           resample_scattering_data)
 from .rhp import CTOperator, solve_dmul_dx, weighted_l2
-from .scattering import (_CHUNK_BYTES, ScatteringData, ScatteringGrids,
-                         _triangle_weights, assemble_T, assemble_T1,
+from .scattering import (ScatteringData, ScatteringGrids, _triangle_weights,
+                         assemble_T, assemble_T1, direct_map_bytes,
                          resample_transform, solve_mu_sharp)
 
 __all__ = [
@@ -182,9 +182,12 @@ def compute_scattering(field: PotentialField, grids: ScatteringGrids,
     layered solve has no convergence guarantee, so this refuses to run.
     The direct map holds one family at a time, so its working set is one
     solve's three M^2 n_y complex fields (source, sum and work term) plus
-    bounded chunk temporaries. Where /proc/meminfo gives a MemAvailable
-    smaller than that, the call is refused with ValueError before
-    anything is resampled or solved.
+    bounded chunk temporaries (scattering.direct_map_bytes). Where
+    /proc/meminfo gives a MemAvailable smaller than that, the call is
+    refused with ValueError before anything is resampled or solved.
+    MemAvailable is host-wide: a cgroup memory limit below it is not
+    checked, so inside such a limit the direct map can still be killed
+    for want of memory.
     """
     pt = partial_fourier_x(field)
     report = check_conditions(field, pt)
@@ -210,10 +213,10 @@ def _direct_map(pt, report, grids: ScatteringGrids, tol: float):
     """Kernels from a transform whose conditions report has passed.
 
     T1 is built once; then each family is solved, assembled and released
-    before the next, so at most one mu# is alive. The working set, three
-    fields of one solve plus two chunk budgets, is checked against
-    MemAvailable first (no check where that cannot be read)."""
-    needed = 3 * 16 * grids.n_kl ** 2 * grids.n_y + 2 * _CHUNK_BYTES
+    before the next, so at most one mu# is alive. The working set
+    (direct_map_bytes) is checked against MemAvailable first: no check
+    where that cannot be read, and none against cgroup limits."""
+    needed = direct_map_bytes(grids)
     available = _available_bytes()
     if available is not None and available < needed:
         raise ValueError(

@@ -77,6 +77,7 @@ __all__ = [
     "g_on_delta",
     "neumann_series",
     "solve_mu_sharp",
+    "direct_map_bytes",
     "assemble_T",
     "assemble_T1",
     "linearized_T",
@@ -398,6 +399,13 @@ def solve_mu_sharp(ut_work: np.ndarray, sign: int, grids: ScatteringGrids,
                         x_norm(source, grids))
 
 
+def direct_map_bytes(grids: ScatteringGrids) -> int:
+    """Working set of one family's solve on these grids: the three fields
+    neumann_series holds (apply_g works in place) and the chunk
+    temporaries of one application and of assembly (_CHUNK_BYTES each)."""
+    return 3 * 16 * grids.n_kl ** 2 * grids.n_y + 2 * _CHUNK_BYTES
+
+
 def _fill_across_diagonal(tri: np.ndarray, upper: bool) -> np.ndarray:
     """Continue one stored triangle to the full square by transposition.
 
@@ -541,7 +549,7 @@ class ScatteringData:
 def _filon_rows(amps: np.ndarray, q: np.ndarray,
                 grids: ScatteringGrids) -> np.ndarray:
     """Int e^(i q y) amp(y) dy over the y grid for y-leading amps
-    (n_y, ..., K, M) at rates q (K, M): Filon panel sums
+    (n_y, K, M) at rates q (K, M): Filon panel sums
     w0 a_j + w1 a_(j+1), summed by Horner in z = e^(i q dy) over
     contiguous slabs, times e^(i q y0)."""
     dy = grids.grid_y.spacing
@@ -606,7 +614,7 @@ def assemble_T(mu: MuSharpField, ut_work: np.ndarray, grids: ScatteringGrids,
     T = np.empty((m, m), dtype=np.complex128)
     # per k row: the gather's padded transform (2M), then the gathered
     # amplitudes, their panel sums and a product temporary (M each)
-    for ks in _chunks(m, 16 * 6 * m * grids.n_y):
+    for ks in _chunks(m, 16 * 5 * m * grids.n_y):
         amps = np.take_along_axis(plan.circular(mu_y[:, ks]),
                                   at[ks][None], axis=-1)
         T[ks] = (T1[ks] - (1j / (2.0 * np.pi))

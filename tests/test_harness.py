@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kpist import harness
+from kpist import harness, scattering
 from kpist.grids import Grid1D, make_test_potential
 from kpist.harness import (BoundRow, DecayFit, VerifyReport,
                            _airy_bound_rows, _cubic_phase_quadrature,
@@ -348,7 +348,7 @@ class TestMemoryBudget:
         finally:
             tracemalloc.stop()
         assert peak < field_bytes
-        needed = 3 * field_bytes + 2 * harness._CHUNK_BYTES
+        needed = 3 * field_bytes + 2 * scattering._CHUNK_BYTES
         assert str(err.value) == (
             f"the direct map needs about {needed} bytes but only 1048576 "
             f"are available (n_kl = 128, n_y = 128)")

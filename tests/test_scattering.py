@@ -391,7 +391,7 @@ def test_apply_g_zero_and_linearity():
     m, ny = g.n_kl, g.n_y
     ut = rng.standard_normal((m, ny)) + 1j * rng.standard_normal((m, ny))
     zero = np.zeros((m, m, ny), complex)
-    assert np.array_equal(apply_g(ut, zero, +1, g), zero)
+    assert np.array_equal(apply_g(ut, zero.copy(), +1, g), zero)
     f1 = rng.standard_normal((m, m, ny)) + 1j * rng.standard_normal((m, m, ny))
     f2 = rng.standard_normal((m, m, ny)) + 1j * rng.standard_normal((m, m, ny))
     lhs = apply_g(ut, 2.0 * f1 + f2, -1, g)
