@@ -24,7 +24,7 @@ from .io import (load_config, load_potential, load_probes, load_scattering,
                  save_potential, save_scattering, write_array, write_csv)
 from .oracle import STEP_TOL, evolve
 from .phase_airy import RayCoordinates
-from .reconstruct import (ray_resolution_grid, reconstruct,
+from .reconstruct import (check_fine_cap, ray_resolution_grid, reconstruct,
                           resample_scattering_data)
 from .rhp import CTOperator, solve_dmul_dx
 
@@ -68,6 +68,7 @@ def _cmd_scatter(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
+    check_fine_cap(args.fine_cap)
     data = load_scattering(args.data)
     rows = []
     for t, x, y in load_probes(args.probes):
@@ -83,6 +84,7 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_rhp_solve(args) -> int:
+    check_fine_cap(args.fine_cap)
     data = load_scattering(args.data)
     rows = []
     files = []

@@ -28,12 +28,10 @@ kernel product costs O(n_fine + n^2) per row (segmented suffix sums
 inside knot intervals, interval totals across them) and no n_fine^2 array
 is formed. Up to DENSE_MAX points, the floor grid of most short-time
 probes, the band's fixed cost per call exceeds a whole dense product, so
-products take the dense T_plus and T_minus (2 MB at 256 points). The
-column maxima of the resolution check cost O(n_fine^2) time once, in
-blocks of bounded memory. A source keeps its last REFINED_PER_SOURCE
-refinements by grid, each with its band factors or dense arrays and, once
-a probe has read them, its column maxima, so probes that share a grid pay
-these once. T1, and the dense arrays of a band-route grid, are reference
+products take the dense T_plus and T_minus (2 MB at 256 points). A
+source keeps its last REFINED_PER_SOURCE refinements by grid, each with
+its band factors or dense arrays, so probes that share a grid pay these
+once. T1, and the dense arrays of a band-route grid, are reference
 arrays for the tests and the reference definitions family_kernel and
 derivative_data; nothing on the probe path reads them.
 
@@ -53,7 +51,6 @@ from __future__ import annotations
 import collections
 import dataclasses
 import functools
-import warnings
 
 import numpy as np
 from scipy.interpolate import BSpline, RectBivariateSpline
@@ -84,14 +81,11 @@ __all__ = [
     "SplineKernels",
 ]
 
-OSCILLATION_THRESHOLD = np.pi / 4.0
-SUPPORT_CUTOFF = 1e-3
-FRESNEL_CELLS = 4
 # fewest points of a probe grid from ray_resolution_grid
 GRID_FLOOR = 256
 # refinements a source keeps (resample_scattering_data), least recently
-# used dropped first; a wide 1024-point one holds about 7 MB, more once
-# its dense reference arrays are read
+# used dropped first; a wide 1024-point one holds 7 MB, 42 MB once its
+# dense reference arrays are read
 REFINED_PER_SOURCE = 8
 # largest fine grid whose kernel products are dense (SplineKernels): at
 # 256 points one dense product takes a third of the banded one's time, at
@@ -113,36 +107,6 @@ class ReconstructionSample:
     region: RegionLabel
 
 
-def _warn_if_underresolved(f_abs_colmax, pts, dl, t, x, y):
-    """Fresnel-type resolution disclosure for one probe point.
-
-    The dominant contribution to the double sum comes from where the
-    phase rate x - 2 y l + 12 t l^2 is slowest over the kernel support
-    (a stationary point if one lies inside, the nearest support edge
-    otherwise). Demanding a small advance per cell across a few cells
-    around that point predicts quadrature accuracy; the worst advance
-    anywhere on the support does not, since fast-phase columns carry
-    little mass and cancel incoherently."""
-    colmax = np.asarray(f_abs_colmax, dtype=float)
-    peak = np.max(colmax)
-    if peak <= 0:
-        return
-    support = np.flatnonzero(colmax >= SUPPORT_CUTOFF * peak)
-    rate = np.abs(x - 2.0 * y * pts[support] + 12.0 * t * pts[support] ** 2)
-    center = int(np.argmin(rate))
-    window = rate[max(0, center - FRESNEL_CELLS):center + FRESNEL_CELLS + 1]
-    worst = float(np.max(window) * dl)
-    if worst > OSCILLATION_THRESHOLD:
-        warnings.warn(
-            "oscillatory weight advances "
-            f"{worst:.2f} rad per cell near its slowest point "
-            f"(threshold {OSCILLATION_THRESHOLD:.2f}); refine the spectral "
-            "grid for this probe (see ray_resolution_grid)",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-
 def _family_sums(op: CTOperator, rows: np.ndarray):
     """Plain and k-weighted sums over k of both kernel families with
     their oscillatory weight, applied to each row of rows. Off the
@@ -158,7 +122,6 @@ def eval_u1(op: CTOperator) -> complex:
     combined kernel, taken as i(K(l) - k K(1))."""
     pts = op.base.grids.grid_kl.points
     dl = op.base.grids.grid_kl.spacing
-    _warn_if_underresolved(op.base.combined_colmax, pts, dl, op.t, op.x, op.y)
     s, ks = _family_sums(op, np.stack([pts, np.ones_like(pts)]))
     return complex((1j / np.pi) * dl * (s[0] - ks[1]))
 
@@ -415,9 +378,8 @@ class SplineKernels:
     row, n the source size, from band factors built once per family at
     construction, forming no n_fine^2 array; up to DENSE_MAX points with
     the dense T_plus or T_minus, cheaper there than the band's fixed work
-    per call. T_plus, T_minus and T1 are built on first access from
-    _column_blocks, the one dense evaluator, which also gives a band-route
-    grid's combined_colmax in blocks of bounded size."""
+    per call. T_plus, T_minus and T1 are built on first access by _dense,
+    the one dense evaluator."""
 
     def __init__(self, source: ScatteringData, grid: Grid1D):
         knots, coeffs = source.spline_fit
@@ -456,13 +418,12 @@ class SplineKernels:
             return band.upper(factors, rows)
         return band.upper(factors, rows[..., ::-1])[..., ::-1]
 
-    def _column_blocks(self, sign: int):
-        """One family (sign 0: the unmasked T1) in blocks of columns:
-        (j0, j1, r0, vals) with vals the rows r0 .. r0 + len(vals) of
-        columns j0 .. j1, the rows the family's triangle reaches; the
-        other rows are exact zeros. The one evaluator of dense values:
-        each block is (B C)[rows, a] B[j0:j1, a]^T over the few
-        coefficients a that the block's own points reach."""
+    def _dense(self, sign: int) -> np.ndarray:
+        """One family (sign 0: the unmasked T1) as an n_fine^2 array,
+        filled in blocks of columns j0 .. j1: each block is
+        (B C)[rows, a] B[j0:j1, a]^T over the few coefficients a that the
+        block's own points reach, on the rows the family's triangle
+        reaches; the other rows are exact zeros."""
         f, m = self._band.first, self.grids.n_kl
         bt = np.zeros((self._band.n_coef, m))
         bt[f + np.arange(4)[:, None], np.arange(m)] = self._band.vals
@@ -472,46 +433,20 @@ class SplineKernels:
         # column from row: every block takes one mask, a narrower block
         # (a grid under step points) its corner
         tri = _triangle_weights(step, sign) if sign else None
+        out = np.zeros((m, m), dtype=complex)
         for j0 in range(0, m, step):
             j1 = min(j0 + step, m)
             a = slice(f[j0], f[j1 - 1] + 4)
             r0, r1 = {+1: (0, j1), -1: (j0, m)}.get(sign, (0, m))
-            vals = bc[r0:r1, a] @ bt[a, j0:j1]
+            out[r0:r1, j0:j1] = bc[r0:r1, a] @ bt[a, j0:j1]
             if sign:  # rows j0 .. j1 hold the diagonal
-                vals[j0 - r0:j1 - r0] *= tri[:j1 - j0, :j1 - j0]
-            yield j0, j1, r0, vals
-
-    def _dense(self, sign: int) -> np.ndarray:
-        m = self.grids.n_kl
-        out = np.zeros((m, m), dtype=complex)
-        for j0, j1, r0, vals in self._column_blocks(sign):
-            out[r0:r0 + len(vals), j0:j1] = vals
+                out[j0:j1, j0:j1] *= tri[:j1 - j0, :j1 - j0]
         return out
 
     # the reference arrays, built when first read
     T_plus = functools.cached_property(lambda self: self._dense(+1))
     T_minus = functools.cached_property(lambda self: self._dense(-1))
     T1 = functools.cached_property(lambda self: self._dense(0))
-
-    @functools.cached_property
-    def combined_colmax(self) -> np.ndarray:
-        """Column maxima of |T_plus - T_minus|, equal to those of the
-        reference arrays bit for bit; done once per grid, off the product
-        arrays of a dense-route grid, else in column blocks of bounded
-        size."""
-        if self._families is None:
-            return np.max(np.abs(self.T_plus - self.T_minus), axis=0)
-        m = self.grids.n_kl
-        out = np.empty(m)
-        for (j0, j1, _, tp), (*_, tm) in zip(self._column_blocks(+1),
-                                             self._column_blocks(-1)):
-            # tp holds rows 0 .. j1 and tm rows j0 .. m; outside its
-            # rows a family is an exact zero, so only j0 .. j1 subtract
-            parts = [np.abs(tp[j0:] - tm[:j1 - j0]), np.abs(tp[:j0]),
-                     np.abs(tm[j1 - j0:])]
-            out[j0:j1] = np.max([np.max(p, axis=0, initial=0.0)
-                                 for p in parts], axis=0)
-        return out
 
 
 def resample_scattering_data(data: ScatteringData, grid_fine: Grid1D
@@ -527,8 +462,8 @@ def resample_scattering_data(data: ScatteringData, grid_fine: Grid1D
     an n-point source). The source also keeps its last REFINED_PER_SOURCE
     refinements by grid, in its instance dict as spline_fit is, so a
     dataclasses.replace copy starts empty: a kept grid returns the same
-    SplineKernels, with its band factors and, once read, its column
-    maxima; a new grid builds the band of the B-spline design matrix on
+    SplineKernels, with its band factors or, once read, its dense product
+    arrays; a new grid builds the band of the B-spline design matrix on
     the fine points, O(n_fine) time and memory, and drops the least
     recently used refinement when the cache is full. Fine points past
     the last source sample are clipped to the knot interval, where

@@ -119,8 +119,8 @@ class CTOperator:
     one space-time point (t, x, y).
 
     base is the time-zero kernel data, a ScatteringData or a
-    reconstruct.SplineKernels (anything with grids, apply and
-    combined_colmax), held by reference. The phase diagonals
+    reconstruct.SplineKernels (anything with grids and apply), held by
+    reference. The phase diagonals
     e^{i phi(l)} and e^{-i phi(k)}, evolution time included, are
     precomputed at construction; build rejects a non-finite point and
     t < 0. Inputs are one function or a stack of them as rows, applied

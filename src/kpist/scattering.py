@@ -505,13 +505,6 @@ class ScatteringData:
         return rows @ self._kernel(sign).T
 
     @functools.cached_property
-    def combined_colmax(self) -> np.ndarray:
-        """Column maxima of |T_plus - T_minus| (both families in
-        consumption orientation), for the resolution check of every probe
-        on this data's own grid; computed once."""
-        return np.max(np.abs(self.T_plus - self.T_minus), axis=0)
-
-    @functools.cached_property
     def spline_fit(self) -> tuple[np.ndarray, dict]:
         """Interpolating bicubic splines (s = 0) of the kernels on this
         grid: (knots, {+1: C_plus, -1: C_minus, 0: C_1}), one knot vector

@@ -163,6 +163,19 @@ class TestInvalidArguments:
                      "-o", str(out)]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["reconstruct", "rhp-solve"])
+    def test_fine_cap_refused_without_a_fine_grid(self, chain, tmp_path,
+                                                  capsys, command):
+        # a t = 0 probe keeps the stored grid and never sizes a fine one
+        d, _ = chain
+        probes = tmp_path / "probes.txt"
+        probes.write_text("0 0.5 0.5\n")
+        out = tmp_path / "out"
+        assert main([command, str(d / "scat"), "--probes", str(probes),
+                     "--fine-cap", "1000", "-o", str(out)]) == 1
+        assert "fine_cap" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rhp_solve_refused_later_probe_writes_nothing(self, chain,
                                                           tmp_path, capsys):
         # the first probe solves; the second one's window (half-width
