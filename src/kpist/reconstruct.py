@@ -24,16 +24,18 @@ W_sigma the triangle weight of the fine grid (SplineKernels). Fine points
 past the last source sample are clipped to the knot interval, where
 fitpack holds the spline constant. Per fine grid of n_fine points the
 refinement costs O(n_fine) time and memory. Above DENSE_MAX points each
-kernel product costs O(n_fine + n^2) per row (segmented suffix sums
-inside knot intervals, interval totals across them) and no n_fine^2 array
-is formed. Up to DENSE_MAX points, the floor grid of most short-time
-probes, the band's fixed cost per call exceeds a whole dense product, so
-products take the dense T_plus and T_minus (2 MB at 256 points). A
-source keeps its last REFINED_PER_SOURCE refinements by grid, each with
-its band factors or dense arrays, so probes that share a grid pay these
-once. T1, and the dense arrays of a band-route grid, are reference
-arrays for the tests and the reference definitions family_kernel and
-derivative_data; nothing on the probe path reads them.
+kernel product costs O(n_fine + n^2) per row and no n_fine^2 array is
+formed: the band factors sit on a table with one row per knot interval,
+a product gathers its input into the table once, takes suffix sums
+inside the intervals and interval totals across them there, and gathers
+its result back to point order once. Up to DENSE_MAX points, the floor
+grid of most short-time probes, the band's fixed cost per call exceeds a
+whole dense product, so products take the dense T_plus and T_minus (2 MB
+at 256 points). A source keeps its last REFINED_PER_SOURCE refinements
+by grid, each with its band factors or dense arrays, so probes that share
+a grid pay these once. T1, and the dense arrays of a band-route grid, are
+reference arrays for the tests and the reference definitions
+family_kernel and derivative_data; nothing on the probe path reads them.
 
 The linearized flow evolves the potential's 2-D transform under the
 dispersion relation p^3 + 3 q^2 / p, excluding the p = 0 line (zero-mean
@@ -87,9 +89,10 @@ GRID_FLOOR = 256
 # used dropped first; a wide 1024-point one holds 7 MB, 42 MB once its
 # dense reference arrays are read
 REFINED_PER_SOURCE = 8
-# largest fine grid whose kernel products are dense (SplineKernels): at
-# 256 points one dense product takes a third of the banded one's time, at
-# 512 already more than it
+# largest fine grid whose kernel products are dense (SplineKernels): with
+# one BLAS thread, one single-row dense product takes 21-29 us at 256
+# points against the banded one's 42-61 us, and 207-213 us at 512 points
+# against 58-84 us
 DENSE_MAX = 256
 
 
@@ -299,10 +302,12 @@ class _Band:
 
     Point i holds vals[:, i] in columns first[i] .. first[i] + 3 of B,
     with first nondecreasing; the points sharing first[i] lie in one knot
-    interval and form a segment. pad lists each segment's points last to
-    first (m marks padding), so a cumulative sum along a row of pad is a
-    suffix sum inside one segment: no sum runs across segments, and none
-    loses digits to the others."""
+    interval and form a segment. The pad table has one row per segment,
+    holding its points last to first and then padding, so a cumulative
+    sum along a row is a suffix sum inside one segment: no sum runs
+    across segments, and none loses digits to the others. A product
+    gathers its input into the table once (take) and its result back to
+    point order once (put)."""
 
     def __init__(self, first: np.ndarray, vals: np.ndarray, n_coef: int):
         m = len(first)
@@ -312,32 +317,44 @@ class _Band:
         k = np.arange(lens.max())
         seg = np.repeat(np.arange(len(starts)), lens)
         self.first, self.vals, self.n_coef = first, vals, n_coef
-        self.pad = np.where(k < lens[:, None], stops[:, None] - 1 - k, m)
-        self.where = seg * k.size + (stops[seg] - 1 - np.arange(m))
+        self.filled = k < lens[:, None]
+        # padding repeats a point of its own segment, where the table's
+        # factors are exact zeros
+        self.pad = np.where(self.filled, stops[:, None] - 1 - k,
+                            starts[:, None])
         self.seg_first = first[starts]
+        self.take = self.pad
+        self.put = seg * k.size + (stops[seg] - 1 - np.arange(m))
 
     def reversed(self) -> "_Band":
         """The band with points and coefficients in reverse order, which
-        turns lower-triangle sums into upper ones."""
-        return _Band(self.n_coef - 4 - self.first[::-1], self.vals[::-1, ::-1],
-                     self.n_coef)
+        turns lower-triangle sums into upper ones. Its gathers carry the
+        reversal: its products take and return points in this band's
+        order."""
+        rev = _Band(self.n_coef - 4 - self.first[::-1], self.vals[::-1, ::-1],
+                    self.n_coef)
+        rev.take, rev.put = len(self.first) - 1 - rev.take, rev.put[::-1]
+        return rev
 
     def factors(self, c: np.ndarray):
-        """Per-point and per-interval factors of W (B c B^T), W the upper
-        triangle weight (1 above the diagonal, 1/2 on it).
+        """Factors of W (B c B^T), W the upper triangle weight (1 above the
+        diagonal, 1/2 on it), on the pad table: zero in the padding.
 
-        near[:, i] = B_i c on point i's own four columns; half_diag[i] =
-        B_i c B_i^T / 2; far couples interval totals: far[(p, a), (q, b)]
-        = c[a + p, b + q] for intervals b > a."""
+        near = B_i c on point i's own four columns, vals = B_i, half_diag
+        = B_i c B_i^T / 2; far couples segment totals: far[(p, s), (q, t)]
+        = c[a + p, b + q] for segments t > s, a and b their intervals."""
         v = self.vals
         cols = self.first + np.arange(4)[:, None]
         near = np.einsum("pi,pqi->qi", v, c[cols[:, None], cols[None, :]])
         half_diag = 0.5 * np.sum(near * v, axis=0)
-        n_int = self.n_coef - 3
-        idx = (np.arange(4)[:, None] + np.arange(n_int)).ravel()
-        interval = np.tile(np.arange(n_int), 4)
-        far = c[idx[:, None], idx] * (interval > interval[:, None])
-        return near, half_diag, far
+
+        def on_table(a):
+            return np.where(self.filled, a[..., self.pad], 0.0)
+
+        idx = (np.arange(4)[:, None] + self.seg_first).ravel()
+        seg = np.tile(np.arange(len(self.seg_first)), 4)
+        far = c[idx[:, None], idx] * (seg > seg[:, None])
+        return on_table(near), on_table(v), on_table(half_diag), far
 
     def upper(self, factors, g: np.ndarray) -> np.ndarray:
         """sum_j W(i, j) (B c B^T)(i, j) g_j for every row of g.
@@ -346,24 +363,23 @@ class _Band:
         lives on columns first[j] .. first[j] + 3, so the sum over j >= i
         splits into the band term (j in interval a: suffix sums of
         B_j g_j inside the segment, four per point, against near), the far
-        term (j in later intervals: the interval totals of B_j g_j,
+        term (j in later intervals: the segment totals of B_j g_j,
         coupled through far and read back through B_i) and the half
-        diagonal, subtracted. O(n_fine + n_coef^2) per row."""
-        near, half_diag, far = factors
+        diagonal, subtracted. All three are formed on the pad table.
+        O(n_fine + n_coef^2) per row."""
+        near, vals, half_diag, far = factors
         rows = g.reshape(-1, g.shape[-1])
-        r, m = rows.shape
-        bg = np.empty((r, 4, m + 1), dtype=complex)
-        bg[:, :, m] = 0.0
-        np.multiply(rows[:, None, :], self.vals, out=bg[:, :, :m])
-        suffix = np.cumsum(bg[:, :, self.pad], axis=-1)
-        band = suffix.reshape(r, 4, -1)[:, :, self.where]
-        totals = np.zeros((r, 4, self.n_coef - 3), dtype=complex)
-        totals[:, :, self.seg_first] = suffix[..., -1]
-        w = (totals.reshape(r, -1) @ far.T).reshape(totals.shape)
-        band *= near
-        band += w[:, :, self.first] * self.vals
-        out = np.sum(band, axis=1) - half_diag * rows
-        return out.reshape(g.shape)
+        r = len(rows)
+        x = rows[:, self.take]
+        suffix = np.cumsum(vals * x[:, None], axis=-1)
+        w = (suffix[..., -1].reshape(r, -1) @ far.T).reshape(r, 4, -1, 1)
+        suffix *= near
+        suffix += vals * w
+        out = suffix[:, 0] + suffix[:, 1]
+        out += suffix[:, 2]
+        out += suffix[:, 3]
+        out -= half_diag * x
+        return out.reshape(r, -1)[:, self.put].reshape(g.shape)
 
 
 class SplineKernels:
@@ -376,10 +392,13 @@ class SplineKernels:
     W_sigma the triangle weight of the fine grid. apply is the product
     ScatteringData gives: above DENSE_MAX points in O(n_fine + n^2) per
     row, n the source size, from band factors built once per family at
-    construction, forming no n_fine^2 array; up to DENSE_MAX points with
-    the dense T_plus or T_minus, cheaper there than the band's fixed work
-    per call. T_plus, T_minus and T1 are built on first access by _dense,
-    the one dense evaluator."""
+    construction on the band's segment table (_Band), forming no n_fine^2
+    array; the minus family's lower triangle is the upper one of the
+    reversed band, and its gathers carry the reversal, so no input or
+    result is copied reversed. Up to DENSE_MAX points with the dense
+    T_plus or T_minus, cheaper there than the band's fixed work per call.
+    T_plus, T_minus and T1 are built on first access by _dense, the one
+    dense evaluator."""
 
     def __init__(self, source: ScatteringData, grid: Grid1D):
         knots, coeffs = source.spline_fit
@@ -414,9 +433,7 @@ class SplineKernels:
         if self._families is None:
             return rows @ (self.T_plus if sign == +1 else self.T_minus).T
         band, factors = self._families[sign]
-        if sign == +1:
-            return band.upper(factors, rows)
-        return band.upper(factors, rows[..., ::-1])[..., ::-1]
+        return band.upper(factors, rows)
 
     def _dense(self, sign: int) -> np.ndarray:
         """One family (sign 0: the unmasked T1) as an n_fine^2 array,

@@ -591,8 +591,9 @@ def assemble_T(mu: MuSharpField, ut_work: np.ndarray, grids: ScatteringGrids,
 
     Works on chunks of k rows: the full offset convolution aligns p with
     lattice offsets exactly, so no interpolation enters. Per chunk, one
-    gather takes the diagonal band and one Filon sum integrates it. Every
-    array is y-leading, as the solve stores mu.
+    gather takes the columns the family's triangle keeps and one Filon
+    sum integrates them; the other columns stay exact zeros. Every array
+    is y-leading, as the solve stores mu.
     """
     m = grids.n_kl
     plan = _ConvolutionPlan(ut_work, grids, 2 * m)
@@ -604,14 +605,17 @@ def assemble_T(mu: MuSharpField, ut_work: np.ndarray, grids: ScatteringGrids,
     at = (d + m // 2) % plan.pad
     w = _triangle_weights(m, mu.sign)
     mu_y = np.moveaxis(mu.values, -1, 0)
-    T = np.empty((m, m), dtype=np.complex128)
+    T = np.zeros((m, m), dtype=np.complex128)
     # per k row: the gather's padded transform (2M), then the gathered
     # amplitudes, their panel sums and a product temporary (M each)
     for ks in _chunks(m, 16 * 5 * m * grids.n_y):
+        # the columns the chunk's rows keep: l >= its first k (plus
+        # family), l <= its last k (minus family)
+        ls = slice(ks.start, m) if mu.sign > 0 else slice(0, ks.stop)
         amps = np.take_along_axis(plan.circular(mu_y[:, ks]),
-                                  at[ks][None], axis=-1)
-        T[ks] = (T1[ks] - (1j / (2.0 * np.pi))
-                 * _filon_rows(amps, q[ks], grids)) * w[ks]
+                                  at[ks, ls][None], axis=-1)
+        T[ks, ls] = (T1[ks, ls] - (1j / (2.0 * np.pi))
+                     * _filon_rows(amps, q[ks, ls], grids)) * w[ks, ls]
     return FamilyKernel(T, mu.iterations, mu.residual,
                         x_norm(mu.values, grids))
 

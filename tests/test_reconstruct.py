@@ -545,6 +545,8 @@ class TestCopyFreeEvaluation:
 EDGE_WINDOW = Grid1D(-8.0, 8.0, 256)
 # the same window above DENSE_MAX, where products take the band route
 EDGE_WINDOW_512 = Grid1D(-8.0, 8.0, 512)
+# a decay-ray probe (x / t = -12) whose resolution grid is 2048 points
+DECAY_PROBE_2048 = (30.0, -360.0, 0.0)
 
 
 class TestFactoredKernels:
@@ -553,20 +555,33 @@ class TestFactoredKernels:
 
     @pytest.mark.parametrize("grid", [ray_resolution_grid(0.0, 1.0, 0.5),
                                       ray_resolution_grid(*FINE_PROBE),
+                                      ray_resolution_grid(*DECAY_PROBE_2048),
                                       EDGE_WINDOW, EDGE_WINDOW_512],
-                             ids=["floor256", "probe1024", "edge256",
-                                  "edge512"])
+                             ids=["floor256", "probe1024", "probe2048",
+                                  "edge256", "edge512"])
     def test_products_match_reference_arrays(self, ref05, grid):
+        # one row (the solves), two (derivative, eval_u1) and three (eval_u2)
         _, data = ref05
-        res = resample_scattering_data(data, grid)
+        res = resample_scattering_data(dataclasses.replace(data), grid)
         rng = np.random.default_rng(5)
         rows = rng.standard_normal((3, grid.n)) + 1j * rng.standard_normal((3, grid.n))
         for sign, kernel in ((+1, res.T_plus), (-1, res.T_minus)):
-            for g in (rows[0], rows):
+            for g in (rows[0], rows[:2], rows):
                 got, want = res.apply(sign, g), g @ kernel.T
                 assert got.shape == want.shape
                 assert np.max(np.abs(got - want)) <= \
                     1e-13 * np.max(np.abs(want))
+
+    def test_minus_family_takes_non_contiguous_rows(self, fine1024):
+        # the band route folds the minus family's point reversal into its
+        # gathers: views give the products of their contiguous copies
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((fine1024.grids.n_kl, 6)) * (1 + 2j)
+        for view in (a[::-1, 0], a[:, ::2].T, a.T[::-1, ::-1][:2]):
+            assert not view.flags.c_contiguous
+            for sign in (-1, +1):
+                assert np.array_equal(fine1024.apply(sign, view),
+                                      fine1024.apply(sign, view.copy()))
 
     def test_edge_window_matches_bispev(self, ref05):
         # fitpack holds the spline constant past the last sample; the

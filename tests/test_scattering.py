@@ -645,6 +645,29 @@ def test_assemble_T_matches_direct_toeplitz_assembly():
         assert np.max(np.abs(got - w)) <= 3e-15 * np.max(np.abs(w))
 
 
+def test_assemble_T_chunks_sum_only_their_triangle(monkeypatch):
+    # the small grid fits one chunk, which sums every column; with one k
+    # row per chunk each chunk sums only the columns its triangle keeps,
+    # and the kernel must come out the same bit for bit
+    rng = np.random.default_rng(29)
+    g = small_grids()
+    m, ny = g.n_kl, g.n_y
+    ut = rng.standard_normal((m, ny)) + 1j * rng.standard_normal((m, ny))
+    T1 = assemble_T1(ut, g)
+    d = np.arange(m)[None, :] - np.arange(m)[:, None]
+    for sign in (+1, -1):
+        mu = MuSharpField(
+            rng.standard_normal((m, m, ny)) + 1j * rng.standard_normal((m, m, ny)),
+            sign, g, 1, [], 0.0, 0.0)
+        whole = assemble_T(mu, ut, g, T1).T
+        with monkeypatch.context() as mp:
+            mp.setattr(scattering, "_CHUNK_BYTES", 1)
+            by_row = assemble_T(mu, ut, g, T1).T
+        assert np.array_equal(by_row, whole)
+        assert np.all(by_row[sign * d < 0] == 0.0)
+        assert np.all(by_row[sign * d >= 0] != 0.0)
+
+
 def test_masks_bitwise(solved128):
     _, _, _, _, data = solved128
     m = data.grids.n_kl
