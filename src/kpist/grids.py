@@ -167,48 +167,6 @@ def partial_fourier_x(field: PotentialField) -> PartialTransform:
     return PartialTransform(gx.dual(), field.grid_y, vals)
 
 
-def inverse_partial_fourier_x(pt: PartialTransform) -> np.ndarray:
-    """Inverse of partial_fourier_x; returns the complex field on the x grid."""
-    gl = pt.grid_l
-    n = gl.n
-    dx = 2.0 * np.pi / (n * gl.spacing)
-    x0 = -np.pi / gl.spacing
-    raw = np.fft.ifftshift(pt.values, axes=0)
-    l_raw = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
-    raw = raw * np.exp(1j * l_raw * x0)[:, None]
-    return np.fft.ifft(raw, axis=0) * (n * gl.spacing / SQRT_2PI)
-
-
-def full_fourier(field: PotentialField):
-    """2-D transform uhat(p, q) with (2 pi)^(-1) total normalization.
-
-    Returns (grid_p, grid_q, uhat) with both axes in ascending (fftshifted)
-    frequency order. For real input, uhat(-p, -q) = conj(uhat(p, q)) to
-    roundoff.
-    """
-    gx, gy = field.grid_x, field.grid_y
-    raw = np.fft.fft2(field.values)
-    p_raw = 2.0 * np.pi * np.fft.fftfreq(gx.n, d=gx.spacing)
-    q_raw = 2.0 * np.pi * np.fft.fftfreq(gy.n, d=gy.spacing)
-    phase = np.exp(-1j * p_raw * gx.min)[:, None] * np.exp(-1j * q_raw * gy.min)[None, :]
-    vals = np.fft.fftshift(raw * phase) * (gx.spacing * gy.spacing / (2.0 * np.pi))
-    return gx.dual(), gy.dual(), vals
-
-
-def hermitian_defect(uhat: np.ndarray) -> float:
-    """Max |uhat(p,q) - conj(uhat(-p,-q))| over the grid (relative to max).
-
-    The -p (-q) partner of index m is index -m mod n; the fftshifted axis
-    reverses onto itself with a roll of one (the -max bin has no partner
-    and is skipped).
-    """
-    flipped = np.conj(uhat[::-1, ::-1])
-    flipped = np.roll(np.roll(flipped, 1, axis=0), 1, axis=1)
-    diff = np.abs(uhat[1:, 1:] - flipped[1:, 1:])
-    scale = np.max(np.abs(uhat))
-    return float(diff.max() / scale) if scale > 0 else 0.0
-
-
 def _spectral_axis_multiplier(field_vals, grid: Grid1D, axis: int, mult_of_freq):
     """Apply a frequency multiplier along one axis via FFT (periodic grid)."""
     freq = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.spacing)

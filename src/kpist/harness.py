@@ -263,11 +263,11 @@ def run_linear_baseline(config: ExperimentConfig) -> list[DecayFit]:
     W_sigma T1 its triangle-weighted families, eval_u1 sums i(l - k)
     sign(l - k) T1 = |l - k| uhat(l - k, -(l^2 - k^2)) against the
     evolved phase, which is the (k, l) form of the linearized evolution
-    (reconstruct.linear_kp_crosscheck). Each probe then takes the path of
-    a nonlinear probe (ray_resolution_grid, resample_scattering_data,
-    CTOperator) with no Volterra solve, no Neumann solve and no smallness
-    check. Data that is not zero-mean in x is refused (ValueError), as by
-    check_conditions.
+    (linear_kp_crosscheck in tests/reference.py). Each probe then takes
+    the path of a nonlinear probe (ray_resolution_grid,
+    resample_scattering_data, CTOperator) with no Volterra solve, no
+    Neumann solve and no smallness check. Data that is not zero-mean in
+    x is refused (ValueError), as by check_conditions.
     u2 has no linear analogue: its values are 0 and its slope nan."""
     field = config.resolve_potential()
     grids = config.scattering_grids()

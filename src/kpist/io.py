@@ -272,6 +272,9 @@ def load_config(path) -> ExperimentConfig:
     t_min = float(times.get("t_min", 10.0))
     t_max = float(times.get("t_max", 100.0))
     n_times = int(times.get("n", 12))
+    for key, value in (("t_min", t_min), ("t_max", t_max)):
+        if not np.isfinite(value):
+            raise ValueError(f"{path}: times.{key} must be finite")
     if not (0 < t_min < t_max):
         raise ValueError(f"{path}: need 0 < t_min < t_max")
     if n_times < 6:

@@ -4,12 +4,10 @@ Everything downstream integrates products (smooth kernel) * e^(i phi) where
 phi may accumulate thousands of radians across the domain while the kernel
 lives comfortably on a coarse base grid. Three tools cover all uses:
 
-1. Filon panels (exact moments of e^(i theta y) against a piecewise-linear
-   interpolant): full and cumulative integrals in a transverse variable at
-   arbitrary phase rate theta, with series evaluation of the panel moments
-   near theta*h = 0 to avoid cancellation. The scattering solve takes only
-   the moments and sums the panels by recurrence; phase_integral and
-   cumulative_phase_integral are the direct forms its tests compare with.
+1. Filon panel moments (filon_moments: exact moments of e^(i theta y)
+   against a piecewise-linear interpolant) at arbitrary phase rate theta,
+   with series evaluation near theta*h = 0 to avoid cancellation. The
+   scattering solve and kernel assembly sum the panels by recurrence.
 
 2. A cell-refined Simpson engine on a base grid (oscillatory_integral):
    each base cell is subdivided until the local phase advances at most
@@ -29,8 +27,6 @@ import numpy as np
 
 __all__ = [
     "filon_moments",
-    "phase_integral",
-    "cumulative_phase_integral",
     "oscillatory_integral",
     "oscillatory_tail",
 ]
@@ -70,50 +66,6 @@ def filon_moments(z):
     out0[~small] = (e - 1.0) / izb
     out1[~small] = (e * (izb - 1.0) + 1.0) / (izb * izb)
     return out0, out1
-
-
-def _panel_sums(c, dy, theta):
-    """Per-panel integrals P_j = Int_{y_j}^{y_{j+1}} e^(i theta y) c(y) dy.
-
-    c has shape (..., n); theta broadcasts against the leading axes. The
-    y origin is taken at index 0 (a pure phase e^(i theta y0) is left to
-    the caller when it matters; cumulative/full integrals below fold it in).
-    """
-    c = np.asarray(c, dtype=np.complex128)
-    n = c.shape[-1]
-    theta = np.asarray(theta, dtype=np.float64)
-    m0, m1 = filon_moments(theta * dy)
-    # e^(i theta y_j) with y_j = j*dy relative to the left end
-    j = np.arange(n - 1)
-    phase = np.exp(1j * np.multiply.outer(theta * dy, j))
-    w0 = (m0 - m1)[..., None]
-    w1 = m1[..., None]
-    return dy * phase * (w0 * c[..., :-1] + w1 * c[..., 1:])
-
-
-def phase_integral(c, dy, theta):
-    """Integral over the whole last axis of e^(i theta y) c(y) dy.
-
-    y is measured from the first sample; multiply by e^(i theta y0)
-    externally for an absolute origin.
-    """
-    return _panel_sums(c, dy, theta).sum(axis=-1)
-
-
-def cumulative_phase_integral(c, dy, theta, from_top=False):
-    """Cumulative Filon integral along the last axis.
-
-    from_top False: C_j = Int_{y_0}^{y_j} e^(i theta y) c dy (C_0 = 0).
-    from_top True:  C_j = Int_{y_j}^{y_{n-1}} (C_{n-1} = 0).
-    Same relative-origin convention as phase_integral.
-    """
-    p = _panel_sums(c, dy, theta)
-    out = np.zeros(c.shape[:-1] + (c.shape[-1],), dtype=np.complex128)
-    if from_top:
-        out[..., :-1] = np.cumsum(p[..., ::-1], axis=-1)[..., ::-1]
-    else:
-        out[..., 1:] = np.cumsum(p, axis=-1)
-    return out
 
 
 def _plan_refinement(base_points, dphi, pts_per_wave, crit_points=()):

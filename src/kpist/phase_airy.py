@@ -23,7 +23,8 @@ The model integral behind the transition region is
         = sqrt(2 pi) (12 t)^(-1/3) Ai( (12 t)^(2/3) (a + xi/(12 t)) ),
 
 implemented through the closed form with Ai from scipy.special; the
-quadrature route exists in the tests and the verification suite.
+verification suite checks it against a quadrature route
+(harness._cubic_phase_quadrature).
 Half-line variants (half_airy_H) are evaluated by phase-refined
 quadrature plus integration-by-parts tails.
 """
@@ -43,7 +44,6 @@ __all__ = [
     "RayCoordinates",
     "classify",
     "airy",
-    "airy_envelope_max",
     "cubic_phase_transform",
     "half_airy_H",
 ]
@@ -108,13 +108,6 @@ class RayCoordinates:
 def airy(x):
     """Ai(x) for real x (scipy.special.airy); a scalar for scalar x."""
     return special.airy(x)[0]
-
-
-def airy_envelope_max() -> float:
-    """max over [-40, 40] of |Ai(x)| (1+|x|)^(1/4) (about 0.643),
-    sampled at spacing 0.005."""
-    x = np.linspace(-40.0, 40.0, 16001)
-    return float(np.max(np.abs(airy(x)) * (1.0 + np.abs(x)) ** 0.25))
 
 
 # --- model integrals -----------------------------------------------------

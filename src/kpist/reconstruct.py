@@ -1,5 +1,5 @@
-"""Field evaluation at probe points from evolved kernels, refinement of
-the kernels onto per-probe grids, and the linearized flow.
+"""Field evaluation at probe points from evolved kernels and refinement
+of the kernels onto per-probe grids.
 
 The field splits into a leading term built from the kernels alone and a
 correction weighted by the solved factorization unknown and its
@@ -37,15 +37,9 @@ a grid pay these once. T1, and the dense arrays of a band-route grid, are
 reference arrays for the tests and the reference definitions
 family_kernel and derivative_data; nothing on the probe path reads them.
 
-The linearized flow evolves the potential's 2-D transform under the
-dispersion relation p^3 + 3 q^2 / p, excluding the p = 0 line (zero-mean
-data carries nothing there). The decay fits' linear baseline
-(harness.run_linear_baseline) takes it as u1 on the linear-order kernels,
-through the probe path above. linear_kp (the native rectangular (p, q)
-sum), linear_kp_crosscheck (the two-spectral-variable parametrization
-with Jacobian 2 |l - k|) and linear_field (the whole field) have no
-caller in the package: they are the reference definitions the tests
-check the probe path and the oracle against.
+The linearized flow enters as the decay fits' linear baseline
+(harness.run_linear_baseline): u1 on the linear-order kernels, through
+the probe path above.
 """
 
 from __future__ import annotations
@@ -55,9 +49,9 @@ import dataclasses
 import functools
 
 import numpy as np
-from scipy.interpolate import BSpline, RectBivariateSpline
+from scipy.interpolate import BSpline
 
-from .grids import ConditionsReport, Grid1D, PotentialField, full_fourier
+from .grids import ConditionsReport, Grid1D
 from .phase_airy import RayCoordinates, RegionLabel, DEFAULT_REGION_DELTA
 # family_kernel is not called here: perfbench wraps this module's global of
 # that name to count negated kernel copies, so the name stays importable
@@ -75,9 +69,6 @@ __all__ = [
     "eval_u1",
     "eval_u2",
     "reconstruct",
-    "linear_kp",
-    "linear_kp_crosscheck",
-    "linear_field",
     "ray_resolution_grid",
     "resample_scattering_data",
     "SplineKernels",
@@ -163,97 +154,6 @@ def reconstruct(data: ScatteringData | SplineKernels, t: float, x: float,
     u1 = eval_u1(op)
     u2 = eval_u2(op, sol)
     return ReconstructionSample((t, x, y), u1, u2, u1 + u2, region)
-
-
-def _spectrum_with_zero_line(u0: PotentialField):
-    grid_p, grid_q, uhat = full_fourier(u0)
-    scale = np.max(np.abs(uhat))
-    zero_col = int(np.argmin(np.abs(grid_p.points)))
-    if scale > 0 and np.max(np.abs(uhat[zero_col])) > 1e-8 * scale:
-        raise ValueError(
-            "transform does not vanish on the excluded zero-frequency "
-            "line; the data is not zero-mean in x")
-    return grid_p, grid_q, uhat, zero_col
-
-
-def linear_kp(u0: PotentialField, t: float, x: float, y: float,
-              n_quad: int = 0, quad_half: float = 10.0) -> float:
-    """Linearized evolution evaluated at one point, rectangular route.
-
-    By default the sum runs on the field's own transform lattice. The
-    dispersion rate blows up toward the excluded line, so the native
-    lattice carries a near-line quadrature error of order the lattice
-    spacing squared; pass n_quad to respline the transform onto a dense
-    |frequency| <= quad_half lattice when a cross-route comparison needs
-    the quadrature itself converged."""
-    grid_p, grid_q, uhat, zero_col = _spectrum_with_zero_line(u0)
-    if n_quad:
-        gq = Grid1D(-quad_half, quad_half, n_quad)
-        sp_re = RectBivariateSpline(grid_p.points, grid_q.points, uhat.real)
-        sp_im = RectBivariateSpline(grid_p.points, grid_q.points, uhat.imag)
-        uhat = sp_re(gq.points, gq.points) + 1j * sp_im(gq.points, gq.points)
-        zero_col = int(np.argmin(np.abs(gq.points)))
-        uhat[zero_col] = 0.0
-        grid_p = grid_q = gq
-    p = grid_p.points
-    q = grid_q.points
-    keep = np.arange(grid_p.n) != zero_col
-    pk = p[keep]
-    omega = pk[:, None] ** 3 + 3.0 * q[None, :] ** 2 / pk[:, None]
-    phase = np.exp(1j * (pk[:, None] * x + q[None, :] * y + t * omega))
-    total = np.sum(uhat[keep] * phase) * grid_p.spacing * grid_q.spacing
-    return float(np.real(total / (2.0 * np.pi)))
-
-
-def linear_kp_crosscheck(u0: PotentialField, t: float, x: float, y: float,
-                         grid_kl: Grid1D | None = None) -> float:
-    """Same value by the two-spectral-variable parametrization.
-
-    Substituting p = l - k, q = -(l^2 - k^2) turns the rectangular sum
-    into a double sum over (k, l) with Jacobian 2 |l - k|; the transform
-    is spline-interpolated at the image points and zeroed outside its
-    sampled window. Agreement with linear_kp validates the change of
-    variables independently of the kernel pipeline."""
-    if grid_kl is None:
-        grid_kl = Grid1D(-4.0, 4.0, 256)
-    grid_p, grid_q, uhat, _ = _spectrum_with_zero_line(u0)
-    sp_re = RectBivariateSpline(grid_p.points, grid_q.points, uhat.real)
-    sp_im = RectBivariateSpline(grid_p.points, grid_q.points, uhat.imag)
-    pts = grid_kl.points
-    k2 = pts[:, None]
-    l2 = pts[None, :]
-    p = l2 - k2
-    q = -(l2 ** 2 - k2 ** 2)
-    inside = ((p >= grid_p.points[0]) & (p <= grid_p.points[-1])
-              & (q >= grid_q.points[0]) & (q <= grid_q.points[-1]))
-    vals = np.where(inside,
-                    sp_re.ev(p, q) + 1j * sp_im.ev(p, q), 0.0)
-    phase = np.exp(1j * (p * x + q * y + 4.0 * t * (l2 ** 3 - k2 ** 3)))
-    jac = 2.0 * np.abs(p)
-    total = np.sum(vals * phase * jac) * grid_kl.spacing ** 2
-    return float(np.real(total / (2.0 * np.pi)))
-
-
-def linear_field(u0: PotentialField, t: float) -> np.ndarray:
-    """Whole-field linearized evolution on the native grid.
-
-    Multiplies the transform by the unimodular dispersion factor and
-    inverts; the excluded line is zeroed outright. The result is real up
-    to roundoff (the multiplier is Hermitian-symmetric) and has the same
-    discrete L2 norm as the input."""
-    grid_p, grid_q, uhat, zero_col = _spectrum_with_zero_line(u0)
-    p = grid_p.points.copy()
-    p[zero_col] = 1.0  # placeholder; the line is zeroed below
-    omega = p[:, None] ** 3 + 3.0 * grid_q.points[None, :] ** 2 / p[:, None]
-    w = uhat * np.exp(1j * t * omega)
-    w[zero_col] = 0.0
-    gx, gy = u0.grid_x, u0.grid_y
-    p_raw = 2.0 * np.pi * np.fft.fftfreq(gx.n, d=gx.spacing)
-    q_raw = 2.0 * np.pi * np.fft.fftfreq(gy.n, d=gy.spacing)
-    unphase = np.exp(1j * p_raw * gx.min)[:, None] * \
-        np.exp(1j * q_raw * gy.min)[None, :]
-    raw = np.fft.ifftshift(w) * (2.0 * np.pi / (gx.spacing * gy.spacing)) * unphase
-    return np.real(np.fft.ifft2(raw))
 
 
 def check_fine_cap(cap: int) -> int:

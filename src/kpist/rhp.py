@@ -33,8 +33,7 @@ arrays, so stored magnitudes stay those of the time-zero data.
 Projections are sharp bin masks on the FFT of the sampled function:
 half plus keeps the nonnegative-frequency bins together with the
 Nyquist bin, half minus is the negative of the rest. Their difference
-reconstructs the input to rounding, which the solve relies on.
-cauchy_project is the reference definition of one projection. The
+reconstructs the input to rounding, which the solve relies on. The
 operator applies both at once through one FFT pair: with a = K_minus f
 and b = K_plus f, C_plus a + C_minus b = ifft(where(keep, fft a,
 -fft b)), keep the bins 0 .. n/2, so a call costs one forward transform
@@ -52,30 +51,9 @@ from .grids import ConditionsReport
 from .scattering import ScatteringData, neumann_series
 
 
-def cauchy_project(f: np.ndarray, sign: int) -> np.ndarray:
-    """Half-line Fourier projection of a sampled function.
-
-    sign +1 keeps the nonnegative-frequency bins (Nyquist included,
-    weight one); sign -1 returns minus the strictly negative rest, so
-    the plus projection minus the minus projection is the identity.
-    """
-    f = np.asarray(f, dtype=complex)
-    n = f.shape[-1]
-    spec = np.fft.fft(f, axis=-1)
-    idx = np.arange(n)
-    keep_plus = idx <= n // 2
-    if sign == +1:
-        spec = np.where(keep_plus, spec, 0.0)
-        return np.fft.ifft(spec, axis=-1)
-    if sign == -1:
-        spec = np.where(keep_plus, 0.0, spec)
-        return -np.fft.ifft(spec, axis=-1)
-    raise ValueError("sign must be +1 or -1")
-
-
 def _project_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """C_plus a + C_minus b (cauchy_project) in one FFT pair: the plus
-    bins of a's spectrum, minus the minus bins of b's, transformed back."""
+    """C_plus a + C_minus b in one FFT pair: the plus bins (0 .. n/2)
+    of a's spectrum, minus the remaining bins of b's, transformed back."""
     keep = a.shape[-1] // 2 + 1
     spec = np.fft.fft(b, axis=-1)
     spec *= -1.0
@@ -239,27 +217,3 @@ def solve_dmul_dx(op: CTOperator, tol: float = 1e-10,
     sol, iters, _, resid = neumann_series(op, forcing, _norm(op), tol)
     return replace(mu, dmu_dx=sol, residual_dmu=resid,
                    iterations=mu.iterations + iters)
-
-
-def adjoint_identity_check(data: ScatteringData, x: float, y: float) -> float:
-    """Deviation of the time-zero factorization identity
-    (I - A_minus)(I + A_plus*) = I.
-
-    A_sign is the dense matrix of CTOperator.kernel_apply at t = 0
-    (families in consumption orientation) and * is the conjugate
-    transpose. The identity rests on the pairing conj(T_plus(l, k)) =
-    -T_minus(k, l) of the stored kernels, exact at linear order in the
-    data. Returns the largest singular value of the residual.
-
-    The deviation vanishes for zero data, scales with the square of the
-    data amplitude, and is dominated by the y-quadrature error of the
-    kernel assembly: it quarters when n_y doubles and is flat under
-    refinement of the spectral grid alone, so the refinement contract
-    (ratio at most 0.6 per doubling) is exercised by doubling the full
-    grid pair."""
-    op = CTOperator.build(data, 0.0, x, y)
-    eye = np.eye(data.grids.n_kl)
-    # applied to the rows of the identity, a family yields A_sign^T
-    a_minus = op.kernel_apply(-1, eye).T
-    m = (eye - a_minus) @ (eye + op.kernel_apply(+1, eye).conj()) - eye
-    return float(np.linalg.norm(m, 2))

@@ -49,9 +49,6 @@ stored unmasked and built once by assemble_T1; assemble_T adds one
 family's convolution route to it. The direct map (harness) holds one
 family at a time: it solves, assembles and releases mu#_+ before it
 solves for mu#_-, and ScatteringData.from_families joins the kernels.
-split_T recovers the masked linear pieces and the quadratic remainders.
-linearized_T builds the same linear order directly from the 2-D
-transform: -i uhat(l - k, -(l^2 - k^2)).
 """
 
 from __future__ import annotations
@@ -72,7 +69,6 @@ __all__ = [
     "FamilyKernel",
     "ScatteringData",
     "resample_transform",
-    "transform_norms",
     "apply_g",
     "g_on_delta",
     "neumann_series",
@@ -80,11 +76,6 @@ __all__ = [
     "direct_map_bytes",
     "assemble_T",
     "assemble_T1",
-    "linearized_T",
-    "split_T",
-    "diagnostic_mu_k_growth",
-    "kernel_continuity_constant",
-    "continuity_modulus",
     "x_norm",
 ]
 
@@ -129,41 +120,11 @@ def resample_transform(pt: PartialTransform, grids: ScatteringGrids) -> np.ndarr
     return out
 
 
-def transform_norms(ut_work: np.ndarray, grids: ScatteringGrids):
-    """(c, w) admissibility sizes evaluated on the working grids, for
-    self-consistent bound checks (the l = 0 bin is excluded from w)."""
-    dl = grids.grid_kl.spacing
-    dy = grids.grid_y.spacing
-    l = grids.grid_kl.points
-    absu = np.abs(ut_work)
-    c = float(absu.sum() * dl * dy / SQRT_2PI)
-    nz = l != 0.0
-    w = float(np.sqrt((absu[nz] ** 2 / np.abs(l[nz])[:, None]).sum() * dl * dy))
-    return c, w
-
-
 def x_norm(f: np.ndarray, grids: ScatteringGrids) -> float:
     """sup over y of the L2(dk dl) norm; f has shape (n_k, n_l, n_y).
     One vdot per y layer, in place for y-leading storage; NaN propagates."""
     sq = [np.vdot(layer, layer).real for layer in np.moveaxis(f, -1, 0)]
     return float(np.sqrt(np.max(sq)) * grids.grid_kl.spacing)
-
-
-def _offset_kernel(ut_work: np.ndarray, grids: ScatteringGrids) -> np.ndarray:
-    """ut on the offset lattice d*dl, d = -(M-1)..(M-1): row d+M-1.
-
-    The grid is half-open, so index d + M/2 of the working array holds
-    exactly the value at offset d*dl, and only the rows of
-    d = -M/2..M/2-1 carry data. Offsets outside the working window carry
-    exponentially negligible weight; their rows are zero.
-    """
-    m = grids.n_kl
-    out = np.zeros((2 * m - 1, grids.n_y), dtype=np.complex128)
-    d = np.arange(-(m - 1), m)
-    src = d + m // 2
-    ok = (src >= 0) & (src < m)
-    out[np.nonzero(ok)[0]] = ut_work[src[ok]]
-    return out
 
 
 # working-set budget of one chunk's temporaries in the hot loops
@@ -568,17 +529,21 @@ def assemble_T1(ut_work: np.ndarray, grids: ScatteringGrids) -> np.ndarray:
     T1(k, l) = -(i / sqrt(2 pi)) Int e^(i (l^2-k^2) y) ut(l-k; y) dy.
 
     Needs no convolution plan, so it stays cheap on very fine y grids.
+    Gathers the way assemble_T does: ut at p = l - k sits at index
+    d + M/2 (mod 2M) of the transform zero-padded to 2M, which reads a
+    zero for every offset outside the working window.
     """
-    offsets = _offset_kernel(ut_work, grids).T
     m = grids.n_kl
+    pad = np.zeros((grids.n_y, 2 * m), dtype=np.complex128)
+    pad[:, :m] = ut_work.T
     kl = grids.grid_kl.points
     d = np.arange(m)[None, :] - np.arange(m)[:, None]
+    at = (d + m // 2) % (2 * m)
     q = kl[None, :] ** 2 - kl[:, None] ** 2
     T1 = np.empty((m, m), dtype=np.complex128)
     # per k row: the gathered amplitudes and their panel sums
     for ks in _chunks(m, 16 * 2 * m * grids.n_y):
-        T1[ks] = -(1j / SQRT_2PI) * _filon_rows(offsets[:, d[ks] + m - 1],
-                                                 q[ks], grids)
+        T1[ks] = -(1j / SQRT_2PI) * _filon_rows(pad[:, at[ks]], q[ks], grids)
     return T1
 
 
@@ -618,101 +583,3 @@ def assemble_T(mu: MuSharpField, ut_work: np.ndarray, grids: ScatteringGrids,
                      * _filon_rows(amps, q[ks, ls], grids)) * w[ks, ls]
     return FamilyKernel(T, mu.iterations, mu.residual,
                         x_norm(mu.values, grids))
-
-
-def linearized_T(grid_p: Grid1D, grid_q: Grid1D, uhat: np.ndarray,
-                 grids: ScatteringGrids):
-    """Linear-order kernel -i uhat(l-k, -(l^2-k^2)) by bilinear
-    interpolation; points leaving the sampled window contribute zero and
-    are counted. Returns (array over (k, l), out_of_domain_count)."""
-    kpts = grids.grid_kl.points
-    lpts = grids.grid_kl.points
-    p = lpts[None, :] - kpts[:, None]
-    q = -(lpts[None, :] ** 2 - kpts[:, None] ** 2)
-
-    pp = grid_p.points
-    qp = grid_q.points
-    out_mask = (p < pp[0]) | (p > pp[-1]) | (q < qp[0]) | (q > qp[-1])
-
-    pi = np.clip((p - pp[0]) / grid_p.spacing, 0, len(pp) - 1 - 1e-12)
-    qi = np.clip((q - qp[0]) / grid_q.spacing, 0, len(qp) - 1 - 1e-12)
-    i0 = pi.astype(int)
-    j0 = qi.astype(int)
-    fp = pi - i0
-    fq = qi - j0
-    vals = (uhat[i0, j0] * (1 - fp) * (1 - fq)
-            + uhat[i0 + 1, j0] * fp * (1 - fq)
-            + uhat[i0, j0 + 1] * (1 - fp) * fq
-            + uhat[i0 + 1, j0 + 1] * fp * fq)
-    vals = np.where(out_mask, 0.0, vals)
-    return -1j * vals, int(out_mask.sum())
-
-
-def split_T(data: ScatteringData, linear_kernel: np.ndarray | None = None):
-    """Masked linear pieces and quadratic remainders: T_sigma = step * T1
-    + T2_sigma, exactly as stored. An alternative unmasked linear kernel
-    (for example the interpolation route) may be substituted; the default
-    is the delta route stored on the data. Returns the pieces together
-    with their grid-weighted L2 norms and size ratios."""
-    t1 = data.T1 if linear_kernel is None else linear_kernel
-    dkl = data.grids.grid_kl.spacing
-
-    def l2(a):
-        return float(np.sqrt(np.sum(np.abs(a) ** 2) * dkl * dkl))
-
-    out = {}
-    for sign, name, tfull in ((+1, "plus", data.T_plus), (-1, "minus", data.T_minus)):
-        t1m = t1 * data.mask(sign)
-        t2 = tfull - t1m
-        out[f"T1_{name}"] = t1m
-        out[f"T2_{name}"] = t2
-        out[f"l2_T_{name}"] = l2(tfull)
-        out[f"l2_T2_{name}"] = l2(t2)
-        out[f"ratio_{name}"] = l2(t2) / l2(tfull) if l2(tfull) > 0 else 0.0
-    return out
-
-
-def diagnostic_mu_k_growth(mu: MuSharpField) -> dict:
-    """Growth of the solution in the spectral parameter.
-
-    Centered differences in k, then per-layer L2(dk dl) norms divided by
-    1 + |y|. The profile should stay bounded by its value at the largest
-    |y|: no growth faster than linear in y.
-    """
-    g = mu.grids
-    dmu = np.gradient(mu.values, g.grid_kl.spacing, axis=0)
-    dkl = g.grid_kl.spacing
-    prof = np.sqrt(np.sum(np.abs(dmu) ** 2, axis=(0, 1)) * dkl * dkl)
-    ratio = prof / (1.0 + np.abs(g.grid_y.points))
-    return {
-        "sup_ratio": float(np.max(ratio)),
-        "profile": ratio,
-        "edge_value": float(max(ratio[0], ratio[-1])),
-        "y_points": g.grid_y.points,
-    }
-
-
-def kernel_continuity_constant(T_a, T_b, ut_a, ut_b, grids: ScatteringGrids) -> float:
-    """Quotient ||T_a - T_b||_2 / (weighted-L2 + L1 distance of the data):
-    the stability constant of the data-to-kernel map, finite for admissible
-    pairs and stable across nearby pairs."""
-    dkl = grids.grid_kl.spacing
-    dy = grids.grid_y.spacing
-    l = grids.grid_kl.points
-    num = np.sqrt(np.sum(np.abs(T_a - T_b) ** 2) * dkl * dkl)
-    du = ut_a - ut_b
-    wl2 = np.sqrt(np.sum(np.abs(du) ** 2 / (1.0 + l[:, None] ** 2)) * dkl * dy)
-    l1 = np.sum(np.abs(du)) * dkl * dy
-    den = wl2 + l1
-    if den == 0:
-        raise ValueError("identical data; the quotient is undefined")
-    return float(num / den)
-
-
-def continuity_modulus(T: np.ndarray, grids: ScatteringGrids) -> float:
-    """Largest nearest-neighbor difference quotient of the kernel over the
-    grid, both directions; stable under refinement for continuous data."""
-    d = grids.grid_kl.spacing
-    dk = np.max(np.abs(np.diff(T, axis=0))) / d
-    dl = np.max(np.abs(np.diff(T, axis=1))) / d
-    return float(max(dk, dl))

@@ -1,0 +1,353 @@
+"""Reference definitions the tests check the pipeline against.
+
+None of these runs on the pipeline's path; each is an independent,
+slower or more literal route to a quantity the package computes, or a
+figure of a property the paper relies on:
+
+  * full_fourier, inverse_partial_fourier_x: the 2-D transform and the
+    inverse of grids.partial_fourier_x (round trip, spectral derivative;
+    the 2-D transform feeds the linear routes below).
+  * _panel_sums, phase_integral, cumulative_phase_integral: full and
+    cumulative Filon sums, pinned against adaptive quadrature in
+    test_oscillatory; the direct loops that check the recurrences of the
+    direct map (g_on_delta, apply_g) and its y integrals (assemble_T,
+    assemble_T1) sum with them.
+  * _offset_kernel: the offset table of the l-convolution, from which the
+    direct loops check scattering._ConvolutionPlan, apply_g and assembly.
+  * transform_norms, split_T: the admissibility sizes (c, w) on the
+    working grids and the linear/quadratic split of the stored kernels,
+    for the norm bounds of the solve and of T_plus, T_minus and the
+    second-order term oracle.
+  * diagnostic_mu_k_growth, kernel_continuity_constant: growth of mu# in
+    the spectral parameter (solve_mu_sharp) and continuity of the
+    data-to-kernel map (harness.compute_scattering).
+  * cauchy_project: one half-line projection, against which
+    rhp.CTOperator's one-FFT-pair projection is checked.
+  * adjoint_identity_check: the time-zero factorization identity of the
+    stored kernels, through CTOperator.kernel_apply.
+  * linear_kp, linear_kp_crosscheck, linear_field (with
+    _spectrum_with_zero_line): the linearized flow by the rectangular
+    (p, q) sum, by the two-spectral-variable parametrization and on the
+    whole grid; they check the probe path's leading term at t = 5 and the
+    oracle's linear regime.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from scipy.interpolate import RectBivariateSpline
+
+from kpist.grids import (SQRT_2PI, Grid1D, PartialTransform,
+                         PotentialField)
+from kpist.oscillatory import filon_moments
+from kpist.rhp import CTOperator
+from kpist.scattering import MuSharpField, ScatteringData, ScatteringGrids
+
+
+# ---------------------------------------------------------------- transforms
+
+def inverse_partial_fourier_x(pt: PartialTransform) -> np.ndarray:
+    """Inverse of partial_fourier_x; returns the complex field on the x grid."""
+    gl = pt.grid_l
+    n = gl.n
+    dx = 2.0 * np.pi / (n * gl.spacing)
+    x0 = -np.pi / gl.spacing
+    raw = np.fft.ifftshift(pt.values, axes=0)
+    l_raw = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
+    raw = raw * np.exp(1j * l_raw * x0)[:, None]
+    return np.fft.ifft(raw, axis=0) * (n * gl.spacing / SQRT_2PI)
+
+
+def full_fourier(field: PotentialField):
+    """2-D transform uhat(p, q) with (2 pi)^(-1) total normalization.
+
+    Returns (grid_p, grid_q, uhat) with both axes in ascending (fftshifted)
+    frequency order. For real input, uhat(-p, -q) = conj(uhat(p, q)) to
+    roundoff.
+    """
+    gx, gy = field.grid_x, field.grid_y
+    raw = np.fft.fft2(field.values)
+    p_raw = 2.0 * np.pi * np.fft.fftfreq(gx.n, d=gx.spacing)
+    q_raw = 2.0 * np.pi * np.fft.fftfreq(gy.n, d=gy.spacing)
+    phase = np.exp(-1j * p_raw * gx.min)[:, None] * np.exp(-1j * q_raw * gy.min)[None, :]
+    vals = np.fft.fftshift(raw * phase) * (gx.spacing * gy.spacing / (2.0 * np.pi))
+    return gx.dual(), gy.dual(), vals
+
+
+# ---------------------------------------------------------------- Filon sums
+
+def _panel_sums(c, dy, theta):
+    """Per-panel integrals P_j = Int_{y_j}^{y_{j+1}} e^(i theta y) c(y) dy.
+
+    c has shape (..., n); theta broadcasts against the leading axes. The
+    y origin is taken at index 0 (a pure phase e^(i theta y0) is left to
+    the caller when it matters; cumulative/full integrals below fold it in).
+    """
+    c = np.asarray(c, dtype=np.complex128)
+    n = c.shape[-1]
+    theta = np.asarray(theta, dtype=np.float64)
+    m0, m1 = filon_moments(theta * dy)
+    # e^(i theta y_j) with y_j = j*dy relative to the left end
+    j = np.arange(n - 1)
+    phase = np.exp(1j * np.multiply.outer(theta * dy, j))
+    w0 = (m0 - m1)[..., None]
+    w1 = m1[..., None]
+    return dy * phase * (w0 * c[..., :-1] + w1 * c[..., 1:])
+
+
+def phase_integral(c, dy, theta):
+    """Integral over the whole last axis of e^(i theta y) c(y) dy.
+
+    y is measured from the first sample; multiply by e^(i theta y0)
+    externally for an absolute origin.
+    """
+    return _panel_sums(c, dy, theta).sum(axis=-1)
+
+
+def cumulative_phase_integral(c, dy, theta, from_top=False):
+    """Cumulative Filon integral along the last axis.
+
+    from_top False: C_j = Int_{y_0}^{y_j} e^(i theta y) c dy (C_0 = 0).
+    from_top True:  C_j = Int_{y_j}^{y_{n-1}} (C_{n-1} = 0).
+    Same relative-origin convention as phase_integral.
+    """
+    p = _panel_sums(c, dy, theta)
+    out = np.zeros(c.shape[:-1] + (c.shape[-1],), dtype=np.complex128)
+    if from_top:
+        out[..., :-1] = np.cumsum(p[..., ::-1], axis=-1)[..., ::-1]
+    else:
+        out[..., 1:] = np.cumsum(p, axis=-1)
+    return out
+
+
+# ---------------------------------------------------------------- direct map
+
+def _offset_kernel(ut_work: np.ndarray, grids: ScatteringGrids) -> np.ndarray:
+    """ut on the offset lattice d*dl, d = -(M-1)..(M-1): row d+M-1.
+
+    The grid is half-open, so index d + M/2 of the working array holds
+    exactly the value at offset d*dl, and only the rows of
+    d = -M/2..M/2-1 carry data. Offsets outside the working window carry
+    exponentially negligible weight; their rows are zero.
+    """
+    m = grids.n_kl
+    out = np.zeros((2 * m - 1, grids.n_y), dtype=np.complex128)
+    d = np.arange(-(m - 1), m)
+    src = d + m // 2
+    ok = (src >= 0) & (src < m)
+    out[np.nonzero(ok)[0]] = ut_work[src[ok]]
+    return out
+
+
+def transform_norms(ut_work: np.ndarray, grids: ScatteringGrids):
+    """(c, w) admissibility sizes evaluated on the working grids, for
+    self-consistent bound checks (the l = 0 bin is excluded from w)."""
+    dl = grids.grid_kl.spacing
+    dy = grids.grid_y.spacing
+    l = grids.grid_kl.points
+    absu = np.abs(ut_work)
+    c = float(absu.sum() * dl * dy / SQRT_2PI)
+    nz = l != 0.0
+    w = float(np.sqrt((absu[nz] ** 2 / np.abs(l[nz])[:, None]).sum() * dl * dy))
+    return c, w
+
+
+def split_T(data: ScatteringData, linear_kernel: np.ndarray | None = None):
+    """Masked linear pieces and quadratic remainders: T_sigma = step * T1
+    + T2_sigma, exactly as stored. An alternative unmasked linear kernel
+    (for example the interpolation route) may be substituted; the default
+    is the delta route stored on the data. Returns the pieces together
+    with their grid-weighted L2 norms and size ratios."""
+    t1 = data.T1 if linear_kernel is None else linear_kernel
+    dkl = data.grids.grid_kl.spacing
+
+    def l2(a):
+        return float(np.sqrt(np.sum(np.abs(a) ** 2) * dkl * dkl))
+
+    out = {}
+    for sign, name, tfull in ((+1, "plus", data.T_plus), (-1, "minus", data.T_minus)):
+        t1m = t1 * data.mask(sign)
+        t2 = tfull - t1m
+        out[f"T1_{name}"] = t1m
+        out[f"T2_{name}"] = t2
+        out[f"l2_T_{name}"] = l2(tfull)
+        out[f"l2_T2_{name}"] = l2(t2)
+        out[f"ratio_{name}"] = l2(t2) / l2(tfull) if l2(tfull) > 0 else 0.0
+    return out
+
+
+def diagnostic_mu_k_growth(mu: MuSharpField) -> dict:
+    """Growth of the solution in the spectral parameter.
+
+    Centered differences in k, then per-layer L2(dk dl) norms divided by
+    1 + |y|. The profile should stay bounded by its value at the largest
+    |y|: no growth faster than linear in y.
+    """
+    g = mu.grids
+    dmu = np.gradient(mu.values, g.grid_kl.spacing, axis=0)
+    dkl = g.grid_kl.spacing
+    prof = np.sqrt(np.sum(np.abs(dmu) ** 2, axis=(0, 1)) * dkl * dkl)
+    ratio = prof / (1.0 + np.abs(g.grid_y.points))
+    return {
+        "sup_ratio": float(np.max(ratio)),
+        "profile": ratio,
+        "edge_value": float(max(ratio[0], ratio[-1])),
+        "y_points": g.grid_y.points,
+    }
+
+
+def kernel_continuity_constant(T_a, T_b, ut_a, ut_b, grids: ScatteringGrids) -> float:
+    """Quotient ||T_a - T_b||_2 / (weighted-L2 + L1 distance of the data):
+    the stability constant of the data-to-kernel map, finite for admissible
+    pairs and stable across nearby pairs."""
+    dkl = grids.grid_kl.spacing
+    dy = grids.grid_y.spacing
+    l = grids.grid_kl.points
+    num = np.sqrt(np.sum(np.abs(T_a - T_b) ** 2) * dkl * dkl)
+    du = ut_a - ut_b
+    wl2 = np.sqrt(np.sum(np.abs(du) ** 2 / (1.0 + l[:, None] ** 2)) * dkl * dy)
+    l1 = np.sum(np.abs(du)) * dkl * dy
+    den = wl2 + l1
+    if den == 0:
+        raise ValueError("identical data; the quotient is undefined")
+    return float(num / den)
+
+
+# -------------------------------------------------------------- inverse step
+
+def cauchy_project(f: np.ndarray, sign: int) -> np.ndarray:
+    """Half-line Fourier projection of a sampled function.
+
+    sign +1 keeps the nonnegative-frequency bins (Nyquist included,
+    weight one); sign -1 returns minus the strictly negative rest, so
+    the plus projection minus the minus projection is the identity.
+    """
+    f = np.asarray(f, dtype=complex)
+    n = f.shape[-1]
+    spec = np.fft.fft(f, axis=-1)
+    idx = np.arange(n)
+    keep_plus = idx <= n // 2
+    if sign == +1:
+        spec = np.where(keep_plus, spec, 0.0)
+        return np.fft.ifft(spec, axis=-1)
+    if sign == -1:
+        spec = np.where(keep_plus, 0.0, spec)
+        return -np.fft.ifft(spec, axis=-1)
+    raise ValueError("sign must be +1 or -1")
+
+
+def adjoint_identity_check(data: ScatteringData, x: float, y: float) -> float:
+    """Deviation of the time-zero factorization identity
+    (I - A_minus)(I + A_plus*) = I.
+
+    A_sign is the dense matrix of CTOperator.kernel_apply at t = 0
+    (families in consumption orientation) and * is the conjugate
+    transpose. The identity rests on the pairing conj(T_plus(l, k)) =
+    -T_minus(k, l) of the stored kernels, exact at linear order in the
+    data. Returns the largest singular value of the residual.
+
+    The deviation vanishes for zero data, scales with the square of the
+    data amplitude, and is dominated by the y-quadrature error of the
+    kernel assembly: it quarters when n_y doubles and is flat under
+    refinement of the spectral grid alone, so the refinement contract
+    (ratio at most 0.6 per doubling) is exercised by doubling the full
+    grid pair."""
+    op = CTOperator.build(data, 0.0, x, y)
+    eye = np.eye(data.grids.n_kl)
+    # applied to the rows of the identity, a family yields A_sign^T
+    a_minus = op.kernel_apply(-1, eye).T
+    m = (eye - a_minus) @ (eye + op.kernel_apply(+1, eye).conj()) - eye
+    return float(np.linalg.norm(m, 2))
+
+
+# ----------------------------------------------------------- linearized flow
+
+def _spectrum_with_zero_line(u0: PotentialField):
+    grid_p, grid_q, uhat = full_fourier(u0)
+    scale = np.max(np.abs(uhat))
+    zero_col = int(np.argmin(np.abs(grid_p.points)))
+    if scale > 0 and np.max(np.abs(uhat[zero_col])) > 1e-8 * scale:
+        raise ValueError(
+            "transform does not vanish on the excluded zero-frequency "
+            "line; the data is not zero-mean in x")
+    return grid_p, grid_q, uhat, zero_col
+
+
+def linear_kp(u0: PotentialField, t: float, x: float, y: float,
+              n_quad: int = 0, quad_half: float = 10.0) -> float:
+    """Linearized evolution evaluated at one point, rectangular route.
+
+    By default the sum runs on the field's own transform lattice. The
+    dispersion rate blows up toward the excluded line, so the native
+    lattice carries a near-line quadrature error of order the lattice
+    spacing squared; pass n_quad to respline the transform onto a dense
+    |frequency| <= quad_half lattice when a cross-route comparison needs
+    the quadrature itself converged."""
+    grid_p, grid_q, uhat, zero_col = _spectrum_with_zero_line(u0)
+    if n_quad:
+        gq = Grid1D(-quad_half, quad_half, n_quad)
+        sp_re = RectBivariateSpline(grid_p.points, grid_q.points, uhat.real)
+        sp_im = RectBivariateSpline(grid_p.points, grid_q.points, uhat.imag)
+        uhat = sp_re(gq.points, gq.points) + 1j * sp_im(gq.points, gq.points)
+        zero_col = int(np.argmin(np.abs(gq.points)))
+        uhat[zero_col] = 0.0
+        grid_p = grid_q = gq
+    p = grid_p.points
+    q = grid_q.points
+    keep = np.arange(grid_p.n) != zero_col
+    pk = p[keep]
+    omega = pk[:, None] ** 3 + 3.0 * q[None, :] ** 2 / pk[:, None]
+    phase = np.exp(1j * (pk[:, None] * x + q[None, :] * y + t * omega))
+    total = np.sum(uhat[keep] * phase) * grid_p.spacing * grid_q.spacing
+    return float(np.real(total / (2.0 * np.pi)))
+
+
+def linear_kp_crosscheck(u0: PotentialField, t: float, x: float, y: float,
+                         grid_kl: Grid1D | None = None) -> float:
+    """Same value by the two-spectral-variable parametrization.
+
+    Substituting p = l - k, q = -(l^2 - k^2) turns the rectangular sum
+    into a double sum over (k, l) with Jacobian 2 |l - k|; the transform
+    is spline-interpolated at the image points and zeroed outside its
+    sampled window. Agreement with linear_kp validates the change of
+    variables independently of the kernel pipeline."""
+    if grid_kl is None:
+        grid_kl = Grid1D(-4.0, 4.0, 256)
+    grid_p, grid_q, uhat, _ = _spectrum_with_zero_line(u0)
+    sp_re = RectBivariateSpline(grid_p.points, grid_q.points, uhat.real)
+    sp_im = RectBivariateSpline(grid_p.points, grid_q.points, uhat.imag)
+    pts = grid_kl.points
+    k2 = pts[:, None]
+    l2 = pts[None, :]
+    p = l2 - k2
+    q = -(l2 ** 2 - k2 ** 2)
+    inside = ((p >= grid_p.points[0]) & (p <= grid_p.points[-1])
+              & (q >= grid_q.points[0]) & (q <= grid_q.points[-1]))
+    vals = np.where(inside,
+                    sp_re.ev(p, q) + 1j * sp_im.ev(p, q), 0.0)
+    phase = np.exp(1j * (p * x + q * y + 4.0 * t * (l2 ** 3 - k2 ** 3)))
+    jac = 2.0 * np.abs(p)
+    total = np.sum(vals * phase * jac) * grid_kl.spacing ** 2
+    return float(np.real(total / (2.0 * np.pi)))
+
+
+def linear_field(u0: PotentialField, t: float) -> np.ndarray:
+    """Whole-field linearized evolution on the native grid.
+
+    Multiplies the transform by the unimodular dispersion factor and
+    inverts; the excluded line is zeroed outright. The result is real up
+    to roundoff (the multiplier is Hermitian-symmetric) and has the same
+    discrete L2 norm as the input."""
+    grid_p, grid_q, uhat, zero_col = _spectrum_with_zero_line(u0)
+    p = grid_p.points.copy()
+    p[zero_col] = 1.0  # placeholder; the line is zeroed below
+    omega = p[:, None] ** 3 + 3.0 * grid_q.points[None, :] ** 2 / p[:, None]
+    w = uhat * np.exp(1j * t * omega)
+    w[zero_col] = 0.0
+    gx, gy = u0.grid_x, u0.grid_y
+    p_raw = 2.0 * np.pi * np.fft.fftfreq(gx.n, d=gx.spacing)
+    q_raw = 2.0 * np.pi * np.fft.fftfreq(gy.n, d=gy.spacing)
+    unphase = np.exp(1j * p_raw * gx.min)[:, None] * \
+        np.exp(1j * q_raw * gy.min)[None, :]
+    raw = np.fft.ifftshift(w) * (2.0 * np.pi / (gx.spacing * gy.spacing)) * unphase
+    return np.real(np.fft.ifft2(raw))

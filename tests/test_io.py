@@ -1,5 +1,7 @@
 """File format round trips, probe parsing, CSV determinism, configs."""
 
+import re
+
 import numpy as np
 import pytest
 import yaml
@@ -233,6 +235,19 @@ class TestConfig:
             p.write_text(f"potential: {{amplitude: 0.05}}\ntol: {tol}\n")
             with pytest.raises(ValueError,
                                match="tol must be finite and positive"):
+                load_config(p)
+
+    def test_nonfinite_times(self, tmp_path):
+        # an infinite t_max passes 0 < t_min < t_max; the sample times
+        # would then be nan and every probe of a decay fit refused
+        p = tmp_path / "c.yaml"
+        for key, other, value in (("t_max", "t_min: 1.0", ".inf"),
+                                  ("t_max", "t_min: 1.0", ".nan"),
+                                  ("t_min", "t_max: 2.0", ".nan")):
+            p.write_text("potential: {amplitude: 0.05}\n"
+                         f"times: {{{key}: {value}, {other}}}\n")
+            msg = re.escape(f"{p}: times.{key} must be finite")
+            with pytest.raises(ValueError, match=msg):
                 load_config(p)
 
     def test_too_few_times(self, tmp_path):

@@ -15,7 +15,7 @@ import pytest
 from kpist import oracle
 from kpist.grids import Grid1D, PotentialField, make_test_potential
 from kpist.oracle import OracleState, cfl_bound, evolve, step
-from kpist.reconstruct import linear_field
+from reference import linear_field
 
 GRID = Grid1D(-32.0, 32.0, 128)
 # 0.5 / max dealiased |p^3 + 3 q^2/p| on GRID, frozen

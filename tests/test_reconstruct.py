@@ -40,13 +40,11 @@ from kpist.reconstruct import (
     SplineKernels,
     eval_u1,
     eval_u2,
-    linear_field,
-    linear_kp,
-    linear_kp_crosscheck,
     ray_resolution_grid,
     reconstruct,
     resample_scattering_data,
 )
+from reference import linear_field, linear_kp, linear_kp_crosscheck
 
 WORK_KL = Grid1D(-8.0, 8.0, 128)
 WORK_Y = Grid1D(-8.0, 8.0, 128)

@@ -32,8 +32,6 @@ from kpist.reconstruct import (ray_resolution_grid, reconstruct,
                                resample_scattering_data)
 from kpist.rhp import (
     CTOperator,
-    adjoint_identity_check,
-    cauchy_project,
     derivative_data,
     family_kernel,
     phase_weights,
@@ -41,6 +39,7 @@ from kpist.rhp import (
     solve_mul,
     weighted_l2,
 )
+from reference import adjoint_identity_check, cauchy_project
 
 
 def build_reference(eps, n_kl=128, n_y=128, field_n=256):

