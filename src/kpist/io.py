@@ -130,6 +130,14 @@ def load_scattering(directory) -> ScatteringData:
     t_plus = read_array(d / "t_plus.bin", shape, True)
     t_minus = read_array(d / "t_minus.bin", shape, True)
     t1 = read_array(d / "t1.bin", shape, True)
+    # the kernel products read only each family's own triangle
+    # (scattering.triangular_apply), so the other must hold exact zeros
+    for name, beyond, where in (("t_plus.bin", np.tril(t_plus, -1), "below"),
+                                ("t_minus.bin", np.triu(t_minus, 1), "above")):
+        if np.any(beyond):
+            raise ValueError(f"{d / name}: {np.count_nonzero(beyond)} "
+                             f"nonzero entries {where} the diagonal; the "
+                             f"family's kernel must be triangular")
     meta = dict(side.get("meta") or {})
     return ScatteringData(t_plus, t_minus, t1, grids, meta)
 

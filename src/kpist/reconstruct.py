@@ -30,12 +30,17 @@ a product gathers its input into the table once, takes suffix sums
 inside the intervals and interval totals across them there, and gathers
 its result back to point order once. Up to DENSE_MAX points, the floor
 grid of most short-time probes, the band's fixed cost per call exceeds a
-whole dense product, so products take the dense T_plus and T_minus (2 MB
-at 256 points). A source keeps its last REFINED_PER_SOURCE refinements
-by grid, each with its band factors or dense arrays, so probes that share
-a grid pay these once. T1, and the dense arrays of a band-route grid, are
-reference arrays for the tests and the reference definitions
-family_kernel and derivative_data; nothing on the probe path reads them.
+dense product, so products take the dense T_plus and T_minus (2 MB at
+256 points) through scattering.triangular_apply, which reads only each
+family's own triangle. With one BLAS thread, one family's single-row
+product takes 13-17 us that way at 256 points against the band's
+38-50 us, and 87-115 us at 512 points against the band's 53-90 us
+(half-widths 1.5 and 3 on the bench data). A source keeps its last
+REFINED_PER_SOURCE refinements by grid, each with its band factors or
+dense arrays, so probes that share a grid pay these once. T1, and the
+dense arrays of a band-route grid, are reference arrays for the tests
+and the reference definitions family_kernel and derivative_data;
+nothing on the probe path reads them.
 
 The linearized flow enters as the decay fits' linear baseline
 (harness.run_linear_baseline): u1 on the linear-order kernels, through
@@ -62,7 +67,8 @@ from .rhp import (  # noqa: F401
     family_kernel,
     solve_dmul_dx,
 )
-from .scattering import ScatteringData, ScatteringGrids, _triangle_weights
+from .scattering import (ScatteringData, ScatteringGrids, _triangle_weights,
+                         triangular_apply)
 
 __all__ = [
     "ReconstructionSample",
@@ -80,10 +86,10 @@ GRID_FLOOR = 256
 # used dropped first; a wide 1024-point one holds 7 MB, 42 MB once its
 # dense reference arrays are read
 REFINED_PER_SOURCE = 8
-# largest fine grid whose kernel products are dense (SplineKernels): with
-# one BLAS thread, one single-row dense product takes 21-29 us at 256
-# points against the banded one's 42-61 us, and 207-213 us at 512 points
-# against 58-84 us
+# largest fine grid whose kernel products are triangular ones on dense
+# arrays (SplineKernels): with one BLAS thread, one family's single-row
+# product takes 13-17 us at 256 points against the banded one's 38-50 us,
+# and 87-115 us at 512 points against 53-90 us
 DENSE_MAX = 256
 
 
@@ -295,8 +301,9 @@ class SplineKernels:
     construction on the band's segment table (_Band), forming no n_fine^2
     array; the minus family's lower triangle is the upper one of the
     reversed band, and its gathers carry the reversal, so no input or
-    result is copied reversed. Up to DENSE_MAX points with the dense
-    T_plus or T_minus, cheaper there than the band's fixed work per call.
+    result is copied reversed. Up to DENSE_MAX points a triangular product
+    with the dense T_plus or T_minus (scattering.triangular_apply),
+    cheaper there than the band's fixed work per call.
     T_plus, T_minus and T1 are built on first access by _dense, the one
     dense evaluator."""
 
@@ -331,7 +338,8 @@ class SplineKernels:
             raise ValueError("sign must be +1 or -1")
         rows = np.asarray(rows, dtype=complex)
         if self._families is None:
-            return rows @ (self.T_plus if sign == +1 else self.T_minus).T
+            kernel = self.T_plus if sign == +1 else self.T_minus
+            return triangular_apply(kernel, sign, rows)
         band, factors = self._families[sign]
         return band.upper(factors, rows)
 
@@ -385,10 +393,11 @@ def resample_scattering_data(data: ScatteringData, grid_fine: Grid1D
     recently used refinement when the cache is full. Fine points past
     the last source sample are clipped to the knot interval, where
     fitpack holds the spline constant, so the values are those of the
-    splines evaluated there. Products are dense up to DENSE_MAX points
-    and cost O(n_fine + n^2) per row above it (SplineKernels). Direct
-    reassembly at the fine size would redo the layered solve at quadratic
-    cost; splines keep large-time probes affordable."""
+    splines evaluated there. Products are triangular ones on dense
+    arrays up to DENSE_MAX points and cost O(n_fine + n^2) per row above
+    it (SplineKernels). Direct reassembly at the fine size would redo the
+    layered solve at quadratic cost; splines keep large-time probes
+    affordable."""
     src = data.grids.grid_kl
     if grid_fine.min < src.min or grid_fine.max > src.max:
         raise ValueError("fine grid must lie inside the source grid")

@@ -14,14 +14,16 @@ accumulator, so all share one stopping rule, cap, residual and finite guard.
 Every kernel application of the solve and of the field evaluation goes
 through CTOperator. The weight factorizes into the phase diagonals
 e^{-i phi(k)} and e^{i phi(l)}, so a family costs one product through the
-kernel data's apply, shared by all right-hand sides: a dense product for
-stored kernels (scattering.ScatteringData) and for kernels refined onto
-a probe grid of at most reconstruct.DENSE_MAX points, where it is the
-cheaper; a banded factored one, which forms no n_fine^2 array, for
-larger refined grids (reconstruct.SplineKernels). No kernel is copied
-or formed anew: the minus family, -T_minus in consumption
-orientation, carries its sign on the scalar grid weight, and the
-x-derivative kernels i(l - k)K act through i(l - k)K g = i(K(l g) - k K g).
+kernel data's apply, shared by all right-hand sides: a triangular BLAS
+product that reads only the family's own triangle
+(scattering.triangular_apply) for stored kernels
+(scattering.ScatteringData) and for kernels refined onto a probe grid
+of at most reconstruct.DENSE_MAX points, where it is the cheaper; a
+banded factored one, which forms no n_fine^2 array, for larger refined
+grids (reconstruct.SplineKernels). No kernel is copied or formed anew:
+the minus family, -T_minus in consumption orientation, carries its sign
+on the scalar grid weight, and the x-derivative kernels i(l - k)K act
+through i(l - k)K g = i(K(l g) - k K g).
 family_kernel and derivative_data remain as the reference definitions.
 
 The operator is the one handle of a probe: CTOperator.build(base, t, x, y)
@@ -34,10 +36,10 @@ Projections are sharp bin masks on the FFT of the sampled function:
 half plus keeps the nonnegative-frequency bins together with the
 Nyquist bin, half minus is the negative of the rest. Their difference
 reconstructs the input to rounding, which the solve relies on. The
-operator applies both at once through one FFT pair: with a = K_minus f
-and b = K_plus f, C_plus a + C_minus b = ifft(where(keep, fft a,
--fft b)), keep the bins 0 .. n/2, so a call costs one forward transform
-per family and one inverse transform instead of two of each.
+operator applies both at once through one forward and one inverse
+transform: with a = K_minus f and b = K_plus f, C_minus b = C_plus b - b
+exactly, so C_plus a + C_minus b = ifft(keep fft(a + b)) - b, keep the
+bins 0 .. n/2.
 """
 
 from __future__ import annotations
@@ -52,13 +54,13 @@ from .scattering import ScatteringData, neumann_series
 
 
 def _project_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """C_plus a + C_minus b in one FFT pair: the plus bins (0 .. n/2)
-    of a's spectrum, minus the remaining bins of b's, transformed back."""
-    keep = a.shape[-1] // 2 + 1
-    spec = np.fft.fft(b, axis=-1)
-    spec *= -1.0
-    spec[..., :keep] = np.fft.fft(a, axis=-1)[..., :keep]
-    return np.fft.ifft(spec, axis=-1)
+    """C_plus a + C_minus b = C_plus (a + b) - b in one FFT pair: the
+    plus bins (0 .. n/2) of the spectrum of a + b, transformed back."""
+    spec = np.fft.fft(a + b, axis=-1)
+    spec[..., a.shape[-1] // 2 + 1:] = 0.0
+    out = np.fft.ifft(spec, axis=-1)
+    out -= b
+    return out
 
 
 def _require_finite(t: float, x: float, y: float) -> None:
@@ -188,7 +190,7 @@ class RHPSolution:
 
 def weighted_l2(f: np.ndarray, dl: float) -> float:
     """Grid-weighted L2 norm over the spectral variable."""
-    return float(np.sqrt(np.sum(np.abs(f) ** 2) * dl))
+    return float(np.sqrt(np.vdot(f, f).real * dl))
 
 
 def _norm(op: CTOperator):

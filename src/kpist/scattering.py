@@ -59,6 +59,7 @@ import functools
 import numpy as np
 import scipy.fft as sfft
 from scipy.interpolate import CubicSpline, RectBivariateSpline
+from scipy.linalg.blas import ztrmv
 
 from .grids import SQRT_2PI, Grid1D, PartialTransform
 from .oscillatory import filon_moments
@@ -76,6 +77,7 @@ __all__ = [
     "direct_map_bytes",
     "assemble_T",
     "assemble_T1",
+    "triangular_apply",
     "x_norm",
 ]
 
@@ -394,7 +396,10 @@ class ScatteringData:
     """Triangular kernels on the (k, l) grid plus the unmasked linear route.
 
     T_plus vanishes (exact zeros) below the diagonal, T_minus above; the
-    diagonal itself carries weight 1/2 in both.
+    diagonal itself carries weight 1/2 in both. apply relies on those
+    exact zeros: it reads only the family's own triangle
+    (triangular_apply), so values in the other would be ignored, and
+    io.load_scattering refuses a file that holds any.
     """
 
     T_plus: np.ndarray
@@ -463,7 +468,7 @@ class ScatteringData:
 
     def apply(self, sign: int, rows: np.ndarray) -> np.ndarray:
         """rows @ K^T, K one family's kernel in stored orientation."""
-        return rows @ self._kernel(sign).T
+        return triangular_apply(self._kernel(sign), sign, rows)
 
     @functools.cached_property
     def spline_fit(self) -> tuple[np.ndarray, dict]:
@@ -516,6 +521,23 @@ def _filon_rows(amps: np.ndarray, q: np.ndarray,
         acc *= z
         acc += p[j]
     return np.exp(1j * q * grids.grid_y.points[0]) * acc
+
+
+def triangular_apply(K: np.ndarray, sign: int, rows: np.ndarray
+                     ) -> np.ndarray:
+    """rows @ K^T for one family's kernel K, reading only its own
+    triangle: the upper one for sign +1, the lower for -1. Each row is
+    one BLAS ztrmv on the Fortran view K^T, transposed back (trans=1), so
+    K is not copied and the other triangle, zero by construction, is
+    neither read nor multiplied."""
+    out = np.array(rows, dtype=complex, order="C")
+    if out.shape[-1:] != K.shape[:1]:
+        # ztrmv would pass the entries of a longer row through unchanged
+        raise ValueError(f"rows of shape {out.shape} for a kernel of "
+                         f"shape {K.shape}")
+    for row in out.reshape(-1, out.shape[-1]):
+        ztrmv(K.T, row, lower=int(sign == +1), trans=1, overwrite_x=1)
+    return out
 
 
 def _triangle_weights(m: int, sign: int) -> np.ndarray:

@@ -101,6 +101,20 @@ class TestScatteringFiles:
                      "scattering.yaml"):
             assert (tmp_path / "d" / name).exists()
 
+    @pytest.mark.parametrize("name, k, l", [("t_plus.bin", 9, 3),
+                                             ("t_minus.bin", 3, 9)])
+    def test_entry_beyond_the_triangle_rejected(self, tmp_path, name, k, l):
+        # the products read only each family's own triangle, so a file
+        # with an entry in the other would serve other numbers unwarned
+        data = synthetic_data()
+        save_scattering(data, tmp_path / "d")
+        path = tmp_path / "d" / name
+        arr = read_array(path, data.T_plus.shape, True)
+        arr[k, l] = 1e-3
+        write_array(path, arr)
+        with pytest.raises(ValueError, match=re.escape(name)):
+            load_scattering(tmp_path / "d")
+
     def test_wrong_format_rejected(self, tmp_path):
         d = tmp_path / "d"
         d.mkdir()

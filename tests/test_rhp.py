@@ -340,6 +340,29 @@ class TestFusedProjection:
                 assert got.shape == ref.shape
                 assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
+    def test_one_transform_pair_per_projection(self, ref05, monkeypatch):
+        # C_plus a + C_minus b = C_plus (a + b) - b: one forward and one
+        # inverse transform per operator call, derivative included
+        data, _ = ref05
+        op = CTOperator.build(data, 0.5, 1.2, 0.8)
+        calls = {"fft": 0, "ifft": 0}
+
+        def counted(name):
+            fn = getattr(np.fft, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(np.fft, name, counted(name))
+        f = np.ones(data.grids.n_kl, dtype=complex)
+        for apply in (op, op.derivative):
+            calls.update(fft=0, ifft=0)
+            apply(f)
+            assert calls == {"fft": 1, "ifft": 1}
+
 
 class TestSolveMu:
     def test_zero_data_solves_immediately(self, ref05):
@@ -615,11 +638,23 @@ class TestCopyFreeOperator:
         resid = sol.dmu_dx - forcing - op(sol.dmu_dx)
         assert weighted_l2(resid, dl) <= 1e-11 * weighted_l2(sol.dmu_dx, dl)
 
-    def test_no_kernel_sized_allocation(self, fine1024):
-        t, x, y = FINE_PROBE
-        n = fine1024.grids.n_kl
-        op = CTOperator.build(fine1024, t, x, y)
+    @pytest.mark.parametrize("route", ["stored128", "dense256", "band1024"])
+    def test_no_kernel_sized_allocation(self, request, ref05, route):
+        # the stored data and a floor-grid refinement take triangular
+        # products, the 1024-point refinement banded ones; a copy of a
+        # kernel (n^2 complex values) in any call fails every route
+        data, _ = ref05
+        if route == "stored128":
+            base, (t, x, y) = data, (0.5, 1.2, 0.8)
+        elif route == "dense256":
+            base = resample_scattering_data(data, Grid1D(-1.5, 1.5, 256))
+            t, x, y = 1.0, 0.3, 0.2
+        else:
+            base, (t, x, y) = request.getfixturevalue("fine1024"), FINE_PROBE
+        n = base.grids.n_kl
+        op = CTOperator.build(base, t, x, y)
         f = np.ones(n, dtype=complex)
+        op(f)  # the dense route builds its kernel arrays on first use
         tracemalloc.start()
         try:
             op(f)

@@ -36,6 +36,7 @@ from kpist.scattering import (
     neumann_series,
     resample_transform,
     solve_mu_sharp,
+    triangular_apply,
     x_norm,
 )
 from reference import (
@@ -666,6 +667,25 @@ def test_assemble_T_chunks_sum_only_their_triangle(monkeypatch):
         assert np.array_equal(by_row, whole)
         assert np.all(by_row[sign * d < 0] == 0.0)
         assert np.all(by_row[sign * d >= 0] != 0.0)
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_triangular_apply_reads_only_its_triangle(sign):
+    # the other triangle holds garbage here: the product must equal the
+    # full one with that triangle zeroed, for a row, a stack and a view
+    m = 24
+    rng = np.random.default_rng(3)
+    K = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    d = np.arange(m)[None, :] - np.arange(m)[:, None]
+    own = np.where(sign * d >= 0, K, 0.0)
+    rows = rng.standard_normal((m, 3)) + 1j * rng.standard_normal((m, 3))
+    for f in (rows[:, 0], rows.T):
+        want = f @ own.T
+        got = triangular_apply(K, sign, f)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    with pytest.raises(ValueError, match="rows of shape"):
+        triangular_apply(K, sign, np.ones(m + 1))
 
 
 def test_masks_bitwise(solved128):
