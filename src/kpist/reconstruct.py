@@ -23,18 +23,20 @@ entries per point, and the refined family is W_sigma (B C_sigma B^T),
 W_sigma the triangle weight of the fine grid (SplineKernels). Fine points
 past the last source sample are clipped to the knot interval, where
 fitpack holds the spline constant. Per fine grid of n_fine points the
-refinement costs O(n_fine) time and memory. Above DENSE_MAX points each
-kernel product costs O(n_fine + n^2) per row and no n_fine^2 array is
-formed: the band factors sit on a table with one row per knot interval,
-a product gathers its input into the table once, takes suffix sums
-inside the intervals and interval totals across them there, and gathers
+refinement costs O(n_fine + n_c^2) time and memory, n_c <= n the spline
+coefficients its points reach. Above DENSE_MAX points each kernel
+product costs as much per row and no n_fine^2 array is formed: the band
+factors sit on a table with one row per knot interval, a product gathers
+its input into the table once, takes suffix sums inside the intervals
+there, couples the interval totals through the strict upper triangle of
+the coefficients and a stencil of the next three intervals, and gathers
 its result back to point order once. Up to DENSE_MAX points, the floor
 grid of most short-time probes, the band's fixed cost per call exceeds a
 dense product, so products take the dense T_plus and T_minus (2 MB at
 256 points) through scattering.triangular_apply, which reads only each
 family's own triangle. With one BLAS thread, one family's single-row
-product takes 13-17 us that way at 256 points against the band's
-38-50 us, and 87-115 us at 512 points against the band's 53-90 us
+product takes 23-34 us that way at 256 points against the band's
+36-46 us, and 105-116 us at 512 points against the band's 63-68 us
 (half-widths 1.5 and 3 on the bench data). A source keeps its last
 REFINED_PER_SOURCE refinements by grid, each with its band factors or
 dense arrays, so probes that share a grid pay these once. T1, and the
@@ -83,13 +85,13 @@ __all__ = [
 # fewest points of a probe grid from ray_resolution_grid
 GRID_FLOOR = 256
 # refinements a source keeps (resample_scattering_data), least recently
-# used dropped first; a wide 1024-point one holds 7 MB, 42 MB once its
+# used dropped first; a wide 1024-point one holds 1.4 MB, 35 MB once its
 # dense reference arrays are read
 REFINED_PER_SOURCE = 8
 # largest fine grid whose kernel products are triangular ones on dense
 # arrays (SplineKernels): with one BLAS thread, one family's single-row
-# product takes 13-17 us at 256 points against the banded one's 38-50 us,
-# and 87-115 us at 512 points against 53-90 us
+# product takes 23-34 us at 256 points against the banded one's 36-46 us,
+# and 105-116 us at 512 points against 63-68 us
 DENSE_MAX = 256
 
 
@@ -207,30 +209,35 @@ class _Band:
     upper-triangle sums.
 
     Point i holds vals[:, i] in columns first[i] .. first[i] + 3 of B,
-    with first nondecreasing; the points sharing first[i] lie in one knot
-    interval and form a segment. The pad table has one row per segment,
-    holding its points last to first and then padding, so a cumulative
-    sum along a row is a suffix sum inside one segment: no sum runs
-    across segments, and none loses digits to the others. A product
+    with first nondecreasing from 0; the points with first[i] = s lie in
+    knot interval s and form its segment. The pad table has one row per
+    knot interval the points span, holding its points last to first and
+    then padding (an interval no point falls in is all padding), so a
+    cumulative sum along a row is a suffix sum inside one segment: no sum
+    runs across segments, and none loses digits to the others. A product
     gathers its input into the table once (take) and its result back to
     point order once (put)."""
 
     def __init__(self, first: np.ndarray, vals: np.ndarray, n_coef: int):
-        m = len(first)
-        starts = np.flatnonzero(np.r_[True, first[1:] != first[:-1]])
-        lens = np.diff(np.r_[starts, m])
-        stops = starts + lens
+        m, n_seg = len(first), n_coef - 3
+        lens = np.bincount(first, minlength=n_seg)
+        stops = np.cumsum(lens)
         k = np.arange(lens.max())
-        seg = np.repeat(np.arange(len(starts)), lens)
         self.first, self.vals, self.n_coef = first, vals, n_coef
         self.filled = k < lens[:, None]
-        # padding repeats a point of its own segment, where the table's
-        # factors are exact zeros
+        # padding repeats a point, where the table's factors are exact zeros
         self.pad = np.where(self.filled, stops[:, None] - 1 - k,
-                            starts[:, None])
-        self.seg_first = first[starts]
+                            (stops - lens)[:, None])
         self.take = self.pad
-        self.put = seg * k.size + (stops[seg] - 1 - np.arange(m))
+        self.put = first * k.size + stops[first] - 1 - np.arange(m)
+        # gathers from the segment totals T[q, t] laid out (4, n_coef), zero
+        # past the table, where t mod n_coef lands for every t off it:
+        # T[q, j - q] for u[j], then T[q, s + d - q] for d = 1 .. 3
+        q, d = np.arange(4)[:, None, None], np.arange(1, 4)[:, None]
+        self.gather = np.r_[
+            (q * n_coef + (np.arange(n_coef) - q) % n_coef).ravel(),
+            (q * n_coef + (np.arange(n_seg) + d - q) % n_coef).ravel()]
+        self.window = np.arange(n_seg) + np.arange(4)[:, None]
 
     def reversed(self) -> "_Band":
         """The band with points and coefficients in reverse order, which
@@ -244,48 +251,66 @@ class _Band:
 
     def factors(self, c: np.ndarray):
         """Factors of W (B c B^T), W the upper triangle weight (1 above the
-        diagonal, 1/2 on it), on the pad table: zero in the padding.
+        diagonal, 1/2 on it): three on the pad table, zero in the padding,
+        and two from c, O(n_fine + n_coef^2) memory in all.
 
-        near = B_i c on point i's own four columns, vals = B_i, half_diag
-        = B_i c B_i^T / 2; far couples segment totals: far[(p, s), (q, t)]
-        = c[a + p, b + q] for segments t > s, a and b their intervals."""
+        near = B_i c on point i's own four columns, vals = B_i (held
+        complex: a mixed real-complex product runs slower), half_diag =
+        B_i c B_i^T / 2; strict = c's strict upper triangle, transposed;
+        local[(q, d), p, s] = c[s + p, s + d] ([d > q] - [d > p]) for
+        d = 1 .. 3, the weight of the total T[q, s + d - q] that strict
+        misses or wrongly adds to interval s (upper)."""
         v = self.vals
         cols = self.first + np.arange(4)[:, None]
         near = np.einsum("pi,pqi->qi", v, c[cols[:, None], cols[None, :]])
         half_diag = 0.5 * np.sum(near * v, axis=0)
 
         def on_table(a):
-            return np.where(self.filled, a[..., self.pad], 0.0)
+            return np.ascontiguousarray(
+                np.where(self.filled, a[..., self.pad], 0.0))
 
-        idx = (np.arange(4)[:, None] + self.seg_first).ravel()
-        seg = np.tile(np.arange(len(self.seg_first)), 4)
-        far = c[idx[:, None], idx] * (seg > seg[:, None])
-        return on_table(near), on_table(v), on_table(half_diag), far
+        p, s = np.arange(4), np.arange(self.n_coef - 3)
+        q, d = p[:, None, None], np.arange(1, 4)[:, None]
+        sign = (d > q) * 1.0 - (d > p)  # (q, d, p)
+        local = c[s + p[:, None], s + d[:, None]] * sign[..., None]
+        return (on_table(near), on_table(v.astype(complex)),
+                on_table(half_diag), np.ascontiguousarray(np.triu(c, 1).T),
+                local.reshape(12, 4, len(s)))
 
     def upper(self, factors, g: np.ndarray) -> np.ndarray:
         """sum_j W(i, j) (B c B^T)(i, j) g_j for every row of g.
 
-        With i in knot interval a, (B c B^T)(i, j) = B_i c B_j^T and B_j
+        With i in knot interval s, (B c B^T)(i, j) = B_i c B_j^T and B_j
         lives on columns first[j] .. first[j] + 3, so the sum over j >= i
-        splits into the band term (j in interval a: suffix sums of
+        splits into the band term (j in interval s: suffix sums of
         B_j g_j inside the segment, four per point, against near), the far
-        term (j in later intervals: the segment totals of B_j g_j,
-        coupled through far and read back through B_i) and the half
-        diagonal, subtracted. All three are formed on the pad table.
+        term and the half diagonal, subtracted. The far term is
+        sum_p B_i[p] w[p, s], w[p, s] = sum_(t > s, q) c[s + p, t + q]
+        T[q, t] over the segment totals T of B_j g_j. The columns j = t + q
+        merge the totals into u = B^T g, u[j] = sum_q T[q, j - q], and the
+        mask t > s differs from j > s + p only for j = s + 1 .. s + 3, so
+        w[p, s] is (c u)[s + p] over j > s + p (strict) plus a stencil of
+        the twelve totals T[q, s + d - q], d = 1 .. 3 (local).
         O(n_fine + n_coef^2) per row."""
-        near, vals, half_diag, far = factors
+        near, vals, half_diag, strict, local = factors
         rows = g.reshape(-1, g.shape[-1])
-        r = len(rows)
-        x = rows[:, self.take]
-        suffix = np.cumsum(vals * x[:, None], axis=-1)
-        w = (suffix[..., -1].reshape(r, -1) @ far.T).reshape(r, 4, -1, 1)
+        r, n_coef = len(rows), self.n_coef
+        # take, unlike indexing, returns rows in C order, which the
+        # broadcast products below need to run at full speed
+        x = rows.take(self.take, axis=1)
+        suffix = vals * x[:, None]
+        np.cumsum(suffix, axis=-1, out=suffix)
+        totals = np.zeros((r, 4, n_coef), dtype=complex)
+        totals[..., :n_coef - 3] = suffix[..., -1]
+        picked = totals.reshape(r, -1).take(self.gather, axis=1)
+        u = picked[:, :4 * n_coef].reshape(r, 4, n_coef).sum(axis=1)
+        w = (picked[:, 4 * n_coef:].reshape(r, 12, 1, -1) * local).sum(axis=1)
+        w += (u @ strict).take(self.window, axis=1)
         suffix *= near
-        suffix += vals * w
-        out = suffix[:, 0] + suffix[:, 1]
-        out += suffix[:, 2]
-        out += suffix[:, 3]
+        suffix += vals * w[..., None]
+        out = suffix.sum(axis=1)
         out -= half_diag * x
-        return out.reshape(r, -1)[:, self.put].reshape(g.shape)
+        return out.reshape(r, -1).take(self.put, axis=1).reshape(g.shape)
 
 
 class SplineKernels:
@@ -296,11 +321,13 @@ class SplineKernels:
     fitted once per source), B the cubic B-spline design matrix on the fine
     points, of which only the band is held (four entries per point), and
     W_sigma the triangle weight of the fine grid. apply is the product
-    ScatteringData gives: above DENSE_MAX points in O(n_fine + n^2) per
-    row, n the source size, from band factors built once per family at
-    construction on the band's segment table (_Band), forming no n_fine^2
-    array; the minus family's lower triangle is the upper one of the
-    reversed band, and its gathers carry the reversal, so no input or
+    ScatteringData gives: above DENSE_MAX points in O(n_fine + n_c^2) per
+    row, n_c the coefficients the fine points reach (at most the source
+    size), from band factors built once per family at construction
+    (_Band): tables on the band's segment table and the strict upper
+    triangle of the coefficients, O(n_fine + n_c^2) memory and no
+    n_fine^2 array; the minus family's lower triangle is the upper one of
+    the reversed band, and its gathers carry the reversal, so no input or
     result is copied reversed. Up to DENSE_MAX points a triangular product
     with the dense T_plus or T_minus (scattering.triangular_apply),
     cheaper there than the band's fixed work per call.
@@ -389,15 +416,16 @@ def resample_scattering_data(data: ScatteringData, grid_fine: Grid1D
     dataclasses.replace copy starts empty: a kept grid returns the same
     SplineKernels, with its band factors or, once read, its dense product
     arrays; a new grid builds the band of the B-spline design matrix on
-    the fine points, O(n_fine) time and memory, and drops the least
-    recently used refinement when the cache is full. Fine points past
-    the last source sample are clipped to the knot interval, where
-    fitpack holds the spline constant, so the values are those of the
-    splines evaluated there. Products are triangular ones on dense
-    arrays up to DENSE_MAX points and cost O(n_fine + n^2) per row above
-    it (SplineKernels). Direct reassembly at the fine size would redo the
-    layered solve at quadratic cost; splines keep large-time probes
-    affordable."""
+    the fine points and, above DENSE_MAX points, its band factors,
+    O(n_fine + n_c^2) time and memory, and drops the least recently used
+    refinement when the cache is full. Fine points past the last source
+    sample are clipped to the knot interval, where fitpack holds the
+    spline constant, so the values are those of the splines evaluated
+    there. Products are triangular ones on dense arrays up to DENSE_MAX
+    points and cost O(n_fine + n_c^2) per row above it (SplineKernels),
+    n_c <= n the coefficients the fine points reach. Direct reassembly
+    at the fine size would redo the layered solve at quadratic cost;
+    splines keep large-time probes affordable."""
     src = data.grids.grid_kl
     if grid_fine.min < src.min or grid_fine.max > src.max:
         raise ValueError("fine grid must lie inside the source grid")

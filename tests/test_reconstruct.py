@@ -545,6 +545,25 @@ EDGE_WINDOW = Grid1D(-8.0, 8.0, 256)
 EDGE_WINDOW_512 = Grid1D(-8.0, 8.0, 512)
 # a decay-ray probe (x / t = -12) whose resolution grid is 2048 points
 DECAY_PROBE_2048 = (30.0, -360.0, 0.0)
+# a wide window with more than 120 knot intervals, on the band route
+WIDE_1024 = Grid1D(-7.875, 7.875, 1024)
+# a band-route grid coarser than its source's knot spacing: some knot
+# intervals hold no fine point
+COARSE_SOURCE = Grid1D(-4.0, 4.0, 1024)
+COARSE_FINE = Grid1D(-3.5, 3.5, 512)
+
+
+def assert_products_match_dense(res):
+    """Both families' products against the dense reference arrays, on one
+    row (the solves), two (derivative, eval_u1) and three (eval_u2)."""
+    n = res.grids.n_kl
+    rng = np.random.default_rng(5)
+    rows = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    for sign, kernel in ((+1, res.T_plus), (-1, res.T_minus)):
+        for g in (rows[0], rows[:2], rows):
+            got, want = res.apply(sign, g), g @ kernel.T
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestFactoredKernels:
@@ -554,21 +573,34 @@ class TestFactoredKernels:
     @pytest.mark.parametrize("grid", [ray_resolution_grid(0.0, 1.0, 0.5),
                                       ray_resolution_grid(*FINE_PROBE),
                                       ray_resolution_grid(*DECAY_PROBE_2048),
-                                      EDGE_WINDOW, EDGE_WINDOW_512],
+                                      EDGE_WINDOW, EDGE_WINDOW_512,
+                                      WIDE_1024],
                              ids=["floor256", "probe1024", "probe2048",
-                                  "edge256", "edge512"])
+                                  "edge256", "edge512", "wide1024"])
     def test_products_match_reference_arrays(self, ref05, grid):
-        # one row (the solves), two (derivative, eval_u1) and three (eval_u2)
         _, data = ref05
-        res = resample_scattering_data(dataclasses.replace(data), grid)
-        rng = np.random.default_rng(5)
-        rows = rng.standard_normal((3, grid.n)) + 1j * rng.standard_normal((3, grid.n))
-        for sign, kernel in ((+1, res.T_plus), (-1, res.T_minus)):
-            for g in (rows[0], rows[:2], rows):
-                got, want = res.apply(sign, g), g @ kernel.T
-                assert got.shape == want.shape
-                assert np.max(np.abs(got - want)) <= \
-                    1e-13 * np.max(np.abs(want))
+        assert_products_match_dense(
+            resample_scattering_data(dataclasses.replace(data), grid))
+
+    def test_empty_knot_intervals(self):
+        # smooth synthetic kernels on a source finer than the probe grid,
+        # so no direct map runs; the band's table then has rows that hold
+        # no point
+        assert COARSE_FINE.spacing > COARSE_SOURCE.spacing
+        assert COARSE_FINE.n > reconstruct_module.DENSE_MAX
+        k, l = np.meshgrid(COARSE_SOURCE.points, COARSE_SOURCE.points,
+                           indexing="ij")
+        t1 = np.exp(-(k * k + l * l) / 8) * (1 + 0.5j * np.sin(k - 2 * l))
+        plus = np.exp(-(k - l) ** 2 / 4 - (k + l) ** 2 / 16) \
+            * (0.3 + 1j * np.cos(k + l))
+        minus = np.exp(-(k * k + 2 * l * l) / 6) * (np.sin(k * l) - 0.2j)
+        m = COARSE_SOURCE.n
+        src = ScatteringData(
+            scattering._triangle_weights(m, +1) * (plus + t1),
+            scattering._triangle_weights(m, -1) * (minus + t1), t1,
+            ScatteringGrids(COARSE_SOURCE, Grid1D(-4.0, 4.0, 8)), {})
+        assert_products_match_dense(
+            resample_scattering_data(src, COARSE_FINE))
 
     def test_minus_family_takes_non_contiguous_rows(self, fine1024):
         # the band route folds the minus family's point reversal into its
@@ -647,7 +679,7 @@ class TestFactoredKernels:
 
     def test_probe_memory_is_linear_in_grid(self, ref05):
         # a dense fine kernel alone would take n^2 * 16 B = 256 MiB
-        # (measured peak: 7.4 MB)
+        # (measured peak: 5.2 MB)
         _, data = ref05
         src = dataclasses.replace(data)
         t, x, y = 50.0, -600.0, 0.0
@@ -717,7 +749,7 @@ class TestRefinementCache:
 
     def test_full_cache_memory_is_bounded(self, ref05):
         # wide 1024-point refinements, the largest the probe path holds
-        # per entry (measured 56 MB for the 8 kept entries)
+        # per entry (measured 8.1 MiB for the 8 kept entries)
         _, data = ref05
         src = dataclasses.replace(data)
         src.spline_fit  # the fit belongs to the source, not the cache
@@ -730,7 +762,7 @@ class TestRefinementCache:
         finally:
             tracemalloc.stop()
         assert len(vars(src)["_refined"]) == REFINED_PER_SOURCE
-        assert held < REFINED_PER_SOURCE * 10 * 2 ** 20
+        assert held < REFINED_PER_SOURCE * 1.5 * 2 ** 20
 
     def test_full_cache_of_dense_refinements_is_bounded(self, ref05):
         # a read 256-point refinement holds its two product arrays, 2 MB
