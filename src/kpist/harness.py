@@ -24,8 +24,9 @@ from .phase_airy import (RayCoordinates, RegionLabel, cubic_phase_transform,
 from .reconstruct import (eval_u1, ray_resolution_grid, reconstruct,
                           resample_scattering_data)
 from .rhp import CTOperator, solve_dmul_dx, weighted_l2
-from .scattering import (ScatteringData, ScatteringGrids, _triangle_weights,
-                         assemble_T, assemble_T1, direct_map_bytes,
+from .scattering import (FamilyKernel, ScatteringData, ScatteringGrids,
+                         _triangle_weights, _VolterraPlan, assemble_T,
+                         assemble_T1, direct_map_blocks, direct_map_bytes,
                          resample_transform, solve_mu_sharp)
 
 __all__ = [
@@ -42,7 +43,7 @@ CLUSTER_SIZE = 5
 CONTRACTION_LIMIT = 0.5
 AIRY_IDENTITY_TOL = 1e-6
 RATIO_SLACK = 1.15
-# (t, x, y) of the contraction and solution rows of the verify sweep
+# (t, x, y) of the solution rows of the verify sweep
 VERIFY_PROBE = (0.0, 0.7, -0.4)
 
 
@@ -180,14 +181,14 @@ def compute_scattering(field: PotentialField, grids: ScatteringGrids,
 
     The smallness report is enforced: outside the contractive regime the
     layered solve has no convergence guarantee, so this refuses to run.
-    The direct map holds one family at a time, so its working set is one
-    solve's three M^2 n_y complex fields (source, sum and work term) plus
-    bounded chunk temporaries (scattering.direct_map_bytes). Where
-    /proc/meminfo gives a MemAvailable smaller than that, the call is
-    refused with ValueError before anything is resampled or solved.
-    MemAvailable is host-wide: a cgroup memory limit below it is not
-    checked, so inside such a limit the direct map can still be killed
-    for want of memory.
+    The direct map holds one block of k rows of one family at a time, so
+    its working set is one block's three K M n_y complex arrays (source,
+    sum and work term) plus bounded chunk temporaries
+    (scattering.direct_map_bytes), where a byte budget sets K
+    (scattering.direct_map_blocks). Where the memory available
+    (_available_bytes: MemAvailable, and the headroom under a cgroup v2
+    limit) is smaller than that, the call is refused with ValueError
+    before anything is resampled or solved.
     """
     pt = partial_fourier_x(field)
     report = check_conditions(field, pt)
@@ -196,26 +197,47 @@ def compute_scattering(field: PotentialField, grids: ScatteringGrids,
     return _direct_map(pt, report, grids, tol), report
 
 
+def _read_int(path: str) -> int | None:
+    """The integer a file holds, None where it cannot be read as one."""
+    try:
+        with open(path) as fh:
+            return int(fh.read().strip())
+    except (OSError, ValueError):
+        return None
+
+
 def _available_bytes() -> int | None:
-    """MemAvailable of /proc/meminfo in bytes; None where it cannot be
-    read."""
+    """Bytes this process may still allocate: the smaller of MemAvailable
+    (/proc/meminfo) and, under a cgroup v2 limit, memory.max less
+    memory.current. A figure that cannot be read does not count, and
+    memory.max reads "max" (no limit) where none is set; None where
+    neither figure can be read."""
+    figures = []
     try:
         with open("/proc/meminfo") as fh:
             for line in fh:
                 if line.startswith("MemAvailable:"):
-                    return int(line.split()[1]) * 1024
+                    figures.append(int(line.split()[1]) * 1024)
+                    break
     except (OSError, ValueError, IndexError):
         pass
-    return None
+    limit = _read_int("/sys/fs/cgroup/memory.max")
+    used = _read_int("/sys/fs/cgroup/memory.current")
+    if limit is not None and used is not None:
+        figures.append(max(0, limit - used))
+    return min(figures, default=None)
 
 
 def _direct_map(pt, report, grids: ScatteringGrids, tol: float):
     """Kernels from a transform whose conditions report has passed.
 
-    T1 is built once; then each family is solved, assembled and released
-    before the next, so at most one mu# is alive. The working set
-    (direct_map_bytes) is checked against MemAvailable first: no check
-    where that cannot be read, and none against cgroup limits."""
+    T1 and the Volterra plan, which does not depend on the sign, are
+    built once. Then, for each family and each block of k rows
+    (direct_map_blocks), the block is solved, its rows of T assembled and
+    its mu# released before the next, so mu# never exists whole. The
+    working set (direct_map_bytes) is checked first against the memory
+    available (_available_bytes); there is no check where no figure can
+    be read."""
     needed = direct_map_bytes(grids)
     available = _available_bytes()
     if available is not None and available < needed:
@@ -225,12 +247,17 @@ def _direct_map(pt, report, grids: ScatteringGrids, tol: float):
             f"n_y = {grids.n_y})")
     ut = resample_transform(pt, grids)
     T1 = assemble_T1(ut, grids)
-    # each mu# is dropped as soon as assemble_T has returned its kernel
-    plus, minus = (assemble_T(solve_mu_sharp(ut, sign, grids, tol=tol,
-                                             conditions=report),
-                              ut, grids, T1)
-                   for sign in (+1, -1))
-    return ScatteringData.from_families(plus, minus, T1, ut, grids)
+    plan = _VolterraPlan(ut, grids)
+    kernels = {sign: FamilyKernel.empty(grids) for sign in (+1, -1)}
+    for sign, kernel in kernels.items():
+        for rows in direct_map_blocks(grids):
+            # each block's mu# is dropped once assemble_T has its rows
+            assemble_T(solve_mu_sharp(ut, sign, grids, tol=tol,
+                                      conditions=report,
+                                      plan=plan.block(rows)),
+                       ut, grids, T1, kernel)
+    return ScatteringData.from_families(kernels[+1], kernels[-1], T1, ut,
+                                        grids)
 
 
 def run_decay_fit(config: ExperimentConfig, data: ScatteringData | None = None,
@@ -478,13 +505,18 @@ def run_verify_suite(config: ExperimentConfig,
                                  measured <= kern_guard,
                                  note="kernel L2 vs weighted-data bound, "
                                       "5% slack"))
+        # the phase diagonals are unitary and C+, -C- project onto
+        # complementary DFT bins, so at every probe the jump operator's
+        # 2-norm is at most its Hilbert-Schmidt norm, this bound
+        bound = float(np.hypot(data.meta["l2_norm_plus"],
+                               data.meta["l2_norm_minus"]))
+        rows.append(BoundRow("rhp.contraction", bound, CONTRACTION_LIMIT,
+                             bound < CONTRACTION_LIMIT,
+                             note="uniform 2-norm bound at every (t,x,y) on "
+                                  "the stored kernels: sqrt(|K+|_HS^2 + "
+                                  "|K-|_HS^2), dl-weighted"))
         t0, x0, y0 = VERIFY_PROBE
         op = CTOperator.build(data, t0, x0, y0)
-        sigma = op.norm()
-        rows.append(BoundRow("rhp.contraction", sigma, CONTRACTION_LIMIT,
-                             sigma < CONTRACTION_LIMIT,
-                             note=f"2-norm at probe "
-                                  f"(t,x,y)=({t0},{x0},{y0})"))
         sol = solve_dmul_dx(op, tol=config.tol, conditions=report)
         dl = grids.grid_kl.spacing
         f_norm = weighted_l2(op.on_constant(), dl)

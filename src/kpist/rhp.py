@@ -155,11 +155,6 @@ class CTOperator:
         # truncated domain; identical arithmetic to applying to ones
         return self(np.ones(self.base.grids.n_kl))
 
-    def norm(self) -> float:
-        """Largest singular value. Applied to the rows of the identity the
-        operator yields its transpose, which has the same 2-norm."""
-        return float(np.linalg.norm(self(np.eye(self.base.grids.n_kl)), 2))
-
 
 def derivative_data(base: ScatteringData) -> ScatteringData:
     """Companion data whose kernels are i(l-k) times the originals.

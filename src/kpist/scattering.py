@@ -22,11 +22,15 @@ with ||G||_X <= c in X = L^inf_y L^2(dk dl).
 
 One application of G costs two FFTs and two recurrences per (k, l). It
 works in place: apply_g overwrites its operand, so a solve holds three
-fields (source, sum and one work term; neumann_series) plus chunk
-temporaries. Every field of the solve is stored y-leading, as
-(n_y, k, l) in memory; the public (k, l, y) arrays are np.moveaxis views
-of that storage. So the l-convolution runs along the contiguous last
-axis, and each recurrence step works on a whole contiguous (k, l) layer.
+arrays (source, sum and one work term; neumann_series) plus chunk
+temporaries. G never couples two values of k: the convolution runs in l
+and the integral in y, at each k. So the system is block-diagonal in k,
+and a solve runs on one block of k rows (a row block of the
+_VolterraPlan; the whole grid is the one-block case). Every array of the
+solve is stored y-leading, as (n_y, k, l) in memory; the public
+(k, l, y) arrays are np.moveaxis views of that storage. So the
+l-convolution runs along the contiguous last axis, and each recurrence
+step works on a whole contiguous (k, l) layer.
 The convolution is circular of length 3M/2, the shortest whose aliases
 miss the M working outputs (2M when every offset that assembly reads
 must be exact). The eta integral from the top end is the one-factor
@@ -46,13 +50,16 @@ Scattering kernels on the (k, l) grid, with p = l - k and q = l^2 - k^2:
 step the half-at-zero Heaviside. The delta route alone gives the
 linear-order kernel T1(k, l) = -(i / sqrt(2 pi)) Int e^(i q y) ut(p; y) dy,
 stored unmasked and built once by assemble_T1; assemble_T adds one
-family's convolution route to it. The direct map (harness) holds one
-family at a time: it solves, assembles and releases mu#_+ before it
-solves for mu#_-, and ScatteringData.from_families joins the kernels.
+family's convolution route to it, for the k rows of one block. The
+direct map (harness) holds one block of one family at a time: it solves
+a block of k rows, assembles its rows of T and releases its mu# before
+the next block (direct_map_blocks), one family after the other, so
+mu# never exists whole; ScatteringData.from_families joins the kernels.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 
@@ -74,6 +81,7 @@ __all__ = [
     "g_on_delta",
     "neumann_series",
     "solve_mu_sharp",
+    "direct_map_blocks",
     "direct_map_bytes",
     "assemble_T",
     "assemble_T1",
@@ -122,23 +130,32 @@ def resample_transform(pt: PartialTransform, grids: ScatteringGrids) -> np.ndarr
     return out
 
 
+def _layer_sq(f: np.ndarray) -> np.ndarray:
+    """Per y layer, the sum of |f|^2 over (k, l); f has shape
+    (n_k, n_l, n_y). One vdot per layer, in place for y-leading storage."""
+    return np.array([np.vdot(layer, layer).real
+                     for layer in np.moveaxis(f, -1, 0)])
+
+
 def x_norm(f: np.ndarray, grids: ScatteringGrids) -> float:
     """sup over y of the L2(dk dl) norm; f has shape (n_k, n_l, n_y).
-    One vdot per y layer, in place for y-leading storage; NaN propagates."""
-    sq = [np.vdot(layer, layer).real for layer in np.moveaxis(f, -1, 0)]
-    return float(np.sqrt(np.max(sq)) * grids.grid_kl.spacing)
+    NaN propagates."""
+    return float(np.sqrt(np.max(_layer_sq(f))) * grids.grid_kl.spacing)
 
 
 # working-set budget of one chunk's temporaries in the hot loops
 _CHUNK_BYTES = 1 << 23
+# working-set budget of the three arrays of one block's solve (direct map):
+# 16 k rows at n_kl = n_y = 128
+_BLOCK_BYTES = 12 << 20
 # term cap of every Neumann series (neumann_series)
 MAX_ITER = 200
 
 
-def _chunks(n: int, row_bytes: int) -> list[slice]:
+def _chunks(n: int, row_bytes: int, budget: int | None = None) -> list[slice]:
     """Slices of an axis of length n whose temporaries, row_bytes per
-    index, stay within _CHUNK_BYTES."""
-    step = max(1, _CHUNK_BYTES // row_bytes)
+    index, stay within budget (_CHUNK_BYTES by default)."""
+    step = max(1, (budget or _CHUNK_BYTES) // row_bytes)
     return [slice(s, min(s + step, n)) for s in range(0, n, step)]
 
 
@@ -177,13 +194,15 @@ class _ConvolutionPlan:
 
 
 class _VolterraPlan:
-    """Per-solve tables of the layered Volterra operator: the convolution
-    plan and, for every (k, l) with rate theta = l (l + 2k), the Filon
-    panel weights w0 = dy (m0 - m1), w1 = dy m1 at z = theta dy and the
-    one-panel phase factor r = e^(-i theta dy)."""
+    """Tables of the layered Volterra operator on the k rows `rows`: the
+    convolution plan and, for every (k, l) with rate theta = l (l + 2k),
+    the Filon panel weights w0 = dy (m0 - m1), w1 = dy m1 at z = theta dy
+    and the one-panel phase factor r = e^(-i theta dy). None depends on
+    the family's sign, so both families share one plan and its blocks."""
 
     def __init__(self, ut_work: np.ndarray, grids: ScatteringGrids):
         self.conv = _ConvolutionPlan(ut_work, grids, 3 * grids.n_kl // 2)
+        self.rows = slice(0, grids.n_kl)
         dy = grids.grid_y.spacing
         kl = grids.grid_kl.points
         theta = kl[None, :] * (kl[None, :] + 2.0 * kl[:, None])
@@ -191,6 +210,18 @@ class _VolterraPlan:
         self.w0 = dy * (m0 - m1)
         self.w1 = dy * m1
         self.r = np.exp(-1j * theta * dy)
+
+    def block(self, rows: slice) -> _VolterraPlan:
+        """This whole-grid plan on the k rows `rows` (a slice with explicit
+        ends): row views of its tables and the same convolution plan."""
+        part = copy.copy(self)
+        part.rows = rows
+        part.w0, part.w1, part.r = self.w0[rows], self.w1[rows], self.r[rows]
+        return part
+
+    @property
+    def n_rows(self) -> int:
+        return self.rows.stop - self.rows.start
 
 
 def _sweep_down(o: np.ndarray, a, b, rho) -> None:
@@ -214,9 +245,9 @@ def _sweep_down(o: np.ndarray, a, b, rho) -> None:
 
 def _volterra_integral(w0, w1, r, sign: int, out: np.ndarray) -> None:
     """out(y, k, l) <- Int_{start}^{y} e^(-i theta (y - eta)) out(eta, k, l)
-    d eta, in place on the y-leading out (n_y, M, M).
+    d eta, in place on the y-leading out (n_y, K, M) of K k rows.
 
-    w0, w1, r: (M, M) tables of a _VolterraPlan (w0, w1 may carry a
+    w0, w1, r: (K, M) tables of a _VolterraPlan (w0, w1 may carry a
     constant factor). With the Filon panel sums P_j = w0 a_j + w1 a_(j+1),
     exact for the piecewise-linear amplitude a at any rate, the integral
     from the top end obeys F_(n-1) = 0, F_j = conj(r) F_(j+1) - P_j, and
@@ -244,12 +275,12 @@ def _volterra_integral(w0, w1, r, sign: int, out: np.ndarray) -> None:
 
 def g_on_delta(ut_work: np.ndarray, sign: int, grids: ScatteringGrids,
                plan: _VolterraPlan | None = None) -> np.ndarray:
-    """Source term i Int e^(-i theta (y-eta)) ut(l; eta) d eta, shape
-    (M, M, n_y) over (k, l, y), a view of y-leading storage."""
+    """Source term i Int e^(-i theta (y-eta)) ut(l; eta) d eta on the plan's
+    k rows (the whole grid by default), shape (K, M, n_y) over (k, l, y),
+    a view of y-leading storage."""
     if plan is None:
         plan = _VolterraPlan(ut_work, grids)
-    m = grids.n_kl
-    out = np.repeat(ut_work.T[:, None, :], m, axis=1)
+    out = np.repeat(ut_work.T[:, None, :], plan.n_rows, axis=1)
     _volterra_integral(1j * plan.w0, 1j * plan.w1, plan.r, sign, out)
     return np.moveaxis(out, 0, -1)
 
@@ -257,20 +288,21 @@ def g_on_delta(ut_work: np.ndarray, sign: int, grids: ScatteringGrids,
 def apply_g(ut_work: np.ndarray, f: np.ndarray, sign: int,
             grids: ScatteringGrids,
             plan: _VolterraPlan | None = None) -> np.ndarray:
-    """One application of the layered Volterra operator to f(k, l, y), in
-    place: f is overwritten with G f and returned. Each y chunk's
-    convolution reads only its own layers before writing them back and
-    the y integral runs in place, so no application allocates a field."""
-    expect = (grids.n_kl, grids.n_kl, grids.n_y)
-    if f.shape != expect:
-        raise ValueError(f"operand shape {f.shape} does not match grids {expect}")
+    """One application of the layered Volterra operator to f(k, l, y) on
+    the plan's k rows (the whole grid by default), in place: f is
+    overwritten with G f and returned. Each y chunk's convolution reads
+    only its own layers before writing them back and the y integral runs
+    in place, so no application allocates an array of f's size."""
     if plan is None:
         plan = _VolterraPlan(ut_work, grids)
+    expect = (plan.n_rows, grids.n_kl, grids.n_y)
+    if f.shape != expect:
+        raise ValueError(f"operand shape {f.shape} does not match grids {expect}")
     m = grids.n_kl
     c = 1j / SQRT_2PI
     fy = np.moveaxis(f, -1, 0)
-    # per y layer: the padded transform (M rows of 3M/2)
-    for ys in _chunks(grids.n_y, 16 * m * plan.conv.pad):
+    # per y layer: the padded transform (K rows of 3M/2)
+    for ys in _chunks(grids.n_y, 16 * plan.n_rows * plan.conv.pad):
         fy[ys] = plan.conv.circular(fy[ys], ys)[..., :m]
     _volterra_integral(c * plan.w0, c * plan.w1, plan.r, sign, fy)
     return f
@@ -327,21 +359,29 @@ def neumann_series(apply, source: np.ndarray, norm, tol: float):
 
 @dataclasses.dataclass
 class MuSharpField:
-    """Solution of the layered Volterra system for one sign family."""
+    """Solution of the layered Volterra system for one sign family, on one
+    block of k rows (the whole grid when there is one block)."""
 
-    values: np.ndarray  # (M, M, n_y) over (k, l, y), y-leading in memory
+    values: np.ndarray  # (K, M, n_y) over (k, l, y), y-leading in memory
     sign: int
     grids: ScatteringGrids
     iterations: int
     contraction_ratios: list
     residual: float  # X norm of G mu - mu + source, relative to max(1, ||mu||)
     source_norm: float  # X norm of the delta-route source
+    first_row: int = 0  # grid index of the first k row that values holds
 
 
 def solve_mu_sharp(ut_work: np.ndarray, sign: int, grids: ScatteringGrids,
-                   tol: float = 1e-10, conditions=None) -> MuSharpField:
+                   tol: float = 1e-10, conditions=None,
+                   plan: _VolterraPlan | None = None) -> MuSharpField:
     """Neumann series for mu# (neumann_series in the X norm, y-leading
     like the source); contracts at rate <= c < 1.
+
+    Solves on the plan's k rows, the whole grid by default. G does not
+    couple rows, so a block's solve is the whole solve's restriction,
+    except that the series' stopping rule, cap, residual and finite guard
+    apply to the block's own rows (its X norm).
 
     When an admissibility report is supplied it is enforced (a failing
     report is rejected; iterating outside the contractive regime risks
@@ -353,20 +393,32 @@ def solve_mu_sharp(ut_work: np.ndarray, sign: int, grids: ScatteringGrids,
             "admissibility conditions fail; the layered system is not "
             "guaranteed contractive: " + conditions.summary()
         )
-    plan = _VolterraPlan(ut_work, grids)
+    if plan is None:
+        plan = _VolterraPlan(ut_work, grids)
     source = g_on_delta(ut_work, sign, grids, plan=plan)
     mu, iterations, ratios, residual = neumann_series(
         lambda f: apply_g(ut_work, f, sign, grids, plan=plan), source,
         lambda f: x_norm(f, grids), tol)
     return MuSharpField(mu, sign, grids, iterations, ratios, residual,
-                        x_norm(source, grids))
+                        x_norm(source, grids), plan.rows.start)
+
+
+def direct_map_blocks(grids: ScatteringGrids) -> list[slice]:
+    """The blocks of k rows the direct map solves one at a time: as many
+    rows as keep the three arrays of a block's solve within _BLOCK_BYTES
+    (at least one), the last block ragged."""
+    return _chunks(grids.n_kl, 3 * 16 * grids.n_kl * grids.n_y, _BLOCK_BYTES)
 
 
 def direct_map_bytes(grids: ScatteringGrids) -> int:
-    """Working set of one family's solve on these grids: the three fields
-    neumann_series holds (apply_g works in place) and the chunk
-    temporaries of one application and of assembly (_CHUNK_BYTES each)."""
-    return 3 * 16 * grids.n_kl ** 2 * grids.n_y + 2 * _CHUNK_BYTES
+    """Working set of the direct map on these grids: the three arrays of
+    one block's solve (neumann_series; apply_g works in place) and the
+    chunk temporaries of one application and of assembly (_CHUNK_BYTES
+    each). The whole-grid tables (plan, T1 and the kernels, M^2 complex
+    values each) are not counted."""
+    rows = direct_map_blocks(grids)[0]
+    return (3 * 16 * (rows.stop - rows.start) * grids.n_kl * grids.n_y
+            + 2 * _CHUNK_BYTES)
 
 
 def _fill_across_diagonal(tri: np.ndarray, upper: bool) -> np.ndarray:
@@ -380,15 +432,47 @@ def _fill_across_diagonal(tri: np.ndarray, upper: bool) -> np.ndarray:
     return np.where(own, tri, tri.T)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass
 class FamilyKernel:
-    """One family's triangular kernel (assemble_T) and the figures of the
-    solve it came from, which ScatteringData.meta records."""
+    """One family's triangular kernel, assembled one block of k rows at a
+    time (assemble_T), and the figures of the block solves it came from,
+    which ScatteringData.meta records:
+
+      * iterations: the most terms any block's series took;
+      * xnorm: the X norm of the whole mu#, sup over y of the per-layer
+        squared sums accumulated over the blocks (exact);
+      * residual: the root-sum-square of the blocks' residual X norms,
+        over max(1, xnorm). A sup of a sum is at most the sum of the sups,
+        so this bounds the whole field's relative residual from above; with
+        one block the two agree to rounding.
+    """
 
     T: np.ndarray  # (M, M) over (k, l), masked to the family's triangle
-    iterations: int
-    residual: float
-    xnorm: float  # X norm of mu#
+    spacing: float  # dk = dl
+    layer_sq: np.ndarray  # per y layer, sum of |mu#|^2 over assembled rows
+    iterations: int = 0
+    residual_sq: float = 0.0  # sum of squared block residual norms
+
+    @classmethod
+    def empty(cls, grids: ScatteringGrids) -> FamilyKernel:
+        return cls(np.zeros((grids.n_kl, grids.n_kl), dtype=np.complex128),
+                   grids.grid_kl.spacing, np.zeros(grids.n_y))
+
+    def add_block(self, mu: MuSharpField) -> None:
+        """Accumulate the figures of one block's solve."""
+        sq = _layer_sq(mu.values)
+        self.layer_sq += sq
+        self.iterations = max(self.iterations, mu.iterations)
+        block_norm = float(np.sqrt(np.max(sq)) * self.spacing)
+        self.residual_sq += (mu.residual * max(1.0, block_norm)) ** 2
+
+    @property
+    def xnorm(self) -> float:
+        return float(np.sqrt(np.max(self.layer_sq)) * self.spacing)
+
+    @property
+    def residual(self) -> float:
+        return float(np.sqrt(self.residual_sq)) / max(1.0, self.xnorm)
 
 
 @dataclasses.dataclass
@@ -570,11 +654,14 @@ def assemble_T1(ut_work: np.ndarray, grids: ScatteringGrids) -> np.ndarray:
 
 
 def assemble_T(mu: MuSharpField, ut_work: np.ndarray, grids: ScatteringGrids,
-               T1: np.ndarray) -> FamilyKernel:
-    """One family's triangular kernel from its solve and the linear route
-    T1 (assemble_T1): T_sigma = (T1 - (i / 2 pi) S_sigma) * step, S_sigma
-    the Filon sum of ut conv_l mu#_sigma at p = l - k. The result keeps
-    the solve's figures and x norm, and no reference to mu#.
+               T1: np.ndarray, kernel: FamilyKernel | None = None
+               ) -> FamilyKernel:
+    """The k rows mu# holds of one family's triangular kernel, from their
+    solve and the linear route T1 (assemble_T1):
+    T_sigma = (T1 - (i / 2 pi) S_sigma) * step, S_sigma the Filon sum of
+    ut conv_l mu#_sigma at p = l - k. The rows and the solve's figures go
+    into kernel (FamilyKernel.add_block; a new one by default), which is
+    returned and keeps no reference to mu#.
 
     Works on chunks of k rows: the full offset convolution aligns p with
     lattice offsets exactly, so no interpolation enters. Per chunk, one
@@ -582,6 +669,8 @@ def assemble_T(mu: MuSharpField, ut_work: np.ndarray, grids: ScatteringGrids,
     sum integrates them; the other columns stay exact zeros. Every array
     is y-leading, as the solve stores mu.
     """
+    if kernel is None:
+        kernel = FamilyKernel.empty(grids)
     m = grids.n_kl
     plan = _ConvolutionPlan(ut_work, grids, 2 * m)
     kl = grids.grid_kl.points
@@ -592,16 +681,16 @@ def assemble_T(mu: MuSharpField, ut_work: np.ndarray, grids: ScatteringGrids,
     at = (d + m // 2) % plan.pad
     w = _triangle_weights(m, mu.sign)
     mu_y = np.moveaxis(mu.values, -1, 0)
-    T = np.zeros((m, m), dtype=np.complex128)
     # per k row: the gather's padded transform (2M), then the gathered
     # amplitudes, their panel sums and a product temporary (M each)
-    for ks in _chunks(m, 16 * 5 * m * grids.n_y):
+    for local in _chunks(mu_y.shape[1], 16 * 5 * m * grids.n_y):
+        ks = slice(mu.first_row + local.start, mu.first_row + local.stop)
         # the columns the chunk's rows keep: l >= its first k (plus
         # family), l <= its last k (minus family)
         ls = slice(ks.start, m) if mu.sign > 0 else slice(0, ks.stop)
-        amps = np.take_along_axis(plan.circular(mu_y[:, ks]),
+        amps = np.take_along_axis(plan.circular(mu_y[:, local]),
                                   at[ks, ls][None], axis=-1)
-        T[ks, ls] = (T1[ks, ls] - (1j / (2.0 * np.pi))
-                     * _filon_rows(amps, q[ks, ls], grids)) * w[ks, ls]
-    return FamilyKernel(T, mu.iterations, mu.residual,
-                        x_norm(mu.values, grids))
+        kernel.T[ks, ls] = (T1[ks, ls] - (1j / (2.0 * np.pi))
+                            * _filon_rows(amps, q[ks, ls], grids)) * w[ks, ls]
+    kernel.add_block(mu)
+    return kernel

@@ -23,6 +23,8 @@ figure of a property the paper relies on:
     data-to-kernel map (harness.compute_scattering).
   * cauchy_project: one half-line projection, against which
     rhp.CTOperator's one-FFT-pair projection is checked.
+  * ct_norm: the 2-norm of one probe's operator, which the uniform
+    contraction bound of harness.run_verify_suite must dominate.
   * adjoint_identity_check: the time-zero factorization identity of the
     stored kernels, through CTOperator.kernel_apply.
   * linear_kp, linear_kp_crosscheck, linear_field (with
@@ -234,6 +236,13 @@ def cauchy_project(f: np.ndarray, sign: int) -> np.ndarray:
         spec = np.where(keep_plus, 0.0, spec)
         return -np.fft.ifft(spec, axis=-1)
     raise ValueError("sign must be +1 or -1")
+
+
+def ct_norm(op: CTOperator) -> float:
+    """Largest singular value of a probe's operator. Applied to the rows
+    of the identity the operator yields its transpose, which has the same
+    2-norm."""
+    return float(np.linalg.norm(op(np.eye(op.base.grids.n_kl)), 2))
 
 
 def adjoint_identity_check(data: ScatteringData, x: float, y: float) -> float:

@@ -2,6 +2,7 @@
 baseline's rates, verify rows."""
 
 import dataclasses
+import io
 import tracemalloc
 import warnings
 
@@ -299,6 +300,18 @@ class TestVerifySuite:
             rows["rhp.solution.l2"].limit
         assert len(rep.airy_rows) == 0
 
+    def test_contraction_row_is_the_uniform_bound(self):
+        # the row certifies every probe on the stored kernels, not one: it
+        # reads sqrt(l2_norm_plus^2 + l2_norm_minus^2) from meta
+        cfg = small_config()
+        row = {r.name: r for r in run_verify_suite(
+            cfg, include_airy=False).rows}["rhp.contraction"]
+        data, _ = compute_scattering(cfg.resolve_potential(),
+                                     cfg.scattering_grids(), tol=cfg.tol)
+        assert row.measured == np.hypot(data.meta["l2_norm_plus"],
+                                        data.meta["l2_norm_minus"])
+        assert "every (t,x,y)" in row.note
+
     def test_violated_smallness_blocks_solves(self):
         cfg = small_config(
             potential_spec={"kind": "gaussian_dx", "amplitude": 8.0,
@@ -331,8 +344,9 @@ class TestVerifySuite:
 
 
 class TestMemoryBudget:
-    """The direct map checks its working set against MemAvailable before
-    it resamples or solves."""
+    """The direct map checks its working set against the memory available
+    (MemAvailable, and the headroom under a cgroup v2 limit) before it
+    resamples or solves."""
 
     def test_refused_before_any_field_is_made(self, monkeypatch):
         monkeypatch.setattr(harness, "_available_bytes", lambda: 1 << 20)
@@ -348,7 +362,11 @@ class TestMemoryBudget:
         finally:
             tracemalloc.stop()
         assert peak < field_bytes
-        needed = 3 * field_bytes + 2 * scattering._CHUNK_BYTES
+        # three arrays of one block of k rows, not of the whole field
+        rows = scattering.direct_map_blocks(ScatteringGrids(g, g))[0]
+        needed = (3 * 16 * (rows.stop - rows.start) * 128 ** 2
+                  + 2 * scattering._CHUNK_BYTES)
+        assert needed < field_bytes
         assert str(err.value) == (
             f"the direct map needs about {needed} bytes but only 1048576 "
             f"are available (n_kl = 128, n_y = 128)")
@@ -377,6 +395,40 @@ class TestMemoryBudget:
         monkeypatch.setattr(harness, "open", lambda name: open(path),
                             raising=False)
         assert harness._available_bytes() == want
+
+    @staticmethod
+    def serve_files(monkeypatch, texts):
+        # harness opens only these paths; any other is missing
+        def fake_open(name):
+            if name not in texts:
+                raise FileNotFoundError(name)
+            return io.StringIO(texts[name])
+
+        monkeypatch.setattr(harness, "open", fake_open, raising=False)
+
+    @pytest.mark.parametrize("cgroup, want", [
+        ({"memory.max": "8388608\n", "memory.current": "2097152\n"}, 6 << 20),
+        ({"memory.max": "2097152\n", "memory.current": "4194304\n"}, 0),
+        ({"memory.max": "1073741824\n", "memory.current": "0\n"}, 64 << 20),
+        ({"memory.max": "max\n", "memory.current": "2097152\n"}, 64 << 20),
+        ({"memory.max": "8388608\n"}, 64 << 20),
+        ({}, 64 << 20)])
+    def test_cgroup_limit(self, monkeypatch, cgroup, want):
+        # the smaller of MemAvailable (64 MiB here) and memory.max less
+        # memory.current; no limit ("max") or a missing figure leaves
+        # MemAvailable
+        texts = {"/proc/meminfo": "MemAvailable:   65536 kB\n"}
+        texts.update({f"/sys/fs/cgroup/{k}": v for k, v in cgroup.items()})
+        self.serve_files(monkeypatch, texts)
+        assert harness._available_bytes() == want
+
+    def test_cgroup_limit_alone_refuses(self, monkeypatch):
+        # no MemAvailable, and a cgroup limit with 1 MiB of headroom
+        self.serve_files(monkeypatch, {
+            "/sys/fs/cgroup/memory.max": "3145728\n",
+            "/sys/fs/cgroup/memory.current": "2097152\n"})
+        with pytest.raises(ValueError, match="only 1048576 are available"):
+            run_verify_suite(small_config(), include_airy=False)
 
 
 class TestHSProxy:

@@ -39,7 +39,7 @@ from kpist.rhp import (
     solve_mul,
     weighted_l2,
 )
-from reference import adjoint_identity_check, cauchy_project
+from reference import adjoint_identity_check, cauchy_project, ct_norm
 
 
 def build_reference(eps, n_kl=128, n_y=128, field_n=256):
@@ -251,7 +251,7 @@ class TestCTOperator:
         op = CTOperator.build(zero_data(data.grids), 0.0, 0.0, 0.0)
         f = np.ones(data.grids.n_kl)
         assert np.all(op(f) == 0.0)
-        assert op.norm() == 0.0
+        assert ct_norm(op) == 0.0
 
     def test_on_constant_matches_apply_to_ones(self, ref05):
         data, _ = ref05
@@ -262,7 +262,7 @@ class TestCTOperator:
         data, report = ref05
         budget = 2.0 * report.w_norm / (1.0 - report.c)
         for t, x, y in [(0.0, 0.7, -0.4), (0.5, 1.2, 0.8), (5.0, 2.0, 1.0)]:
-            sigma = CTOperator.build(data, t, x, y).norm()
+            sigma = ct_norm(CTOperator.build(data, t, x, y))
             assert 0.015 <= sigma <= 0.05
             assert sigma <= budget
             assert sigma < 0.5
@@ -292,8 +292,20 @@ class TestCTOperator:
                                 (data, (0.5, 1.2, 0.8)),
                                 (res, (1.0, 0.3, 0.2))):
             want = np.linalg.norm(self.dense_jump_matrix(base, t, x, y), 2)
-            got = CTOperator.build(base, t, x, y).norm()
+            got = ct_norm(CTOperator.build(base, t, x, y))
             assert got == pytest.approx(want, rel=1e-12)
+
+    def test_uniform_bound_dominates_each_probe_norm(self, ref05):
+        # the bound of verify's rhp.contraction row: the phase diagonals
+        # are unitary and the two projections orthogonal, so the 2-norm at
+        # any probe is at most sqrt(|K+|_HS^2 + |K-|_HS^2), dl-weighted
+        data, _ = ref05
+        bound = np.hypot(data.meta["l2_norm_plus"],
+                         data.meta["l2_norm_minus"])
+        norms = [ct_norm(CTOperator.build(data, t, x, y))
+                 for t, x, y in [(0.0, 0.7, -0.4), (0.5, 1.2, 0.8),
+                                 (5.0, 2.0, 1.0), (20.0, -40.0, 3.0)]]
+        assert 0.0 < max(norms) <= bound < 2.5 * min(norms)
 
     def test_linearity(self, ref05):
         data, _ = ref05

@@ -290,27 +290,39 @@ def test_volterra_every_column_matches_cumulative_filon():
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def test_solve_memory_stays_within_a_few_fields():
-    # one solve holds the source, the sum and one work term, which
-    # apply_g overwrites in place, plus chunk temporaries of bounded size:
-    # measured 4.6 field sizes at this grid, where one chunk is the whole
-    # padded transform (the fields are M^2 n_y complex values)
+def test_solve_memory_stays_within_a_few_fields(monkeypatch):
+    # a solve on one block of K k rows holds the source, the sum and one
+    # work term, which apply_g overwrites in place, plus chunk temporaries
+    # of bounded size: measured 4.55 block sizes (K M n_y complex values)
+    # for blocks of 42 and 22 rows, which an 8 MiB budget makes at this
+    # grid (the default budget fits it in one block), where one chunk is
+    # the block's whole padded transform; that is 3.0 field sizes for the
+    # first, against 4.6 for a whole-field solve
+    monkeypatch.setattr(scattering, "_BLOCK_BYTES", 1 << 23)
     wg, ut = build_small(0.02, 64, 64)
-    field_bytes = wg.n_kl ** 2 * wg.n_y * 16
-    tracemalloc.start()
-    try:
-        solve_mu_sharp(ut, +1, wg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 5 * field_bytes
+    plan = scattering._VolterraPlan(ut, wg)
+    blocks = scattering.direct_map_blocks(wg)
+    assert [b.stop - b.start for b in blocks] == [42, 22]
+    for rows in blocks:
+        part = plan.block(rows)
+        block_bytes = part.n_rows * wg.n_kl * wg.n_y * 16
+        tracemalloc.start()
+        try:
+            solve_mu_sharp(ut, +1, wg, plan=part)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.8 * block_bytes
 
 
-def test_direct_map_holds_one_family_at_a_time():
-    # T1 once, then each family solved, assembled and released: three
-    # fields of one solve and chunk temporaries, never two mu# at once
-    # (measured 4.9 field sizes at this grid; holding both families for
-    # assembly takes 6.9)
+def test_direct_map_holds_one_family_at_a_time(monkeypatch):
+    # T1 and the plan once, then each block of k rows of each family
+    # solved, assembled and released: three arrays of one block and chunk
+    # temporaries, never a whole mu# (measured 3.4 field sizes at this
+    # grid with an 8 MiB budget, blocks of 42 and 22 rows; the default
+    # budget fits it in one block, and solving each family whole takes
+    # 4.9, holding both families for assembly 6.9)
+    monkeypatch.setattr(scattering, "_BLOCK_BYTES", 1 << 23)
     field = small_field(0.02)
     wg = ScatteringGrids(Grid1D(-8.0, 8.0, 64), Grid1D(-8.0, 8.0, 64))
     field_bytes = wg.n_kl ** 2 * wg.n_y * 16
@@ -320,7 +332,45 @@ def test_direct_map_holds_one_family_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5.5 * field_bytes
+    assert peak < 5.1 * field_bytes
+
+
+def test_direct_map_blocks_match_one_block(monkeypatch):
+    # G couples no two k rows, so a blocked direct map is the one-block
+    # map up to where each block's series stops: a budget of 20 rows gives
+    # blocks of 20, 20, 20 and 4 on the 64-point grid
+    field = small_field(0.02)
+    wg = ScatteringGrids(Grid1D(-8.0, 8.0, 64), Grid1D(-8.0, 8.0, 64))
+    with monkeypatch.context() as mp:
+        mp.setattr(scattering, "_BLOCK_BYTES", 1 << 40)
+        assert len(scattering.direct_map_blocks(wg)) == 1
+        one, report = harness.compute_scattering(field, wg)
+    monkeypatch.setattr(scattering, "_BLOCK_BYTES", 20 * 3 * 16 * 64 * 64)
+    assert [b.stop - b.start for b in scattering.direct_map_blocks(wg)] == \
+        [20, 20, 20, 4]
+    iterations = {+1: [], -1: []}
+
+    def counted(ut, sign, grids, **kwargs):
+        mu = solve_mu_sharp(ut, sign, grids, **kwargs)
+        iterations[sign].append(mu.iterations)
+        return mu
+
+    monkeypatch.setattr(harness, "solve_mu_sharp", counted)
+    blocked, _ = harness.compute_scattering(field, wg)
+    for name in ("T_plus", "T_minus"):
+        want = getattr(one, name)
+        err = np.max(np.abs(getattr(blocked, name) - want))
+        assert err <= 1e-14 * np.max(np.abs(want))
+    ut = resample_transform(partial_fourier_x(field), wg)
+    for sign, name in ((+1, "plus"), (-1, "minus")):
+        whole = solve_mu_sharp(ut, sign, wg, conditions=report)
+        want = x_norm(whole.values, wg)
+        assert one.meta[f"mu_{name}_xnorm"] == want
+        assert abs(blocked.meta[f"mu_{name}_xnorm"] - want) <= 1e-15 * want
+        assert one.meta[f"mu_{name}_iterations"] == whole.iterations
+        assert len(iterations[sign]) == 4
+        assert blocked.meta[f"mu_{name}_iterations"] == max(iterations[sign])
+        assert blocked.meta[f"mu_{name}_residual"] <= 1e-10
 
 
 def test_apply_g_works_in_place(work128):
