@@ -182,13 +182,13 @@ def compute_scattering(field: PotentialField, grids: ScatteringGrids,
     The smallness report is enforced: outside the contractive regime the
     layered solve has no convergence guarantee, so this refuses to run.
     The direct map holds one block of k rows of one family at a time, so
-    its working set is one block's three K M n_y complex arrays (source,
-    sum and work term) plus bounded chunk temporaries
-    (scattering.direct_map_bytes), where a byte budget sets K
-    (scattering.direct_map_blocks). Where the memory available
-    (_available_bytes: MemAvailable, and the headroom under a cgroup v2
-    limit) is smaller than that, the call is refused with ValueError
-    before anything is resampled or solved.
+    its working set is about six K M n_y complex values: the three arrays
+    of the solve and one application's padded transform, or mu# and
+    assembly's temporaries (scattering.direct_map_bytes), where one byte
+    budget sets K (scattering.direct_map_blocks). Where the memory
+    available (_available_bytes: MemAvailable, and the headroom under a
+    cgroup v2 limit) is smaller than that, the call is refused with
+    ValueError before anything is resampled or solved.
     """
     pt = partial_fourier_x(field)
     report = check_conditions(field, pt)
@@ -231,13 +231,13 @@ def _available_bytes() -> int | None:
 def _direct_map(pt, report, grids: ScatteringGrids, tol: float):
     """Kernels from a transform whose conditions report has passed.
 
-    T1 and the Volterra plan, which does not depend on the sign, are
-    built once. Then, for each family and each block of k rows
-    (direct_map_blocks), the block is solved, its rows of T assembled and
-    its mu# released before the next, so mu# never exists whole. The
-    working set (direct_map_bytes) is checked first against the memory
-    available (_available_bytes); there is no check where no figure can
-    be read."""
+    The plan (every table of the solve and of assembly; it does not
+    depend on the sign) and T1 are built once. Then, for each family and
+    each block of k rows (direct_map_blocks), the block is solved on the
+    plan's row views, its rows of T assembled and its mu# released before
+    the next, so mu# never exists whole. The working set
+    (direct_map_bytes) is checked first against the memory available
+    (_available_bytes); there is no check where no figure can be read."""
     needed = direct_map_bytes(grids)
     available = _available_bytes()
     if available is not None and available < needed:
@@ -245,19 +245,16 @@ def _direct_map(pt, report, grids: ScatteringGrids, tol: float):
             f"the direct map needs about {needed} bytes but only "
             f"{available} are available (n_kl = {grids.n_kl}, "
             f"n_y = {grids.n_y})")
-    ut = resample_transform(pt, grids)
-    T1 = assemble_T1(ut, grids)
-    plan = _VolterraPlan(ut, grids)
+    plan = _VolterraPlan(resample_transform(pt, grids), grids)
+    T1 = assemble_T1(plan)
     kernels = {sign: FamilyKernel.empty(grids) for sign in (+1, -1)}
     for sign, kernel in kernels.items():
         for rows in direct_map_blocks(grids):
+            part = plan.block(rows)
             # each block's mu# is dropped once assemble_T has its rows
-            assemble_T(solve_mu_sharp(ut, sign, grids, tol=tol,
-                                      conditions=report,
-                                      plan=plan.block(rows)),
-                       ut, grids, T1, kernel)
-    return ScatteringData.from_families(kernels[+1], kernels[-1], T1, ut,
-                                        grids)
+            assemble_T(solve_mu_sharp(part, sign, tol=tol, conditions=report),
+                       part, T1, kernel)
+    return ScatteringData.from_families(kernels[+1], kernels[-1], T1, plan)
 
 
 def run_decay_fit(config: ExperimentConfig, data: ScatteringData | None = None,
@@ -300,7 +297,7 @@ def run_linear_baseline(config: ExperimentConfig) -> list[DecayFit]:
     grids = config.scattering_grids()
     pt = partial_fourier_x(field)
     check_conditions(field, pt)  # only its zero-mean refusal applies
-    T1 = assemble_T1(resample_transform(pt, grids), grids)
+    T1 = assemble_T1(_VolterraPlan(resample_transform(pt, grids), grids))
     n = grids.n_kl
     data = ScatteringData(_triangle_weights(n, +1) * T1,
                           _triangle_weights(n, -1) * T1, T1, grids,

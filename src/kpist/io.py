@@ -270,6 +270,15 @@ def load_config(path) -> ExperimentConfig:
         raise ValueError(f"{path}: 'potential' must be a path or a table")
 
     sc = raw.get("scattering") or {}
+    half_width = float(sc.get("half_width", 8.0))
+    if not 0 < half_width < np.inf:
+        raise ValueError(f"{path}: scattering.half_width must be finite and "
+                         f"positive, got {half_width}")
+    n_kl, n_y = (int(sc.get(key, 128)) for key in ("n_kl", "n_y"))
+    for key, n in (("n_kl", n_kl), ("n_y", n_y)):
+        if n < 8 or n & (n - 1):
+            raise ValueError(f"{path}: scattering.{key} must be a power of "
+                             f"two >= 8, got {n}")
     delta = float(raw.get("delta", 0.05))
     if not 0 < delta < np.inf:
         raise ValueError(f"{path}: delta must be finite and positive")
@@ -307,9 +316,9 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig(
         potential_path=pot_path,
         potential_spec=pot_spec,
-        kl_half_width=float(sc.get("half_width", 8.0)),
-        n_kl=int(sc.get("n_kl", 128)),
-        n_y=int(sc.get("n_y", 128)),
+        kl_half_width=half_width,
+        n_kl=n_kl,
+        n_y=n_y,
         delta=delta,
         tol=tol,
         rays=tuple(rays),

@@ -22,13 +22,13 @@ with ||G||_X <= c in X = L^inf_y L^2(dk dl).
 
 One application of G costs two FFTs and two recurrences per (k, l). It
 works in place: apply_g overwrites its operand, so a solve holds three
-arrays (source, sum and one work term; neumann_series) plus chunk
-temporaries. G never couples two values of k: the convolution runs in l
-and the integral in y, at each k. So the system is block-diagonal in k,
-and a solve runs on one block of k rows (a row block of the
-_VolterraPlan; the whole grid is the one-block case). Every array of the
-solve is stored y-leading, as (n_y, k, l) in memory; the public
-(k, l, y) arrays are np.moveaxis views of that storage. So the
+arrays (source, sum and one work term; neumann_series) plus the padded
+transform of one application. G never couples two values of k: the
+convolution runs in l and the integral in y, at each k. So the system is
+block-diagonal in k, and a solve runs on one block of k rows (a row
+block of the _VolterraPlan; the whole grid is the one-block case). Every
+array of the solve is stored y-leading, as (n_y, k, l) in memory; the
+public (k, l, y) arrays are np.moveaxis views of that storage. So the
 l-convolution runs along the contiguous last axis, and each recurrence
 step works on a whole contiguous (k, l) layer.
 The convolution is circular of length 3M/2, the shortest whose aliases
@@ -39,7 +39,7 @@ P_j, and from the bottom end, E_(j+1) = e^(-i theta dy) (E_j + P_j), is
 the same downward sweep run on the reversed y axis. Both are exact rewritings of
 the cumulative Filon sum, and their unit-modulus factor amplifies no
 rounding. The weights and factors depend only on theta and dy, so they
-are built once per solve.
+are built once per map, with every other table (_VolterraPlan).
 
 Scattering kernels on the (k, l) grid, with p = l - k and q = l^2 - k^2:
 
@@ -53,8 +53,9 @@ stored unmasked and built once by assemble_T1; assemble_T adds one
 family's convolution route to it, for the k rows of one block. The
 direct map (harness) holds one block of one family at a time: it solves
 a block of k rows, assembles its rows of T and releases its mu# before
-the next block (direct_map_blocks), one family after the other, so
-mu# never exists whole; ScatteringData.from_families joins the kernels.
+the next block (direct_map_blocks, under one byte budget for the solve
+and assembly), one family after the other, so mu# never exists whole;
+ScatteringData.from_families joins the kernels.
 """
 
 from __future__ import annotations
@@ -143,20 +144,11 @@ def x_norm(f: np.ndarray, grids: ScatteringGrids) -> float:
     return float(np.sqrt(np.max(_layer_sq(f))) * grids.grid_kl.spacing)
 
 
-# working-set budget of one chunk's temporaries in the hot loops
-_CHUNK_BYTES = 1 << 23
-# working-set budget of the three arrays of one block's solve (direct map):
+# working-set budget of one block of the direct map (direct_map_blocks):
 # 16 k rows at n_kl = n_y = 128
-_BLOCK_BYTES = 12 << 20
+_BLOCK_BYTES = 24 << 20
 # term cap of every Neumann series (neumann_series)
 MAX_ITER = 200
-
-
-def _chunks(n: int, row_bytes: int, budget: int | None = None) -> list[slice]:
-    """Slices of an axis of length n whose temporaries, row_bytes per
-    index, stay within budget (_CHUNK_BYTES by default)."""
-    step = max(1, (budget or _CHUNK_BYTES) // row_bytes)
-    return [slice(s, min(s + step, n)) for s in range(0, n, step)]
 
 
 class _ConvolutionPlan:
@@ -184,25 +176,34 @@ class _ConvolutionPlan:
             ut_work.T * grids.grid_kl.spacing
         self.kernel_hat = sfft.fft(wrapped, axis=-1)
 
-    def circular(self, f: np.ndarray, layers: slice = slice(None)) -> np.ndarray:
-        """Length-pad circular convolution of f (n, K, M), the y layers
-        `layers` of a field: index t of the last axis holds the linear
-        convolution at l index t (mod pad)."""
+    def circular(self, f: np.ndarray) -> np.ndarray:
+        """Length-pad circular convolution of a y-leading f (n_y, K, M):
+        index t of the last axis holds the linear convolution at l index
+        t (mod pad)."""
         fh = sfft.fft(f, n=self.pad, axis=-1)
-        fh *= self.kernel_hat[layers]
+        fh *= self.kernel_hat
         return sfft.ifft(fh, axis=-1, overwrite_x=True)
 
 
 class _VolterraPlan:
-    """Tables of the layered Volterra operator on the k rows `rows`: the
-    convolution plan and, for every (k, l) with rate theta = l (l + 2k),
-    the Filon panel weights w0 = dy (m0 - m1), w1 = dy m1 at z = theta dy
-    and the one-panel phase factor r = e^(-i theta dy). None depends on
-    the family's sign, so both families share one plan and its blocks."""
+    """Every table of the direct map from ut on the grids, on the k rows
+    `rows`; built once per map, and shared by both families, since none
+    depends on the sign.
+
+    The solve's: the convolution plan of length 3M/2 (conv) and, for
+    every (k, l) with rate theta = l (l + 2k), the Filon panel weights
+    w0 = dy (m0 - m1), w1 = dy m1 at z = theta dy and the one-panel phase
+    factor r = e^(-i theta dy). Assembly's: the convolution plan of
+    length 2M (wide), the gather index at, where the value at the offset
+    p = l - k sits (l index d + M/2 mod 2M, d = l - k in index units),
+    and the rates q = l^2 - k^2."""
 
     def __init__(self, ut_work: np.ndarray, grids: ScatteringGrids):
-        self.conv = _ConvolutionPlan(ut_work, grids, 3 * grids.n_kl // 2)
-        self.rows = slice(0, grids.n_kl)
+        m = grids.n_kl
+        self.ut, self.grids = ut_work, grids
+        self.rows = slice(0, m)
+        self.conv = _ConvolutionPlan(ut_work, grids, 3 * m // 2)
+        self.wide = _ConvolutionPlan(ut_work, grids, 2 * m)
         dy = grids.grid_y.spacing
         kl = grids.grid_kl.points
         theta = kl[None, :] * (kl[None, :] + 2.0 * kl[:, None])
@@ -210,13 +211,17 @@ class _VolterraPlan:
         self.w0 = dy * (m0 - m1)
         self.w1 = dy * m1
         self.r = np.exp(-1j * theta * dy)
+        d = np.arange(m)[None, :] - np.arange(m)[:, None]  # l index - k index
+        self.at = (d + m // 2) % (2 * m)
+        self.q = kl[None, :] ** 2 - kl[:, None] ** 2
 
     def block(self, rows: slice) -> _VolterraPlan:
         """This whole-grid plan on the k rows `rows` (a slice with explicit
-        ends): row views of its tables and the same convolution plan."""
+        ends): row views of its tables, the rest shared."""
         part = copy.copy(self)
         part.rows = rows
-        part.w0, part.w1, part.r = self.w0[rows], self.w1[rows], self.r[rows]
+        for name in ("w0", "w1", "r", "at", "q"):
+            setattr(part, name, getattr(self, name)[rows])
         return part
 
     @property
@@ -273,37 +278,27 @@ def _volterra_integral(w0, w1, r, sign: int, out: np.ndarray) -> None:
     out[:, :, h] = 0.5 * (from_bottom + out[:, :, h])
 
 
-def g_on_delta(ut_work: np.ndarray, sign: int, grids: ScatteringGrids,
-               plan: _VolterraPlan | None = None) -> np.ndarray:
+def g_on_delta(plan: _VolterraPlan, sign: int) -> np.ndarray:
     """Source term i Int e^(-i theta (y-eta)) ut(l; eta) d eta on the plan's
-    k rows (the whole grid by default), shape (K, M, n_y) over (k, l, y),
-    a view of y-leading storage."""
-    if plan is None:
-        plan = _VolterraPlan(ut_work, grids)
-    out = np.repeat(ut_work.T[:, None, :], plan.n_rows, axis=1)
+    k rows, shape (K, M, n_y) over (k, l, y), a view of y-leading
+    storage."""
+    out = np.repeat(plan.ut.T[:, None, :], plan.n_rows, axis=1)
     _volterra_integral(1j * plan.w0, 1j * plan.w1, plan.r, sign, out)
     return np.moveaxis(out, 0, -1)
 
 
-def apply_g(ut_work: np.ndarray, f: np.ndarray, sign: int,
-            grids: ScatteringGrids,
-            plan: _VolterraPlan | None = None) -> np.ndarray:
+def apply_g(plan: _VolterraPlan, f: np.ndarray, sign: int) -> np.ndarray:
     """One application of the layered Volterra operator to f(k, l, y) on
-    the plan's k rows (the whole grid by default), in place: f is
-    overwritten with G f and returned. Each y chunk's convolution reads
-    only its own layers before writing them back and the y integral runs
-    in place, so no application allocates an array of f's size."""
-    if plan is None:
-        plan = _VolterraPlan(ut_work, grids)
+    the plan's k rows, in place: f is overwritten with G f and returned.
+    The convolution's padded transform (3/2 of f's size) is its one
+    temporary; the y integral runs in place."""
+    grids = plan.grids
     expect = (plan.n_rows, grids.n_kl, grids.n_y)
     if f.shape != expect:
         raise ValueError(f"operand shape {f.shape} does not match grids {expect}")
-    m = grids.n_kl
     c = 1j / SQRT_2PI
     fy = np.moveaxis(f, -1, 0)
-    # per y layer: the padded transform (K rows of 3M/2)
-    for ys in _chunks(grids.n_y, 16 * plan.n_rows * plan.conv.pad):
-        fy[ys] = plan.conv.circular(fy[ys], ys)[..., :m]
+    fy[...] = plan.conv.circular(fy)[..., :grids.n_kl]
     _volterra_integral(c * plan.w0, c * plan.w1, plan.r, sign, fy)
     return f
 
@@ -359,8 +354,8 @@ def neumann_series(apply, source: np.ndarray, norm, tol: float):
 
 @dataclasses.dataclass
 class MuSharpField:
-    """Solution of the layered Volterra system for one sign family, on one
-    block of k rows (the whole grid when there is one block)."""
+    """Solution of the layered Volterra system for one sign family, on the
+    k rows of the plan it was solved on (a block, or the whole grid)."""
 
     values: np.ndarray  # (K, M, n_y) over (k, l, y), y-leading in memory
     sign: int
@@ -368,20 +363,17 @@ class MuSharpField:
     iterations: int
     contraction_ratios: list
     residual: float  # X norm of G mu - mu + source, relative to max(1, ||mu||)
-    source_norm: float  # X norm of the delta-route source
-    first_row: int = 0  # grid index of the first k row that values holds
 
 
-def solve_mu_sharp(ut_work: np.ndarray, sign: int, grids: ScatteringGrids,
-                   tol: float = 1e-10, conditions=None,
-                   plan: _VolterraPlan | None = None) -> MuSharpField:
+def solve_mu_sharp(plan: _VolterraPlan, sign: int, tol: float = 1e-10,
+                   conditions=None) -> MuSharpField:
     """Neumann series for mu# (neumann_series in the X norm, y-leading
     like the source); contracts at rate <= c < 1.
 
-    Solves on the plan's k rows, the whole grid by default. G does not
-    couple rows, so a block's solve is the whole solve's restriction,
-    except that the series' stopping rule, cap, residual and finite guard
-    apply to the block's own rows (its X norm).
+    Solves on the plan's k rows. G does not couple rows, so a block's
+    solve is the whole solve's restriction, except that the series'
+    stopping rule, cap, residual and finite guard apply to the block's
+    own rows (its X norm).
 
     When an admissibility report is supplied it is enforced (a failing
     report is rejected; iterating outside the contractive regime risks
@@ -393,32 +385,40 @@ def solve_mu_sharp(ut_work: np.ndarray, sign: int, grids: ScatteringGrids,
             "admissibility conditions fail; the layered system is not "
             "guaranteed contractive: " + conditions.summary()
         )
-    if plan is None:
-        plan = _VolterraPlan(ut_work, grids)
-    source = g_on_delta(ut_work, sign, grids, plan=plan)
+    grids = plan.grids
+    source = g_on_delta(plan, sign)
     mu, iterations, ratios, residual = neumann_series(
-        lambda f: apply_g(ut_work, f, sign, grids, plan=plan), source,
+        lambda f: apply_g(plan, f, sign), source,
         lambda f: x_norm(f, grids), tol)
-    return MuSharpField(mu, sign, grids, iterations, ratios, residual,
-                        x_norm(source, grids), plan.rows.start)
+    return MuSharpField(mu, sign, grids, iterations, ratios, residual)
+
+
+def _row_bytes(grids: ScatteringGrids) -> int:
+    """Bytes a block of the direct map holds per k row: 6 complex values
+    per (l, y). The solve holds the three arrays of its series
+    (neumann_series) and one application's padded transform (3/2);
+    assembly holds mu#, its padded transform (2), the gathered amplitudes
+    and their panel sums."""
+    return 6 * 16 * grids.n_kl * grids.n_y
 
 
 def direct_map_blocks(grids: ScatteringGrids) -> list[slice]:
-    """The blocks of k rows the direct map solves one at a time: as many
-    rows as keep the three arrays of a block's solve within _BLOCK_BYTES
-    (at least one), the last block ragged."""
-    return _chunks(grids.n_kl, 3 * 16 * grids.n_kl * grids.n_y, _BLOCK_BYTES)
+    """The blocks of k rows the direct map solves and assembles one at a
+    time: as many rows as keep a block within _BLOCK_BYTES (_row_bytes;
+    at least one), the last block ragged."""
+    step = max(1, _BLOCK_BYTES // _row_bytes(grids))
+    return [slice(s, min(s + step, grids.n_kl))
+            for s in range(0, grids.n_kl, step)]
 
 
 def direct_map_bytes(grids: ScatteringGrids) -> int:
-    """Working set of the direct map on these grids: the three arrays of
-    one block's solve (neumann_series; apply_g works in place) and the
-    chunk temporaries of one application and of assembly (_CHUNK_BYTES
-    each). The whole-grid tables (plan, T1 and the kernels, M^2 complex
-    values each) are not counted."""
+    """Working set of the direct map on these grids: one block of the
+    first block's rows (_row_bytes). The whole-grid tables are not
+    counted: the plan's M^2 tables (w0, w1, r, at, q), T1 and the two
+    kernels (M^2 complex values each) and its convolution plans (7M/2
+    complex values per y layer)."""
     rows = direct_map_blocks(grids)[0]
-    return (3 * 16 * (rows.stop - rows.start) * grids.n_kl * grids.n_y
-            + 2 * _CHUNK_BYTES)
+    return (rows.stop - rows.start) * _row_bytes(grids)
 
 
 def _fill_across_diagonal(tri: np.ndarray, upper: bool) -> np.ndarray:
@@ -494,16 +494,15 @@ class ScatteringData:
 
     @classmethod
     def from_families(cls, plus: FamilyKernel, minus: FamilyKernel,
-                      T1: np.ndarray, ut_work: np.ndarray,
-                      grids: ScatteringGrids) -> ScatteringData:
+                      T1: np.ndarray, plan: _VolterraPlan) -> ScatteringData:
         """Both families' kernels (assemble_T) with the assembly
-        diagnostics and the solves' figures in meta."""
+        diagnostics and the solves' figures in meta; plan is the map's
+        whole-grid plan."""
         T = {+1: plus.T, -1: minus.T}
+        grids, q, ut_work = plan.grids, plan.q, plan.ut
         dkl = grids.grid_kl.spacing
         m = grids.n_kl
-        kl = grids.grid_kl.points
         d = np.arange(m)[None, :] - np.arange(m)[:, None]
-        q = kl[None, :] ** 2 - kl[:, None] ** 2
         qmax = float(np.max(np.abs(q)))
         edge = np.concatenate([T[+1][0], T[+1][-1], T[+1][:, 0], T[+1][:, -1],
                                T[-1][0], T[-1][-1], T[-1][:, 0], T[-1][:, -1]])
@@ -624,73 +623,61 @@ def triangular_apply(K: np.ndarray, sign: int, rows: np.ndarray
     return out
 
 
-def _triangle_weights(m: int, sign: int) -> np.ndarray:
-    """1 on the family's own side of the diagonal, 1/2 on it, 0 beyond."""
-    d = np.arange(m)[None, :] - np.arange(m)[:, None]  # l index - k index
+def _triangle_weights(m: int, sign: int, rows: slice = slice(None)
+                      ) -> np.ndarray:
+    """1 on the family's own side of the diagonal, 1/2 on it, 0 beyond;
+    on the k rows `rows` of the M x M grid (all of them by default)."""
+    d = np.arange(m)[None, :] - np.arange(m)[rows, None]  # l index - k index
     return np.where(sign * d > 0, 1.0, np.where(d == 0, 0.5, 0.0))
 
 
-def assemble_T1(ut_work: np.ndarray, grids: ScatteringGrids) -> np.ndarray:
+def assemble_T1(plan: _VolterraPlan) -> np.ndarray:
     """Linear-order kernel straight from the delta route, unmasked:
     T1(k, l) = -(i / sqrt(2 pi)) Int e^(i (l^2-k^2) y) ut(l-k; y) dy.
 
-    Needs no convolution plan, so it stays cheap on very fine y grids.
-    Gathers the way assemble_T does: ut at p = l - k sits at index
-    d + M/2 (mod 2M) of the transform zero-padded to 2M, which reads a
-    zero for every offset outside the working window.
+    Takes no convolution: ut at p = l - k sits at index at = d + M/2
+    (mod 2M) of the transform zero-padded to 2M, which reads a zero for
+    every offset outside the working window. Runs over the blocks of
+    direct_map_blocks: per block, the gathered amplitudes and their panel
+    sums.
     """
+    grids = plan.grids
     m = grids.n_kl
     pad = np.zeros((grids.n_y, 2 * m), dtype=np.complex128)
-    pad[:, :m] = ut_work.T
-    kl = grids.grid_kl.points
-    d = np.arange(m)[None, :] - np.arange(m)[:, None]
-    at = (d + m // 2) % (2 * m)
-    q = kl[None, :] ** 2 - kl[:, None] ** 2
+    pad[:, :m] = plan.ut.T
     T1 = np.empty((m, m), dtype=np.complex128)
-    # per k row: the gathered amplitudes and their panel sums
-    for ks in _chunks(m, 16 * 2 * m * grids.n_y):
-        T1[ks] = -(1j / SQRT_2PI) * _filon_rows(pad[:, at[ks]], q[ks], grids)
+    for ks in direct_map_blocks(grids):
+        T1[ks] = -(1j / SQRT_2PI) * _filon_rows(pad[:, plan.at[ks]],
+                                                plan.q[ks], grids)
     return T1
 
 
-def assemble_T(mu: MuSharpField, ut_work: np.ndarray, grids: ScatteringGrids,
-               T1: np.ndarray, kernel: FamilyKernel | None = None
-               ) -> FamilyKernel:
-    """The k rows mu# holds of one family's triangular kernel, from their
-    solve and the linear route T1 (assemble_T1):
+def assemble_T(mu: MuSharpField, plan: _VolterraPlan, T1: np.ndarray,
+               kernel: FamilyKernel) -> FamilyKernel:
+    """The k rows of one family's triangular kernel that mu# holds, solved
+    on plan (a block of the map's plan), from their solve and the linear
+    route T1 (assemble_T1):
     T_sigma = (T1 - (i / 2 pi) S_sigma) * step, S_sigma the Filon sum of
     ut conv_l mu#_sigma at p = l - k. The rows and the solve's figures go
-    into kernel (FamilyKernel.add_block; a new one by default), which is
-    returned and keeps no reference to mu#.
+    into kernel (FamilyKernel.add_block), which is returned and keeps no
+    reference to mu#.
 
-    Works on chunks of k rows: the full offset convolution aligns p with
-    lattice offsets exactly, so no interpolation enters. Per chunk, one
-    gather takes the columns the family's triangle keeps and one Filon
-    sum integrates them; the other columns stay exact zeros. Every array
-    is y-leading, as the solve stores mu.
+    The length-2M convolution is exact at every offset p either family
+    reads, so p sits on the lattice and no interpolation enters. One
+    gather (plan.at) takes the columns the family's triangle keeps and
+    one Filon sum integrates them; the other columns stay exact zeros.
+    Every array is y-leading, as the solve stores mu.
     """
-    if kernel is None:
-        kernel = FamilyKernel.empty(grids)
-    m = grids.n_kl
-    plan = _ConvolutionPlan(ut_work, grids, 2 * m)
-    kl = grids.grid_kl.points
-    d = np.arange(m)[None, :] - np.arange(m)[:, None]  # l index - k index
-    q = kl[None, :] ** 2 - kl[:, None] ** 2
-    # the convolution at p = l - k sits at l index d + m/2 (mod pad) of the
-    # circular output, exact at every offset that either family reads
-    at = (d + m // 2) % plan.pad
-    w = _triangle_weights(m, mu.sign)
-    mu_y = np.moveaxis(mu.values, -1, 0)
-    # per k row: the gather's padded transform (2M), then the gathered
-    # amplitudes, their panel sums and a product temporary (M each)
-    for local in _chunks(mu_y.shape[1], 16 * 5 * m * grids.n_y):
-        ks = slice(mu.first_row + local.start, mu.first_row + local.stop)
-        # the columns the chunk's rows keep: l >= its first k (plus
-        # family), l <= its last k (minus family)
-        ls = slice(ks.start, m) if mu.sign > 0 else slice(0, ks.stop)
-        amps = np.take_along_axis(plan.circular(mu_y[:, local]),
-                                  at[ks, ls][None], axis=-1)
-        kernel.T[ks, ls] = (T1[ks, ls] - (1j / (2.0 * np.pi))
-                            * _filon_rows(amps, q[ks, ls], grids)) * w[ks, ls]
+    m = plan.grids.n_kl
+    ks = plan.rows
+    # the columns the block's rows keep: l >= its first k (plus family),
+    # l <= its last k (minus family)
+    ls = slice(ks.start, m) if mu.sign > 0 else slice(0, ks.stop)
+    amps = np.take_along_axis(
+        plan.wide.circular(np.moveaxis(mu.values, -1, 0)),
+        plan.at[:, ls][None], axis=-1)
+    kernel.T[ks, ls] = (T1[ks, ls] - (1j / (2.0 * np.pi))
+                        * _filon_rows(amps, plan.q[:, ls], plan.grids)) \
+        * _triangle_weights(m, mu.sign, ks)[:, ls]
     kernel.add_block(mu)
     return kernel

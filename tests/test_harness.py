@@ -364,8 +364,7 @@ class TestMemoryBudget:
         assert peak < field_bytes
         # three arrays of one block of k rows, not of the whole field
         rows = scattering.direct_map_blocks(ScatteringGrids(g, g))[0]
-        needed = (3 * 16 * (rows.stop - rows.start) * 128 ** 2
-                  + 2 * scattering._CHUNK_BYTES)
+        needed = 6 * 16 * (rows.stop - rows.start) * 128 ** 2
         assert needed < field_bytes
         assert str(err.value) == (
             f"the direct map needs about {needed} bytes but only 1048576 "

@@ -251,6 +251,21 @@ class TestConfig:
                                match="tol must be finite and positive"):
                 load_config(p)
 
+    @pytest.mark.parametrize("key, value, text", [
+        ("n_kl", "100", "n_kl must be a power of two >= 8, got 100"),
+        ("n_y", "4", "n_y must be a power of two >= 8, got 4"),
+        ("half_width", "-4", "half_width must be finite and positive"),
+        ("half_width", ".nan", "half_width must be finite and positive")])
+    def test_bad_scattering_grid(self, tmp_path, key, value, text):
+        # refused at load, naming the file and the key, not later by the
+        # grid constructor with neither
+        p = tmp_path / "c.yaml"
+        p.write_text("potential: {amplitude: 0.05}\n"
+                     f"scattering: {{{key}: {value}}}\n")
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{p}: scattering.{text}")):
+            load_config(p)
+
     def test_nonfinite_times(self, tmp_path):
         # an infinite t_max passes 0 < t_min < t_max; the sample times
         # would then be nan and every probe of a decay fit refused

@@ -24,6 +24,7 @@ from kpist.harness import compute_scattering
 from kpist.scattering import (
     ScatteringData,
     ScatteringGrids,
+    _VolterraPlan,
     neumann_series,
     resample_transform,
     solve_mu_sharp,
@@ -413,7 +414,7 @@ class TestSolveMu:
         ut, wg = small_transform()
         monkeypatch.setattr(scattering, "MAX_ITER", 1)
         texts = []
-        for solve in (lambda: solve_mu_sharp(ut, +1, wg),
+        for solve in (lambda: solve_mu_sharp(_VolterraPlan(ut, wg), +1),
                       lambda: solve_mul(CTOperator.build(data, 0.5, 1.2, 0.8))):
             with pytest.raises(RuntimeError) as err:
                 solve()
@@ -445,7 +446,7 @@ class TestSolveMu:
         monkeypatch.setattr(CTOperator, "__call__",
                             counted("op", CTOperator.__call__))
         texts = []
-        for solve in (lambda: solve_mu_sharp(ut, +1, wg),
+        for solve in (lambda: solve_mu_sharp(_VolterraPlan(ut, wg), +1),
                       lambda: solve_mul(CTOperator.build(bad, 0.5, 1.2, 0.8))):
             with pytest.raises(ValueError) as err:
                 solve()
@@ -462,7 +463,8 @@ class TestSolveMu:
         ut, wg = small_transform()
         op = CTOperator.build(data, 0.5, 1.2, 0.8)
         for tol in (0.0, -1.0, np.nan, np.inf):
-            for solve in (lambda: solve_mu_sharp(ut, +1, wg, tol=tol),
+            for solve in (lambda: solve_mu_sharp(_VolterraPlan(ut, wg), +1,
+                                                 tol=tol),
                           lambda: solve_mul(op, tol=tol)):
                 with pytest.raises(ValueError,
                                    match="tol must be finite and positive"):

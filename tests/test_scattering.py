@@ -25,10 +25,12 @@ from kpist.grids import (
 from kpist import harness, scattering
 from kpist.oscillatory import filon_moments
 from kpist.scattering import (
+    FamilyKernel,
     MuSharpField,
     ScatteringData,
     ScatteringGrids,
     _ConvolutionPlan,
+    _VolterraPlan,
     apply_g,
     assemble_T,
     assemble_T1,
@@ -75,12 +77,13 @@ def work128(reference_setup):
 @pytest.fixture(scope="module")
 def solved128(work128):
     wg, ut, report = work128
-    mu_p = solve_mu_sharp(ut, +1, wg, conditions=report)
-    mu_m = solve_mu_sharp(ut, -1, wg, conditions=report)
-    T1 = assemble_T1(ut, wg)
-    data = ScatteringData.from_families(assemble_T(mu_p, ut, wg, T1),
-                                        assemble_T(mu_m, ut, wg, T1),
-                                        T1, ut, wg)
+    plan = _VolterraPlan(ut, wg)
+    mu_p = solve_mu_sharp(plan, +1, conditions=report)
+    mu_m = solve_mu_sharp(plan, -1, conditions=report)
+    T1 = assemble_T1(plan)
+    data = ScatteringData.from_families(
+        assemble_T(mu_p, plan, T1, FamilyKernel.empty(wg)),
+        assemble_T(mu_m, plan, T1, FamilyKernel.empty(wg)), T1, plan)
     return wg, ut, mu_p, mu_m, data
 
 
@@ -207,7 +210,8 @@ def test_volterra_direction_semantics():
     m, ny = g.n_kl, g.n_y
     l = g.grid_kl.points
     ut = rng.standard_normal((m, ny)) + 1j * rng.standard_normal((m, ny))
-    gd = g_on_delta(ut, +1, g)
+    plan = _VolterraPlan(ut, g)
+    gd = g_on_delta(plan, +1)
     ik = 3
     kv = l[ik]
     # l > 0 with the plus family: integration starts at +inf
@@ -225,7 +229,7 @@ def test_volterra_direction_semantics():
                        + _volterra_reference(ut[il], 0.0, g, True))
     assert np.max(np.abs(gd[ik, il] - want)) < 1e-13
     # the minus family mirrors the map
-    gdm = g_on_delta(ut, -1, g)
+    gdm = g_on_delta(plan, -1)
     il = m - 3
     want = 1j * _volterra_reference(ut[il], l[il] * (l[il] + 2 * kv), g, False)
     assert np.max(np.abs(gdm[ik, il] - want)) < 1e-13
@@ -240,8 +244,9 @@ def test_apply_g_direct_oracle():
     ut = rng.standard_normal((m, ny)) + 1j * rng.standard_normal((m, ny))
     f = rng.standard_normal((m, m, ny)) + 1j * rng.standard_normal((m, m, ny))
     offs = _offset_kernel(ut, g)
+    plan = _VolterraPlan(ut, g)
     for sign in (+1, -1):
-        got = apply_g(ut, f.copy(), sign, g)
+        got = apply_g(plan, f.copy(), sign)
         for ik in (1, m // 2, m - 2):
             for il in (0, 2, m // 2, m - 1):
                 conv = np.zeros(ny, complex)
@@ -274,9 +279,10 @@ def test_volterra_every_column_matches_cumulative_filon():
     offs = _offset_kernel(ut, g)
     toe = offs[np.arange(m)[:, None] - np.arange(m)[None, :] + m - 1]
     conv = np.einsum("ljy,kjy->kly", toe, f) * g.grid_kl.spacing
+    plan = _VolterraPlan(ut, g)
     for sign in (+1, -1):
-        cases = ((g_on_delta(ut, sign, g), np.broadcast_to(ut, f.shape), 1j),
-                 (apply_g(ut, f.copy(), sign, g), conv, 1j / SQRT_2PI))
+        cases = ((g_on_delta(plan, sign), np.broadcast_to(ut, f.shape), 1j),
+                 (apply_g(plan, f.copy(), sign), conv, 1j / SQRT_2PI))
         for got, amps, scale in cases:
             want = np.empty_like(got)
             for ik in range(m):
@@ -292,15 +298,14 @@ def test_volterra_every_column_matches_cumulative_filon():
 
 def test_solve_memory_stays_within_a_few_fields(monkeypatch):
     # a solve on one block of K k rows holds the source, the sum and one
-    # work term, which apply_g overwrites in place, plus chunk temporaries
-    # of bounded size: measured 4.55 block sizes (K M n_y complex values)
-    # for blocks of 42 and 22 rows, which an 8 MiB budget makes at this
-    # grid (the default budget fits it in one block), where one chunk is
-    # the block's whole padded transform; that is 3.0 field sizes for the
-    # first, against 4.6 for a whole-field solve
-    monkeypatch.setattr(scattering, "_BLOCK_BYTES", 1 << 23)
+    # work term, which apply_g overwrites in place, plus one application's
+    # padded transform: measured 4.55 block sizes (K M n_y complex values)
+    # for blocks of 42 and 22 rows, which a 16 MiB budget makes at this
+    # grid (the default budget fits it in one block); that is 3.0 field
+    # sizes for the first, against 4.6 for a whole-field solve
+    monkeypatch.setattr(scattering, "_BLOCK_BYTES", 1 << 24)
     wg, ut = build_small(0.02, 64, 64)
-    plan = scattering._VolterraPlan(ut, wg)
+    plan = _VolterraPlan(ut, wg)
     blocks = scattering.direct_map_blocks(wg)
     assert [b.stop - b.start for b in blocks] == [42, 22]
     for rows in blocks:
@@ -308,7 +313,7 @@ def test_solve_memory_stays_within_a_few_fields(monkeypatch):
         block_bytes = part.n_rows * wg.n_kl * wg.n_y * 16
         tracemalloc.start()
         try:
-            solve_mu_sharp(ut, +1, wg, plan=part)
+            solve_mu_sharp(part, +1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -316,16 +321,18 @@ def test_solve_memory_stays_within_a_few_fields(monkeypatch):
 
 
 def test_direct_map_holds_one_family_at_a_time(monkeypatch):
-    # T1 and the plan once, then each block of k rows of each family
-    # solved, assembled and released: three arrays of one block and chunk
-    # temporaries, never a whole mu# (measured 3.4 field sizes at this
-    # grid with an 8 MiB budget, blocks of 42 and 22 rows; the default
-    # budget fits it in one block, and solving each family whole takes
-    # 4.9, holding both families for assembly 6.9)
-    monkeypatch.setattr(scattering, "_BLOCK_BYTES", 1 << 23)
+    # the plan and T1 once, then each block of k rows of each family
+    # solved, assembled and released: the three arrays of one block's
+    # solve and one application's padded transform, never a whole mu#
+    # (measured 3.4 field sizes at this grid with a 16 MiB budget, blocks
+    # of 42 and 22 rows; the default budget fits it in one block, and
+    # solving each family whole takes 4.9, holding both families for
+    # assembly 6.9)
+    monkeypatch.setattr(scattering, "_BLOCK_BYTES", 1 << 24)
     field = small_field(0.02)
     wg = ScatteringGrids(Grid1D(-8.0, 8.0, 64), Grid1D(-8.0, 8.0, 64))
-    field_bytes = wg.n_kl ** 2 * wg.n_y * 16
+    m, ny = wg.n_kl, wg.n_y
+    field_bytes = m ** 2 * ny * 16
     tracemalloc.start()
     try:
         harness.compute_scattering(field, wg)
@@ -333,6 +340,29 @@ def test_direct_map_holds_one_family_at_a_time(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 5.1 * field_bytes
+    # the whole-grid tables direct_map_bytes leaves out: the plan's five
+    # M^2 tables (w0, w1, r complex, at and q 8 bytes), T1 and the two
+    # kernels, and the two convolution plans (3M/2 + 2M values per layer)
+    tables = (3 * 16 + 2 * 8) * m ** 2 + 3 * 16 * m ** 2 + 16 * 7 * m // 2 * ny
+    assert peak <= scattering.direct_map_bytes(wg) + tables
+
+
+def test_direct_map_builds_its_tables_once(monkeypatch):
+    # one plan per map: the solve's convolution plan (3M/2) and assembly's
+    # (2M) are built once and shared by every block of both families
+    built = []
+
+    class Counted(_ConvolutionPlan):
+        def __init__(self, ut_work, grids, pad):
+            built.append(pad)
+            super().__init__(ut_work, grids, pad)
+
+    monkeypatch.setattr(scattering, "_ConvolutionPlan", Counted)
+    monkeypatch.setattr(scattering, "_BLOCK_BYTES", 20 * 6 * 16 * 64 * 64)
+    wg = ScatteringGrids(Grid1D(-8.0, 8.0, 64), Grid1D(-8.0, 8.0, 64))
+    assert len(scattering.direct_map_blocks(wg)) == 4
+    harness.compute_scattering(small_field(0.02), wg)
+    assert built == [96, 128]
 
 
 def test_direct_map_blocks_match_one_block(monkeypatch):
@@ -345,13 +375,13 @@ def test_direct_map_blocks_match_one_block(monkeypatch):
         mp.setattr(scattering, "_BLOCK_BYTES", 1 << 40)
         assert len(scattering.direct_map_blocks(wg)) == 1
         one, report = harness.compute_scattering(field, wg)
-    monkeypatch.setattr(scattering, "_BLOCK_BYTES", 20 * 3 * 16 * 64 * 64)
+    monkeypatch.setattr(scattering, "_BLOCK_BYTES", 20 * 6 * 16 * 64 * 64)
     assert [b.stop - b.start for b in scattering.direct_map_blocks(wg)] == \
         [20, 20, 20, 4]
     iterations = {+1: [], -1: []}
 
-    def counted(ut, sign, grids, **kwargs):
-        mu = solve_mu_sharp(ut, sign, grids, **kwargs)
+    def counted(plan, sign, **kwargs):
+        mu = solve_mu_sharp(plan, sign, **kwargs)
         iterations[sign].append(mu.iterations)
         return mu
 
@@ -361,9 +391,9 @@ def test_direct_map_blocks_match_one_block(monkeypatch):
         want = getattr(one, name)
         err = np.max(np.abs(getattr(blocked, name) - want))
         assert err <= 1e-14 * np.max(np.abs(want))
-    ut = resample_transform(partial_fourier_x(field), wg)
+    plan = _VolterraPlan(resample_transform(partial_fourier_x(field), wg), wg)
     for sign, name in ((+1, "plus"), (-1, "minus")):
-        whole = solve_mu_sharp(ut, sign, wg, conditions=report)
+        whole = solve_mu_sharp(plan, sign, conditions=report)
         want = x_norm(whole.values, wg)
         assert one.meta[f"mu_{name}_xnorm"] == want
         assert abs(blocked.meta[f"mu_{name}_xnorm"] - want) <= 1e-15 * want
@@ -374,21 +404,23 @@ def test_direct_map_blocks_match_one_block(monkeypatch):
 
 
 def test_apply_g_works_in_place(work128):
-    # the result is the operand itself, and no field-sized array is made:
-    # only chunk temporaries (measured 0.25 field sizes at 128^3)
+    # the result is the operand itself, and its one temporary is the
+    # convolution's padded transform, 3/2 of the operand, which
+    # direct_map_bytes counts; no operand-sized copy is made beside it
+    # (measured 1.504 operand sizes at 128^3)
     wg, ut, _ = work128
-    plan = scattering._VolterraPlan(ut, wg)
-    f = g_on_delta(ut, +1, wg, plan=plan)
-    want = apply_g(ut, f.copy(order="K"), +1, wg, plan=plan)
+    plan = _VolterraPlan(ut, wg)
+    f = g_on_delta(plan, +1)
+    want = apply_g(plan, f.copy(order="K"), +1)
     tracemalloc.start()
     try:
-        got = apply_g(ut, f, +1, wg, plan=plan)
+        got = apply_g(plan, f, +1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert got is f
     assert np.array_equal(got, want)
-    assert peak < f.nbytes / 2
+    assert peak < 1.6 * f.nbytes
 
 
 def test_neumann_series_never_hands_the_source_to_apply():
@@ -421,19 +453,21 @@ def test_operands_in_either_memory_order_give_identical_output():
     f = rng.standard_normal((m, m, ny)) + 1j * rng.standard_normal((m, m, ny))
     f_y = np.moveaxis(np.ascontiguousarray(np.moveaxis(f, -1, 0)), 0, -1)
     assert f.flags.c_contiguous and not f_y.flags.c_contiguous
-    ut_y = np.asfortranarray(ut)
+    plan = _VolterraPlan(ut, g)
+    plan_y = _VolterraPlan(np.asfortranarray(ut), g)
     for sign in (+1, -1):
-        assert np.array_equal(apply_g(ut, f.copy(), sign, g),
-                              apply_g(ut, f_y.copy(order="K"), sign, g))
-        assert np.array_equal(g_on_delta(ut, sign, g), g_on_delta(ut_y, sign, g))
+        assert np.array_equal(apply_g(plan, f.copy(), sign),
+                              apply_g(plan, f_y.copy(order="K"), sign))
+        assert np.array_equal(g_on_delta(plan, sign), g_on_delta(plan_y, sign))
 
 
 def test_solve_stores_fields_y_leading():
     wg, ut = build_small(0.02, 16, 16)
-    mu = solve_mu_sharp(ut, -1, wg)
+    plan = _VolterraPlan(ut, wg)
+    mu = solve_mu_sharp(plan, -1)
     assert mu.values.shape == (16, 16, 16)
     assert np.moveaxis(mu.values, -1, 0).flags.c_contiguous
-    assert np.moveaxis(g_on_delta(ut, +1, wg), -1, 0).flags.c_contiguous
+    assert np.moveaxis(g_on_delta(plan, +1), -1, 0).flags.c_contiguous
 
 
 def test_apply_g_zero_and_linearity():
@@ -441,12 +475,13 @@ def test_apply_g_zero_and_linearity():
     g = small_grids()
     m, ny = g.n_kl, g.n_y
     ut = rng.standard_normal((m, ny)) + 1j * rng.standard_normal((m, ny))
+    plan = _VolterraPlan(ut, g)
     zero = np.zeros((m, m, ny), complex)
-    assert np.array_equal(apply_g(ut, zero.copy(), +1, g), zero)
+    assert np.array_equal(apply_g(plan, zero.copy(), +1), zero)
     f1 = rng.standard_normal((m, m, ny)) + 1j * rng.standard_normal((m, m, ny))
     f2 = rng.standard_normal((m, m, ny)) + 1j * rng.standard_normal((m, m, ny))
-    lhs = apply_g(ut, 2.0 * f1 + f2, -1, g)
-    rhs = 2.0 * apply_g(ut, f1, -1, g) + apply_g(ut, f2, -1, g)
+    lhs = apply_g(plan, 2.0 * f1 + f2, -1)
+    rhs = 2.0 * apply_g(plan, f1, -1) + apply_g(plan, f2, -1)
     scale = np.max(np.abs(rhs))
     assert np.max(np.abs(lhs - rhs)) < 1e-13 * max(1.0, scale)
 
@@ -457,7 +492,7 @@ def test_apply_g_rejects_bad_operands():
     g = small_grids()
     ut = np.zeros((g.n_kl, g.n_y), complex)
     with pytest.raises(ValueError):
-        apply_g(ut, np.zeros((4, 4, 4), complex), +1, g)
+        apply_g(_VolterraPlan(ut, g), np.zeros((4, 4, 4), complex), +1)
 
 
 def test_single_cell_kernel_one_term():
@@ -474,7 +509,7 @@ def test_single_cell_kernel_one_term():
     i0, j0 = 2, 3
     f = np.zeros((m, m, ny), complex)
     f[i0, j0, b] = 1.0
-    out = apply_g(ut, f, +1, g)
+    out = apply_g(_VolterraPlan(ut, g), f, +1)
     j_out = j0 + (a - m // 2)
     theta = l[j_out] * (l[j_out] + 2.0 * l[i0])
     m0, m1 = filon_moments(np.array([theta * dy]))
@@ -517,21 +552,22 @@ def test_g_on_delta_quadrature_oracle(work128, l_target, k_target):
     # l > 0 and the plus family: start at +inf
     want = 1j * (-quad_complex(
         lambda e: np.exp(-1j * theta * (yv - e)) * ut_closed(e), yv, 14.0))
-    got = g_on_delta(ut, +1, wg)[ki, li, yi]
+    got = g_on_delta(_VolterraPlan(ut, wg), +1)[ki, li, yi]
     assert abs(got - want) / abs(want) < 2e-2
 
 
 def test_g_on_delta_zero():
     g = small_grids()
     ut = np.zeros((g.n_kl, g.n_y), complex)
-    assert np.array_equal(g_on_delta(ut, +1, g),
+    assert np.array_equal(g_on_delta(_VolterraPlan(ut, g), +1),
                           np.zeros((g.n_kl, g.n_kl, g.n_y), complex))
 
 
-def test_g_on_delta_norm_bound(work128):
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_g_on_delta_norm_bound(work128, sign):
     wg, ut, _ = work128
     _, w = transform_norms(ut, wg)
-    gd = g_on_delta(ut, +1, wg)
+    gd = g_on_delta(_VolterraPlan(ut, wg), sign)
     assert x_norm(gd, wg) <= np.sqrt(np.pi) * w * 1.05
 
 
@@ -567,6 +603,7 @@ def test_operator_norm_proxy(work128):
     c, _ = transform_norms(ut, wg)
     rng = np.random.default_rng(12)
     m, ny = wg.n_kl, wg.n_y
+    plan = _VolterraPlan(ut, wg)
     cut = 8
     for trial in range(20):
         spec = np.zeros((m, m, ny), complex)
@@ -579,7 +616,7 @@ def test_operator_norm_proxy(work128):
         f = np.fft.ifft2(spec, axes=(1, 2))
         sign = +1 if trial % 2 == 0 else -1
         f_norm = x_norm(f, wg)
-        ratio = x_norm(apply_g(ut, f, sign, wg), wg) / f_norm
+        ratio = x_norm(apply_g(plan, f, sign), wg) / f_norm
         assert ratio <= c + 0.05
 
 
@@ -588,7 +625,7 @@ def test_operator_norm_proxy(work128):
 def test_solve_zero_potential():
     g = small_grids()
     ut = np.zeros((g.n_kl, g.n_y), complex)
-    mu = solve_mu_sharp(ut, +1, g)
+    mu = solve_mu_sharp(_VolterraPlan(ut, g), +1)
     assert mu.iterations == 1
     assert np.array_equal(mu.values, np.zeros_like(mu.values))
     assert mu.residual == 0.0
@@ -603,7 +640,6 @@ def test_solve_contraction_and_x_bound(work128, solved128):
         for r in mu.contraction_ratios[3:]:
             assert r <= c + 0.05
         assert x_norm(mu.values, wg) <= np.sqrt(np.pi) * w / (1.0 - c) * 1.05
-        assert mu.source_norm <= np.sqrt(np.pi) * w * 1.05
 
 
 def test_solve_calls_the_module_global_operators(monkeypatch):
@@ -622,7 +658,7 @@ def test_solve_calls_the_module_global_operators(monkeypatch):
         monkeypatch.setattr(scattering, name,
                             counting(name, getattr(scattering, name)))
     wg, ut = build_small(0.02, 32, 32)
-    mu = solve_mu_sharp(ut, +1, wg)
+    mu = solve_mu_sharp(_VolterraPlan(ut, wg), +1)
     assert mu.iterations > 0
     assert calls == {"g_on_delta": 1, "apply_g": mu.iterations + 1}
 
@@ -631,8 +667,9 @@ def test_born_remainder_scaling():
     K = {}
     for eps in (1e-2, 1e-3):
         wg, ut = build_small(eps)
-        mu = solve_mu_sharp(ut, +1, wg)
-        gd = g_on_delta(ut, +1, wg)
+        plan = _VolterraPlan(ut, wg)
+        mu = solve_mu_sharp(plan, +1)
+        gd = g_on_delta(plan, +1)
         K[eps] = x_norm(mu.values - gd, wg) / eps**2
     assert 0.9 < K[1e-2] / K[1e-3] < 1.1
 
@@ -646,7 +683,7 @@ def test_solve_rejects_failing_conditions():
     wg = ScatteringGrids(Grid1D(-8.0, 8.0, 64), Grid1D(-8.0, 8.0, 64))
     ut = resample_transform(pt, wg)
     with pytest.raises(ValueError):
-        solve_mu_sharp(ut, +1, wg, conditions=report)
+        solve_mu_sharp(_VolterraPlan(ut, wg), +1, conditions=report)
 
 
 # ---------------------------------------------------------------- assembly
@@ -664,9 +701,11 @@ def test_assemble_T_matches_direct_toeplitz_assembly():
     ut = rng.standard_normal((m, ny)) + 1j * rng.standard_normal((m, ny))
     mus = {sign: MuSharpField(
         rng.standard_normal((m, m, ny)) + 1j * rng.standard_normal((m, m, ny)),
-        sign, g, 1, [], 0.0, 0.0) for sign in (+1, -1)}
-    T1 = assemble_T1(ut, g)
-    kernels = {sign: assemble_T(mus[sign], ut, g, T1) for sign in (+1, -1)}
+        sign, g, 1, [], 0.0) for sign in (+1, -1)}
+    plan = _VolterraPlan(ut, g)
+    T1 = assemble_T1(plan)
+    kernels = {sign: assemble_T(mus[sign], plan, T1, FamilyKernel.empty(g))
+               for sign in (+1, -1)}
     offs = _offset_kernel(ut, g)
 
     def y_integral(amp, q):
@@ -696,24 +735,27 @@ def test_assemble_T_matches_direct_toeplitz_assembly():
         assert np.max(np.abs(got - w)) <= 3e-15 * np.max(np.abs(w))
 
 
-def test_assemble_T_chunks_sum_only_their_triangle(monkeypatch):
-    # the small grid fits one chunk, which sums every column; with one k
-    # row per chunk each chunk sums only the columns its triangle keeps,
-    # and the kernel must come out the same bit for bit
+def test_assemble_T_chunks_sum_only_their_triangle():
+    # the whole grid as one block sums every column; on blocks of one k
+    # row each block sums only the columns its triangle keeps, and the
+    # kernel must come out the same bit for bit
     rng = np.random.default_rng(29)
     g = small_grids()
     m, ny = g.n_kl, g.n_y
     ut = rng.standard_normal((m, ny)) + 1j * rng.standard_normal((m, ny))
-    T1 = assemble_T1(ut, g)
+    plan = _VolterraPlan(ut, g)
+    T1 = assemble_T1(plan)
     d = np.arange(m)[None, :] - np.arange(m)[:, None]
     for sign in (+1, -1):
-        mu = MuSharpField(
-            rng.standard_normal((m, m, ny)) + 1j * rng.standard_normal((m, m, ny)),
-            sign, g, 1, [], 0.0, 0.0)
-        whole = assemble_T(mu, ut, g, T1).T
-        with monkeypatch.context() as mp:
-            mp.setattr(scattering, "_CHUNK_BYTES", 1)
-            by_row = assemble_T(mu, ut, g, T1).T
+        values = (rng.standard_normal((m, m, ny))
+                  + 1j * rng.standard_normal((m, m, ny)))
+        whole = assemble_T(MuSharpField(values, sign, g, 1, [], 0.0), plan,
+                           T1, FamilyKernel.empty(g)).T
+        by_row = FamilyKernel.empty(g)
+        for i in range(m):
+            assemble_T(MuSharpField(values[i:i + 1], sign, g, 1, [], 0.0),
+                       plan.block(slice(i, i + 1)), T1, by_row)
+        by_row = by_row.T
         assert np.array_equal(by_row, whole)
         assert np.all(by_row[sign * d < 0] == 0.0)
         assert np.all(by_row[sign * d >= 0] != 0.0)
@@ -865,7 +907,7 @@ def test_two_route_linear_kernel_interior():
     pt = partial_fourier_x(field)
     wg = ScatteringGrids(Grid1D(-4.0, 4.0, 64), Grid1D(-8.0, 8.0, 8192))
     ut = resample_transform(pt, wg)
-    T1 = assemble_T1(ut, wg)
+    T1 = assemble_T1(_VolterraPlan(ut, wg))
     kk = wg.grid_kl.points
     p = kk[None, :] - kk[:, None]
     q = kk[None, :] ** 2 - kk[:, None] ** 2
@@ -891,7 +933,7 @@ def test_assembly_metadata(solved128):
 
 def test_diagnostic_zero():
     g = small_grids()
-    mu = MuSharpField(np.zeros((g.n_kl, g.n_kl, g.n_y), complex), +1, g, 1, [], 0.0, 0.0)
+    mu = MuSharpField(np.zeros((g.n_kl, g.n_kl, g.n_y), complex), +1, g, 1, [], 0.0)
     assert diagnostic_mu_k_growth(mu)["sup_ratio"] == 0.0
 
 
@@ -904,7 +946,7 @@ def test_diagnostic_bounded_under_window_growth(reference_setup):
     for half_y, n_y in ((8.0, 64), (16.0, 128)):
         wg = ScatteringGrids(Grid1D(-8.0, 8.0, 64), Grid1D(-half_y, half_y, n_y))
         ut = resample_transform(pt, wg)
-        rep = diagnostic_mu_k_growth(solve_mu_sharp(ut, +1, wg))
+        rep = diagnostic_mu_k_growth(solve_mu_sharp(_VolterraPlan(ut, wg), +1))
         sups.append(rep["sup_ratio"])
         edges.append(rep["edge_value"] * (1.0 + half_y))
     assert abs(sups[1] / sups[0] - 1.0) < 0.02
@@ -915,7 +957,8 @@ def test_diagnostic_amplitude_linearity():
     vals = {}
     for eps in (0.02, 0.05):
         wg, ut = build_small(eps)
-        vals[eps] = diagnostic_mu_k_growth(solve_mu_sharp(ut, +1, wg))["sup_ratio"]
+        vals[eps] = diagnostic_mu_k_growth(
+            solve_mu_sharp(_VolterraPlan(ut, wg), +1))["sup_ratio"]
     assert 0.9 < (vals[0.05] / 0.05) / (vals[0.02] / 0.02) < 1.1
 
 
