@@ -30,6 +30,7 @@ refuses data whose l = 0 column is not negligible.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -64,13 +65,16 @@ class Grid1D:
         if not _is_power_of_two(self.n) or self.n < 8:
             raise ValueError("grid size must be a power of two >= 8")
 
-    @property
+    @functools.cached_property
     def spacing(self) -> float:
         return (self.max - self.min) / self.n
 
-    @property
+    @functools.cached_property
     def points(self) -> np.ndarray:
-        return self.min + self.spacing * np.arange(self.n)
+        """The grid points, computed on first access and read-only."""
+        pts = self.min + self.spacing * np.arange(self.n)
+        pts.flags.writeable = False
+        return pts
 
     @property
     def dual_spacing(self) -> float:

@@ -186,9 +186,10 @@ def compute_scattering(field: PotentialField, grids: ScatteringGrids,
     of the solve and one application's padded transform, or mu# and
     assembly's temporaries (scattering.direct_map_bytes), where one byte
     budget sets K (scattering.direct_map_blocks). Where the memory
-    available (_available_bytes: MemAvailable, and the headroom under a
-    cgroup v2 limit) is smaller than that, the call is refused with
-    ValueError before anything is resampled or solved.
+    available (_available_bytes: MemAvailable, and the headroom under the
+    cgroup v1 or v2 limits over the process) is smaller than that, the
+    call is refused with ValueError before anything is resampled or
+    solved.
     """
     pt = partial_fourier_x(field)
     report = check_conditions(field, pt)
@@ -206,13 +207,53 @@ def _read_int(path: str) -> int | None:
         return None
 
 
-def _available_bytes() -> int | None:
-    """Bytes this process may still allocate: the smaller of MemAvailable
-    (/proc/meminfo) and, under a cgroup v2 limit, memory.max less
-    memory.current. A figure that cannot be read does not count, and
-    memory.max reads "max" (no limit) where none is set; None where
-    neither figure can be read."""
+# where a cgroup v2 hierarchy is mounted, alone (unified layout) or beside
+# the v1 controllers (hybrid layout), and where v1's memory controller is
+_CGROUP_V2_MOUNTS = ("/sys/fs/cgroup", "/sys/fs/cgroup/unified")
+_CGROUP_V1_MEMORY = "/sys/fs/cgroup/memory"
+
+
+def _cgroup_headroom() -> list[int]:
+    """Limit less usage for each memory limit over this process: for its
+    cgroups named in /proc/self/cgroup (the v2 root where that cannot be
+    read) and each of their ancestors, memory.max less memory.current
+    under v2 and memory.limit_in_bytes less memory.usage_in_bytes under
+    v1's memory controller. A pair that cannot be read gives nothing."""
+    try:
+        with open("/proc/self/cgroup") as fh:
+            lines = fh.read().splitlines()
+    except OSError:
+        lines = ["0::/"]
+    where = []
+    for line in lines:
+        fields = line.split(":", 2)
+        if len(fields) != 3:
+            continue
+        if fields[0] == "0":
+            where += [(mount, fields[2], "memory.max", "memory.current")
+                      for mount in _CGROUP_V2_MOUNTS]
+        elif "memory" in fields[1].split(","):
+            where.append((_CGROUP_V1_MEMORY, fields[2],
+                          "memory.limit_in_bytes", "memory.usage_in_bytes"))
     figures = []
+    for mount, path, limit_file, used_file in where:
+        parts = [p for p in path.split("/") if p]
+        for depth in range(len(parts), -1, -1):
+            d = "/".join([mount, *parts[:depth]])
+            limit = _read_int(f"{d}/{limit_file}")
+            used = _read_int(f"{d}/{used_file}")
+            if limit is not None and used is not None:
+                figures.append(max(0, limit - used))
+    return figures
+
+
+def _available_bytes() -> int | None:
+    """Bytes this process may still allocate: the smallest of MemAvailable
+    (/proc/meminfo) and the headroom under each cgroup memory limit over
+    the process, v1 or v2 (_cgroup_headroom). A figure that cannot be read
+    does not count, and memory.max reads "max" (no limit) where none is
+    set; None where no figure can be read."""
+    figures = _cgroup_headroom()
     try:
         with open("/proc/meminfo") as fh:
             for line in fh:
@@ -221,10 +262,6 @@ def _available_bytes() -> int | None:
                     break
     except (OSError, ValueError, IndexError):
         pass
-    limit = _read_int("/sys/fs/cgroup/memory.max")
-    used = _read_int("/sys/fs/cgroup/memory.current")
-    if limit is not None and used is not None:
-        figures.append(max(0, limit - used))
     return min(figures, default=None)
 
 

@@ -8,9 +8,15 @@ weight, evaluated per probe point; probe points rather than fields are
 first-class because the large-time statements are statements along rays.
 reconstruct builds the solver's kernel operator rhp.CTOperator once per
 probe; the solves and both terms take it. Through it the two families
-sum to T_plus g - T_minus g, the gap weight i(l - k) acts as
-i(K(l g) - k K g), and the functions each term needs share one product
-per family, so no combined or gap-weighted kernel is formed.
+sum to T_plus g - T_minus g and the gap weight i(l - k) acts as
+i(K(l g) - k K g), so no combined or gap-weighted kernel is formed. Both
+terms take their kernel products from those the probe has formed
+already: eval_u1 from the operator's products of the rows l and 1
+(CTOperator.basis, which also give the source of the mu solve), eval_u2
+from the products of l (mu - 1), mu - 1 and dmu/dx that the solves keep
+in their record (rhp.solve_dmul_dx). The field evaluation thus adds no
+row to the n1 + n2 + 5 per family of the solves (rhp), n1 and n2 the
+terms of the two series.
 
 Large-time probes need a spectral grid that resolves the phase, with up
 to thousands of points, finer than the n-point grid of the direct map.
@@ -109,22 +115,22 @@ class ReconstructionSample:
     region: RegionLabel
 
 
-def _family_sums(op: CTOperator, rows: np.ndarray):
-    """Plain and k-weighted sums over k of both kernel families with
-    their oscillatory weight, applied to each row of rows. Off the
-    diagonal one family contributes; on it the two half weights combine."""
-    a = op.kernel_apply(+1, rows) + op.kernel_apply(-1, rows)
-    return a.sum(axis=1), a @ op.base.grids.grid_kl.points
+def _family_sums(op: CTOperator, sums: np.ndarray):
+    """Plain and k-weighted sums over k of each row of sums, rows of both
+    kernel families' products with their oscillatory weight (row 1 of
+    CTOperator.products). Off the diagonal one family contributes; on it
+    the two half weights combine."""
+    return sums.sum(axis=-1), sums @ op.base.grids.grid_kl.points
 
 
 def eval_u1(op: CTOperator) -> complex:
     """Leading reconstruction term at the operator's probe point.
 
     (1/pi) double sum of the oscillatory weight times i (l - k) times the
-    combined kernel, taken as i(K(l) - k K(1))."""
-    pts = op.base.grids.grid_kl.points
+    combined kernel, taken as i(K(l) - k K(1)) from the operator's
+    products of the rows l and 1 (CTOperator.basis)."""
+    s, ks = _family_sums(op, op.basis[1])
     dl = op.base.grids.grid_kl.spacing
-    s, ks = _family_sums(op, np.stack([pts, np.ones_like(pts)]))
     return complex((1j / np.pi) * dl * (s[0] - ks[1]))
 
 
@@ -132,9 +138,10 @@ def eval_u2(op: CTOperator, sol: RHPSolution) -> complex:
     """Correction term at the operator's probe point.
 
     Adds the kernel sum weighted by (mu - 1) at the column argument and
-    the plain kernel sum weighted by the x-derivative of mu. Requires the
-    solution record solved at exactly this probe point, derivative part
-    included."""
+    the plain kernel sum weighted by the x-derivative of mu, from the
+    products of l (mu - 1), mu - 1 and dmu/dx that the solves formed.
+    Requires the solution record solved on the operator's kernel data at
+    exactly its probe point, derivative part included."""
     expected = (op.t, op.x, op.y)
     if tuple(sol.point) != expected:
         raise ValueError(
@@ -142,10 +149,10 @@ def eval_u2(op: CTOperator, sol: RHPSolution) -> complex:
             f"requested {expected}")
     if sol.dmu_dx is None:
         raise ValueError("solution record lacks the derivative part")
-    pts = op.base.grids.grid_kl.points
+    if sol.base is not op.base:
+        raise ValueError("solution record was solved on other kernel data")
+    s, ks = _family_sums(op, sol.products[1])
     dl = op.base.grids.grid_kl.spacing
-    mu = sol.mu_minus_1
-    s, ks = _family_sums(op, np.stack([pts * mu, mu, sol.dmu_dx]))
     return complex((1.0 / np.pi) * dl * (1j * (s[0] - ks[1]) + s[2]))
 
 
@@ -305,7 +312,9 @@ class _Band:
         picked = totals.reshape(r, -1).take(self.gather, axis=1)
         u = picked[:, :4 * n_coef].reshape(r, 4, n_coef).sum(axis=1)
         w = (picked[:, 4 * n_coef:].reshape(r, 12, 1, -1) * local).sum(axis=1)
-        w += (u @ strict).take(self.window, axis=1)
+        # one vector product per row: a row's result does not depend on
+        # the rows stacked with it (a matrix product's blocking would)
+        w += np.matmul(u[:, None], strict)[:, 0].take(self.window, axis=1)
         suffix *= near
         suffix += vals * w[..., None]
         out = suffix.sum(axis=1)

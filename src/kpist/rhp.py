@@ -12,19 +12,36 @@ grid-weighted L2 norm with scattering.neumann_series, the direct map's
 accumulator, so all share one stopping rule, cap, residual and finite guard.
 
 Every kernel application of the solve and of the field evaluation goes
-through CTOperator. The weight factorizes into the phase diagonals
-e^{-i phi(k)} and e^{i phi(l)}, so a family costs one product through the
-kernel data's apply, shared by all right-hand sides: a triangular BLAS
-product that reads only the family's own triangle
+through CTOperator.products. The weight factorizes into the phase
+diagonals e^{-i phi(k)} and e^{i phi(l)}, the grid weight dl folded into
+the first, so the products of a stack of rows cost one phase product and
+one product per family through the kernel data's apply: a triangular
+BLAS product that reads only the family's own triangle
 (scattering.triangular_apply) for stored kernels
 (scattering.ScatteringData) and for kernels refined onto a probe grid
 of at most reconstruct.DENSE_MAX points, where it is the cheaper; a
 banded factored one, which forms no n_fine^2 array, for larger refined
-grids (reconstruct.SplineKernels). No kernel is copied or formed anew:
-the minus family, -T_minus in consumption orientation, carries its sign
-on the scalar grid weight, and the x-derivative kernels i(l - k)K act
-through i(l - k)K g = i(K(l g) - k K g).
+grids (reconstruct.SplineKernels). The products of f are kept as
+[K_plus f, K_minus f + K_plus f], which is what the projection and the
+field sums read. No kernel is copied or formed anew: the minus family,
+-T_minus in consumption orientation, enters as a subtraction, and the
+x-derivative kernels i(l - k)K act through i(l - k)K g = i(K(l g) - k K g).
 family_kernel and derivative_data remain as the reference definitions.
+
+A probe forms each distinct product once and reuses it by linearity
+(K(l (1 + m)) = K(l) + K(l m)). With n1 and n2 the terms of the mu and
+the dmu series, the rows per family are
+  * 2 for the rows l and 1 (CTOperator.basis, once per operator): the
+    source of the mu solve (on_constant), the constant's share of the
+    derivative forcing and the whole of reconstruct.eval_u1;
+  * n1 + 1 for the mu series and its residual, whose application on the
+    returned sum m leaves K(m);
+  * 1 for l m; the forcing then needs no other row;
+  * n2 + 1 for the dmu series and its residual, which leaves K(dmu);
+  * none for reconstruct.eval_u2, which reads K(l m), K(m) and K(dmu)
+    from the solution record;
+n1 + n2 + 5 in all, where forming each stage's own would take
+n1 + n2 + 10. There are n1 + n2 + 4 projections, one transform pair each.
 
 The operator is the one handle of a probe: CTOperator.build(base, t, x, y)
 holds the kernel data and the phase diagonals of the point, and the
@@ -37,7 +54,8 @@ half plus keeps the nonnegative-frequency bins together with the
 Nyquist bin, half minus is the negative of the rest. Their difference
 reconstructs the input to rounding, which the solve relies on. The
 operator applies both at once through one forward and one inverse
-transform: with a = K_minus f and b = K_plus f, C_minus b = C_plus b - b
+transform (scipy.fft, whose calls cost less than numpy's at these
+sizes): with a = K_minus f and b = K_plus f, C_minus b = C_plus b - b
 exactly, so C_plus a + C_minus b = ifft(keep fft(a + b)) - b, keep the
 bins 0 .. n/2.
 """
@@ -45,34 +63,47 @@ bins 0 .. n/2.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.fft as sfft
 
 from .grids import ConditionsReport
 from .scattering import ScatteringData, neumann_series
 
 
-def _project_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """C_plus a + C_minus b = C_plus (a + b) - b in one FFT pair: the
-    plus bins (0 .. n/2) of the spectrum of a + b, transformed back."""
-    spec = np.fft.fft(a + b, axis=-1)
-    spec[..., a.shape[-1] // 2 + 1:] = 0.0
-    out = np.fft.ifft(spec, axis=-1)
-    out -= b
+def _project_pair(p: np.ndarray) -> np.ndarray:
+    """C_plus K_minus f + C_minus K_plus f from the kernel products p of f
+    (CTOperator.products), in one transform pair: with p[1] = K_minus f
+    + K_plus f, the plus bins (0 .. n/2) of the spectrum of p[1],
+    transformed back, less p[0] = K_plus f."""
+    spec = sfft.fft(p[1], axis=-1)
+    spec[..., p.shape[-1] // 2 + 1:] = 0.0
+    out = sfft.ifft(spec, axis=-1, overwrite_x=True)
+    out -= p[0]
+    return out
+
+
+def _gap(lf: np.ndarray, f: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Products of the x-derivative kernels i(l - k)K on f from those of K
+    on l f and on f: i(l - k)K f = i(K(l f) - k K f)."""
+    out = lf - pts * f
+    out *= 1j
     return out
 
 
 def _require_finite(t: float, x: float, y: float) -> None:
-    if not np.all(np.isfinite((t, x, y))):
+    if not all(map(math.isfinite, (t, x, y))):
         raise ValueError(f"probe point (t, x, y) = ({float(t)}, {float(x)}, "
                          f"{float(y)}) is not finite")
 
 
 def phase_weights(points: np.ndarray, t: float, x: float, y: float) -> np.ndarray:
-    """phi(s) = x s - y s^2 + 4 t s^3 on the given spectral points."""
+    """phi(s) = x s - y s^2 + 4 t s^3 on the given spectral points (the
+    cube as two products: a float power costs several times as much)."""
     s = np.asarray(points)
-    return x * s - y * s * s + 4.0 * t * s ** 3
+    return x * s - y * s * s + 4.0 * t * (s * s * s)
 
 
 def family_kernel(base: ScatteringData, sign: int) -> np.ndarray:
@@ -100,11 +131,10 @@ class CTOperator:
 
     base is the time-zero kernel data, a ScatteringData or a
     reconstruct.SplineKernels (anything with grids and apply), held by
-    reference. The phase diagonals
-    e^{i phi(l)} and e^{-i phi(k)}, evolution time included, are
-    precomputed at construction; build rejects a non-finite point and
-    t < 0. Inputs are one function or a stack of them as rows, applied
-    in one product per family."""
+    reference. The phase diagonals e^{i phi(l)} and dl e^{-i phi(k)},
+    evolution time and grid weight included, are precomputed at
+    construction from one exponential; build rejects a non-finite point
+    and t < 0. Inputs are one function or a stack of them as rows."""
 
     base: ScatteringData
     t: float
@@ -119,41 +149,56 @@ class CTOperator:
         _require_finite(t, x, y)
         if t < 0:
             raise ValueError("evolution time must be nonnegative")
-        phi = phase_weights(base.grids.grid_kl.points, t, x, y)
-        return cls(base, float(t), float(x), float(y), np.exp(1j * phi),
-                   np.exp(-1j * phi))
-
-    def _scale(self, sign: int) -> float:
-        # the minus family is -T_minus; its sign rides on the grid weight
-        return sign * self.base.grids.grid_kl.spacing
+        grid = base.grids.grid_kl
+        e_l = np.exp(1j * phase_weights(grid.points, t, x, y))
+        return cls(base, float(t), float(x), float(y), e_l,
+                   grid.spacing * e_l.conj())
 
     def kernel_apply(self, sign: int, f: np.ndarray) -> np.ndarray:
         """One triangular family with its oscillatory weight:
         out(k) = sum_l exp(i(phi(l) - phi(k))) K(k, l) f(l) dl, K the
-        family in consumption orientation (family_kernel)."""
-        g = self.e_l * np.asarray(f, dtype=complex)
-        return self.e_k * self.base.apply(sign, g) * self._scale(sign)
+        family in consumption orientation (family_kernel): the minus
+        family is -T_minus."""
+        out = self.base.apply(sign, self.e_l * f)
+        out *= sign * self.e_k
+        return out
+
+    def products(self, f: np.ndarray) -> np.ndarray:
+        """The kernel products of f, [K_plus f, K_minus f + K_plus f] with
+        K_sigma f = kernel_apply(sigma, f), shape (2,) + f.shape: one phase
+        product shared by both families and one product per family
+        through the kernel data's apply. Linear in f, so the products of
+        a combination are the combination of the products."""
+        g = self.e_l * f
+        p = np.empty((2,) + g.shape, dtype=complex)
+        p[0] = self.base.apply(+1, g)
+        p[1] = self.base.apply(-1, g)
+        np.subtract(p[0], p[1], out=p[1])
+        p *= self.e_k
+        return p
+
+    @functools.cached_property
+    def basis(self) -> np.ndarray:
+        """The products of the rows l and 1, formed on first use: the source
+        of the mu solve (on_constant), the constant's share of the
+        derivative forcing, and the leading term reconstruct.eval_u1."""
+        pts = self.base.grids.grid_kl.points
+        return self.products(np.stack([pts, np.ones_like(pts)]))
 
     def __call__(self, f: np.ndarray) -> np.ndarray:
-        return _project_pair(self.kernel_apply(-1, f),
-                             self.kernel_apply(+1, f))
+        return _project_pair(self.products(f))
 
     def derivative(self, f: np.ndarray) -> np.ndarray:
         """x-derivative of the operator applied to f: x enters only
         through exp(i(l - k)x), so each kernel K becomes i(l - k)K."""
         pts = self.base.grids.grid_kl.points
-        rows = np.stack([pts * f, f])
-
-        def gap(sign):  # i(l - k)K f = i(K(l f) - k K f)
-            a = self.kernel_apply(sign, rows)
-            return 1j * (a[0] - pts * a[1])
-
-        return _project_pair(gap(-1), gap(+1))
+        p = self.products(np.stack([pts * f, f]))
+        return _project_pair(_gap(p[:, 0], p[:, 1], pts))
 
     def on_constant(self) -> np.ndarray:
         # the constant is integrated against the kernel rows over the
-        # truncated domain; identical arithmetic to applying to ones
-        return self(np.ones(self.base.grids.n_kl))
+        # truncated domain; the same arithmetic as applying to ones
+        return _project_pair(self.basis[:, 1])
 
 
 def derivative_data(base: ScatteringData) -> ScatteringData:
@@ -173,7 +218,10 @@ class RHPSolution:
     """Solution record at one (t, x, y) point.
 
     dmu_dx and residual_dmu are None until the derivative solve fills
-    them in."""
+    them in. base is the kernel data the record was solved on and
+    products the kernel products (CTOperator.products) its solves formed,
+    stacked along axis 1: of mu - 1 after solve_mul; of l (mu - 1),
+    mu - 1 and dmu_dx after solve_dmul_dx."""
 
     point: tuple[float, float, float]
     mu_minus_1: np.ndarray
@@ -181,15 +229,29 @@ class RHPSolution:
     residual_mu: float
     residual_dmu: float | None
     iterations: int
+    base: ScatteringData = field(repr=False, compare=False)
+    products: np.ndarray = field(repr=False, compare=False)
 
 
 def weighted_l2(f: np.ndarray, dl: float) -> float:
     """Grid-weighted L2 norm over the spectral variable."""
-    return float(np.sqrt(np.vdot(f, f).real * dl))
+    return math.sqrt(np.vdot(f, f).real * dl)
 
 
-def _norm(op: CTOperator):
-    return functools.partial(weighted_l2, dl=op.base.grids.grid_kl.spacing)
+def _series(op: CTOperator, source: np.ndarray, tol: float):
+    """neumann_series with op as its apply: (sum, terms, residual, the
+    kernel products of the sum). The apply keeps the products of its last
+    call, which by the series' order is the residual's, on the sum."""
+    kept = []
+
+    def apply(f):
+        kept[:] = [op.products(f)]
+        return _project_pair(kept[0])
+
+    dl = op.base.grids.grid_kl.spacing
+    sol, iters, _, resid = neumann_series(
+        apply, source, functools.partial(weighted_l2, dl=dl), tol)
+    return sol, iters, resid, kept[0]
 
 
 def solve_mul(op: CTOperator, tol: float = 1e-10,
@@ -198,8 +260,9 @@ def solve_mul(op: CTOperator, tol: float = 1e-10,
     if conditions is not None and not conditions.passed:
         raise ValueError("input data failed its smallness conditions; "
                          "the contraction guarantee does not apply")
-    sol, iters, _, resid = neumann_series(op, op.on_constant(), _norm(op), tol)
-    return RHPSolution((op.t, op.x, op.y), sol, None, resid, None, iters)
+    sol, iters, resid, p = _series(op, op.on_constant(), tol)
+    return RHPSolution((op.t, op.x, op.y), sol, None, resid, None, iters,
+                       op.base, p[:, None])
 
 
 def solve_dmul_dx(op: CTOperator, tol: float = 1e-10,
@@ -208,9 +271,16 @@ def solve_dmul_dx(op: CTOperator, tol: float = 1e-10,
 
     The derivative solves the same fixed-point equation with forcing
     given by the i(l-k)-weighted kernels applied to the full unknown
-    1 + (mu - 1)."""
+    1 + (mu - 1): by linearity its products are those of the constant
+    (CTOperator.basis) plus those of mu - 1, of which only l (mu - 1) is
+    new."""
     mu = solve_mul(op, tol, conditions)
-    forcing = op.derivative(1.0 + mu.mu_minus_1)
-    sol, iters, _, resid = neumann_series(op, forcing, _norm(op), tol)
+    pts = op.base.grids.grid_kl.points
+    m = mu.products[:, 0]
+    lm = op.products(pts * mu.mu_minus_1)
+    forcing = _project_pair(_gap(op.basis[:, 0] + lm, op.basis[:, 1] + m,
+                                 pts))
+    sol, iters, resid, dmu = _series(op, forcing, tol)
     return replace(mu, dmu_dx=sol, residual_dmu=resid,
-                   iterations=mu.iterations + iters)
+                   iterations=mu.iterations + iters,
+                   products=np.stack([lm, m, dmu], axis=1))

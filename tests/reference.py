@@ -27,6 +27,9 @@ figure of a property the paper relies on:
     contraction bound of harness.run_verify_suite must dominate.
   * adjoint_identity_check: the time-zero factorization identity of the
     stored kernels, through CTOperator.kernel_apply.
+  * sequential_probe: one probe's solves and field terms with every stage
+    forming its own kernel products, against which reconstruct's reuse
+    of the products by linearity is checked.
   * linear_kp, linear_kp_crosscheck, linear_field (with
     _spectrum_with_zero_line): the linearized flow by the rectangular
     (p, q) sum, by the two-spectral-variable parametrization and on the
@@ -43,7 +46,8 @@ from kpist.grids import (SQRT_2PI, Grid1D, PartialTransform,
                          PotentialField)
 from kpist.oscillatory import filon_moments
 from kpist.rhp import CTOperator
-from kpist.scattering import MuSharpField, ScatteringData, ScatteringGrids
+from kpist.scattering import (MuSharpField, ScatteringData, ScatteringGrids,
+                              neumann_series)
 
 
 # ---------------------------------------------------------------- transforms
@@ -243,6 +247,32 @@ def ct_norm(op: CTOperator) -> float:
     of the identity the operator yields its transpose, which has the same
     2-norm."""
     return float(np.linalg.norm(op(np.eye(op.base.grids.n_kl)), 2))
+
+
+def sequential_probe(op: CTOperator, tol: float = 1e-10):
+    """(u, u1, u2, residual_mu, residual_dmu) at the operator's point by
+    the sequential route, each stage forming its own kernel products: the
+    mu series from op(1), the forcing op.derivative(1 + mu), the dmu
+    series, and the two field terms from the products of [l, 1] and of
+    [l mu, mu, dmu] through kernel_apply, one family at a time."""
+    grid = op.base.grids.grid_kl
+    pts, dl = grid.points, grid.spacing
+
+    def norm(f):
+        return float(np.sqrt(np.vdot(f, f).real * dl))
+
+    mu, _, _, r_mu = neumann_series(op, op(np.ones(grid.n)), norm, tol)
+    dmu, _, _, r_dmu = neumann_series(op, op.derivative(1.0 + mu), norm, tol)
+
+    def sums(rows):
+        a = op.kernel_apply(+1, rows) + op.kernel_apply(-1, rows)
+        return a.sum(axis=1), a @ pts
+
+    s, ks = sums(np.stack([pts, np.ones_like(pts)]))
+    u1 = complex((1j / np.pi) * dl * (s[0] - ks[1]))
+    s, ks = sums(np.stack([pts * mu, mu, dmu]))
+    u2 = complex((1.0 / np.pi) * dl * (1j * (s[0] - ks[1]) + s[2]))
+    return u1 + u2, u1, u2, r_mu, r_dmu
 
 
 def adjoint_identity_check(data: ScatteringData, x: float, y: float) -> float:

@@ -345,8 +345,8 @@ class TestVerifySuite:
 
 class TestMemoryBudget:
     """The direct map checks its working set against the memory available
-    (MemAvailable, and the headroom under a cgroup v2 limit) before it
-    resamples or solves."""
+    (MemAvailable, and the headroom under the cgroup v1 and v2 limits over
+    the process) before it resamples or solves."""
 
     def test_refused_before_any_field_is_made(self, monkeypatch):
         monkeypatch.setattr(harness, "_available_bytes", lambda: 1 << 20)
@@ -415,9 +415,61 @@ class TestMemoryBudget:
     def test_cgroup_limit(self, monkeypatch, cgroup, want):
         # the smaller of MemAvailable (64 MiB here) and memory.max less
         # memory.current; no limit ("max") or a missing figure leaves
-        # MemAvailable
+        # MemAvailable. Without /proc/self/cgroup the v2 root is read
         texts = {"/proc/meminfo": "MemAvailable:   65536 kB\n"}
         texts.update({f"/sys/fs/cgroup/{k}": v for k, v in cgroup.items()})
+        self.serve_files(monkeypatch, texts)
+        assert harness._available_bytes() == want
+
+    V1 = "/sys/fs/cgroup/memory"
+    V1_LINES = "4:memory:/jobs/7\n3:cpu,cpuacct:/jobs/7\n0::/\n"
+
+    @pytest.mark.parametrize("own, files, want", [
+        # v1: the memory controller's own cgroup, not its root
+        (V1_LINES, {f"{V1}/jobs/7/memory.limit_in_bytes": "8388608\n",
+                    f"{V1}/jobs/7/memory.usage_in_bytes": "2097152\n",
+                    f"{V1}/memory.limit_in_bytes": "9223372036854771712\n",
+                    f"{V1}/memory.usage_in_bytes": "2097152\n"}, 6 << 20),
+        # v1: a limit on an ancestor bounds its descendants
+        (V1_LINES, {f"{V1}/jobs/memory.limit_in_bytes": "4194304\n",
+                    f"{V1}/jobs/memory.usage_in_bytes": "1048576\n",
+                    f"{V1}/jobs/7/memory.limit_in_bytes": "8388608\n",
+                    f"{V1}/jobs/7/memory.usage_in_bytes": "0\n"}, 3 << 20),
+        # v1: the process's cgroup is not visible, the root is unlimited
+        (V1_LINES, {f"{V1}/memory.limit_in_bytes": "9223372036854771712\n",
+                    f"{V1}/memory.usage_in_bytes": "2097152\n"}, 64 << 20),
+        # nested v2 without a cgroup namespace
+        ("0::/user.slice/job.scope\n",
+         {"/sys/fs/cgroup/user.slice/job.scope/memory.max": "8388608\n",
+          "/sys/fs/cgroup/user.slice/job.scope/memory.current": "1048576\n",
+          "/sys/fs/cgroup/memory.max": "1073741824\n",
+          "/sys/fs/cgroup/memory.current": "0\n"}, 7 << 20),
+        ("0::/user.slice/job.scope\n",
+         {"/sys/fs/cgroup/user.slice/job.scope/memory.max": "max\n",
+          "/sys/fs/cgroup/user.slice/job.scope/memory.current": "1048576\n",
+          "/sys/fs/cgroup/user.slice/memory.max": "5242880\n",
+          "/sys/fs/cgroup/user.slice/memory.current": "1048576\n"}, 4 << 20),
+        # hybrid: v2 mounted beside v1, the smaller headroom of the two
+        ("4:memory:/jobs/7\n0::/jobs/7\n",
+         {f"{V1}/jobs/7/memory.limit_in_bytes": "8388608\n",
+          f"{V1}/jobs/7/memory.usage_in_bytes": "1048576\n",
+          "/sys/fs/cgroup/unified/jobs/7/memory.max": "4194304\n",
+          "/sys/fs/cgroup/unified/jobs/7/memory.current": "2097152\n"},
+         2 << 20),
+        ("4:memory:/jobs/7\n0::/jobs/7\n",
+         {f"{V1}/jobs/7/memory.limit_in_bytes": "8388608\n",
+          f"{V1}/jobs/7/memory.usage_in_bytes": "1048576\n",
+          "/sys/fs/cgroup/unified/jobs/7/memory.max": "max\n",
+          "/sys/fs/cgroup/unified/jobs/7/memory.current": "2097152\n"},
+         7 << 20),
+        # a listing without a memory line or a v2 line reads no limit
+        ("3:cpu:/jobs/7\n", {"/sys/fs/cgroup/memory.max": "1048576\n",
+                              "/sys/fs/cgroup/memory.current": "0\n"},
+         64 << 20)])
+    def test_cgroup_limit_of_own_cgroup(self, monkeypatch, own, files, want):
+        # the limits over the process are found from /proc/self/cgroup
+        texts = {"/proc/meminfo": "MemAvailable:   65536 kB\n",
+                 "/proc/self/cgroup": own, **files}
         self.serve_files(monkeypatch, texts)
         assert harness._available_bytes() == want
 

@@ -44,7 +44,8 @@ from kpist.reconstruct import (
     reconstruct,
     resample_scattering_data,
 )
-from reference import linear_field, linear_kp, linear_kp_crosscheck
+from reference import (linear_field, linear_kp, linear_kp_crosscheck,
+                       sequential_probe)
 
 WORK_KL = Grid1D(-8.0, 8.0, 128)
 WORK_Y = Grid1D(-8.0, 8.0, 128)
@@ -537,6 +538,85 @@ class TestCopyFreeEvaluation:
         res = resample_scattering_data(data, Grid1D(-4.0, 4.0, 128))
         assert res.grids.grid_kl == Grid1D(-4.0, 4.0, 128)
         assert res.meta["resampled_from_n"] == 128
+
+
+def probe_on_route(request, route):
+    """Kernel data and probe point of one product route: the stored grid
+    and a floor-grid refinement take triangular products, the 1024-point
+    refinement banded ones."""
+    _, data = request.getfixturevalue("ref05")
+    if route == "stored128":
+        return data, (0.5, 1.2, 0.8)
+    if route == "dense256":
+        return (resample_scattering_data(data, Grid1D(-1.5, 1.5, 256)),
+                (1.0, 0.3, 0.2))
+    return request.getfixturevalue("fine1024"), FINE_PROBE
+
+
+def traced_reconstruct(monkeypatch, base, t, x, y):
+    """reconstruct at one probe with the rows handed to the kernel data's
+    apply counted per family; returns (sample, record, rows)."""
+    rows, records = {+1: 0, -1: 0}, []
+    apply = type(base).apply
+
+    def counting(self, sign, g):
+        rows[sign] += np.asarray(g).reshape(-1, self.grids.n_kl).shape[0]
+        return apply(self, sign, g)
+
+    def recording(*args, **kwargs):
+        records.append(solve_dmul_dx(*args, **kwargs))
+        return records[-1]
+
+    monkeypatch.setattr(type(base), "apply", counting)
+    monkeypatch.setattr(reconstruct_module, "solve_dmul_dx", recording)
+    sample = reconstruct(base, t, x, y)
+    monkeypatch.undo()
+    (record,) = records
+    return sample, record, rows
+
+
+class TestProbeProducts:
+    """A probe forms each distinct kernel product once: the rows l and 1
+    (CTOperator.basis), one per term of the two series and their
+    residuals, and l (mu - 1) for the derivative forcing; everything else
+    follows by linearity."""
+
+    ROUTES = ["stored128", "dense256", "band1024"]
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_rows_per_family(self, request, monkeypatch, route):
+        # n1 + n2 + 5 rows per family, n1 + n2 the iterations of the two
+        # series (n1 + n2 + 10 when each stage formed its own)
+        base, (t, x, y) = probe_on_route(request, route)
+        _, record, rows = traced_reconstruct(monkeypatch, base, t, x, y)
+        assert record.iterations >= 2
+        assert rows == {+1: record.iterations + 5, -1: record.iterations + 5}
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_matches_sequential_path(self, request, monkeypatch, route):
+        # the residuals are already relative to max(1, |sum|): the mu
+        # series runs the same arithmetic, so residual_mu is the same
+        # number, and the dmu series starts from a forcing summed by
+        # linearity, so residual_dmu may move in its last digits
+        base, (t, x, y) = probe_on_route(request, route)
+        sample, record, _ = traced_reconstruct(monkeypatch, base, t, x, y)
+        u, u1, u2, r_mu, r_dmu = sequential_probe(
+            CTOperator.build(base, t, x, y))
+        for got, want in ((sample.u, u), (sample.u1, u1), (sample.u2, u2)):
+            assert abs(got - want) <= 1e-13 * abs(want)
+        assert record.residual_mu == r_mu
+        assert abs(record.residual_dmu - r_dmu) <= 1e-13
+        assert 0 < record.residual_dmu <= 1e-10
+
+    def test_record_of_other_source_rejected(self, ref02, ref05):
+        # eval_u2 reads the products the solves formed, so a record solved
+        # at the same point on other kernel data is refused
+        t, x, y = 0.5, 1.2, 0.8
+        sol = solve_dmul_dx(CTOperator.build(ref02[1], t, x, y))
+        op = CTOperator.build(ref05[1], t, x, y)
+        with pytest.raises(ValueError, match="other kernel data"):
+            eval_u2(op, sol)
+        assert np.isfinite(eval_u2(op, solve_dmul_dx(op)))
 
 
 # reaches past the last source sample (7.875) to the source edge 8

@@ -19,7 +19,7 @@ from kpist.grids import (
     make_test_potential,
     partial_fourier_x,
 )
-from kpist import scattering
+from kpist import rhp, scattering
 from kpist.harness import compute_scattering
 from kpist.scattering import (
     ScatteringData,
@@ -355,26 +355,29 @@ class TestFusedProjection:
 
     def test_one_transform_pair_per_projection(self, ref05, monkeypatch):
         # C_plus a + C_minus b = C_plus (a + b) - b: one forward and one
-        # inverse transform per operator call, derivative included
+        # inverse transform per operator call, derivative and the source
+        # of the mu solve included, all of them the ones rhp calls
         data, _ = ref05
         op = CTOperator.build(data, 0.5, 1.2, 0.8)
-        calls = {"fft": 0, "ifft": 0}
+        calls = {}
 
-        def counted(name):
-            fn = getattr(np.fft, name)
+        def counted(module, name):
+            fn = getattr(module, name)
 
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                key = f"{module.__name__}.{name}"
+                calls[key] = calls.get(key, 0) + 1
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in calls:
-            monkeypatch.setattr(np.fft, name, counted(name))
+        for module in (rhp.sfft, np.fft):
+            for name in ("fft", "ifft"):
+                monkeypatch.setattr(module, name, counted(module, name))
         f = np.ones(data.grids.n_kl, dtype=complex)
-        for apply in (op, op.derivative):
-            calls.update(fft=0, ifft=0)
+        for apply in (op, op.derivative, lambda f: op.on_constant()):
+            calls.clear()
             apply(f)
-            assert calls == {"fft": 1, "ifft": 1}
+            assert calls == {"scipy.fft.fft": 1, "scipy.fft.ifft": 1}
 
 
 class TestSolveMu:
@@ -443,8 +446,10 @@ class TestSolveMu:
 
         monkeypatch.setattr(scattering, "apply_g",
                             counted("apply_g", scattering.apply_g))
-        monkeypatch.setattr(CTOperator, "__call__",
-                            counted("op", CTOperator.__call__))
+        # the operator's applications, the source's included, are its
+        # projections
+        monkeypatch.setattr(rhp, "_project_pair",
+                            counted("op", rhp._project_pair))
         texts = []
         for solve in (lambda: solve_mu_sharp(_VolterraPlan(ut, wg), +1),
                       lambda: solve_mul(CTOperator.build(bad, 0.5, 1.2, 0.8))):
