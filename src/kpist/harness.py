@@ -179,8 +179,9 @@ def compute_scattering(field: PotentialField, grids: ScatteringGrids,
     """Direct map on a field; returns (data, conditions report). data.meta
     carries the solves' iteration counts, residuals and mu X norms.
 
-    The smallness report is enforced: outside the contractive regime the
-    layered solve has no convergence guarantee, so this refuses to run.
+    Admissibility is decided here, where kernel data enters: outside the
+    contractive regime no solve has a convergence guarantee, so failing
+    data is refused (ValueError), and no solve downstream checks again.
     The direct map holds one block of k rows of one family at a time, so
     its working set is about six K M n_y complex values: the three arrays
     of the solve and one application's padded transform, or mu# and
@@ -195,7 +196,7 @@ def compute_scattering(field: PotentialField, grids: ScatteringGrids,
     report = check_conditions(field, pt)
     if not report.passed:
         raise ValueError("smallness conditions fail: " + report.summary())
-    return _direct_map(pt, report, grids, tol), report
+    return _direct_map(pt, grids, tol), report
 
 
 def _read_int(path: str) -> int | None:
@@ -265,8 +266,8 @@ def _available_bytes() -> int | None:
     return min(figures, default=None)
 
 
-def _direct_map(pt, report, grids: ScatteringGrids, tol: float):
-    """Kernels from a transform whose conditions report has passed.
+def _direct_map(pt, grids: ScatteringGrids, tol: float):
+    """Kernels from a transform its caller has found admissible.
 
     The plan (every table of the solve and of assembly; it does not
     depend on the sign) and T1 are built once. Then, for each family and
@@ -289,8 +290,7 @@ def _direct_map(pt, report, grids: ScatteringGrids, tol: float):
         for rows in direct_map_blocks(grids):
             part = plan.block(rows)
             # each block's mu# is dropped once assemble_T has its rows
-            assemble_T(solve_mu_sharp(part, sign, tol=tol, conditions=report),
-                       part, T1, kernel)
+            assemble_T(solve_mu_sharp(part, sign, tol=tol), part, T1, kernel)
     return ScatteringData.from_families(kernels[+1], kernels[-1], T1, plan)
 
 
@@ -298,17 +298,20 @@ def run_decay_fit(config: ExperimentConfig, data: ScatteringData | None = None,
                   conditions=None) -> list[DecayFit]:
     """Envelope decay fits for every configured ray.
 
-    A probe that misses its solver tolerance aborts only its own ray;
-    the failure text lands in that ray's record and the rest proceed.
+    Admissibility is decided at entry: a supplied failing conditions
+    report is refused (ValueError) before any probe runs, and without
+    data compute_scattering decides. A probe that misses its solver
+    tolerance aborts only its own ray; the failure text lands in that
+    ray's record and the rest proceed.
     """
+    if conditions is not None and not conditions.passed:
+        raise ValueError("smallness conditions fail: " + conditions.summary())
     if data is None:
-        field = config.resolve_potential()
-        data, conditions = compute_scattering(field, config.scattering_grids(),
-                                              tol=config.tol)
+        data, _ = compute_scattering(config.resolve_potential(),
+                                     config.scattering_grids(), tol=config.tol)
 
     def probe_values(fine, t, x, y):
-        s = reconstruct(fine, t, x, y, delta=config.delta, tol=config.tol,
-                        conditions=conditions)
+        s = reconstruct(fine, t, x, y, delta=config.delta, tol=config.tol)
         return abs(s.u), abs(s.u1), abs(s.u2)
 
     return [_fit_ray(spec, config, data, probe_values)
@@ -524,7 +527,7 @@ def run_verify_suite(config: ExperimentConfig,
                              CONTRACTION_LIMIT, False,
                              note="not attempted: smallness conditions fail"))
     else:
-        data = _direct_map(pt, report, grids, config.tol)
+        data = _direct_map(pt, grids, config.tol)
         guard = np.sqrt(np.pi) * report.w_norm / (1.0 - report.c) * 1.05
         for name in ("plus", "minus"):
             measured = data.meta[f"mu_{name}_xnorm"]
@@ -551,7 +554,7 @@ def run_verify_suite(config: ExperimentConfig,
                                   "|K-|_HS^2), dl-weighted"))
         t0, x0, y0 = VERIFY_PROBE
         op = CTOperator.build(data, t0, x0, y0)
-        sol = solve_dmul_dx(op, tol=config.tol, conditions=report)
+        sol = solve_dmul_dx(op, tol=config.tol)
         dl = grids.grid_kl.spacing
         f_norm = weighted_l2(op.on_constant(), dl)
         mu_norm = weighted_l2(sol.mu_minus_1, dl)

@@ -101,12 +101,12 @@ def _simpson_weights(p):
     return w / 3.0
 
 
-def oscillatory_integral(a, b, phi, dphi, amp=None, pts_per_wave=16,
-                         n_cells=64, crit_points=()):
-    """Int_a^b amp(x) e^(i phi(x)) dx by cell-refined Simpson.
+def oscillatory_integral(a, b, phi, dphi, pts_per_wave=16, n_cells=64,
+                         crit_points=()):
+    """Int_a^b e^(i phi(x)) dx by cell-refined Simpson.
 
-    The interval is first split into n_cells equal cells (amp must be
-    resolved at that scale); each cell is then refined for the phase.
+    The interval is first split into n_cells equal cells; each cell is
+    then refined for the phase.
     """
     base = np.linspace(a, b, n_cells + 1)
     p = _plan_refinement(base, dphi, pts_per_wave, crit_points)
@@ -118,10 +118,7 @@ def oscillatory_integral(a, b, phi, dphi, amp=None, pts_per_wave=16,
         s = (np.arange(pc + 1) / pc)[None, :]
         x = aa + h * s
         w = _simpson_weights(pc)[None, :] * (h / pc)
-        vals = np.exp(1j * phi(x))
-        if amp is not None:
-            vals = vals * amp(x)
-        total += (w * vals).sum()
+        total += (w * np.exp(1j * phi(x))).sum()
     return total
 
 

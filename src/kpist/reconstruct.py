@@ -64,7 +64,7 @@ import functools
 import numpy as np
 from scipy.interpolate import BSpline
 
-from .grids import ConditionsReport, Grid1D
+from .grids import Grid1D
 from .phase_airy import RayCoordinates, RegionLabel, DEFAULT_REGION_DELTA
 # family_kernel is not called here: perfbench wraps this module's global of
 # that name to count negated kernel copies, so the name stays importable
@@ -158,14 +158,13 @@ def eval_u2(op: CTOperator, sol: RHPSolution) -> complex:
 
 def reconstruct(data: ScatteringData | SplineKernels, t: float, x: float,
                 y: float, delta: float = DEFAULT_REGION_DELTA,
-                tol: float = 1e-10,
-                conditions: ConditionsReport | None = None,
-                ) -> ReconstructionSample:
+                tol: float = 1e-10) -> ReconstructionSample:
     """Solve and evaluate at one probe point; an invalid delta is refused
-    before the solve."""
+    before the solve. Admissibility was decided where the data entered
+    (harness.compute_scattering, run_decay_fit), not per probe."""
     region = RayCoordinates(t, x, y).region(delta)
     op = CTOperator.build(data, t, x, y)
-    sol = solve_dmul_dx(op, tol=tol, conditions=conditions)
+    sol = solve_dmul_dx(op, tol=tol)
     u1 = eval_u1(op)
     u2 = eval_u2(op, sol)
     return ReconstructionSample((t, x, y), u1, u2, u1 + u2, region)

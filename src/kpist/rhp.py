@@ -7,7 +7,9 @@ each carrying the oscillatory weight exp(i(phi(l) - phi(k))) with
 phi(s) = x s - y s^2 + 4 t s^3. The composition contracts on the small
 data this package targets, so its Neumann series converges
 geometrically; the x-derivative of the unknown solves the same equation
-with a once-differentiated forcing. Both solves sum their series in the
+with a once-differentiated forcing. Admissibility is decided where
+kernel data enters (harness.compute_scattering, run_decay_fit and
+run_verify_suite), not here. Both solves sum their series in the
 grid-weighted L2 norm with scattering.neumann_series, the direct map's
 accumulator, so all share one stopping rule, cap, residual and finite guard.
 
@@ -69,7 +71,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.fft as sfft
 
-from .grids import ConditionsReport
 from .scattering import ScatteringData, neumann_series
 
 
@@ -254,19 +255,15 @@ def _series(op: CTOperator, source: np.ndarray, tol: float):
     return sol, iters, resid, kept[0]
 
 
-def solve_mul(op: CTOperator, tol: float = 1e-10,
-              conditions: ConditionsReport | None = None) -> RHPSolution:
-    """Solve mu = 1 + P(mu) for mu - 1 at the operator's point."""
-    if conditions is not None and not conditions.passed:
-        raise ValueError("input data failed its smallness conditions; "
-                         "the contraction guarantee does not apply")
+def solve_mul(op: CTOperator, tol: float = 1e-10) -> RHPSolution:
+    """Solve mu = 1 + P(mu) for mu - 1 at the operator's point, on data
+    found admissible where it entered (see the module notes)."""
     sol, iters, resid, p = _series(op, op.on_constant(), tol)
     return RHPSolution((op.t, op.x, op.y), sol, None, resid, None, iters,
                        op.base, p[:, None])
 
 
-def solve_dmul_dx(op: CTOperator, tol: float = 1e-10,
-                  conditions: ConditionsReport | None = None) -> RHPSolution:
+def solve_dmul_dx(op: CTOperator, tol: float = 1e-10) -> RHPSolution:
     """Solve for mu, then extend its record with the x-derivative part.
 
     The derivative solves the same fixed-point equation with forcing
@@ -274,7 +271,7 @@ def solve_dmul_dx(op: CTOperator, tol: float = 1e-10,
     1 + (mu - 1): by linearity its products are those of the constant
     (CTOperator.basis) plus those of mu - 1, of which only l (mu - 1) is
     new."""
-    mu = solve_mul(op, tol, conditions)
+    mu = solve_mul(op, tol)
     pts = op.base.grids.grid_kl.points
     m = mu.products[:, 0]
     lm = op.products(pts * mu.mu_minus_1)

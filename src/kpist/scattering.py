@@ -365,8 +365,8 @@ class MuSharpField:
     residual: float  # X norm of G mu - mu + source, relative to max(1, ||mu||)
 
 
-def solve_mu_sharp(plan: _VolterraPlan, sign: int, tol: float = 1e-10,
-                   conditions=None) -> MuSharpField:
+def solve_mu_sharp(plan: _VolterraPlan, sign: int,
+                   tol: float = 1e-10) -> MuSharpField:
     """Neumann series for mu# (neumann_series in the X norm, y-leading
     like the source); contracts at rate <= c < 1.
 
@@ -375,16 +375,9 @@ def solve_mu_sharp(plan: _VolterraPlan, sign: int, tol: float = 1e-10,
     stopping rule, cap, residual and finite guard apply to the block's
     own rows (its X norm).
 
-    When an admissibility report is supplied it is enforced (a failing
-    report is rejected; iterating outside the contractive regime risks
-    converging to garbage). With conditions=None the caller vouches for
-    smallness, which the unit tests use for synthetic kernels.
+    Admissibility is decided where kernel data enters
+    (harness.compute_scattering, run_verify_suite), not here.
     """
-    if conditions is not None and not conditions.passed:
-        raise ValueError(
-            "admissibility conditions fail; the layered system is not "
-            "guaranteed contractive: " + conditions.summary()
-        )
     grids = plan.grids
     source = g_on_delta(plan, sign)
     mu, iterations, ratios, residual = neumann_series(

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from kpist import harness, scattering
-from kpist.grids import Grid1D, make_test_potential
+from kpist.grids import Grid1D, check_conditions, make_test_potential
 from kpist.harness import (BoundRow, DecayFit, VerifyReport,
                            _airy_bound_rows, _cubic_phase_quadrature,
                            _hs_proxy, airy_ratio_tables, cluster_times,
@@ -195,6 +195,29 @@ class TestRunDecayFit:
         b = write_decay_csv(run_decay_fit(cfg, data=data, conditions=None),
                             tmp_path / "b.csv")
         assert a.read_bytes() == b.read_bytes()
+
+    def test_failing_report_refused_before_any_probe(self, monkeypatch):
+        # admissibility is decided where the data enters: a supplied report
+        # that failed stops the fit once, before its first probe, where
+        # each ray used to record its own failure
+        big = small_config(
+            potential_spec={"kind": "gaussian_dx", "amplitude": 8.0,
+                            "width": 2.0, "half_width": 16.0, "n": 128})
+        bad = check_conditions(big.resolve_potential())
+        assert not bad.passed
+        probes = []
+        real = harness.reconstruct
+        monkeypatch.setattr(harness, "reconstruct",
+                            lambda *a, **k: probes.append(a) or real(*a, **k))
+        with pytest.raises(ValueError, match="smallness conditions fail"):
+            run_decay_fit(small_config(), smooth_synthetic_data(), bad)
+        assert probes == []
+        # the counter sees the probes of a fit whose report passed
+        cfg = small_config(rays=(RaySpec(-3.0, 0.0),))
+        good = check_conditions(cfg.resolve_potential())
+        assert good.passed
+        run_decay_fit(cfg, smooth_synthetic_data(), good)
+        assert probes
 
 
 class TestLinearBaseline:

@@ -19,12 +19,7 @@ from scipy.interpolate import RectBivariateSpline
 from kpist import reconstruct as reconstruct_module
 from kpist import scattering
 from kpist.harness import compute_scattering
-from kpist.grids import (
-    ConditionsReport,
-    Grid1D,
-    PotentialField,
-    make_test_potential,
-)
+from kpist.grids import Grid1D, PotentialField, make_test_potential
 from kpist.scattering import (
     ScatteringData,
     ScatteringGrids,
@@ -74,18 +69,18 @@ def core_probes(field, stride=37, count=6):
 
 
 @pytest.fixture(scope="module")
-def ref05():
-    return build_reference(0.05)
+def ref05(map05):
+    return map05[:2]
 
 
 @pytest.fixture(scope="module")
-def ref02():
-    return build_reference(0.02)
+def ref02(map02):
+    return map02[:2]
 
 
 @pytest.fixture(scope="module")
-def ref01():
-    return build_reference(0.01)
+def ref01(map01):
+    return map01[:2]
 
 
 class TestSampleRecord:
@@ -180,13 +175,6 @@ class TestOrchestration:
         monkeypatch.setattr(CTOperator, "build", classmethod(counting))
         reconstruct(data, 0.5, 1.2, 0.8)
         assert len(built) == 1
-
-    def test_failed_conditions_rejected(self, ref05):
-        _, data = ref05
-        bad = ConditionsReport(c=2.0, c_tilde=2.0, w_norm=1.0,
-                               e1w_norm=1.0, passed=False)
-        with pytest.raises(ValueError):
-            reconstruct(data, 0.0, 1.0, 0.5, conditions=bad)
 
     def test_region_labels_follow_ray(self, ref05):
         _, data = ref05

@@ -13,12 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kpist.grids import (
-    ConditionsReport,
-    Grid1D,
-    make_test_potential,
-    partial_fourier_x,
-)
+from kpist.grids import Grid1D, make_test_potential, partial_fourier_x
 from kpist import rhp, scattering
 from kpist.harness import compute_scattering
 from kpist.scattering import (
@@ -65,21 +60,19 @@ def zero_data(grids: ScatteringGrids) -> ScatteringData:
 
 
 @pytest.fixture(scope="module")
-def ref05():
-    return build_reference(0.05)
+def ref05(map05):
+    return map05[1:]
 
 
 @pytest.fixture(scope="module")
-def ref02():
-    data, _ = build_reference(0.02)
-    return data
+def ref02(map02):
+    return map02[1]
 
 
 @pytest.fixture(scope="module")
-def ref_cal():
+def ref_cal(map01):
     # amplitude used to calibrate the quadratic-response coefficient
-    data, _ = build_reference(1e-2)
-    return data
+    return map01[1]
 
 
 def apply_family(sign, base, t, x, y, f):
@@ -497,14 +490,6 @@ class TestSolveMu:
             for data, eps in ((ref02, 0.02), (data5, 0.05)):
                 k_eps = coefficient(data, eps, probe)
                 assert 0.8 * k0 <= k_eps <= 1.2 * k0
-
-    def test_failing_conditions_rejected(self, ref05):
-        data, report = ref05
-        bad = ConditionsReport(c=2.0, c_tilde=2.0, w_norm=1.0, e1w_norm=1.0,
-                               passed=False)
-        with pytest.raises(ValueError):
-            solve_mul(CTOperator.build(data, 0.0, 0.0, 0.0), conditions=bad)
-        solve_mul(CTOperator.build(data, 0.0, 0.0, 0.0), conditions=report)
 
     def test_determinism_bitwise(self, ref05):
         data, _ = ref05
