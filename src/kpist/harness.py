@@ -21,7 +21,10 @@ from .io import ExperimentConfig, RaySpec, write_csv
 from .oscillatory import oscillatory_integral, oscillatory_tail
 from .phase_airy import (RayCoordinates, RegionLabel, cubic_phase_transform,
                          half_airy_H)
-from .reconstruct import (eval_u1, ray_resolution_grid, reconstruct,
+# reconstruct is not called here: perfbench wraps this module's global of
+# that name, so the name stays importable
+from .reconstruct import (eval_u1, ray_resolution_grid,  # noqa: F401
+                          reconstruct, reconstruct_points,
                           resample_scattering_data)
 from .rhp import CTOperator, solve_dmul_dx, weighted_l2
 from .scattering import (FamilyKernel, ScatteringData, ScatteringGrids,
@@ -137,12 +140,13 @@ def _slope_or_nan(ts, vs) -> float:
 
 
 def _fit_ray(spec: RaySpec, config: ExperimentConfig, data: ScatteringData,
-             probe_values) -> DecayFit:
+             cluster_values) -> DecayFit:
     """Envelope fit along one ray; the one cluster evaluator of both fits.
 
     Each cluster runs on one working grid, sized by ray_resolution_grid
-    for its latest time (the phase rate grows with t); probe_values(fine,
-    t, x, y) gives the (|u|, |u1|, |u2|) triple of one probe on it."""
+    for its latest time (the phase rate grows with t);
+    cluster_values(fine, points) gives the (|u|, |u1|, |u2|) triples of
+    the cluster's (t, x, y) probes on it, evaluated as one stack."""
     ts = config.t_samples()
     rc = RayCoordinates.from_ray(float(ts[0]), spec.xi, spec.eta)
     region = rc.region(config.delta)
@@ -154,8 +158,8 @@ def _fit_ray(spec: RaySpec, config: ExperimentConfig, data: ScatteringData,
             grid = ray_resolution_grid(t_ref, spec.xi * t_ref,
                                        spec.eta * t_ref, cap=config.fine_cap)
             fine = resample_scattering_data(data, grid)
-            triples = [probe_values(fine, tc, spec.xi * tc, spec.eta * tc)
-                       for tc in cluster]
+            triples = cluster_values(fine, [(tc, spec.xi * tc, spec.eta * tc)
+                                            for tc in cluster])
             env.append(max(v[0] for v in triples))
             env1.append(max(v[1] for v in triples))
             env2.append(max(v[2] for v in triples))
@@ -310,11 +314,11 @@ def run_decay_fit(config: ExperimentConfig, data: ScatteringData | None = None,
         data, _ = compute_scattering(config.resolve_potential(),
                                      config.scattering_grids(), tol=config.tol)
 
-    def probe_values(fine, t, x, y):
-        s = reconstruct(fine, t, x, y, delta=config.delta, tol=config.tol)
-        return abs(s.u), abs(s.u1), abs(s.u2)
+    def cluster_values(fine, points):
+        return [(abs(s.u), abs(s.u1), abs(s.u2)) for s in reconstruct_points(
+            fine, points, delta=config.delta, tol=config.tol)]
 
-    return [_fit_ray(spec, config, data, probe_values)
+    return [_fit_ray(spec, config, data, cluster_values)
             for spec in config.rays]
 
 
@@ -327,10 +331,10 @@ def run_linear_baseline(config: ExperimentConfig) -> list[DecayFit]:
     W_sigma T1 its triangle-weighted families, eval_u1 sums i(l - k)
     sign(l - k) T1 = |l - k| uhat(l - k, -(l^2 - k^2)) against the
     evolved phase, which is the (k, l) form of the linearized evolution
-    (linear_kp_crosscheck in tests/reference.py). Each probe then takes
-    the path of a nonlinear probe (ray_resolution_grid,
-    resample_scattering_data, CTOperator) with no Volterra solve, no
-    Neumann solve and no smallness check. Data that is not zero-mean in
+    (linear_kp_crosscheck in tests/reference.py). Each cluster then takes
+    the path of a nonlinear one (ray_resolution_grid,
+    resample_scattering_data, one CTOperator on its points) with no
+    Volterra solve, no Neumann solve and no smallness check. Data that is not zero-mean in
     x is refused (ValueError), as by check_conditions.
     u2 has no linear analogue: its values are 0 and its slope nan."""
     field = config.resolve_potential()
@@ -343,11 +347,11 @@ def run_linear_baseline(config: ExperimentConfig) -> list[DecayFit]:
                           _triangle_weights(n, -1) * T1, T1, grids,
                           {"kernel_order": "linear"})
 
-    def probe_values(fine, t, x, y):
-        v = abs(eval_u1(CTOperator.build(fine, t, x, y)))
-        return v, v, 0.0
+    def cluster_values(fine, points):
+        u1 = eval_u1(CTOperator.build(fine, *zip(*points)))
+        return [(abs(v), abs(v), 0.0) for v in map(complex, u1)]
 
-    return [_fit_ray(spec, config, data, probe_values)
+    return [_fit_ray(spec, config, data, cluster_values)
             for spec in config.rays]
 
 

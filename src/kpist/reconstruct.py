@@ -6,17 +6,19 @@ correction weighted by the solved factorization unknown and its
 x-derivative. Both are double spectral sums sharing one oscillatory
 weight, evaluated per probe point; probe points rather than fields are
 first-class because the large-time statements are statements along rays.
-reconstruct builds the solver's kernel operator rhp.CTOperator once per
-probe; the solves and both terms take it. Through it the two families
-sum to T_plus g - T_minus g and the gap weight i(l - k) acts as
-i(K(l g) - k K g), so no combined or gap-weighted kernel is formed. Both
-terms take their kernel products from those the probe has formed
-already: eval_u1 from the operator's products of the rows l and 1
-(CTOperator.basis, which also give the source of the mu solve), eval_u2
-from the products of l (mu - 1), mu - 1 and dmu/dx that the solves keep
-in their record (rhp.solve_dmul_dx). The field evaluation thus adds no
-row to the n1 + n2 + 5 per family of the solves (rhp), n1 and n2 the
-terms of the two series.
+reconstruct_points builds the solver's kernel operator rhp.CTOperator
+once for a set of probe points on one kernel data, as one stack with a
+row per point (a decay fit's cluster; reconstruct is its one-point
+case); one call of solve_dmul_dx solves every row, and both terms take
+the operator. Through it the two families sum to T_plus g - T_minus g
+and the gap weight i(l - k) acts as i(K(l g) - k K g), so no combined or
+gap-weighted kernel is formed. Both terms take their kernel products
+from those the probes have formed already: eval_u1 from the operator's
+products of the rows l and 1 (CTOperator.basis, which also give the
+source of the mu solve), eval_u2 from the products of l (mu - 1), mu - 1
+and dmu/dx that the solves keep in their record (rhp.solve_dmul_dx).
+The field evaluation thus adds no row to the n1 + n2 + 5 per stack row
+of the solves (rhp), n1 and n2 the terms of that row's two series.
 
 Large-time probes need a spectral grid that resolves the phase, with up
 to thousands of points, finer than the n-point grid of the direct map.
@@ -30,20 +32,24 @@ W_sigma the triangle weight of the fine grid (SplineKernels). Fine points
 past the last source sample are clipped to the knot interval, where
 fitpack holds the spline constant. Per fine grid of n_fine points the
 refinement costs O(n_fine + n_c^2) time and memory, n_c <= n the spline
-coefficients its points reach. Above DENSE_MAX points each kernel
-product costs as much per row and no n_fine^2 array is formed: the band
-factors sit on a table with one row per knot interval, a product gathers
-its input into the table once, takes suffix sums inside the intervals
-there, couples the interval totals through the strict upper triangle of
-the coefficients and a stencil of the next three intervals, and gathers
-its result back to point order once. Up to DENSE_MAX points, the floor
-grid of most short-time probes, the band's fixed cost per call exceeds a
-dense product, so products take the dense T_plus and T_minus (2 MB at
-256 points) through scattering.triangular_apply, which reads only each
-family's own triangle. With one BLAS thread, one family's single-row
-product takes 23-34 us that way at 256 points against the band's
-36-46 us, and 105-116 us at 512 points against the band's 63-68 us
-(half-widths 1.5 and 3 on the bench data). A source keeps its last
+coefficients its points reach. Above DENSE_MAX points the kernel
+products cost as much per row and no n_fine^2 array is formed: as
+W_minus = 1 - W_plus, both rows the solves consume, T_plus g and
+T_plus g - T_minus g, are upper-triangle sums (of C_plus, and of
+C_plus + C_minus less the full product with C_minus), so the band factors
+of both sit on one table with one row per knot interval, and a product
+gathers its input into the table once, takes one set of suffix sums
+inside the intervals there, couples the interval totals through the
+strict upper triangles of the coefficients and a stencil of the next
+three intervals, and gathers both results back to point order once. Up
+to DENSE_MAX points, the floor grid of most short-time probes, the
+band's fixed cost per call exceeds dense products, so products take the
+dense T_plus and T_minus (2 MB at 256 points) through
+scattering.triangular_products, which reads only each family's own
+triangle. With one BLAS thread, both rows of one input take 57-61 us
+that way at 256 points against the band's 85-103 us, and 267 us at 512
+points against the band's 105-121 us (half-widths 1.5 and 3 on the bench
+data, on a shared 2-core host). A source keeps its last
 REFINED_PER_SOURCE refinements by grid, each with its band factors or
 dense arrays, so probes that share a grid pay these once. T1, and the
 dense arrays of a band-route grid, are reference arrays for the tests
@@ -76,13 +82,14 @@ from .rhp import (  # noqa: F401
     solve_dmul_dx,
 )
 from .scattering import (ScatteringData, ScatteringGrids, _triangle_weights,
-                         triangular_apply)
+                         triangular_apply, triangular_products)
 
 __all__ = [
     "ReconstructionSample",
     "eval_u1",
     "eval_u2",
     "reconstruct",
+    "reconstruct_points",
     "ray_resolution_grid",
     "resample_scattering_data",
     "SplineKernels",
@@ -95,9 +102,9 @@ GRID_FLOOR = 256
 # dense reference arrays are read
 REFINED_PER_SOURCE = 8
 # largest fine grid whose kernel products are triangular ones on dense
-# arrays (SplineKernels): with one BLAS thread, one family's single-row
-# product takes 23-34 us at 256 points against the banded one's 36-46 us,
-# and 105-116 us at 512 points against 63-68 us
+# arrays (SplineKernels): with one BLAS thread, both rows of one input
+# take 57-61 us at 256 points against the banded pair's 85-103 us, and
+# 267 us at 512 points against 105-121 us
 DENSE_MAX = 256
 
 
@@ -123,19 +130,26 @@ def _family_sums(op: CTOperator, sums: np.ndarray):
     return sums.sum(axis=-1), sums @ op.base.grids.grid_kl.points
 
 
-def eval_u1(op: CTOperator) -> complex:
-    """Leading reconstruction term at the operator's probe point.
+def _value(v: np.ndarray):
+    """A field term: a complex at one point, an array over a stack's."""
+    return complex(v) if v.ndim == 0 else v
+
+
+def eval_u1(op: CTOperator) -> complex | np.ndarray:
+    """Leading reconstruction term at the operator's probe point (an
+    array over a stacked operator's points).
 
     (1/pi) double sum of the oscillatory weight times i (l - k) times the
     combined kernel, taken as i(K(l) - k K(1)) from the operator's
     products of the rows l and 1 (CTOperator.basis)."""
     s, ks = _family_sums(op, op.basis[1])
     dl = op.base.grids.grid_kl.spacing
-    return complex((1j / np.pi) * dl * (s[0] - ks[1]))
+    return _value((1j / np.pi) * dl * (s[0] - ks[1]))
 
 
-def eval_u2(op: CTOperator, sol: RHPSolution) -> complex:
-    """Correction term at the operator's probe point.
+def eval_u2(op: CTOperator, sol: RHPSolution) -> complex | np.ndarray:
+    """Correction term at the operator's probe point (an array over a
+    stacked operator's points).
 
     Adds the kernel sum weighted by (mu - 1) at the column argument and
     the plain kernel sum weighted by the x-derivative of mu, from the
@@ -153,21 +167,39 @@ def eval_u2(op: CTOperator, sol: RHPSolution) -> complex:
         raise ValueError("solution record was solved on other kernel data")
     s, ks = _family_sums(op, sol.products[1])
     dl = op.base.grids.grid_kl.spacing
-    return complex((1.0 / np.pi) * dl * (1j * (s[0] - ks[1]) + s[2]))
+    return _value((1.0 / np.pi) * dl * (1j * (s[0] - ks[1]) + s[2]))
+
+
+def reconstruct_points(data: ScatteringData | SplineKernels, points,
+                       delta: float = DEFAULT_REGION_DELTA,
+                       tol: float = 1e-10) -> list[ReconstructionSample]:
+    """Solve and evaluate at a set of (t, x, y) probe points on one kernel
+    data, as one stack: one operator for all points (CTOperator.build),
+    one call of solve_dmul_dx, whose rows each stop on their own, and
+    both field terms. Each sample equals the one-point answer to
+    rounding. An invalid delta is refused before the solve.
+    Admissibility was decided where the data entered
+    (harness.compute_scattering, run_decay_fit), not per probe."""
+    regions = [RayCoordinates(t, x, y).region(delta) for t, x, y in points]
+    if not regions:
+        return []
+    # one point keeps the one-point shapes, (n,) rather than a (1, n)
+    # stack, whose numpy calls each cost a little more
+    op = CTOperator.build(data, *(zip(*points) if len(points) > 1
+                                  else points[0]))
+    sol = solve_dmul_dx(op, tol=tol)
+    u1, u2 = np.atleast_1d(eval_u1(op)), np.atleast_1d(eval_u2(op, sol))
+    return [ReconstructionSample(tuple(p), complex(a), complex(b),
+                                 complex(a) + complex(b), r)
+            for p, a, b, r in zip(points, u1, u2, regions)]
 
 
 def reconstruct(data: ScatteringData | SplineKernels, t: float, x: float,
                 y: float, delta: float = DEFAULT_REGION_DELTA,
                 tol: float = 1e-10) -> ReconstructionSample:
-    """Solve and evaluate at one probe point; an invalid delta is refused
-    before the solve. Admissibility was decided where the data entered
-    (harness.compute_scattering, run_decay_fit), not per probe."""
-    region = RayCoordinates(t, x, y).region(delta)
-    op = CTOperator.build(data, t, x, y)
-    sol = solve_dmul_dx(op, tol=tol)
-    u1 = eval_u1(op)
-    u2 = eval_u2(op, sol)
-    return ReconstructionSample((t, x, y), u1, u2, u1 + u2, region)
+    """Solve and evaluate at one probe point: reconstruct_points on the
+    one point."""
+    return reconstruct_points(data, [(t, x, y)], delta, tol)[0]
 
 
 def check_fine_cap(cap: int) -> int:
@@ -234,7 +266,6 @@ class _Band:
         # padding repeats a point, where the table's factors are exact zeros
         self.pad = np.where(self.filled, stops[:, None] - 1 - k,
                             (stops - lens)[:, None])
-        self.take = self.pad
         self.put = first * k.size + stops[first] - 1 - np.arange(m)
         # gathers from the segment totals T[q, t] laid out (4, n_coef), zero
         # past the table, where t mod n_coef lands for every t off it:
@@ -245,46 +276,46 @@ class _Band:
             (q * n_coef + (np.arange(n_seg) + d - q) % n_coef).ravel()]
         self.window = np.arange(n_seg) + np.arange(4)[:, None]
 
-    def reversed(self) -> "_Band":
-        """The band with points and coefficients in reverse order, which
-        turns lower-triangle sums into upper ones. Its gathers carry the
-        reversal: its products take and return points in this band's
-        order."""
-        rev = _Band(self.n_coef - 4 - self.first[::-1], self.vals[::-1, ::-1],
-                    self.n_coef)
-        rev.take, rev.put = len(self.first) - 1 - rev.take, rev.put[::-1]
-        return rev
-
-    def factors(self, c: np.ndarray):
-        """Factors of W (B c B^T), W the upper triangle weight (1 above the
-        diagonal, 1/2 on it): three on the pad table, zero in the padding,
-        and two from c, O(n_fine + n_coef^2) memory in all.
+    def factors(self, c_plus: np.ndarray, c_minus: np.ndarray):
+        """Factors of the pair [W (B c_plus B^T), W (B c B^T) - B c_minus B^T],
+        c = c_plus + c_minus and W the upper triangle weight (1 above the
+        diagonal, 1/2 on it): as W_minus = 1 - W, the second is
+        W (B c_plus B^T) - W_minus (B c_minus B^T). Three on the pad table,
+        zero in the padding, and two from the coefficients,
+        O(n_fine + n_coef^2) memory in all; each but vals holds the two
+        sets c_plus and c along its first axis.
 
         near = B_i c on point i's own four columns, vals = B_i (held
         complex: a mixed real-complex product runs slower), half_diag =
-        B_i c B_i^T / 2; strict = c's strict upper triangle, transposed;
-        local[(q, d), p, s] = c[s + p, s + d] ([d > q] - [d > p]) for
-        d = 1 .. 3, the weight of the total T[q, s + d - q] that strict
-        misses or wrongly adds to interval s (upper)."""
+        B_i c B_i^T / 2; strict = c's strict upper triangle, transposed,
+        less c_minus^T in the second set, which is -B c_minus B^T through
+        u = B^T g; local[(q, d), p, s] = c[s + p, s + d] ([d > q] - [d > p])
+        for d = 1 .. 3, the weight of the total T[q, s + d - q] that strict
+        misses or wrongly adds to interval s (pair)."""
+        c = np.stack([c_plus, c_plus + c_minus])
         v = self.vals
         cols = self.first + np.arange(4)[:, None]
-        near = np.einsum("pi,pqi->qi", v, c[cols[:, None], cols[None, :]])
-        half_diag = 0.5 * np.sum(near * v, axis=0)
+        near = np.einsum("pi,kpqi->kqi", v, c[:, cols[:, None], cols[None, :]])
+        half_diag = 0.5 * np.sum(near * v, axis=1)
 
         def on_table(a):
             return np.ascontiguousarray(
                 np.where(self.filled, a[..., self.pad], 0.0))
 
+        strict = np.triu(c, 1).transpose(0, 2, 1)
+        strict[1] -= c_minus.T
         p, s = np.arange(4), np.arange(self.n_coef - 3)
         q, d = p[:, None, None], np.arange(1, 4)[:, None]
         sign = (d > q) * 1.0 - (d > p)  # (q, d, p)
-        local = c[s + p[:, None], s + d[:, None]] * sign[..., None]
+        local = c[:, s + p[:, None], s + d[:, None]][:, None] * sign[..., None]
         return (on_table(near), on_table(v.astype(complex)),
-                on_table(half_diag), np.ascontiguousarray(np.triu(c, 1).T),
-                local.reshape(12, 4, len(s)))
+                on_table(half_diag), np.ascontiguousarray(strict),
+                local.reshape(2, 12, 4, len(s)))
 
-    def upper(self, factors, g: np.ndarray) -> np.ndarray:
-        """sum_j W(i, j) (B c B^T)(i, j) g_j for every row of g.
+    def pair(self, factors, g: np.ndarray) -> np.ndarray:
+        """The two sums of factors for every row of g, shape (2,) + g.shape:
+        sum_j W(i, j) (B c B^T)(i, j) g_j for each set c, the second less
+        (B c_minus B^T g)_i.
 
         With i in knot interval s, (B c B^T)(i, j) = B_i c B_j^T and B_j
         lives on columns first[j] .. first[j] + 3, so the sum over j >= i
@@ -296,29 +327,40 @@ class _Band:
         merge the totals into u = B^T g, u[j] = sum_q T[q, j - q], and the
         mask t > s differs from j > s + p only for j = s + 1 .. s + 3, so
         w[p, s] is (c u)[s + p] over j > s + p (strict) plus a stencil of
-        the twelve totals T[q, s + d - q], d = 1 .. 3 (local).
+        the twelve totals T[q, s + d - q], d = 1 .. 3 (local); the second
+        set's strict carries -(c_minus u)[s + p] over every j. Both sets
+        share the gather, the suffix sums, the totals and u.
         O(n_fine + n_coef^2) per row."""
         near, vals, half_diag, strict, local = factors
         rows = g.reshape(-1, g.shape[-1])
         r, n_coef = len(rows), self.n_coef
         # take, unlike indexing, returns rows in C order, which the
         # broadcast products below need to run at full speed
-        x = rows.take(self.take, axis=1)
+        x = rows.take(self.pad, axis=1)
         suffix = vals * x[:, None]
         np.cumsum(suffix, axis=-1, out=suffix)
         totals = np.zeros((r, 4, n_coef), dtype=complex)
         totals[..., :n_coef - 3] = suffix[..., -1]
         picked = totals.reshape(r, -1).take(self.gather, axis=1)
         u = picked[:, :4 * n_coef].reshape(r, 4, n_coef).sum(axis=1)
-        w = (picked[:, 4 * n_coef:].reshape(r, 12, 1, -1) * local).sum(axis=1)
-        # one vector product per row: a row's result does not depend on
-        # the rows stacked with it (a matrix product's blocking would)
-        w += np.matmul(u[:, None], strict)[:, 0].take(self.window, axis=1)
-        suffix *= near
-        suffix += vals * w[..., None]
-        out = suffix.sum(axis=1)
-        out -= half_diag * x
-        return out.reshape(r, -1).take(self.put, axis=1).reshape(g.shape)
+        w = (picked[:, None, 4 * n_coef:].reshape(r, 1, 12, 1, -1)
+             * local).sum(axis=2)
+        # one vector product per row and set: a row's result does not
+        # depend on the rows stacked with it (a matrix product's blocking
+        # would)
+        w += np.matmul(u[:, None, None], strict)[:, :, 0].take(self.window,
+                                                               axis=-1)
+        # row by row from here: two (2, 4) + table-sized buffers serve every
+        # row, where the stack's would be r times larger
+        out = np.empty((r, 2) + x.shape[1:], dtype=complex)
+        band, far = np.empty_like(near), np.empty_like(near)
+        for i in range(r):
+            np.multiply(suffix[i], near, out=band)
+            band += np.multiply(vals, w[i, ..., None], out=far)
+            band.sum(axis=1, out=out[i])
+        out -= half_diag * x[:, None]
+        out = np.moveaxis(out.reshape(r, 2, -1), 1, 0)
+        return out.take(self.put, axis=-1).reshape((2,) + g.shape)
 
 
 class SplineKernels:
@@ -328,17 +370,18 @@ class SplineKernels:
     C_sigma are the source's spline coefficients (ScatteringData.spline_fit,
     fitted once per source), B the cubic B-spline design matrix on the fine
     points, of which only the band is held (four entries per point), and
-    W_sigma the triangle weight of the fine grid. apply is the product
-    ScatteringData gives: above DENSE_MAX points in O(n_fine + n_c^2) per
-    row, n_c the coefficients the fine points reach (at most the source
-    size), from band factors built once per family at construction
-    (_Band): tables on the band's segment table and the strict upper
-    triangle of the coefficients, O(n_fine + n_c^2) memory and no
-    n_fine^2 array; the minus family's lower triangle is the upper one of
-    the reversed band, and its gathers carry the reversal, so no input or
-    result is copied reversed. Up to DENSE_MAX points a triangular product
-    with the dense T_plus or T_minus (scattering.triangular_apply),
-    cheaper there than the band's fixed work per call.
+    W_sigma the triangle weight of the fine grid. products is the pair
+    ScatteringData gives, [T_plus g, T_plus g - T_minus g]: above
+    DENSE_MAX points in O(n_fine + n_c^2) per row, n_c the coefficients
+    the fine points reach (at most the source size), from band factors
+    built once at construction (_Band): W_minus = 1 - W_plus makes both
+    rows upper-triangle sums, of C_plus and of C_plus + C_minus less the
+    full product with C_minus, which share one suffix pass over the
+    band's segment table; O(n_fine + n_c^2) memory and no n_fine^2
+    array. Up to DENSE_MAX points one triangular product per family with
+    the dense T_plus and T_minus (scattering.triangular_products),
+    cheaper there than the band's fixed work per call. apply gives one
+    family.
     T_plus, T_minus and T1 are built on first access by _dense, the one
     dense evaluator."""
 
@@ -358,25 +401,28 @@ class SplineKernels:
         self._coeffs = {s: c[lo:hi, lo:hi] for s, c in coeffs.items()}
         vals = np.ascontiguousarray(design.data.reshape(-1, 4).T)
         self._band = _Band(first - lo, vals, hi - lo)
-        self._families = None
+        self._factors = None
         if grid.n > DENSE_MAX:
-            # the lower triangle of the minus family is an upper one with
-            # the order of points and coefficients reversed
-            rev = self._band.reversed()
-            self._families = {
-                +1: (self._band, self._band.factors(self._coeffs[+1])),
-                -1: (rev, rev.factors(self._coeffs[-1][::-1, ::-1]))}
+            self._factors = self._band.factors(self._coeffs[+1],
+                                               self._coeffs[-1])
+
+    def products(self, rows: np.ndarray) -> np.ndarray:
+        """[rows @ T_plus^T, rows @ (T_plus - T_minus)^T], shape
+        (2,) + rows.shape, the kernels in stored orientation."""
+        rows = np.asarray(rows, dtype=complex)
+        if self._factors is None:
+            return triangular_products(self.T_plus, self.T_minus, rows)
+        return self._band.pair(self._factors, rows)
 
     def apply(self, sign: int, rows: np.ndarray) -> np.ndarray:
         """rows @ K^T, K one family's kernel in stored orientation."""
         if sign not in (+1, -1):
             raise ValueError("sign must be +1 or -1")
-        rows = np.asarray(rows, dtype=complex)
-        if self._families is None:
+        if self._factors is None:
             kernel = self.T_plus if sign == +1 else self.T_minus
             return triangular_apply(kernel, sign, rows)
-        band, factors = self._families[sign]
-        return band.upper(factors, rows)
+        p = self.products(rows)
+        return p[0] if sign == +1 else p[0] - p[1]
 
     def _dense(self, sign: int) -> np.ndarray:
         """One family (sign 0: the unmasked T1) as an n_fine^2 array,

@@ -17,13 +17,15 @@ Every kernel application of the solve and of the field evaluation goes
 through CTOperator.products. The weight factorizes into the phase
 diagonals e^{-i phi(k)} and e^{i phi(l)}, the grid weight dl folded into
 the first, so the products of a stack of rows cost one phase product and
-one product per family through the kernel data's apply: a triangular
-BLAS product that reads only the family's own triangle
-(scattering.triangular_apply) for stored kernels
+one call of the kernel data's products, which hands back both rows the
+solve consumes, T_plus g and T_plus g - T_minus g: two triangular BLAS
+products that read only each family's own triangle
+(scattering.triangular_products) for stored kernels
 (scattering.ScatteringData) and for kernels refined onto a probe grid
-of at most reconstruct.DENSE_MAX points, where it is the cheaper; a
-banded factored one, which forms no n_fine^2 array, for larger refined
-grids (reconstruct.SplineKernels). The products of f are kept as
+of at most reconstruct.DENSE_MAX points, where they are the cheaper;
+for larger refined grids one banded factored product, which forms no
+n_fine^2 array and takes both rows from one pass of suffix sums
+(reconstruct.SplineKernels). The products of f are kept as
 [K_plus f, K_minus f + K_plus f], which is what the projection and the
 field sums read. No kernel is copied or formed anew: the minus family,
 -T_minus in consumption orientation, enters as a subtraction, and the
@@ -31,8 +33,9 @@ x-derivative kernels i(l - k)K act through i(l - k)K g = i(K(l g) - k K g).
 family_kernel and derivative_data remain as the reference definitions.
 
 A probe forms each distinct product once and reuses it by linearity
-(K(l (1 + m)) = K(l) + K(l m)). With n1 and n2 the terms of the mu and
-the dmu series, the rows per family are
+(K(l (1 + m)) = K(l) + K(l m)). With n1 and n2 the terms of a probe's
+mu and dmu series, the rows its point adds to the kernel data's
+products (each row both families) are
   * 2 for the rows l and 1 (CTOperator.basis, once per operator): the
     source of the mu solve (on_constant), the constant's share of the
     derivative forcing and the whole of reconstruct.eval_u1;
@@ -47,7 +50,12 @@ n1 + n2 + 10. There are n1 + n2 + 4 projections, one transform pair each.
 
 The operator is the one handle of a probe: CTOperator.build(base, t, x, y)
 holds the kernel data and the phase diagonals of the point, and the
-solves and the field evaluation take it. The evolved kernel
+solves and the field evaluation take it. Built on sequences of P points
+it is the handle of P probes on one kernel data, a stack with one row
+per point: every product and projection serves all the rows at once,
+and each row's series stops on its own rule (neumann_series), leaving
+the stack when it does, so the counts above hold per row and each row's
+answer is its single-point one to rounding. The evolved kernel
 base * exp(4 i t (l^3 - k^3)) lives in the diagonals, never in stored
 arrays, so stored magnitudes stay those of the time-zero data.
 
@@ -128,32 +136,42 @@ def family_kernel(base: ScatteringData, sign: int) -> np.ndarray:
 @dataclass(frozen=True)
 class CTOperator:
     """Immutable handle for f -> C_plus K_minus f + C_minus K_plus f at
-    one space-time point (t, x, y).
+    one space-time point (t, x, y), or at P of them as one stack.
 
     base is the time-zero kernel data, a ScatteringData or a
-    reconstruct.SplineKernels (anything with grids and apply), held by
+    reconstruct.SplineKernels (anything with grids and products), held by
     reference. The phase diagonals e^{i phi(l)} and dl e^{-i phi(k)},
     evolution time and grid weight included, are precomputed at
     construction from one exponential; build rejects a non-finite point
-    and t < 0. Inputs are one function or a stack of them as rows."""
+    and t < 0. With scalar t, x and y the diagonals have shape (n,) and
+    the operator acts on functions of shape (n,); with sequences of P
+    values they have shape (P, n), row p the phase of point p, t, x and
+    y are tuples, and the operator acts on stacks of shape (P, n), row p
+    at point p. Inputs are one such function or a stack of them along
+    leading axes."""
 
     base: ScatteringData
-    t: float
-    x: float
-    y: float
+    t: float | tuple
+    x: float | tuple
+    y: float | tuple
     e_l: np.ndarray
     e_k: np.ndarray
 
     @classmethod
-    def build(cls, base: ScatteringData, t: float, x: float,
-              y: float) -> "CTOperator":
-        _require_finite(t, x, y)
-        if t < 0:
-            raise ValueError("evolution time must be nonnegative")
+    def build(cls, base: ScatteringData, t, x, y) -> "CTOperator":
+        stack = np.ndim(t) > 0
+        points = list(zip(t, x, y)) if stack else [(t, x, y)]
+        for point in points:
+            _require_finite(*point)
+            if point[0] < 0:
+                raise ValueError("evolution time must be nonnegative")
         grid = base.grids.grid_kl
-        e_l = np.exp(1j * phase_weights(grid.points, t, x, y))
-        return cls(base, float(t), float(x), float(y), e_l,
-                   grid.spacing * e_l.conj())
+        # row by row, so each row's phase is the one-point phase exactly
+        phase = [phase_weights(grid.points, *point) for point in points]
+        e_l = np.exp(1j * (np.array(phase) if stack else phase[0]))
+        t, x, y = (tuple(map(float, v)) for v in zip(*points)) if stack \
+            else map(float, points[0])
+        return cls(base, t, x, y, e_l, grid.spacing * e_l.conj())
 
     def kernel_apply(self, sign: int, f: np.ndarray) -> np.ndarray:
         """One triangular family with its oscillatory weight:
@@ -164,27 +182,28 @@ class CTOperator:
         out *= sign * self.e_k
         return out
 
-    def products(self, f: np.ndarray) -> np.ndarray:
+    def products(self, f: np.ndarray, rows=slice(None)) -> np.ndarray:
         """The kernel products of f, [K_plus f, K_minus f + K_plus f] with
         K_sigma f = kernel_apply(sigma, f), shape (2,) + f.shape: one phase
-        product shared by both families and one product per family
-        through the kernel data's apply. Linear in f, so the products of
-        a combination are the combination of the products."""
-        g = self.e_l * f
-        p = np.empty((2,) + g.shape, dtype=complex)
-        p[0] = self.base.apply(+1, g)
-        p[1] = self.base.apply(-1, g)
-        np.subtract(p[0], p[1], out=p[1])
-        p *= self.e_k
+        product shared by both families and one call of the kernel data's
+        products for both. rows picks the stack rows of a P-point
+        operator that f holds (neumann_series' running rows). Linear in
+        f, so the products of a combination are the combination of the
+        products."""
+        p = self.base.products(self.e_l[rows] * f)
+        p *= self.e_k[rows]
         return p
 
     @functools.cached_property
     def basis(self) -> np.ndarray:
-        """The products of the rows l and 1, formed on first use: the source
-        of the mu solve (on_constant), the constant's share of the
-        derivative forcing, and the leading term reconstruct.eval_u1."""
+        """The products of the rows l and 1 at every point, shape
+        (2, 2) + e_l.shape, formed on first use: the source of the mu
+        solve (on_constant), the constant's share of the derivative
+        forcing, and the leading term reconstruct.eval_u1."""
         pts = self.base.grids.grid_kl.points
-        return self.products(np.stack([pts, np.ones_like(pts)]))
+        shape = self.e_l.shape
+        return self.products(np.stack([np.broadcast_to(pts, shape),
+                                       np.ones(shape)]))
 
     def __call__(self, f: np.ndarray) -> np.ndarray:
         return _project_pair(self.products(f))
@@ -216,13 +235,17 @@ def derivative_data(base: ScatteringData) -> ScatteringData:
 
 @dataclass(frozen=True)
 class RHPSolution:
-    """Solution record at one (t, x, y) point.
+    """Solution record at one (t, x, y) point, or at the P points of a
+    stacked operator (point then holds the operator's tuples, and the
+    arrays a row per point).
 
     dmu_dx and residual_dmu are None until the derivative solve fills
-    them in. base is the kernel data the record was solved on and
-    products the kernel products (CTOperator.products) its solves formed,
-    stacked along axis 1: of mu - 1 after solve_mul; of l (mu - 1),
-    mu - 1 and dmu_dx after solve_dmul_dx."""
+    them in. The residuals are the largest over the stack's rows and
+    iterations the sum of every row's terms. base is the kernel data the
+    record was solved on and products the kernel products
+    (CTOperator.products) its solves formed, stacked along axis 1: of
+    mu - 1 after solve_mul; of l (mu - 1), mu - 1 and dmu_dx after
+    solve_dmul_dx."""
 
     point: tuple[float, float, float]
     mu_minus_1: np.ndarray
@@ -241,18 +264,25 @@ def weighted_l2(f: np.ndarray, dl: float) -> float:
 
 def _series(op: CTOperator, source: np.ndarray, tol: float):
     """neumann_series with op as its apply: (sum, terms, residual, the
-    kernel products of the sum). The apply keeps the products of its last
-    call, which by the series' order is the residual's, on the sum."""
+    kernel products of the sum), each row of a stacked operator a series
+    of its own (weighted_l2 per row); terms are summed and residuals
+    maximized over the rows. The apply keeps the products of its last
+    call, which by the series' order is the residual's, on the whole
+    sum."""
     kept = []
 
-    def apply(f):
-        kept[:] = [op.products(f)]
+    def apply(f, rows=slice(None)):
+        kept[:] = [op.products(f, rows)]
         return _project_pair(kept[0])
 
     dl = op.base.grids.grid_kl.spacing
+    if op.e_l.ndim == 1:
+        sol, iters, _, resid = neumann_series(
+            apply, source, functools.partial(weighted_l2, dl=dl), tol)
+        return sol, iters, resid, kept[0]
     sol, iters, _, resid = neumann_series(
-        apply, source, functools.partial(weighted_l2, dl=dl), tol)
-    return sol, iters, resid, kept[0]
+        apply, source, lambda f: [weighted_l2(row, dl) for row in f], tol)
+    return sol, sum(iters), max(resid), kept[0]
 
 
 def solve_mul(op: CTOperator, tol: float = 1e-10) -> RHPSolution:

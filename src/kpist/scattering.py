@@ -63,6 +63,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import functools
+import math
 
 import numpy as np
 import scipy.fft as sfft
@@ -87,7 +88,7 @@ __all__ = [
     "assemble_T",
     "assemble_T1",
     "triangular_apply",
-    "x_norm",
+    "triangular_products",
 ]
 
 
@@ -138,10 +139,10 @@ def _layer_sq(f: np.ndarray) -> np.ndarray:
                      for layer in np.moveaxis(f, -1, 0)])
 
 
-def x_norm(f: np.ndarray, grids: ScatteringGrids) -> float:
-    """sup over y of the L2(dk dl) norm; f has shape (n_k, n_l, n_y).
-    NaN propagates."""
-    return float(np.sqrt(np.max(_layer_sq(f))) * grids.grid_kl.spacing)
+def _sup_norm(layer_sq: np.ndarray, spacing: float) -> float:
+    """The X norm, sup over y of the L2(dk dl) norm, from the per-layer
+    sums of _layer_sq. NaN propagates."""
+    return float(np.sqrt(np.max(layer_sq)) * spacing)
 
 
 # working-set budget of one block of the direct map (direct_map_blocks):
@@ -303,6 +304,14 @@ def apply_g(plan: _VolterraPlan, f: np.ndarray, sign: int) -> np.ndarray:
     return f
 
 
+def _finite(norms, it: int):
+    for value in norms:
+        if not math.isfinite(value):
+            raise ValueError(
+                f"Neumann series term {it} is not finite (norm {value})")
+    return norms
+
+
 def neumann_series(apply, source: np.ndarray, norm, tol: float):
     """u = source + apply(source) + apply(apply(source)) + ..., which
     solves u = source + apply(u) when apply contracts; returns (u, terms,
@@ -311,45 +320,74 @@ def neumann_series(apply, source: np.ndarray, norm, tol: float):
     Stops at the first term with norm(term) <= tol * max(1, norm(u)), or
     raises RuntimeError after MAX_ITER terms. The solves' one finite guard:
     ValueError for a tol outside (0, inf) or a term (the source is term 0)
-    whose norm, which must propagate NaN, is not finite.
+    whose norm, which must propagate NaN, is not finite. The last two
+    norms it takes are those of the returned sum and of its residual.
+
+    A stack of series: when norm(source) is a sequence, norm gives one
+    norm per row of its operand's leading axis, and each row is a series
+    of its own, with its own stopping rule, cap, residual and finite
+    guard. A row that has stopped leaves the stack: apply(f, rows) gets
+    the terms of the running rows, rows their index in the stack (a
+    slice while every row runs), and the residual's application all of
+    u. terms and the residual come back per row, each ratio as the
+    largest over the running rows. Otherwise apply(f) takes the operand
+    whole.
 
     Holds three operand-sized arrays: the source, the sum and one work
-    array, both layout-keeping copies of the source. apply may overwrite
-    its argument (apply_g does) or return a new array (CTOperator does);
-    it only ever sees the work array, never the source, and the residual
+    array, both layout-keeping copies of the source (a fourth for the
+    residual once a row of a stack has left). apply may overwrite its
+    argument (apply_g does) or return a new array (CTOperator does); it
+    only ever sees the work array, never the source, and the residual
     is taken by copying the sum into it."""
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
-
-    def check(tn, it):
-        if not np.isfinite(tn):
-            raise ValueError(f"Neumann series term {it} is not finite (norm {tn})")
-
     prev = norm(source)
-    check(prev, 0)
+    stack = np.ndim(prev) > 0
+    prev = _finite(prev if stack else [prev], 0)
+    n_rows = len(prev)
     acc = source.copy(order="K")
     term = source.copy(order="K")
+    terms, scale = [MAX_ITER] * n_rows, [1.0] * n_rows
+    running, rows, whole = list(range(n_rows)), slice(None), True
     ratios = []
     for it in range(1, MAX_ITER + 1):
-        term = apply(term)
-        tn = norm(term)
-        check(tn, it)
-        acc += term
-        if prev > 0:
-            ratios.append(tn / prev)
+        if stack:
+            term = apply(term, rows)
+            tn = _finite(norm(term), it)
+        else:
+            term = apply(term)
+            tn = _finite([norm(term)], it)
+        if whole:
+            acc += term
+            sums = norm(acc) if stack else [norm(acc)]
+        else:
+            acc[rows] += term
+            sums = norm(acc[rows])
+        grown = [t / p for t, p in zip(tn, prev) if p > 0]
+        if grown:
+            ratios.append(max(grown))
+        keep = [i for i, (t, s) in enumerate(zip(tn, sums))
+                if t > tol * max(1.0, s)]
+        if len(keep) < len(running):
+            for i, r in enumerate(running):
+                terms[r], scale[r] = it, max(1.0, sums[i])
+            if not keep:
+                break
+            running = [running[i] for i in keep]
+            term, rows, tn, whole = term[keep], running, [tn[i] for i in keep], False
         prev = tn
-        scale = max(1.0, norm(acc))
-        if tn <= tol * scale:
-            break
     else:
         raise RuntimeError(
             f"Neumann series did not converge in {MAX_ITER} terms; "
             f"term-ratio history: {[round(r, 4) for r in ratios]}")
-    np.copyto(term, acc)
-    rest = apply(term)
+    work = term if whole else np.empty_like(acc)
+    np.copyto(work, acc)
+    rest = apply(work, slice(None)) if stack else apply(work)
     rest -= acc
     rest += source
-    return acc, it, ratios, norm(rest) / scale
+    if not stack:
+        return acc, terms[0], ratios, norm(rest) / scale[0]
+    return acc, terms, ratios, [r / s for r, s in zip(norm(rest), scale)]
 
 
 @dataclasses.dataclass
@@ -363,6 +401,9 @@ class MuSharpField:
     iterations: int
     contraction_ratios: list
     residual: float  # X norm of G mu - mu + source, relative to max(1, ||mu||)
+    # per y layer, the sum of |values|^2 over (k, l) (_layer_sq), as the
+    # series' last norm of the sum took them
+    layer_sq: np.ndarray
 
 
 def solve_mu_sharp(plan: _VolterraPlan, sign: int,
@@ -380,10 +421,17 @@ def solve_mu_sharp(plan: _VolterraPlan, sign: int,
     """
     grids = plan.grids
     source = g_on_delta(plan, sign)
+    sums = []
+
+    def norm(f):  # the X norm, keeping the per-layer sums of every call
+        sums.append(_layer_sq(f))
+        return _sup_norm(sums[-1], grids.grid_kl.spacing)
+
     mu, iterations, ratios, residual = neumann_series(
-        lambda f: apply_g(plan, f, sign), source,
-        lambda f: x_norm(f, grids), tol)
-    return MuSharpField(mu, sign, grids, iterations, ratios, residual)
+        lambda f: apply_g(plan, f, sign), source, norm, tol)
+    # the series' last two norms are the sum's and its residual's
+    return MuSharpField(mu, sign, grids, iterations, ratios, residual,
+                        sums[-2])
 
 
 def _row_bytes(grids: ScatteringGrids) -> int:
@@ -453,15 +501,14 @@ class FamilyKernel:
 
     def add_block(self, mu: MuSharpField) -> None:
         """Accumulate the figures of one block's solve."""
-        sq = _layer_sq(mu.values)
-        self.layer_sq += sq
+        self.layer_sq += mu.layer_sq
         self.iterations = max(self.iterations, mu.iterations)
-        block_norm = float(np.sqrt(np.max(sq)) * self.spacing)
+        block_norm = _sup_norm(mu.layer_sq, self.spacing)
         self.residual_sq += (mu.residual * max(1.0, block_norm)) ** 2
 
     @property
     def xnorm(self) -> float:
-        return float(np.sqrt(np.max(self.layer_sq)) * self.spacing)
+        return _sup_norm(self.layer_sq, self.spacing)
 
     @property
     def residual(self) -> float:
@@ -546,6 +593,12 @@ class ScatteringData:
         """rows @ K^T, K one family's kernel in stored orientation."""
         return triangular_apply(self._kernel(sign), sign, rows)
 
+    def products(self, rows: np.ndarray) -> np.ndarray:
+        """The pair the probe solves consume (rhp.CTOperator.products):
+        [rows @ T_plus^T, rows @ (T_plus - T_minus)^T], shape
+        (2,) + rows.shape (triangular_products)."""
+        return triangular_products(self.T_plus, self.T_minus, rows)
+
     @functools.cached_property
     def spline_fit(self) -> tuple[np.ndarray, dict]:
         """Interpolating bicubic splines (s = 0) of the kernels on this
@@ -614,6 +667,17 @@ def triangular_apply(K: np.ndarray, sign: int, rows: np.ndarray
     for row in out.reshape(-1, out.shape[-1]):
         ztrmv(K.T, row, lower=int(sign == +1), trans=1, overwrite_x=1)
     return out
+
+
+def triangular_products(T_plus: np.ndarray, T_minus: np.ndarray,
+                        rows: np.ndarray) -> np.ndarray:
+    """[rows @ T_plus^T, rows @ (T_plus - T_minus)^T] from one triangular
+    product per family (triangular_apply)."""
+    p = np.empty((2,) + np.shape(rows), dtype=complex)
+    p[0] = triangular_apply(T_plus, +1, rows)
+    p[1] = triangular_apply(T_minus, -1, rows)
+    np.subtract(p[0], p[1], out=p[1])
+    return p
 
 
 def _triangle_weights(m: int, sign: int, rows: slice = slice(None)

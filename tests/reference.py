@@ -47,7 +47,13 @@ from kpist.grids import (SQRT_2PI, Grid1D, PartialTransform,
 from kpist.oscillatory import filon_moments
 from kpist.rhp import CTOperator
 from kpist.scattering import (MuSharpField, ScatteringData, ScatteringGrids,
-                              neumann_series)
+                              _layer_sq, _sup_norm, neumann_series)
+
+
+def x_norm(f: np.ndarray, grids: ScatteringGrids) -> float:
+    """The X norm scattering.solve_mu_sharp sums its series in: sup over y
+    of the L2(dk dl) norm; f has shape (n_k, n_l, n_y). NaN propagates."""
+    return _sup_norm(_layer_sq(f), grids.grid_kl.spacing)
 
 
 # ---------------------------------------------------------------- transforms

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from kpist import harness, scattering
+from kpist import reconstruct as reconstruct_module
 from kpist.grids import Grid1D, check_conditions, make_test_potential
-from kpist.harness import (BoundRow, DecayFit, VerifyReport,
+from kpist.harness import (CLUSTER_SIZE, BoundRow, DecayFit, VerifyReport,
                            _airy_bound_rows, _cubic_phase_quadrature,
                            _hs_proxy, airy_ratio_tables, cluster_times,
                            compute_scattering, decay_fit_passes,
@@ -206,8 +207,8 @@ class TestRunDecayFit:
         bad = check_conditions(big.resolve_potential())
         assert not bad.passed
         probes = []
-        real = harness.reconstruct
-        monkeypatch.setattr(harness, "reconstruct",
+        real = harness.reconstruct_points
+        monkeypatch.setattr(harness, "reconstruct_points",
                             lambda *a, **k: probes.append(a) or real(*a, **k))
         with pytest.raises(ValueError, match="smallness conditions fail"):
             run_decay_fit(small_config(), smooth_synthetic_data(), bad)
@@ -218,6 +219,24 @@ class TestRunDecayFit:
         assert good.passed
         run_decay_fit(cfg, smooth_synthetic_data(), good)
         assert probes
+
+
+    def test_one_solve_per_cluster(self, monkeypatch):
+        # the oscillatory ray's 5-probe clusters, each one stack, and the
+        # other ray's single probes each reach reconstruct.solve_dmul_dx
+        # once
+        cfg = small_config()
+        stacks = []
+        real = reconstruct_module.solve_dmul_dx
+
+        def counting(op, *args, **kwargs):
+            stacks.append(len(op.e_l) if op.e_l.ndim > 1 else 1)
+            return real(op, *args, **kwargs)
+
+        monkeypatch.setattr(reconstruct_module, "solve_dmul_dx", counting)
+        fits = run_decay_fit(cfg, smooth_synthetic_data())
+        assert all(f.failure is None for f in fits)
+        assert stacks == [CLUSTER_SIZE] * cfg.n_times + [1] * cfg.n_times
 
 
 class TestLinearBaseline:

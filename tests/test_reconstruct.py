@@ -24,6 +24,7 @@ from kpist.scattering import (
     ScatteringData,
     ScatteringGrids,
     _fill_across_diagonal,
+    triangular_apply,
 )
 from kpist.oracle import evolve
 from kpist.rhp import (CTOperator, family_kernel, phase_weights, solve_dmul_dx,
@@ -37,6 +38,7 @@ from kpist.reconstruct import (
     eval_u2,
     ray_resolution_grid,
     reconstruct,
+    reconstruct_points,
     resample_scattering_data,
 )
 from reference import (linear_field, linear_kp, linear_kp_crosscheck,
@@ -543,24 +545,25 @@ def probe_on_route(request, route):
 
 def traced_reconstruct(monkeypatch, base, t, x, y):
     """reconstruct at one probe with the rows handed to the kernel data's
-    apply counted per family; returns (sample, record, rows)."""
-    rows, records = {+1: 0, -1: 0}, []
-    apply = type(base).apply
+    products (both families per row) counted; returns (sample, record,
+    rows)."""
+    rows, records = [0], []
+    products = type(base).products
 
-    def counting(self, sign, g):
-        rows[sign] += np.asarray(g).reshape(-1, self.grids.n_kl).shape[0]
-        return apply(self, sign, g)
+    def counting(self, g):
+        rows[0] += np.asarray(g).reshape(-1, self.grids.n_kl).shape[0]
+        return products(self, g)
 
     def recording(*args, **kwargs):
         records.append(solve_dmul_dx(*args, **kwargs))
         return records[-1]
 
-    monkeypatch.setattr(type(base), "apply", counting)
+    monkeypatch.setattr(type(base), "products", counting)
     monkeypatch.setattr(reconstruct_module, "solve_dmul_dx", recording)
     sample = reconstruct(base, t, x, y)
     monkeypatch.undo()
     (record,) = records
-    return sample, record, rows
+    return sample, record, rows[0]
 
 
 class TestProbeProducts:
@@ -573,12 +576,12 @@ class TestProbeProducts:
 
     @pytest.mark.parametrize("route", ROUTES)
     def test_rows_per_family(self, request, monkeypatch, route):
-        # n1 + n2 + 5 rows per family, n1 + n2 the iterations of the two
-        # series (n1 + n2 + 10 when each stage formed its own)
+        # n1 + n2 + 5 rows for both families, n1 + n2 the iterations of
+        # the two series (n1 + n2 + 10 when each stage formed its own)
         base, (t, x, y) = probe_on_route(request, route)
         _, record, rows = traced_reconstruct(monkeypatch, base, t, x, y)
         assert record.iterations >= 2
-        assert rows == {+1: record.iterations + 5, -1: record.iterations + 5}
+        assert rows == record.iterations + 5
 
     @pytest.mark.parametrize("route", ROUTES)
     def test_matches_sequential_path(self, request, monkeypatch, route):
@@ -621,6 +624,28 @@ COARSE_SOURCE = Grid1D(-4.0, 4.0, 1024)
 COARSE_FINE = Grid1D(-3.5, 3.5, 512)
 
 
+def coarse_refinement():
+    """A band-route refinement of smooth synthetic kernels on a source
+    finer than the probe grid, so no direct map runs; the band's table
+    then has rows that hold no point."""
+    assert COARSE_FINE.spacing > COARSE_SOURCE.spacing
+    assert COARSE_FINE.n > reconstruct_module.DENSE_MAX
+    k, l = np.meshgrid(COARSE_SOURCE.points, COARSE_SOURCE.points,
+                       indexing="ij")
+    t1 = np.exp(-(k * k + l * l) / 8) * (1 + 0.5j * np.sin(k - 2 * l))
+    plus = np.exp(-(k - l) ** 2 / 4 - (k + l) ** 2 / 16) \
+        * (0.3 + 1j * np.cos(k + l))
+    minus = np.exp(-(k * k + 2 * l * l) / 6) * (np.sin(k * l) - 0.2j)
+    m = COARSE_SOURCE.n
+    src = ScatteringData(
+        scattering._triangle_weights(m, +1) * (plus + t1),
+        scattering._triangle_weights(m, -1) * (minus + t1), t1,
+        ScatteringGrids(COARSE_SOURCE, Grid1D(-4.0, 4.0, 8)), {})
+    res = resample_scattering_data(src, COARSE_FINE)
+    assert np.bincount(res._band.first).min() == 0
+    return res
+
+
 def assert_products_match_dense(res):
     """Both families' products against the dense reference arrays, on one
     row (the solves), two (derivative, eval_u1) and three (eval_u2)."""
@@ -651,28 +676,12 @@ class TestFactoredKernels:
             resample_scattering_data(dataclasses.replace(data), grid))
 
     def test_empty_knot_intervals(self):
-        # smooth synthetic kernels on a source finer than the probe grid,
-        # so no direct map runs; the band's table then has rows that hold
-        # no point
-        assert COARSE_FINE.spacing > COARSE_SOURCE.spacing
-        assert COARSE_FINE.n > reconstruct_module.DENSE_MAX
-        k, l = np.meshgrid(COARSE_SOURCE.points, COARSE_SOURCE.points,
-                           indexing="ij")
-        t1 = np.exp(-(k * k + l * l) / 8) * (1 + 0.5j * np.sin(k - 2 * l))
-        plus = np.exp(-(k - l) ** 2 / 4 - (k + l) ** 2 / 16) \
-            * (0.3 + 1j * np.cos(k + l))
-        minus = np.exp(-(k * k + 2 * l * l) / 6) * (np.sin(k * l) - 0.2j)
-        m = COARSE_SOURCE.n
-        src = ScatteringData(
-            scattering._triangle_weights(m, +1) * (plus + t1),
-            scattering._triangle_weights(m, -1) * (minus + t1), t1,
-            ScatteringGrids(COARSE_SOURCE, Grid1D(-4.0, 4.0, 8)), {})
-        assert_products_match_dense(
-            resample_scattering_data(src, COARSE_FINE))
+        assert_products_match_dense(coarse_refinement())
 
     def test_minus_family_takes_non_contiguous_rows(self, fine1024):
-        # the band route folds the minus family's point reversal into its
-        # gathers: views give the products of their contiguous copies
+        # the band route gathers its input into its table with take, and
+        # the minus family comes from the same pass: views give the
+        # products of their contiguous copies
         rng = np.random.default_rng(7)
         a = rng.standard_normal((fine1024.grids.n_kl, 6)) * (1 + 2j)
         for view in (a[::-1, 0], a[:, ::2].T, a.T[::-1, ::-1][:2]):
@@ -762,6 +771,104 @@ class TestFactoredKernels:
             tracemalloc.stop()
         assert np.isfinite(sample.u)
         assert peak < 10 * 2 ** 20
+
+
+class TestPairProducts:
+    """The band route's kernel data products: both rows the solves
+    consume, [T_plus g, T_plus g - T_minus g], from one pass of suffix
+    sums, against the dense reference arrays (SplineKernels._dense)
+    through triangular_apply."""
+
+    @staticmethod
+    def assert_pairs_match_dense(res):
+        n = res.grids.n_kl
+        assert n > reconstruct_module.DENSE_MAX
+        rng = np.random.default_rng(17)
+        rows = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+        plus = triangular_apply(res.T_plus, +1, rows)
+        want = np.stack([plus, plus - triangular_apply(res.T_minus, -1, rows)])
+        for k in (1, 3, 5):
+            got = res.products(rows[:k])
+            assert got.shape == (2, k, n)
+            for part in (0, 1):
+                err = np.max(np.abs(got[part] - want[part, :k]))
+                assert err <= 1e-13 * np.max(np.abs(want[part, :k]))
+            # each row is its own sum: stacked with others or alone, bit
+            # for bit
+            for i in range(k):
+                assert np.array_equal(got[:, i], res.products(rows[i]))
+
+    def test_window_at_the_source_edge(self, ref05):
+        # fitpack's interpolating knots skip the second and the
+        # second-to-last samples, so the end intervals are twice as wide
+        _, data = ref05
+        res = resample_scattering_data(dataclasses.replace(data),
+                                       EDGE_WINDOW_512)
+        lens = np.bincount(res._band.first)
+        assert lens[0] >= 1.8 * np.median(lens)
+        assert lens[-1] >= 1.8 * np.median(lens)
+        self.assert_pairs_match_dense(res)
+
+    def test_grid_coarser_than_the_knots(self):
+        self.assert_pairs_match_dense(coarse_refinement())
+
+    def test_decay_grid(self, ref05):
+        _, data = ref05
+        self.assert_pairs_match_dense(resample_scattering_data(
+            dataclasses.replace(data), ray_resolution_grid(*DECAY_PROBE_2048)))
+
+
+# five probe points on one grid whose series stop after different numbers
+# of terms (8 to 11 for mu and dmu together on both routes)
+STACK_POINTS = [(0.5, 1.0, 0.5), (0.2, -2.0, 1.0), (1.0, 0.0, 0.0),
+                (0.1, 3.0, -2.0), (2.0, 0.5, 0.3)]
+
+
+class TestStackedProbes:
+    """A set of probe points on one kernel data solved as one stack
+    (reconstruct_points) against the same points solved one at a time:
+    each row keeps its own series, so the answers agree to rounding."""
+
+    @pytest.mark.parametrize("grid", [Grid1D(-1.5, 1.5, 256),
+                                      Grid1D(-2.0, 2.0, 512)],
+                             ids=["dense256", "band512"])
+    def test_stack_matches_single_probes(self, ref05, monkeypatch, grid):
+        _, data = ref05
+        fine = resample_scattering_data(dataclasses.replace(data), grid)
+        records = []
+
+        def recording(*args, **kwargs):
+            records.append(solve_dmul_dx(*args, **kwargs))
+            return records[-1]
+
+        monkeypatch.setattr(reconstruct_module, "solve_dmul_dx", recording)
+        stacked = reconstruct_points(fine, STACK_POINTS)
+        # one solve for the whole set
+        (record,) = records
+        singles = [reconstruct(fine, *p) for p in STACK_POINTS]
+        rows = records[1:]
+        assert len(rows) == len(STACK_POINTS)
+        assert len({r.iterations for r in rows}) > 1
+        # the record of a stack: its rows' total terms and largest
+        # residuals, which the benchmark's residual check reads
+        assert record.iterations == sum(r.iterations for r in rows)
+        assert record.residual_mu == max(r.residual_mu for r in rows)
+        assert record.residual_dmu == max(r.residual_dmu for r in rows)
+        assert record.mu_minus_1.shape == (len(STACK_POINTS), grid.n)
+        for a, b in zip(stacked, singles):
+            assert (a.point, a.region) == (b.point, b.region)
+            assert a.u == a.u1 + a.u2
+            # measured bit for bit equal on both routes
+            for name in ("u", "u1", "u2"):
+                got, want = getattr(a, name), getattr(b, name)
+                assert abs(got - want) <= 1e-14 * abs(want)
+
+    def test_one_point_is_reconstruct(self, ref05):
+        _, data = ref05
+        t, x, y = STACK_POINTS[0]
+        (sample,) = reconstruct_points(data, [(t, x, y)])
+        assert repr(sample) == repr(reconstruct(data, t, x, y))
+        assert reconstruct_points(data, []) == []
 
 
 class TestRefinementCache:

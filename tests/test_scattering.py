@@ -39,7 +39,6 @@ from kpist.scattering import (
     resample_transform,
     solve_mu_sharp,
     triangular_apply,
-    x_norm,
 )
 from reference import (
     _offset_kernel,
@@ -48,6 +47,7 @@ from reference import (
     kernel_continuity_constant,
     split_T,
     transform_norms,
+    x_norm,
 )
 
 EPS_REF = 0.05
@@ -55,6 +55,12 @@ EPS_REF = 0.05
 
 def small_grids(n_kl=16, n_y=16, half=4.0):
     return ScatteringGrids(Grid1D(-half, half, n_kl), Grid1D(-half, half, n_y))
+
+
+def given_field(values, sign, grids):
+    """A MuSharpField of given values, as a one-term solve would record it."""
+    return MuSharpField(values, sign, grids, 1, [], 0.0,
+                        scattering._layer_sq(values))
 
 
 @pytest.fixture(scope="module")
@@ -445,6 +451,53 @@ def test_neumann_series_never_hands_the_source_to_apply():
     assert inplace[1] > 3
 
 
+def test_neumann_series_stops_each_row_of_a_stack_on_its_own():
+    # rows contracting at different rates stop after different numbers of
+    # terms; a stopped row leaves the stack, and each row's sum, terms
+    # and residual are those of its own series bit for bit
+    rng = np.random.default_rng(31)
+    rates = np.array([0.5, 0.05, 0.2])
+    source = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
+    # an elementwise operator, so a row's arithmetic is the same alone
+    weight = np.exp(1j * rng.standard_normal(8))
+    seen = []
+
+    def stacked(f, rows):
+        seen.append(len(f))
+        return rates[rows][:, None] * (weight * np.roll(f, 1, axis=-1))
+
+    def row_norms(f):
+        return [np.linalg.norm(row) for row in f]
+
+    u, terms, ratios, resid = neumann_series(stacked, source, row_norms,
+                                             1e-12)
+    assert len(set(terms)) == 3
+    # three running rows until the fastest stops, then fewer; the
+    # residual's application takes all three
+    assert seen[0] == 3 and seen[-2] == 1 and seen[-1] == 3
+    assert seen[:-1] == sorted(seen[:-1], reverse=True)
+    assert len(seen) == max(terms) + 1
+    for i, rate in enumerate(rates):
+        one = neumann_series(lambda f: rate * (weight * np.roll(f, 1)),
+                             source[i], np.linalg.norm, 1e-12)
+        assert np.array_equal(u[i], one[0])
+        assert (terms[i], resid[i]) == (one[1], one[3])
+    # the largest over the running rows: the slowest row's, which runs
+    # to the end
+    assert ratios == pytest.approx([0.5] * max(terms), rel=1e-12)
+
+
+def test_solve_hands_its_layer_sums_to_the_kernel():
+    # the series' last norm of the sum gives the block's per-layer sums,
+    # bit for bit those of its values
+    g = small_grids()
+    rng = np.random.default_rng(37)
+    ut = 0.02 * (rng.standard_normal((g.n_kl, g.n_y))
+                 + 1j * rng.standard_normal((g.n_kl, g.n_y)))
+    mu = solve_mu_sharp(_VolterraPlan(ut, g), +1)
+    assert np.array_equal(mu.layer_sq, scattering._layer_sq(mu.values))
+
+
 def test_operands_in_either_memory_order_give_identical_output():
     rng = np.random.default_rng(19)
     g = small_grids()
@@ -701,9 +754,9 @@ def test_assemble_T_matches_direct_toeplitz_assembly():
     kl = g.grid_kl.points
     y0 = g.grid_y.points[0]
     ut = rng.standard_normal((m, ny)) + 1j * rng.standard_normal((m, ny))
-    mus = {sign: MuSharpField(
+    mus = {sign: given_field(
         rng.standard_normal((m, m, ny)) + 1j * rng.standard_normal((m, m, ny)),
-        sign, g, 1, [], 0.0) for sign in (+1, -1)}
+        sign, g) for sign in (+1, -1)}
     plan = _VolterraPlan(ut, g)
     T1 = assemble_T1(plan)
     kernels = {sign: assemble_T(mus[sign], plan, T1, FamilyKernel.empty(g))
@@ -751,11 +804,11 @@ def test_assemble_T_chunks_sum_only_their_triangle():
     for sign in (+1, -1):
         values = (rng.standard_normal((m, m, ny))
                   + 1j * rng.standard_normal((m, m, ny)))
-        whole = assemble_T(MuSharpField(values, sign, g, 1, [], 0.0), plan,
+        whole = assemble_T(given_field(values, sign, g), plan,
                            T1, FamilyKernel.empty(g)).T
         by_row = FamilyKernel.empty(g)
         for i in range(m):
-            assemble_T(MuSharpField(values[i:i + 1], sign, g, 1, [], 0.0),
+            assemble_T(given_field(values[i:i + 1], sign, g),
                        plan.block(slice(i, i + 1)), T1, by_row)
         by_row = by_row.T
         assert np.array_equal(by_row, whole)
@@ -935,7 +988,7 @@ def test_assembly_metadata(solved128):
 
 def test_diagnostic_zero():
     g = small_grids()
-    mu = MuSharpField(np.zeros((g.n_kl, g.n_kl, g.n_y), complex), +1, g, 1, [], 0.0)
+    mu = given_field(np.zeros((g.n_kl, g.n_kl, g.n_y), complex), +1, g)
     assert diagnostic_mu_k_growth(mu)["sup_ratio"] == 0.0
 
 
