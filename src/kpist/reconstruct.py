@@ -30,31 +30,43 @@ fine grid keeps only the band of its B-spline design matrix B, four
 entries per point, and the refined family is W_sigma (B C_sigma B^T),
 W_sigma the triangle weight of the fine grid (SplineKernels). Fine points
 past the last source sample are clipped to the knot interval, where
-fitpack holds the spline constant. Per fine grid of n_fine points the
-refinement costs O(n_fine + n_c^2) time and memory, n_c <= n the spline
-coefficients its points reach. Above DENSE_MAX points the kernel
-products cost as much per row and no n_fine^2 array is formed: as
-W_minus = 1 - W_plus, both rows the solves consume, T_plus g and
-T_plus g - T_minus g, are upper-triangle sums (of C_plus, and of
-C_plus + C_minus less the full product with C_minus), so the band factors
-of both sit on one table with one row per knot interval, and a product
-gathers its input into the table once, takes one set of suffix sums
-inside the intervals there, couples the interval totals through the
-strict upper triangles of the coefficients and a stencil of the next
-three intervals, and gathers both results back to point order once. Up
-to DENSE_MAX points, the floor grid of most short-time probes, the
-band's fixed cost per call exceeds dense products, so products take the
-dense T_plus and T_minus (2 MB at 256 points) through
+fitpack holds the spline constant. As W_minus = 1 - W_plus, both rows
+the solves consume, T_plus g and T_plus g - T_minus g, are upper-triangle
+sums (of C_plus, and of C_plus + C_minus less the full product with
+C_minus), so the band factors of both sit on one table with one row per
+knot interval, and a product gathers its input into the table once,
+takes one set of suffix sums inside the intervals there, couples the
+interval totals through the strict upper triangles of the coefficients
+and a stencil of the next three intervals, and gathers both results back
+to point order once: O(n_fine + n_c^2) per row, n_c <= n the spline
+coefficients the fine points reach, and no n_fine^2 array. Cubic
+B-splines have local support, so the coefficient-space factors of every
+grid are contiguous slices of one set of tables per source (the 4 x 4
+block of each knot interval, the strict triangles, the stencil weights;
+_band_tables), built with the source's first band refinement and kept
+with it as its spline fit is. A refinement copies its slices and forms
+only its per-point tables: 0.05-0.16 ms from 256 to 2048 points, where
+gathering its factors from the coefficients took 0.2-1.1 ms.
+
+Products take the band route on every grid but one. The floor grid,
++-FLOOR_HALF_WIDTH on GRID_FLOOR points, is the one grid that
+ray_resolution_grid hands to every probe whose window and phase rate fit
+the floor, so the probes of a pass share it; there products take the
+dense T_plus and T_minus (2 MB, built once) through
 scattering.triangular_products, which reads only each family's own
-triangle. With one BLAS thread, both rows of one input take 57-61 us
-that way at 256 points against the band's 85-103 us, and 267 us at 512
-points against the band's 105-121 us (half-widths 1.5 and 3 on the bench
-data, on a shared 2-core host). A source keeps its last
-REFINED_PER_SOURCE refinements by grid, each with its band factors or
-dense arrays, so probes that share a grid pay these once. T1, and the
-dense arrays of a band-route grid, are reference arrays for the tests
-and the reference definitions family_kernel and derivative_data;
-nothing on the probe path reads them.
+triangle, and both rows of one input take 37 us against the band's 57
+us (one BLAS thread, on the bench data). Every other grid serves about
+one probe, of some 13 rows, for which building the dense arrays (1.3-1.7
+ms at 256 points) costs far more than the band's slower rows; so no
+other grid, 256-point windows wider than the floor's included, forms an
+n_fine^2 array on the probe path. The route is a property of the grid,
+never of what a source has kept, so a kept refinement and a fresh one
+give bitwise-equal answers. A source keeps its last REFINED_PER_SOURCE
+refinements by grid, each with its band factors or dense arrays, so
+probes that share a grid pay these once. T1, and the dense arrays of a
+band-route grid, are reference arrays for the tests and the reference
+definitions family_kernel and derivative_data; nothing on the probe
+path reads them.
 
 The linearized flow enters as the decay fits' linear baseline
 (harness.run_linear_baseline): u1 on the linear-order kernels, through
@@ -98,14 +110,17 @@ __all__ = [
 # fewest points of a probe grid from ray_resolution_grid
 GRID_FLOOR = 256
 # refinements a source keeps (resample_scattering_data), least recently
-# used dropped first; a wide 1024-point one holds 1.4 MB, 35 MB once its
+# used dropped first. On a 128-point source, with its band tables of
+# 0.78 MB: 0.16, 0.24 and 0.38 MB at 256, 512 and 1024 points over +-2,
+# 1.25 MB for a wide 1024-point one (+-7.875), 2.1 MB for the floor grid
+# with its dense arrays, and 35 MB for a wide 1024-point one once its
 # dense reference arrays are read
 REFINED_PER_SOURCE = 8
-# largest fine grid whose kernel products are triangular ones on dense
-# arrays (SplineKernels): with one BLAS thread, both rows of one input
-# take 57-61 us at 256 points against the banded pair's 85-103 us, and
-# 267 us at 512 points against 105-121 us
-DENSE_MAX = 256
+# least half-width of a probe grid from ray_resolution_grid; the floor
+# grid, +-FLOOR_HALF_WIDTH on GRID_FLOOR points, is the one refinement
+# whose kernel products are triangular ones on dense arrays
+# (SplineKernels)
+FLOOR_HALF_WIDTH = 1.5
 
 
 @dataclasses.dataclass(frozen=True)
@@ -215,7 +230,8 @@ def ray_resolution_grid(t: float, x: float, y: float,
     """Spectral grid resolving the oscillatory weight at one probe.
 
     The domain covers twice the stationary points of the phase rate
-    x - 2 y s + 12 t s^2, with a fixed floor of 1.5 on the half-width.
+    x - 2 y s + 12 t s^2, with a fixed floor of FLOOR_HALF_WIDTH on the
+    half-width.
     The floor does not bound the kernel tail: near the diagonal the
     kernels decay in the offset l - k, not in k, and on the bench data
     |T+-| past |k| = 4 still reaches 12% of its maximum (ROADMAP.md,
@@ -225,7 +241,7 @@ def ray_resolution_grid(t: float, x: float, y: float,
     a power of two between GRID_FLOOR and cap (check_fine_cap)."""
     check_fine_cap(cap)
     _require_finite(t, x, y)
-    half = 1.5
+    half = FLOOR_HALF_WIDTH
     if t > 0:
         disc = y * y - 12.0 * t * x
         if disc >= 0:
@@ -276,41 +292,34 @@ class _Band:
             (q * n_coef + (np.arange(n_seg) + d - q) % n_coef).ravel()]
         self.window = np.arange(n_seg) + np.arange(4)[:, None]
 
-    def factors(self, c_plus: np.ndarray, c_minus: np.ndarray):
+    def factors(self, tables, lo: int):
         """Factors of the pair [W (B c_plus B^T), W (B c B^T) - B c_minus B^T],
         c = c_plus + c_minus and W the upper triangle weight (1 above the
-        diagonal, 1/2 on it): as W_minus = 1 - W, the second is
+        diagonal, 1/2 on it), for a band whose columns start at the
+        source's coefficient lo: as W_minus = 1 - W, the second is
         W (B c_plus B^T) - W_minus (B c_minus B^T). Three on the pad table,
-        zero in the padding, and two from the coefficients,
-        O(n_fine + n_coef^2) memory in all; each but vals holds the two
-        sets c_plus and c along its first axis.
+        zero in the padding, and two contiguous slices of the source's
+        tables (_band_tables) at lo, O(n_fine + n_coef^2) memory in all;
+        each but vals holds the two sets c_plus and c along its first
+        axis.
 
-        near = B_i c on point i's own four columns, vals = B_i (held
-        complex: a mixed real-complex product runs slower), half_diag =
-        B_i c B_i^T / 2; strict = c's strict upper triangle, transposed,
-        less c_minus^T in the second set, which is -B c_minus B^T through
-        u = B^T g; local[(q, d), p, s] = c[s + p, s + d] ([d > q] - [d > p])
-        for d = 1 .. 3, the weight of the total T[q, s + d - q] that strict
-        misses or wrongly adds to interval s (pair)."""
-        c = np.stack([c_plus, c_plus + c_minus])
-        v = self.vals
-        cols = self.first + np.arange(4)[:, None]
-        near = np.einsum("pi,kpqi->kqi", v, c[:, cols[:, None], cols[None, :]])
-        half_diag = 0.5 * np.sum(near * v, axis=1)
-
-        def on_table(a):
-            return np.ascontiguousarray(
-                np.where(self.filled, a[..., self.pad], 0.0))
-
-        strict = np.triu(c, 1).transpose(0, 2, 1)
-        strict[1] -= c_minus.T
-        p, s = np.arange(4), np.arange(self.n_coef - 3)
-        q, d = p[:, None, None], np.arange(1, 4)[:, None]
-        sign = (d > q) * 1.0 - (d > p)  # (q, d, p)
-        local = c[:, s + p[:, None], s + d[:, None]][:, None] * sign[..., None]
-        return (on_table(near), on_table(v.astype(complex)),
-                on_table(half_diag), np.ascontiguousarray(strict),
-                local.reshape(2, 12, 4, len(s)))
+        vals = B_i (held complex: a mixed real-complex product runs
+        slower), near = B_i c on point i's own four columns, one (L x 4)
+        (4 x 4) product per knot interval with its block, half_diag =
+        B_i c B_i^T / 2; strict and local as _band_tables gives them."""
+        blocks, strict, local = tables
+        n_seg = self.n_coef - 3
+        # (n_seg, L, 4) for the products with the blocks, then point-minor
+        vals = np.where(self.filled[..., None], self.vals.T[self.pad],
+                        0.0).astype(complex)
+        near = np.ascontiguousarray(
+            np.matmul(vals, blocks[:, lo:lo + n_seg]).transpose(0, 3, 1, 2))
+        vals = np.ascontiguousarray(vals.transpose(2, 0, 1))
+        half_diag = 0.5 * np.sum(near * vals, axis=1)
+        coef = slice(lo, lo + self.n_coef)
+        return (near, vals, half_diag,
+                np.ascontiguousarray(strict[:, coef, coef]),
+                np.ascontiguousarray(local[..., lo:lo + n_seg]))
 
     def pair(self, factors, g: np.ndarray) -> np.ndarray:
         """The two sums of factors for every row of g, shape (2,) + g.shape:
@@ -363,6 +372,33 @@ class _Band:
         return out.take(self.put, axis=-1).reshape((2,) + g.shape)
 
 
+def _band_tables(c_plus: np.ndarray, c_minus: np.ndarray):
+    """The coefficient-space factors of the band pair (_Band.factors) for
+    every knot interval of a source, both sets c_plus and
+    c = c_plus + c_minus along the first axis; a band takes contiguous
+    slices of them at its first coefficient. O(n^2) for n coefficients,
+    built once per source: cubic B-splines have local support, so every
+    band's factors are slices of these.
+
+    blocks[:, s] = c[s:s + 4, s:s + 4], the 4 x 4 block of knot interval
+    s; strict = c's strict upper triangle, transposed, less c_minus^T in
+    the second set, which is -B c_minus B^T through u = B^T g;
+    local[(q, d), p, s] = c[s + p, s + d] ([d > q] - [d > p]) for
+    d = 1 .. 3, the weight of the total T[q, s + d - q] that strict
+    misses or wrongly adds to interval s (_Band.pair)."""
+    c = np.stack([c_plus, c_plus + c_minus])
+    p, s = np.arange(4), np.arange(c.shape[-1] - 3)
+    corner = s[:, None, None] + p[:, None]
+    blocks = np.ascontiguousarray(c[:, corner, corner.transpose(0, 2, 1)])
+    strict = np.triu(c, 1).transpose(0, 2, 1)
+    strict[1] -= c_minus.T
+    q, d = p[:, None, None], np.arange(1, 4)[:, None]
+    sign = (d > q) * 1.0 - (d > p)  # (q, d, p)
+    local = c[:, s + p[:, None], s + d[:, None]][:, None] * sign[..., None]
+    return (blocks, np.ascontiguousarray(strict),
+            local.reshape(2, 12, 4, len(s)))
+
+
 class SplineKernels:
     """Both kernel families of a source ScatteringData on a finer
     spectral grid, in factored form: K_sigma = W_sigma (B C_sigma B^T).
@@ -371,17 +407,18 @@ class SplineKernels:
     fitted once per source), B the cubic B-spline design matrix on the fine
     points, of which only the band is held (four entries per point), and
     W_sigma the triangle weight of the fine grid. products is the pair
-    ScatteringData gives, [T_plus g, T_plus g - T_minus g]: above
-    DENSE_MAX points in O(n_fine + n_c^2) per row, n_c the coefficients
-    the fine points reach (at most the source size), from band factors
-    built once at construction (_Band): W_minus = 1 - W_plus makes both
-    rows upper-triangle sums, of C_plus and of C_plus + C_minus less the
-    full product with C_minus, which share one suffix pass over the
-    band's segment table; O(n_fine + n_c^2) memory and no n_fine^2
-    array. Up to DENSE_MAX points one triangular product per family with
-    the dense T_plus and T_minus (scattering.triangular_products),
-    cheaper there than the band's fixed work per call. apply gives one
-    family.
+    ScatteringData gives, [T_plus g, T_plus g - T_minus g]: off the floor
+    grid (+-FLOOR_HALF_WIDTH on GRID_FLOOR points) in O(n_fine + n_c^2)
+    per row, n_c the coefficients the fine points reach (at most the
+    source size), from band factors sliced at construction from the
+    source's tables (_band_tables, built once per source and kept with
+    it): W_minus = 1 - W_plus makes both rows upper-triangle sums, of
+    C_plus and of C_plus + C_minus less the full product with C_minus,
+    which share one suffix pass over the band's segment table;
+    O(n_fine + n_c^2) memory and no n_fine^2 array. On the floor grid,
+    which the probes of a pass share, one triangular product per family
+    with the dense T_plus and T_minus (scattering.triangular_products),
+    cheaper per row than the band's. apply gives one family.
     T_plus, T_minus and T1 are built on first access by _dense, the one
     dense evaluator."""
 
@@ -402,9 +439,13 @@ class SplineKernels:
         vals = np.ascontiguousarray(design.data.reshape(-1, 4).T)
         self._band = _Band(first - lo, vals, hi - lo)
         self._factors = None
-        if grid.n > DENSE_MAX:
-            self._factors = self._band.factors(self._coeffs[+1],
-                                               self._coeffs[-1])
+        if grid != Grid1D(-FLOOR_HALF_WIDTH, FLOOR_HALF_WIDTH, GRID_FLOOR):
+            # kept with the source, as its spline fit is
+            tables = vars(source).get("_band_tables")
+            if tables is None:
+                tables = vars(source)["_band_tables"] = _band_tables(
+                    coeffs[+1], coeffs[-1])
+            self._factors = self._band.factors(tables, lo)
 
     def products(self, rows: np.ndarray) -> np.ndarray:
         """[rows @ T_plus^T, rows @ (T_plus - T_minus)^T], shape
@@ -470,16 +511,17 @@ def resample_scattering_data(data: ScatteringData, grid_fine: Grid1D
     dataclasses.replace copy starts empty: a kept grid returns the same
     SplineKernels, with its band factors or, once read, its dense product
     arrays; a new grid builds the band of the B-spline design matrix on
-    the fine points and, above DENSE_MAX points, its band factors,
-    O(n_fine + n_c^2) time and memory, and drops the least recently used
-    refinement when the cache is full. Fine points past the last source
-    sample are clipped to the knot interval, where fitpack holds the
-    spline constant, so the values are those of the splines evaluated
-    there. Products are triangular ones on dense arrays up to DENSE_MAX
-    points and cost O(n_fine + n_c^2) per row above it (SplineKernels),
-    n_c <= n the coefficients the fine points reach. Direct reassembly
-    at the fine size would redo the layered solve at quadratic cost;
-    splines keep large-time probes affordable."""
+    the fine points and, off the floor grid, its band factors, slices of
+    the band tables the source keeps (built with its first band
+    refinement, O(n^2)), O(n_fine + n_c^2) time and memory, and drops the
+    least recently used refinement when the cache is full. Fine points
+    past the last source sample are clipped to the knot interval, where
+    fitpack holds the spline constant, so the values are those of the
+    splines evaluated there. Products are triangular ones on dense arrays
+    on the floor grid and cost O(n_fine + n_c^2) per row on every other
+    (SplineKernels), n_c <= n the coefficients the fine points reach.
+    Direct reassembly at the fine size would redo the layered solve at
+    quadratic cost; splines keep large-time probes affordable."""
     src = data.grids.grid_kl
     if grid_fine.min < src.min or grid_fine.max > src.max:
         raise ValueError("fine grid must lie inside the source grid")

@@ -21,11 +21,12 @@ one call of the kernel data's products, which hands back both rows the
 solve consumes, T_plus g and T_plus g - T_minus g: two triangular BLAS
 products that read only each family's own triangle
 (scattering.triangular_products) for stored kernels
-(scattering.ScatteringData) and for kernels refined onto a probe grid
-of at most reconstruct.DENSE_MAX points, where they are the cheaper;
-for larger refined grids one banded factored product, which forms no
-n_fine^2 array and takes both rows from one pass of suffix sums
-(reconstruct.SplineKernels). The products of f are kept as
+(scattering.ScatteringData) and for kernels refined onto the floor
+grid, the one probe grid the probes of a pass share, whose dense arrays
+are built once and then make the cheaper rows; for every other refined
+grid, which serves about one probe, one banded factored product, which
+forms no n_fine^2 array and takes both rows from one pass of suffix
+sums (reconstruct.SplineKernels). The products of f are kept as
 [K_plus f, K_minus f + K_plus f], which is what the projection and the
 field sums read. No kernel is copied or formed anew: the minus family,
 -T_minus in consumption orientation, enters as a subtraction, and the

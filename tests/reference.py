@@ -30,6 +30,10 @@ figure of a property the paper relies on:
   * sequential_probe: one probe's solves and field terms with every stage
     forming its own kernel products, against which reconstruct's reuse
     of the products by linearity is checked.
+  * band_factors: the band pair's factors of one refinement gathered
+    straight from the coefficients of the grid's own window, against
+    which the factors sliced from a source's tables
+    (reconstruct._band_tables, _Band.factors) are checked.
   * linear_kp, linear_kp_crosscheck, linear_field (with
     _spectrum_with_zero_line): the linearized flow by the rectangular
     (p, q) sum, by the two-spectral-variable parametrization and on the
@@ -279,6 +283,30 @@ def sequential_probe(op: CTOperator, tol: float = 1e-10):
     s, ks = sums(np.stack([pts * mu, mu, dmu]))
     u2 = complex((1.0 / np.pi) * dl * (1j * (s[0] - ks[1]) + s[2]))
     return u1 + u2, u1, u2, r_mu, r_dmu
+
+
+def band_factors(band, c_plus: np.ndarray, c_minus: np.ndarray):
+    """The factors reconstruct._Band.factors gives, built per grid from
+    c_plus and c_minus restricted to the band's own coefficients: near,
+    vals and half_diag point by point and then laid on the pad table,
+    strict and local gathered from the window's coefficients."""
+    c = np.stack([c_plus, c_plus + c_minus])
+    v = band.vals
+    cols = band.first + np.arange(4)[:, None]
+    near = np.einsum("pi,kpqi->kqi", v, c[:, cols[:, None], cols[None, :]])
+    half_diag = 0.5 * np.sum(near * v, axis=1)
+
+    def on_table(a):
+        return np.where(band.filled, a[..., band.pad], 0.0)
+
+    strict = np.triu(c, 1).transpose(0, 2, 1)
+    strict[1] -= c_minus.T
+    p, s = np.arange(4), np.arange(band.n_coef - 3)
+    q, d = p[:, None, None], np.arange(1, 4)[:, None]
+    sign = (d > q) * 1.0 - (d > p)  # (q, d, p)
+    local = c[:, s + p[:, None], s + d[:, None]][:, None] * sign[..., None]
+    return (on_table(near), on_table(v.astype(complex)), on_table(half_diag),
+            strict, local.reshape(2, 12, 4, len(s)))
 
 
 def adjoint_identity_check(data: ScatteringData, x: float, y: float) -> float:

@@ -41,12 +41,16 @@ from kpist.reconstruct import (
     reconstruct_points,
     resample_scattering_data,
 )
-from reference import (linear_field, linear_kp, linear_kp_crosscheck,
-                       sequential_probe)
+from reference import (band_factors, linear_field, linear_kp,
+                       linear_kp_crosscheck, sequential_probe)
 
 WORK_KL = Grid1D(-8.0, 8.0, 128)
 WORK_Y = Grid1D(-8.0, 8.0, 128)
 FIELD_GRID = Grid1D(-32.0, 32.0, 256)
+# the one probe grid whose refinements take dense products
+FLOOR_GRID = Grid1D(-reconstruct_module.FLOOR_HALF_WIDTH,
+                    reconstruct_module.FLOOR_HALF_WIDTH,
+                    reconstruct_module.GRID_FLOOR)
 
 
 def build_reference(eps, grid_kl=WORK_KL, grid_y=WORK_Y):
@@ -612,14 +616,14 @@ class TestProbeProducts:
 
 # reaches past the last source sample (7.875) to the source edge 8
 EDGE_WINDOW = Grid1D(-8.0, 8.0, 256)
-# the same window above DENSE_MAX, where products take the band route
+# the same window on 512 points
 EDGE_WINDOW_512 = Grid1D(-8.0, 8.0, 512)
 # a decay-ray probe (x / t = -12) whose resolution grid is 2048 points
 DECAY_PROBE_2048 = (30.0, -360.0, 0.0)
-# a wide window with more than 120 knot intervals, on the band route
+# a wide window with more than 120 knot intervals
 WIDE_1024 = Grid1D(-7.875, 7.875, 1024)
-# a band-route grid coarser than its source's knot spacing: some knot
-# intervals hold no fine point
+# a grid coarser than its source's knot spacing: some knot intervals
+# hold no fine point
 COARSE_SOURCE = Grid1D(-4.0, 4.0, 1024)
 COARSE_FINE = Grid1D(-3.5, 3.5, 512)
 
@@ -629,7 +633,7 @@ def coarse_refinement():
     finer than the probe grid, so no direct map runs; the band's table
     then has rows that hold no point."""
     assert COARSE_FINE.spacing > COARSE_SOURCE.spacing
-    assert COARSE_FINE.n > reconstruct_module.DENSE_MAX
+    assert COARSE_FINE != FLOOR_GRID
     k, l = np.meshgrid(COARSE_SOURCE.points, COARSE_SOURCE.points,
                        indexing="ij")
     t1 = np.exp(-(k * k + l * l) / 8) * (1 + 0.5j * np.sin(k - 2 * l))
@@ -711,16 +715,19 @@ class TestFactoredKernels:
             want = getattr(b, name)
             assert abs(getattr(a, name) - want) <= 1e-12 * abs(want)
 
-    def test_route_follows_grid_size(self, ref05, monkeypatch):
-        # the floor grid applies its product arrays; a 512-point grid
-        # evaluates no dense block on the probe path: every family block
-        # of SplineKernels._dense takes its diagonal weights from
-        # _triangle_weights, which the band route never calls
+    def test_route_follows_grid(self, ref05, monkeypatch):
+        # the floor grid applies its product arrays; every other grid,
+        # a 256-point one on a wider window too, evaluates no dense block
+        # on the probe path: every family block of SplineKernels._dense
+        # takes its diagonal weights from _triangle_weights, which the
+        # band route never calls
         _, data = ref05
         src = dataclasses.replace(data)
         t, x, y = 0.5, 1.0, 0.5
-        for n, dense in ((256, True), (512, False)):
-            fine = resample_scattering_data(src, Grid1D(-2.0, 2.0, n))
+        for grid, dense in ((FLOOR_GRID, True),
+                            (Grid1D(-2.0, 2.0, 256), False),
+                            (Grid1D(-2.0, 2.0, 512), False)):
+            fine = resample_scattering_data(src, grid)
             if not dense:
                 monkeypatch.setattr(reconstruct_module, "_triangle_weights",
                                     lambda *a: pytest.fail("dense block"))
@@ -782,7 +789,7 @@ class TestPairProducts:
     @staticmethod
     def assert_pairs_match_dense(res):
         n = res.grids.n_kl
-        assert n > reconstruct_module.DENSE_MAX
+        assert res.grids.grid_kl != FLOOR_GRID
         rng = np.random.default_rng(17)
         rows = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
         plus = triangular_apply(res.T_plus, +1, rows)
@@ -816,6 +823,75 @@ class TestPairProducts:
         _, data = ref05
         self.assert_pairs_match_dense(resample_scattering_data(
             dataclasses.replace(data), ray_resolution_grid(*DECAY_PROBE_2048)))
+
+
+def assert_factors_match_reference(res):
+    """A refinement's band factors, sliced from its source's tables,
+    against the factors gathered for its grid alone: to 1e-15 of each
+    factor's largest entry, and of its largest term for half_diag, whose
+    terms cancel (to 1/8 of their size here, 1/300 on the bench data).
+    Measured: at most 2.8e-16 for near and 2.6e-16 for half_diag; vals,
+    strict and local bit for bit equal. Each is a C-contiguous copy, as
+    the pair's broadcast products need."""
+    got = res._factors
+    want = band_factors(res._band, res._coeffs[+1], res._coeffs[-1])
+    terms = np.abs(want[0] * want[1])
+    for name, a, b in zip(("near", "vals", "half_diag", "strict", "local"),
+                          got, want):
+        assert a.shape == b.shape, name
+        assert a.flags.c_contiguous, name
+        scale = np.max(terms if name == "half_diag" else np.abs(b))
+        assert np.max(np.abs(a - b)) <= 1e-15 * scale, name
+
+
+class TestBandTables:
+    """A refinement's band factors are slices of one set of tables per
+    source (reconstruct._band_tables), built once and kept with it,
+    against the per-grid reference (reference.band_factors)."""
+
+    @pytest.mark.parametrize("grid", [Grid1D(-2.0, 2.0, 256),
+                                      Grid1D(-2.0, 2.0, 512),
+                                      ray_resolution_grid(*FINE_PROBE),
+                                      ray_resolution_grid(*DECAY_PROBE_2048),
+                                      EDGE_WINDOW],
+                             ids=["wide256", "band512", "probe1024",
+                                  "probe2048", "edge256"])
+    def test_factors_match_reference(self, ref05, grid):
+        _, data = ref05
+        assert_factors_match_reference(
+            resample_scattering_data(dataclasses.replace(data), grid))
+
+    def test_grid_coarser_than_the_knots(self):
+        assert_factors_match_reference(coarse_refinement())
+
+    def test_tables_built_once_per_source(self, ref05, monkeypatch):
+        _, data = ref05
+        src = dataclasses.replace(data)
+        calls = []
+        real = reconstruct_module._band_tables
+        monkeypatch.setattr(reconstruct_module, "_band_tables",
+                            lambda *a: calls.append(1) or real(*a))
+        resample_scattering_data(src, Grid1D(-2.0, 2.0, 256))
+        tables = vars(src)["_band_tables"]
+        resample_scattering_data(src, Grid1D(-3.0, 3.0, 1024))
+        assert len(calls) == 1
+        assert vars(src)["_band_tables"] is tables
+        # the floor grid takes dense products and builds no tables
+        floor = dataclasses.replace(data)
+        resample_scattering_data(floor, FLOOR_GRID).products(
+            np.ones(FLOOR_GRID.n))
+        assert len(calls) == 1
+        assert "_band_tables" not in vars(floor)
+
+    def test_copy_starts_without_tables(self, ref05):
+        _, data = ref05
+        src = dataclasses.replace(data)
+        resample_scattering_data(src, Grid1D(-2.0, 2.0, 512))
+        assert "_band_tables" in vars(src)
+        copy = dataclasses.replace(src)
+        assert "_band_tables" not in vars(copy)
+        resample_scattering_data(copy, Grid1D(-2.0, 2.0, 512))
+        assert vars(copy)["_band_tables"] is not vars(src)["_band_tables"]
 
 
 # five probe points on one grid whose series stop after different numbers
@@ -924,7 +1000,8 @@ class TestRefinementCache:
 
     def test_full_cache_memory_is_bounded(self, ref05):
         # wide 1024-point refinements, the largest the probe path holds
-        # per entry (measured 8.1 MiB for the 8 kept entries)
+        # per entry (measured 8.0 MiB for the 8 kept entries and the
+        # source's band tables, 0.74 MiB, which the first one builds)
         _, data = ref05
         src = dataclasses.replace(data)
         src.spline_fit  # the fit belongs to the source, not the cache
@@ -937,11 +1014,14 @@ class TestRefinementCache:
         finally:
             tracemalloc.stop()
         assert len(vars(src)["_refined"]) == REFINED_PER_SOURCE
-        assert held < REFINED_PER_SOURCE * 1.5 * 2 ** 20
+        assert held < 12 * 2 ** 20
 
     def test_full_cache_of_dense_refinements_is_bounded(self, ref05):
-        # a read 256-point refinement holds its two product arrays, 2 MB
-        # (measured 16.9 MB for the 8 kept entries)
+        # 256-point refinements, the floor grid last: a read floor grid
+        # holds its two product arrays, 2 MB, and the others band factors
+        # of 0.1-0.2 MB (measured 3.9 MiB for the 8 kept entries and the
+        # source's band tables; 16.9 MB when every 256-point grid formed
+        # dense arrays)
         _, data = ref05
         src = dataclasses.replace(data)
         src.spline_fit
@@ -949,7 +1029,7 @@ class TestRefinementCache:
         tracemalloc.start()
         try:
             for i in range(REFINED_PER_SOURCE + 2):
-                half = 1.5 + 0.125 * i
+                half = 1.5 + 0.125 * (REFINED_PER_SOURCE + 1 - i)
                 fine = resample_scattering_data(src, Grid1D(-half, half, 256))
                 fine.apply(+1, rows)
                 fine.apply(-1, rows)
@@ -957,4 +1037,5 @@ class TestRefinementCache:
         finally:
             tracemalloc.stop()
         assert len(vars(src)["_refined"]) == REFINED_PER_SOURCE
-        assert held < REFINED_PER_SOURCE * 3 * 2 ** 20
+        assert "T_plus" in vars(fine)
+        assert held < 6 * 2 ** 20
