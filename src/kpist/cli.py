@@ -106,8 +106,8 @@ def _cmd_rhp_solve(args) -> int:
     outdir = pathlib.Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     for entry, sol in zip(files, sols):
-        write_array(outdir / entry["mu"], sol.mu_minus_1)
-        write_array(outdir / entry["dmu"], sol.dmu_dx)
+        write_array(outdir / entry["mu"], sol.mu_minus_1[0])
+        write_array(outdir / entry["dmu"], sol.dmu_dx[0])
     write_csv(outdir / "residuals.csv",
               ("index", "t", "x", "y", "xi", "eta", "a", "region",
                "residual_mu", "residual_dmu", "iterations", "n_grid"), rows)

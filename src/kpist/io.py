@@ -131,7 +131,7 @@ def load_scattering(directory) -> ScatteringData:
     t_minus = read_array(d / "t_minus.bin", shape, True)
     t1 = read_array(d / "t1.bin", shape, True)
     # the kernel products read only each family's own triangle
-    # (scattering.triangular_apply), so the other must hold exact zeros
+    # (scattering.triangular_products), so the other must hold exact zeros
     for name, beyond, where in (("t_plus.bin", np.tril(t_plus, -1), "below"),
                                 ("t_minus.bin", np.triu(t_minus, 1), "above")):
         if np.any(beyond):

@@ -7,10 +7,12 @@ x-derivative. Both are double spectral sums sharing one oscillatory
 weight, evaluated per probe point; probe points rather than fields are
 first-class because the large-time statements are statements along rays.
 reconstruct_points builds the solver's kernel operator rhp.CTOperator
-once for a set of probe points on one kernel data, as one stack with a
-row per point (a decay fit's cluster; reconstruct is its one-point
-case); one call of solve_dmul_dx solves every row, and both terms take
-the operator. Through it the two families sum to T_plus g - T_minus g
+once for a set of P probe points on one kernel data, as one stack with a
+row per point (a decay fit's cluster; reconstruct is its P = 1 case);
+one call of solve_dmul_dx solves every row, and both terms take the
+operator and return one value per row. The operator's products
+(CTOperator.products) are the one kernel application: through them the
+two families sum to T_plus g - T_minus g
 and the gap weight i(l - k) acts as i(K(l g) - k K g), so no combined or
 gap-weighted kernel is formed. Both terms take their kernel products
 from those the probes have formed already: eval_u1 from the operator's
@@ -64,9 +66,9 @@ never of what a source has kept, so a kept refinement and a fresh one
 give bitwise-equal answers. A source keeps its last REFINED_PER_SOURCE
 refinements by grid, each with its band factors or dense arrays, so
 probes that share a grid pay these once. T1, and the dense arrays of a
-band-route grid, are reference arrays for the tests and the reference
-definitions family_kernel and derivative_data; nothing on the probe
-path reads them.
+band-route grid, are reference arrays for the tests and for
+family_kernel and derivative_data, which only perfbench's wrappers
+keep; nothing on the probe path reads them.
 
 The linearized flow enters as the decay fits' linear baseline
 (harness.run_linear_baseline): u1 on the linear-order kernels, through
@@ -94,7 +96,7 @@ from .rhp import (  # noqa: F401
     solve_dmul_dx,
 )
 from .scattering import (ScatteringData, ScatteringGrids, _triangle_weights,
-                         triangular_apply, triangular_products)
+                         triangular_products)
 
 __all__ = [
     "ReconstructionSample",
@@ -141,36 +143,34 @@ def _family_sums(op: CTOperator, sums: np.ndarray):
     """Plain and k-weighted sums over k of each row of sums, rows of both
     kernel families' products with their oscillatory weight (row 1 of
     CTOperator.products). Off the diagonal one family contributes; on it
-    the two half weights combine."""
-    return sums.sum(axis=-1), sums @ op.base.grids.grid_kl.points
+    the two half weights combine. The k-weighted sums are one
+    matrix-vector product over every row, so a row's sum is the same in
+    any stack."""
+    rows = sums.reshape(-1, sums.shape[-1])
+    return (sums.sum(axis=-1),
+            (rows @ op.base.grids.grid_kl.points).reshape(sums.shape[:-1]))
 
 
-def _value(v: np.ndarray):
-    """A field term: a complex at one point, an array over a stack's."""
-    return complex(v) if v.ndim == 0 else v
-
-
-def eval_u1(op: CTOperator) -> complex | np.ndarray:
-    """Leading reconstruction term at the operator's probe point (an
-    array over a stacked operator's points).
+def eval_u1(op: CTOperator) -> np.ndarray:
+    """Leading reconstruction term at the operator's P probe points,
+    shape (P,).
 
     (1/pi) double sum of the oscillatory weight times i (l - k) times the
     combined kernel, taken as i(K(l) - k K(1)) from the operator's
     products of the rows l and 1 (CTOperator.basis)."""
     s, ks = _family_sums(op, op.basis[1])
     dl = op.base.grids.grid_kl.spacing
-    return _value((1j / np.pi) * dl * (s[0] - ks[1]))
+    return (1j / np.pi) * dl * (s[0] - ks[1])
 
 
-def eval_u2(op: CTOperator, sol: RHPSolution) -> complex | np.ndarray:
-    """Correction term at the operator's probe point (an array over a
-    stacked operator's points).
+def eval_u2(op: CTOperator, sol: RHPSolution) -> np.ndarray:
+    """Correction term at the operator's P probe points, shape (P,).
 
     Adds the kernel sum weighted by (mu - 1) at the column argument and
     the plain kernel sum weighted by the x-derivative of mu, from the
     products of l (mu - 1), mu - 1 and dmu/dx that the solves formed.
     Requires the solution record solved on the operator's kernel data at
-    exactly its probe point, derivative part included."""
+    exactly its probe points, derivative part included."""
     expected = (op.t, op.x, op.y)
     if tuple(sol.point) != expected:
         raise ValueError(
@@ -182,7 +182,7 @@ def eval_u2(op: CTOperator, sol: RHPSolution) -> complex | np.ndarray:
         raise ValueError("solution record was solved on other kernel data")
     s, ks = _family_sums(op, sol.products[1])
     dl = op.base.grids.grid_kl.spacing
-    return _value((1.0 / np.pi) * dl * (1j * (s[0] - ks[1]) + s[2]))
+    return (1.0 / np.pi) * dl * (1j * (s[0] - ks[1]) + s[2])
 
 
 def reconstruct_points(data: ScatteringData | SplineKernels, points,
@@ -191,19 +191,17 @@ def reconstruct_points(data: ScatteringData | SplineKernels, points,
     """Solve and evaluate at a set of (t, x, y) probe points on one kernel
     data, as one stack: one operator for all points (CTOperator.build),
     one call of solve_dmul_dx, whose rows each stop on their own, and
-    both field terms. Each sample equals the one-point answer to
-    rounding. An invalid delta is refused before the solve.
+    both field terms. Each sample equals its point's answer alone (a
+    one-row stack) to rounding. An invalid delta is refused before the
+    solve.
     Admissibility was decided where the data entered
     (harness.compute_scattering, run_decay_fit), not per probe."""
     regions = [RayCoordinates(t, x, y).region(delta) for t, x, y in points]
     if not regions:
         return []
-    # one point keeps the one-point shapes, (n,) rather than a (1, n)
-    # stack, whose numpy calls each cost a little more
-    op = CTOperator.build(data, *(zip(*points) if len(points) > 1
-                                  else points[0]))
+    op = CTOperator.build(data, *zip(*points))
     sol = solve_dmul_dx(op, tol=tol)
-    u1, u2 = np.atleast_1d(eval_u1(op)), np.atleast_1d(eval_u2(op, sol))
+    u1, u2 = eval_u1(op), eval_u2(op, sol)
     return [ReconstructionSample(tuple(p), complex(a), complex(b),
                                  complex(a) + complex(b), r)
             for p, a, b, r in zip(points, u1, u2, regions)]
@@ -213,7 +211,7 @@ def reconstruct(data: ScatteringData | SplineKernels, t: float, x: float,
                 y: float, delta: float = DEFAULT_REGION_DELTA,
                 tol: float = 1e-10) -> ReconstructionSample:
     """Solve and evaluate at one probe point: reconstruct_points on the
-    one point."""
+    one point, a stack of one row."""
     return reconstruct_points(data, [(t, x, y)], delta, tol)[0]
 
 
@@ -418,9 +416,8 @@ class SplineKernels:
     O(n_fine + n_c^2) memory and no n_fine^2 array. On the floor grid,
     which the probes of a pass share, one triangular product per family
     with the dense T_plus and T_minus (scattering.triangular_products),
-    cheaper per row than the band's. apply gives one family.
-    T_plus, T_minus and T1 are built on first access by _dense, the one
-    dense evaluator."""
+    cheaper per row than the band's. T_plus, T_minus and T1 are built on
+    first access by _dense, the one dense evaluator."""
 
     def __init__(self, source: ScatteringData, grid: Grid1D):
         knots, coeffs = source.spline_fit
@@ -448,22 +445,13 @@ class SplineKernels:
             self._factors = self._band.factors(tables, lo)
 
     def products(self, rows: np.ndarray) -> np.ndarray:
-        """[rows @ T_plus^T, rows @ (T_plus - T_minus)^T], shape
-        (2,) + rows.shape, the kernels in stored orientation."""
+        """The one kernel application: [rows @ T_plus^T,
+        rows @ (T_plus - T_minus)^T], shape (2,) + rows.shape, the kernels
+        in stored orientation."""
         rows = np.asarray(rows, dtype=complex)
         if self._factors is None:
             return triangular_products(self.T_plus, self.T_minus, rows)
         return self._band.pair(self._factors, rows)
-
-    def apply(self, sign: int, rows: np.ndarray) -> np.ndarray:
-        """rows @ K^T, K one family's kernel in stored orientation."""
-        if sign not in (+1, -1):
-            raise ValueError("sign must be +1 or -1")
-        if self._factors is None:
-            kernel = self.T_plus if sign == +1 else self.T_minus
-            return triangular_apply(kernel, sign, rows)
-        p = self.products(rows)
-        return p[0] if sign == +1 else p[0] - p[1]
 
     def _dense(self, sign: int) -> np.ndarray:
         """One family (sign 0: the unmasked T1) as an n_fine^2 array,

@@ -9,12 +9,13 @@ data this package targets, so its Neumann series converges
 geometrically; the x-derivative of the unknown solves the same equation
 with a once-differentiated forcing. Admissibility is decided where
 kernel data enters (harness.compute_scattering, run_decay_fit and
-run_verify_suite), not here. Both solves sum their series in the
-grid-weighted L2 norm with scattering.neumann_series, the direct map's
-accumulator, so all share one stopping rule, cap, residual and finite guard.
+run_verify_suite), not here. Both solves sum their series with
+scattering.neumann_series, the direct map's accumulator, one series per
+row of the operator in the grid-weighted L2 norm, so all share one
+stopping rule, cap, residual and finite guard.
 
-Every kernel application of the solve and of the field evaluation goes
-through CTOperator.products. The weight factorizes into the phase
+CTOperator.products is the one kernel application of the solve and of
+the field evaluation. The weight factorizes into the phase
 diagonals e^{-i phi(k)} and e^{i phi(l)}, the grid weight dl folded into
 the first, so the products of a stack of rows cost one phase product and
 one call of the kernel data's products, which hands back both rows the
@@ -31,7 +32,9 @@ sums (reconstruct.SplineKernels). The products of f are kept as
 field sums read. No kernel is copied or formed anew: the minus family,
 -T_minus in consumption orientation, enters as a subtraction, and the
 x-derivative kernels i(l - k)K act through i(l - k)K g = i(K(l g) - k K g).
-family_kernel and derivative_data remain as the reference definitions.
+family_kernel and derivative_data form those kernels; nothing in the
+package calls them, and they are kept only for the wrappers of
+perfbench's traced runs, which look them up by name.
 
 A probe forms each distinct product once and reuses it by linearity
 (K(l (1 + m)) = K(l) + K(l m)). With n1 and n2 the terms of a probe's
@@ -49,14 +52,14 @@ products (each row both families) are
 n1 + n2 + 5 in all, where forming each stage's own would take
 n1 + n2 + 10. There are n1 + n2 + 4 projections, one transform pair each.
 
-The operator is the one handle of a probe: CTOperator.build(base, t, x, y)
-holds the kernel data and the phase diagonals of the point, and the
-solves and the field evaluation take it. Built on sequences of P points
-it is the handle of P probes on one kernel data, a stack with one row
-per point: every product and projection serves all the rows at once,
-and each row's series stops on its own rule (neumann_series), leaving
-the stack when it does, so the counts above hold per row and each row's
-answer is its single-point one to rounding. The evolved kernel
+The operator is the one handle of a set of P probes on one kernel data:
+CTOperator.build(base, t, x, y) holds the kernel data and the phase
+diagonals of the points, one row per point (a single point is the stack
+with P = 1), and the solves and the field evaluation take it. Every
+product and projection serves all the rows at once, and each row's
+series stops on its own rule (neumann_series), leaving the stack when
+it does, so the counts above hold per row and each row's answer is its
+one-row answer to rounding. The evolved kernel
 base * exp(4 i t (l^3 - k^3)) lives in the diagonals, never in stored
 arrays, so stored magnitudes stay those of the time-zero data.
 
@@ -118,7 +121,8 @@ def phase_weights(points: np.ndarray, t: float, x: float, y: float) -> np.ndarra
 
 def family_kernel(base: ScatteringData, sign: int) -> np.ndarray:
     """Kernel of one triangular family in the orientation the inverse
-    step consumes (reference definition; CTOperator never builds it).
+    step consumes (kept only for perfbench's wrappers; CTOperator never
+    builds it).
 
     The minus family enters every downstream formula with the opposite
     sign to its stored triangular form; with the stored orientation the
@@ -137,60 +141,58 @@ def family_kernel(base: ScatteringData, sign: int) -> np.ndarray:
 @dataclass(frozen=True)
 class CTOperator:
     """Immutable handle for f -> C_plus K_minus f + C_minus K_plus f at
-    one space-time point (t, x, y), or at P of them as one stack.
+    P space-time points (t, x, y) as one stack, P = 1 for one point.
 
     base is the time-zero kernel data, a ScatteringData or a
     reconstruct.SplineKernels (anything with grids and products), held by
-    reference. The phase diagonals e^{i phi(l)} and dl e^{-i phi(k)},
-    evolution time and grid weight included, are precomputed at
-    construction from one exponential; build rejects a non-finite point
-    and t < 0. With scalar t, x and y the diagonals have shape (n,) and
-    the operator acts on functions of shape (n,); with sequences of P
-    values they have shape (P, n), row p the phase of point p, t, x and
-    y are tuples, and the operator acts on stacks of shape (P, n), row p
-    at point p. Inputs are one such function or a stack of them along
-    leading axes."""
+    reference. t, x and y are tuples of P floats, and the phase diagonals
+    e^{i phi(l)} and dl e^{-i phi(k)}, evolution time and grid weight
+    included, have shape (P, n), row p the phase of point p; they are
+    precomputed at construction from one exponential. build takes
+    scalars as one point or sequences of P values, and rejects sequences
+    of unequal lengths, a non-finite point and t < 0. The operator acts
+    on stacks of shape (P, n), row p at point p, or on a stack of them
+    along leading axes."""
 
     base: ScatteringData
-    t: float | tuple
-    x: float | tuple
-    y: float | tuple
+    t: tuple
+    x: tuple
+    y: tuple
     e_l: np.ndarray
     e_k: np.ndarray
 
     @classmethod
     def build(cls, base: ScatteringData, t, x, y) -> "CTOperator":
-        stack = np.ndim(t) > 0
-        points = list(zip(t, x, y)) if stack else [(t, x, y)]
+        t, x, y = (np.array(v, dtype=float, ndmin=1) for v in (t, x, y))
+        if not t.ndim == 1 or not t.shape == x.shape == y.shape:
+            raise ValueError(f"t, x and y must be one point or sequences of "
+                             f"equal lengths, got shapes {t.shape}, "
+                             f"{x.shape} and {y.shape}")
+        t, x, y = t.tolist(), x.tolist(), y.tolist()
+        points = list(zip(t, x, y))
         for point in points:
             _require_finite(*point)
             if point[0] < 0:
                 raise ValueError("evolution time must be nonnegative")
         grid = base.grids.grid_kl
-        # row by row, so each row's phase is the one-point phase exactly
-        phase = [phase_weights(grid.points, *point) for point in points]
-        e_l = np.exp(1j * (np.array(phase) if stack else phase[0]))
-        t, x, y = (tuple(map(float, v)) for v in zip(*points)) if stack \
-            else map(float, points[0])
-        return cls(base, t, x, y, e_l, grid.spacing * e_l.conj())
-
-    def kernel_apply(self, sign: int, f: np.ndarray) -> np.ndarray:
-        """One triangular family with its oscillatory weight:
-        out(k) = sum_l exp(i(phi(l) - phi(k))) K(k, l) f(l) dl, K the
-        family in consumption orientation (family_kernel): the minus
-        family is -T_minus."""
-        out = self.base.apply(sign, self.e_l * f)
-        out *= sign * self.e_k
-        return out
+        # row by row, so each row's phase is that of its point alone
+        e_l = np.empty((len(points), grid.n), dtype=complex)
+        for i, point in enumerate(points):
+            e_l[i] = phase_weights(grid.points, *point)
+        e_l *= 1j
+        np.exp(e_l, out=e_l)
+        return cls(base, tuple(t), tuple(x), tuple(y), e_l,
+                   grid.spacing * e_l.conj())
 
     def products(self, f: np.ndarray, rows=slice(None)) -> np.ndarray:
-        """The kernel products of f, [K_plus f, K_minus f + K_plus f] with
-        K_sigma f = kernel_apply(sigma, f), shape (2,) + f.shape: one phase
-        product shared by both families and one call of the kernel data's
-        products for both. rows picks the stack rows of a P-point
-        operator that f holds (neumann_series' running rows). Linear in
-        f, so the products of a combination are the combination of the
-        products."""
+        """The one kernel application: the kernel products of f,
+        [K_plus f, K_minus f + K_plus f], shape (2,) + f.shape, with
+        K_sigma f(k) = sum_l exp(i(phi(l) - phi(k))) K_sigma(k, l) f(l) dl,
+        K_minus = -T_minus in consumption orientation (family_kernel): one
+        phase product shared by both families and one call of the kernel
+        data's products for both. rows picks the stack rows that f holds
+        (neumann_series' running rows). Linear in f, so the products of a
+        combination are the combination of the products."""
         p = self.base.products(self.e_l[rows] * f)
         p *= self.e_k[rows]
         return p
@@ -226,8 +228,9 @@ def derivative_data(base: ScatteringData) -> ScatteringData:
     """Companion data whose kernels are i(l-k) times the originals.
 
     Applying the kernel operators of the result realizes the x-derivative
-    of the originals, since x enters only through exp(i(l-k)x). Reference
-    definition for CTOperator.derivative, which forms no such kernels."""
+    of the originals, since x enters only through exp(i(l-k)x).
+    CTOperator.derivative forms no such kernels; this is kept only for
+    perfbench's wrappers (the tests also read it as a reference)."""
     pts = base.grids.grid_kl.points
     factor = 1j * (pts[None, :] - pts[:, None])
     return ScatteringData(factor * base.T_plus, factor * base.T_minus,
@@ -236,9 +239,9 @@ def derivative_data(base: ScatteringData) -> ScatteringData:
 
 @dataclass(frozen=True)
 class RHPSolution:
-    """Solution record at one (t, x, y) point, or at the P points of a
-    stacked operator (point then holds the operator's tuples, and the
-    arrays a row per point).
+    """Solution record at the P points of an operator: point holds the
+    operator's tuples (t, x, y), and the arrays have shape (P, n), a row
+    per point, (1, n) for one point.
 
     dmu_dx and residual_dmu are None until the derivative solve fills
     them in. The residuals are the largest over the stack's rows and
@@ -248,7 +251,7 @@ class RHPSolution:
     mu - 1 after solve_mul; of l (mu - 1), mu - 1 and dmu_dx after
     solve_dmul_dx."""
 
-    point: tuple[float, float, float]
+    point: tuple[tuple, tuple, tuple]
     mu_minus_1: np.ndarray
     dmu_dx: np.ndarray | None
     residual_mu: float
@@ -265,24 +268,21 @@ def weighted_l2(f: np.ndarray, dl: float) -> float:
 
 def _series(op: CTOperator, source: np.ndarray, tol: float):
     """neumann_series with op as its apply: (sum, terms, residual, the
-    kernel products of the sum), each row of a stacked operator a series
-    of its own (weighted_l2 per row); terms are summed and residuals
-    maximized over the rows. The apply keeps the products of its last
-    call, which by the series' order is the residual's, on the whole
-    sum."""
+    kernel products of the sum), each row a series of its own
+    (weighted_l2 per row); terms are summed and residuals maximized over
+    the rows. The apply keeps the products of its last call, which by
+    the series' order is the residual's, on the whole sum."""
     kept = []
 
-    def apply(f, rows=slice(None)):
+    def apply(f, rows):
         kept[:] = [op.products(f, rows)]
         return _project_pair(kept[0])
 
+    def norm(f):  # rows by index, which costs less than iterating over f
+        return [weighted_l2(f[i], dl) for i in range(len(f))]
+
     dl = op.base.grids.grid_kl.spacing
-    if op.e_l.ndim == 1:
-        sol, iters, _, resid = neumann_series(
-            apply, source, functools.partial(weighted_l2, dl=dl), tol)
-        return sol, iters, resid, kept[0]
-    sol, iters, _, resid = neumann_series(
-        apply, source, lambda f: [weighted_l2(row, dl) for row in f], tol)
+    sol, iters, _, resid = neumann_series(apply, source, norm, tol)
     return sol, sum(iters), max(resid), kept[0]
 
 

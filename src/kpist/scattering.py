@@ -23,8 +23,11 @@ with ||G||_X <= c in X = L^inf_y L^2(dk dl).
 One application of G costs two FFTs and two recurrences per (k, l). It
 works in place: apply_g overwrites its operand, so a solve holds three
 arrays (source, sum and one work term; neumann_series) plus the padded
-transform of one application. G never couples two values of k: the
-convolution runs in l and the integral in y, at each k. So the system is
+transform of one application. neumann_series is the package's one
+Neumann accumulator: it sums a block here as one series in the X norm,
+and a probe stack (rhp) as one series per row. G never couples two
+values of k: the convolution runs in l and the integral in y, at each
+k. So the system is
 block-diagonal in k, and a solve runs on one block of k rows (a row
 block of the _VolterraPlan; the whole grid is the one-block case). Every
 array of the solve is stored y-leading, as (n_y, k, l) in memory; the
@@ -87,7 +90,6 @@ __all__ = [
     "direct_map_bytes",
     "assemble_T",
     "assemble_T1",
-    "triangular_apply",
     "triangular_products",
 ]
 
@@ -313,37 +315,35 @@ def _finite(norms, it: int):
 
 
 def neumann_series(apply, source: np.ndarray, norm, tol: float):
-    """u = source + apply(source) + apply(apply(source)) + ..., which
-    solves u = source + apply(u) when apply contracts; returns (u, terms,
-    term ratios, residual norm(apply(u) - u + source) / max(1, norm(u))).
+    """Sums of series u = source + apply(source) + apply(apply(source))
+    + ..., each of which solves u = source + apply(u) when apply
+    contracts; returns (u, terms, term ratios, residuals), terms and
+    residuals a list with one entry per series, the residual
+    norm(apply(u) - u + source) / max(1, norm(u)).
 
-    Stops at the first term with norm(term) <= tol * max(1, norm(u)), or
-    raises RuntimeError after MAX_ITER terms. The solves' one finite guard:
-    ValueError for a tol outside (0, inf) or a term (the source is term 0)
-    whose norm, which must propagate NaN, is not finite. The last two
-    norms it takes are those of the returned sum and of its residual.
-
-    A stack of series: when norm(source) is a sequence, norm gives one
-    norm per row of its operand's leading axis, and each row is a series
-    of its own, with its own stopping rule, cap, residual and finite
-    guard. A row that has stopped leaves the stack: apply(f, rows) gets
-    the terms of the running rows, rows their index in the stack (a
+    norm gives a list of norms, one per series: one for the whole
+    operand (the direct map's block), or one per row of its leading axis,
+    each row a series of its own (the probe solves, P rows for P points).
+    A series stops at the first term with norm(term) <= tol * max(1,
+    norm(u)), or raises RuntimeError after MAX_ITER terms, each with its
+    own residual; a row that has stopped leaves the stack. apply(f, rows)
+    gets the terms of the running rows, rows their index in the stack (a
     slice while every row runs), and the residual's application all of
-    u. terms and the residual come back per row, each ratio as the
-    largest over the running rows. Otherwise apply(f) takes the operand
-    whole.
+    u. Each ratio is the largest over the running series. The solves'
+    one finite guard: ValueError for a tol outside (0, inf) or a term
+    (the source is term 0) whose norm, which must propagate NaN, is not
+    finite. The last two norms it takes are those of the returned sum and
+    of its residual.
 
     Holds three operand-sized arrays: the source, the sum and one work
     array, both layout-keeping copies of the source (a fourth for the
-    residual once a row of a stack has left). apply may overwrite its
-    argument (apply_g does) or return a new array (CTOperator does); it
-    only ever sees the work array, never the source, and the residual
-    is taken by copying the sum into it."""
+    residual once a row has left). apply may overwrite its argument
+    (apply_g does) or return a new array (CTOperator does); it only ever
+    sees the work array, never the source, and the residual is taken by
+    copying the sum into it."""
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    prev = norm(source)
-    stack = np.ndim(prev) > 0
-    prev = _finite(prev if stack else [prev], 0)
+    prev = _finite(norm(source), 0)
     n_rows = len(prev)
     acc = source.copy(order="K")
     term = source.copy(order="K")
@@ -351,15 +351,11 @@ def neumann_series(apply, source: np.ndarray, norm, tol: float):
     running, rows, whole = list(range(n_rows)), slice(None), True
     ratios = []
     for it in range(1, MAX_ITER + 1):
-        if stack:
-            term = apply(term, rows)
-            tn = _finite(norm(term), it)
-        else:
-            term = apply(term)
-            tn = _finite([norm(term)], it)
+        term = apply(term, rows)
+        tn = _finite(norm(term), it)
         if whole:
             acc += term
-            sums = norm(acc) if stack else [norm(acc)]
+            sums = norm(acc)
         else:
             acc[rows] += term
             sums = norm(acc[rows])
@@ -382,11 +378,9 @@ def neumann_series(apply, source: np.ndarray, norm, tol: float):
             f"term-ratio history: {[round(r, 4) for r in ratios]}")
     work = term if whole else np.empty_like(acc)
     np.copyto(work, acc)
-    rest = apply(work, slice(None)) if stack else apply(work)
+    rest = apply(work, slice(None))
     rest -= acc
     rest += source
-    if not stack:
-        return acc, terms[0], ratios, norm(rest) / scale[0]
     return acc, terms, ratios, [r / s for r, s in zip(norm(rest), scale)]
 
 
@@ -423,12 +417,12 @@ def solve_mu_sharp(plan: _VolterraPlan, sign: int,
     source = g_on_delta(plan, sign)
     sums = []
 
-    def norm(f):  # the X norm, keeping the per-layer sums of every call
+    def norm(f):  # the X norm, one series, keeping every call's layer sums
         sums.append(_layer_sq(f))
-        return _sup_norm(sums[-1], grids.grid_kl.spacing)
+        return [_sup_norm(sums[-1], grids.grid_kl.spacing)]
 
-    mu, iterations, ratios, residual = neumann_series(
-        lambda f: apply_g(plan, f, sign), source, norm, tol)
+    mu, (iterations,), ratios, (residual,) = neumann_series(
+        lambda f, rows: apply_g(plan, f, sign), source, norm, tol)
     # the series' last two norms are the sum's and its residual's
     return MuSharpField(mu, sign, grids, iterations, ratios, residual,
                         sums[-2])
@@ -520,9 +514,9 @@ class ScatteringData:
     """Triangular kernels on the (k, l) grid plus the unmasked linear route.
 
     T_plus vanishes (exact zeros) below the diagonal, T_minus above; the
-    diagonal itself carries weight 1/2 in both. apply relies on those
-    exact zeros: it reads only the family's own triangle
-    (triangular_apply), so values in the other would be ignored, and
+    diagonal itself carries weight 1/2 in both. products relies on those
+    exact zeros: it reads only each family's own triangle
+    (triangular_products), so values in the other would be ignored, and
     io.load_scattering refuses a file that holds any.
     """
 
@@ -582,21 +576,11 @@ class ScatteringData:
     def mask(self, sign: int) -> np.ndarray:
         return _triangle_weights(self.grids.n_kl, sign)
 
-    def _kernel(self, sign: int) -> np.ndarray:
-        if sign == +1:
-            return self.T_plus
-        if sign == -1:
-            return self.T_minus
-        raise ValueError("sign must be +1 or -1")
-
-    def apply(self, sign: int, rows: np.ndarray) -> np.ndarray:
-        """rows @ K^T, K one family's kernel in stored orientation."""
-        return triangular_apply(self._kernel(sign), sign, rows)
-
     def products(self, rows: np.ndarray) -> np.ndarray:
-        """The pair the probe solves consume (rhp.CTOperator.products):
-        [rows @ T_plus^T, rows @ (T_plus - T_minus)^T], shape
-        (2,) + rows.shape (triangular_products)."""
+        """The one kernel application: the pair the probe solves consume
+        (rhp.CTOperator.products), [rows @ T_plus^T,
+        rows @ (T_plus - T_minus)^T], shape (2,) + rows.shape
+        (triangular_products)."""
         return triangular_products(self.T_plus, self.T_minus, rows)
 
     @functools.cached_property
@@ -626,8 +610,8 @@ class ScatteringData:
         knots, c1 = fit(self.T1)
         coeffs = {0: c1}
         diag = np.arange(self.grids.n_kl)
-        for sign in (+1, -1):
-            rem = self._kernel(sign) - self.mask(sign) * self.T1
+        for sign, kernel in ((+1, self.T_plus), (-1, self.T_minus)):
+            rem = kernel - self.mask(sign) * self.T1
             rem[diag, diag] *= 2.0
             filled = _fill_across_diagonal(rem, upper=(sign == +1))
             coeffs[sign] = fit(filled)[1] + c1
@@ -652,30 +636,26 @@ def _filon_rows(amps: np.ndarray, q: np.ndarray,
     return np.exp(1j * q * grids.grid_y.points[0]) * acc
 
 
-def triangular_apply(K: np.ndarray, sign: int, rows: np.ndarray
-                     ) -> np.ndarray:
-    """rows @ K^T for one family's kernel K, reading only its own
-    triangle: the upper one for sign +1, the lower for -1. Each row is
-    one BLAS ztrmv on the Fortran view K^T, transposed back (trans=1), so
-    K is not copied and the other triangle, zero by construction, is
-    neither read nor multiplied."""
-    out = np.array(rows, dtype=complex, order="C")
-    if out.shape[-1:] != K.shape[:1]:
-        # ztrmv would pass the entries of a longer row through unchanged
-        raise ValueError(f"rows of shape {out.shape} for a kernel of "
-                         f"shape {K.shape}")
-    for row in out.reshape(-1, out.shape[-1]):
-        ztrmv(K.T, row, lower=int(sign == +1), trans=1, overwrite_x=1)
-    return out
-
-
 def triangular_products(T_plus: np.ndarray, T_minus: np.ndarray,
                         rows: np.ndarray) -> np.ndarray:
-    """[rows @ T_plus^T, rows @ (T_plus - T_minus)^T] from one triangular
-    product per family (triangular_apply)."""
+    """[rows @ T_plus^T, rows @ (T_plus - T_minus)^T], each family's
+    product reading only its own triangle: the upper one of T_plus, the
+    lower one of T_minus. The rows are copied into the result once, and
+    each is one BLAS ztrmv there, in place, on the Fortran view K^T,
+    transposed back (trans=1), so no kernel is copied and the other
+    triangle, zero by construction, is neither read nor multiplied. Rows
+    are taken by index, which costs less than iterating over an array."""
     p = np.empty((2,) + np.shape(rows), dtype=complex)
-    p[0] = triangular_apply(T_plus, +1, rows)
-    p[1] = triangular_apply(T_minus, -1, rows)
+    if p.shape[-1:] != T_plus.shape[:1]:
+        # ztrmv would pass the entries of a longer row through unchanged
+        raise ValueError(f"rows of shape {np.shape(rows)} for kernels of "
+                         f"shape {T_plus.shape}")
+    p[...] = rows
+    flat = p.reshape(2, -1, p.shape[-1])
+    for part, kernel, lower in ((flat[0], T_plus, 1), (flat[1], T_minus, 0)):
+        kt = kernel.T
+        for i in range(len(part)):
+            ztrmv(kt, part[i], lower=lower, trans=1, overwrite_x=1)
     np.subtract(p[0], p[1], out=p[1])
     return p
 

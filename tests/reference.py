@@ -25,8 +25,11 @@ figure of a property the paper relies on:
     rhp.CTOperator's one-FFT-pair projection is checked.
   * ct_norm: the 2-norm of one probe's operator, which the uniform
     contraction bound of harness.run_verify_suite must dominate.
+  * kernel_apply: one triangular family with its oscillatory weight at an
+    operator's points, from the dense T_plus and T_minus arrays, against
+    which CTOperator.products, the one kernel application, is checked.
   * adjoint_identity_check: the time-zero factorization identity of the
-    stored kernels, through CTOperator.kernel_apply.
+    stored kernels, through kernel_apply.
   * sequential_probe: one probe's solves and field terms with every stage
     forming its own kernel products, against which reconstruct's reuse
     of the products by linearity is checked.
@@ -259,29 +262,46 @@ def ct_norm(op: CTOperator) -> float:
     return float(np.linalg.norm(op(np.eye(op.base.grids.n_kl)), 2))
 
 
+def kernel_apply(op: CTOperator, sign: int, f: np.ndarray) -> np.ndarray:
+    """One triangular family with its oscillatory weight at the operator's
+    points: out(k) = sum_l exp(i(phi(l) - phi(k))) K(k, l) f(l) dl, K the
+    family in consumption orientation (T_plus, or -T_minus for the minus
+    family), as a full matrix product with the dense arrays of the
+    operator's kernel data. f and the result are (P, n) stacks, or
+    stacks of them along leading axes."""
+    kernels = {+1: op.base.T_plus, -1: op.base.T_minus}
+    if sign not in kernels:
+        raise ValueError("sign must be +1 or -1")
+    return sign * op.e_k * ((op.e_l * f) @ kernels[sign].T)
+
+
 def sequential_probe(op: CTOperator, tol: float = 1e-10):
-    """(u, u1, u2, residual_mu, residual_dmu) at the operator's point by
-    the sequential route, each stage forming its own kernel products: the
-    mu series from op(1), the forcing op.derivative(1 + mu), the dmu
+    """(u, u1, u2, residual_mu, residual_dmu) at the operator's one point
+    by the sequential route, each stage forming its own kernel products:
+    the mu series from op(1), the forcing op.derivative(1 + mu), the dmu
     series, and the two field terms from the products of [l, 1] and of
     [l mu, mu, dmu] through kernel_apply, one family at a time."""
     grid = op.base.grids.grid_kl
     pts, dl = grid.points, grid.spacing
 
-    def norm(f):
-        return float(np.sqrt(np.vdot(f, f).real * dl))
+    def norm(f):  # one series: the one row of a one-point operator
+        return [float(np.sqrt(np.vdot(f, f).real * dl))]
 
-    mu, _, _, r_mu = neumann_series(op, op(np.ones(grid.n)), norm, tol)
-    dmu, _, _, r_dmu = neumann_series(op, op.derivative(1.0 + mu), norm, tol)
+    def apply(f, rows):  # one row, so rows is always every row
+        return op(f)
+
+    mu, _, _, (r_mu,) = neumann_series(apply, op(np.ones(grid.n)), norm, tol)
+    dmu, _, _, (r_dmu,) = neumann_series(apply, op.derivative(1.0 + mu), norm,
+                                         tol)
 
     def sums(rows):
-        a = op.kernel_apply(+1, rows) + op.kernel_apply(-1, rows)
-        return a.sum(axis=1), a @ pts
+        a = kernel_apply(op, +1, rows) + kernel_apply(op, -1, rows)
+        return a.sum(axis=-1), a @ pts
 
     s, ks = sums(np.stack([pts, np.ones_like(pts)]))
-    u1 = complex((1j / np.pi) * dl * (s[0] - ks[1]))
+    u1 = complex(((1j / np.pi) * dl * (s[0] - ks[1])).item())
     s, ks = sums(np.stack([pts * mu, mu, dmu]))
-    u2 = complex((1.0 / np.pi) * dl * (1j * (s[0] - ks[1]) + s[2]))
+    u2 = complex(((1.0 / np.pi) * dl * (1j * (s[0] - ks[1]) + s[2])).item())
     return u1 + u2, u1, u2, r_mu, r_dmu
 
 
@@ -313,7 +333,7 @@ def adjoint_identity_check(data: ScatteringData, x: float, y: float) -> float:
     """Deviation of the time-zero factorization identity
     (I - A_minus)(I + A_plus*) = I.
 
-    A_sign is the dense matrix of CTOperator.kernel_apply at t = 0
+    A_sign is the dense matrix of kernel_apply at t = 0
     (families in consumption orientation) and * is the conjugate
     transpose. The identity rests on the pairing conj(T_plus(l, k)) =
     -T_minus(k, l) of the stored kernels, exact at linear order in the
@@ -328,8 +348,8 @@ def adjoint_identity_check(data: ScatteringData, x: float, y: float) -> float:
     op = CTOperator.build(data, 0.0, x, y)
     eye = np.eye(data.grids.n_kl)
     # applied to the rows of the identity, a family yields A_sign^T
-    a_minus = op.kernel_apply(-1, eye).T
-    m = (eye - a_minus) @ (eye + op.kernel_apply(+1, eye).conj()) - eye
+    a_minus = kernel_apply(op, -1, eye).T
+    m = (eye - a_minus) @ (eye + kernel_apply(op, +1, eye).conj()) - eye
     return float(np.linalg.norm(m, 2))
 
 

@@ -116,10 +116,12 @@ class TestChain:
         work = resample_scattering_data(data, ray_resolution_grid(t, x, y))
         sol = solve_dmul_dx(CTOperator.build(work, t, x, y))
         n = work.grids.n_kl
+        # the record holds the one probe as a one-row stack; the files
+        # hold its row, n values each
         assert np.array_equal(read_array(d / "rhp" / "mu_000.bin", (n,), True),
-                              sol.mu_minus_1)
+                              sol.mu_minus_1[0])
         assert np.array_equal(read_array(d / "rhp" / "dmu_000.bin", (n,), True),
-                              sol.dmu_dx)
+                              sol.dmu_dx[0])
 
     def test_linear_baseline_matches_in_process(self, chain, tmp_path):
         d, _ = chain

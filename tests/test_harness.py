@@ -230,7 +230,7 @@ class TestRunDecayFit:
         real = reconstruct_module.solve_dmul_dx
 
         def counting(op, *args, **kwargs):
-            stacks.append(len(op.e_l) if op.e_l.ndim > 1 else 1)
+            stacks.append(len(op.e_l))
             return real(op, *args, **kwargs)
 
         monkeypatch.setattr(reconstruct_module, "solve_dmul_dx", counting)

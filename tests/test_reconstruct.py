@@ -24,7 +24,6 @@ from kpist.scattering import (
     ScatteringData,
     ScatteringGrids,
     _fill_across_diagonal,
-    triangular_apply,
 )
 from kpist.oracle import evolve
 from kpist.rhp import (CTOperator, family_kernel, phase_weights, solve_dmul_dx,
@@ -458,7 +457,8 @@ def fine1024(ref05):
 
 
 def combined_kernel_u(base, t, x, y, rhp):
-    """u1 and u2 as double sums with the combined kernel formed."""
+    """u1 and u2 as double sums with the combined kernel formed, at the
+    one point of a one-row solution record."""
     f = family_kernel(base, +1) + family_kernel(base, -1)
     pts = base.grids.grid_kl.points
     dl = base.grids.grid_kl.spacing
@@ -467,8 +467,7 @@ def combined_kernel_u(base, t, x, y, rhp):
     e_k = np.exp(-1j * phi)
     u1 = (1j / np.pi) * dl * dl * (e_k @ (f @ (pts * e_l))
                                    - (pts * e_k) @ (f @ e_l))
-    g_mu = rhp.mu_minus_1 * e_l
-    g_dmu = rhp.dmu_dx * e_l
+    (g_mu,), (g_dmu,) = rhp.mu_minus_1 * e_l, rhp.dmu_dx * e_l
     u2 = ((1j / np.pi) * dl * dl * (e_k @ (f @ (pts * g_mu))
                                     - (pts * e_k) @ (f @ g_mu))
           + (1.0 / np.pi) * dl * dl * (e_k @ (f @ g_dmu)))
@@ -508,8 +507,9 @@ class TestCopyFreeEvaluation:
             op = CTOperator.build(base, t, x, y)
             sol = solve_dmul_dx(op)
             want1, want2 = combined_kernel_u(base, t, x, y, sol)
-            assert abs(eval_u1(op) - want1) <= 1e-13 * abs(want1)
-            assert abs(eval_u2(op, sol) - want2) <= 1e-13 * abs(want2)
+            (u1,), (u2,) = eval_u1(op), eval_u2(op, sol)
+            assert abs(u1 - want1) <= 1e-13 * abs(want1)
+            assert abs(u2 - want2) <= 1e-13 * abs(want2)
 
     def test_in_place_triangle_weights_match_masks(self, ref05, fine1024):
         # the reference arrays of the factored kernels against the bispev
@@ -652,13 +652,16 @@ def coarse_refinement():
 
 def assert_products_match_dense(res):
     """Both families' products against the dense reference arrays, on one
-    row (the solves), two (derivative, eval_u1) and three (eval_u2)."""
+    row (the solves), two (derivative, eval_u1) and three (eval_u2): the
+    plus family is the first row of products, the minus family the first
+    less the second."""
     n = res.grids.n_kl
     rng = np.random.default_rng(5)
     rows = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
-    for sign, kernel in ((+1, res.T_plus), (-1, res.T_minus)):
-        for g in (rows[0], rows[:2], rows):
-            got, want = res.apply(sign, g), g @ kernel.T
+    for g in (rows[0], rows[:2], rows):
+        p = res.products(g)
+        for got, kernel in ((p[0], res.T_plus), (p[0] - p[1], res.T_minus)):
+            want = g @ kernel.T
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -690,9 +693,8 @@ class TestFactoredKernels:
         a = rng.standard_normal((fine1024.grids.n_kl, 6)) * (1 + 2j)
         for view in (a[::-1, 0], a[:, ::2].T, a.T[::-1, ::-1][:2]):
             assert not view.flags.c_contiguous
-            for sign in (-1, +1):
-                assert np.array_equal(fine1024.apply(sign, view),
-                                      fine1024.apply(sign, view.copy()))
+            assert np.array_equal(fine1024.products(view),
+                                  fine1024.products(view.copy()))
 
     def test_edge_window_matches_bispev(self, ref05):
         # fitpack holds the spline constant past the last sample; the
@@ -745,7 +747,7 @@ class TestFactoredKernels:
                             lambda *a: calls.append(1) or real(*a))
         first = resample_scattering_data(src, Grid1D(-1.5, 1.5, 256))
         resample_scattering_data(src, Grid1D(-2.0, 2.0, 1024))
-        first.apply(+1, np.ones(256))
+        first.products(np.ones(256))
         # real and imaginary parts of T1 and of both remainders
         assert len(calls) == 6
         assert src.spline_fit is src.spline_fit
@@ -783,8 +785,8 @@ class TestFactoredKernels:
 class TestPairProducts:
     """The band route's kernel data products: both rows the solves
     consume, [T_plus g, T_plus g - T_minus g], from one pass of suffix
-    sums, against the dense reference arrays (SplineKernels._dense)
-    through triangular_apply."""
+    sums, against full products with the dense reference arrays
+    (SplineKernels._dense)."""
 
     @staticmethod
     def assert_pairs_match_dense(res):
@@ -792,8 +794,8 @@ class TestPairProducts:
         assert res.grids.grid_kl != FLOOR_GRID
         rng = np.random.default_rng(17)
         rows = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
-        plus = triangular_apply(res.T_plus, +1, rows)
-        want = np.stack([plus, plus - triangular_apply(res.T_minus, -1, rows)])
+        plus = rows @ res.T_plus.T
+        want = np.stack([plus, plus - rows @ res.T_minus.T])
         for k in (1, 3, 5):
             got = res.products(rows[:k])
             assert got.shape == (2, k, n)
@@ -939,6 +941,24 @@ class TestStackedProbes:
                 got, want = getattr(a, name), getattr(b, name)
                 assert abs(got - want) <= 1e-14 * abs(want)
 
+    @pytest.mark.parametrize("grid", [FLOOR_GRID, Grid1D(-2.0, 2.0, 256)],
+                             ids=["floor256", "band256"])
+    def test_reconstruct_is_its_row_of_a_stack(self, ref05, grid):
+        # one point is the stack with P = 1: it takes the path of every
+        # row of a three-point stack, and the field terms are arrays over
+        # the rows in both
+        _, data = ref05
+        fine = resample_scattering_data(dataclasses.replace(data), grid)
+        points = STACK_POINTS[:3]
+        assert eval_u1(CTOperator.build(fine, *points[0])).shape == (1,)
+        assert eval_u1(CTOperator.build(fine, *zip(*points))).shape == (3,)
+        for p, a in zip(points, reconstruct_points(fine, points)):
+            b = reconstruct(fine, *p)
+            assert (a.point, a.region) == (b.point, b.region)
+            for name in ("u", "u1", "u2"):
+                got, want = getattr(a, name), getattr(b, name)
+                assert abs(got - want) <= 1e-14 * abs(want)
+
     def test_one_point_is_reconstruct(self, ref05):
         _, data = ref05
         t, x, y = STACK_POINTS[0]
@@ -1031,8 +1051,7 @@ class TestRefinementCache:
             for i in range(REFINED_PER_SOURCE + 2):
                 half = 1.5 + 0.125 * (REFINED_PER_SOURCE + 1 - i)
                 fine = resample_scattering_data(src, Grid1D(-half, half, 256))
-                fine.apply(+1, rows)
-                fine.apply(-1, rows)
+                fine.products(rows)
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

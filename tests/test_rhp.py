@@ -35,7 +35,8 @@ from kpist.rhp import (
     solve_mul,
     weighted_l2,
 )
-from reference import adjoint_identity_check, cauchy_project, ct_norm
+from reference import (adjoint_identity_check, cauchy_project, ct_norm,
+                       kernel_apply)
 
 
 def build_reference(eps, n_kl=128, n_y=128, field_n=256):
@@ -76,8 +77,17 @@ def ref_cal(map01):
 
 
 def apply_family(sign, base, t, x, y, f):
-    """One triangular family with its oscillatory weight at (t, x, y)."""
-    return CTOperator.build(base, t, x, y).kernel_apply(sign, f)
+    """One triangular family with its oscillatory weight at (t, x, y),
+    from the operator's products, the one kernel application (K_plus f
+    their first row, K_minus f the second less the first), checked
+    against the dense reference kernel_apply, which refuses a sign other
+    than +1 and -1."""
+    op = CTOperator.build(base, t, x, y)
+    want = kernel_apply(op, sign, f)
+    p = op.products(f)
+    got = p[0] if sign == +1 else p[1] - p[0]
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    return got
 
 
 def random_band_limited(rng, n, band=24):
@@ -180,6 +190,37 @@ class TestPhaseAndEvolvedData:
         still = np.abs(apply_family(+1, data, 0.0, 0.4, -0.9, e))
         moved = np.abs(apply_family(+1, data, 7.3, 0.4, -0.9, e))
         assert np.max(np.abs(still - moved)) <= 1e-14
+
+
+class TestOneProbeForm:
+    """Every operator is a stack of P rows, and one point is the stack
+    with P = 1: build turns scalars into that one row."""
+
+    def test_scalar_point_is_a_one_row_stack(self, ref05):
+        data, _ = ref05
+        n = data.grids.n_kl
+        op = CTOperator.build(data, 0.5, 1.2, 0.8)
+        assert (op.t, op.x, op.y) == ((0.5,), (1.2,), (0.8,))
+        assert op.e_l.shape == op.e_k.shape == (1, n)
+        sol = solve_dmul_dx(op)
+        assert sol.point == ((0.5,), (1.2,), (0.8,))
+        assert sol.mu_minus_1.shape == sol.dmu_dx.shape == (1, n)
+        assert sol.products.shape == (2, 3, 1, n)
+        # a one-item sequence builds the same operator
+        seq = CTOperator.build(data, [0.5], [1.2], [0.8])
+        assert (seq.t, seq.x, seq.y) == (op.t, op.x, op.y)
+        assert np.array_equal(seq.e_l, op.e_l)
+        assert np.array_equal(seq.e_k, op.e_k)
+
+    @pytest.mark.parametrize("point", [((1.0, 2.0, 3.0), (0.0, 0.0),
+                                        (0.0, 0.0)),
+                                       ((1.0, 2.0), (0.0, 0.0), (0.0,)),
+                                       (1.0, (0.0, 0.5), (0.0, 0.5))])
+    def test_unequal_lengths_refused(self, ref05, point):
+        # zip would drop the points past the shortest sequence
+        data, _ = ref05
+        with pytest.raises(ValueError, match="equal lengths"):
+            CTOperator.build(data, *point)
 
 
 class TestApplyScriptT:
@@ -317,11 +358,11 @@ def two_projection_reference(op, f):
     pts = op.base.grids.grid_kl.points
 
     def gap(sign):
-        a = op.kernel_apply(sign, np.stack([pts * f, f]))
+        a = kernel_apply(op, sign, np.stack([pts * f, f]))
         return 1j * (a[0] - pts * a[1])
 
-    return (cauchy_project(op.kernel_apply(-1, f), +1)
-            + cauchy_project(op.kernel_apply(+1, f), -1),
+    return (cauchy_project(kernel_apply(op, -1, f), +1)
+            + cauchy_project(kernel_apply(op, +1, f), -1),
             cauchy_project(gap(-1), +1) + cauchy_project(gap(+1), -1))
 
 
@@ -396,8 +437,10 @@ class TestSolveMu:
         data, _ = ref05
         op = CTOperator.build(data, 0.5, 1.2, 0.8)
         dl = data.grids.grid_kl.spacing
+        # one row, so rows is always every row and one norm the row's
         _, _, ratios, _ = neumann_series(
-            op, op.on_constant(), lambda f: weighted_l2(f, dl), 1e-10)
+            lambda f, rows: op(f), op.on_constant(),
+            lambda f: [weighted_l2(f, dl)], 1e-10)
         assert ratios
         assert max(ratios) <= 0.55
         assert max(ratios) <= 0.1
@@ -453,8 +496,8 @@ class TestSolveMu:
         assert calls == {"apply_g": 0, "op": 1}
         # a later term is named by its index
         with pytest.raises(ValueError, match="term 1 is not finite"):
-            neumann_series(lambda f: f * np.inf, np.ones(4), np.linalg.norm,
-                           1e-10)
+            neumann_series(lambda f, rows: f * np.inf, np.ones((1, 4)),
+                           lambda f: [np.linalg.norm(f)], 1e-10)
 
     def test_solves_reject_a_tolerance_that_is_not_positive(self, ref05):
         data, _ = ref05

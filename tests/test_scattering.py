@@ -38,7 +38,7 @@ from kpist.scattering import (
     neumann_series,
     resample_transform,
     solve_mu_sharp,
-    triangular_apply,
+    triangular_products,
 )
 from reference import (
     _offset_kernel,
@@ -432,23 +432,28 @@ def test_apply_g_works_in_place(work128):
 def test_neumann_series_never_hands_the_source_to_apply():
     # apply sees only the series' work array, so an apply that overwrites
     # its argument, as apply_g does, sums the same series as one that
-    # returns a new array, and the source keeps its values
+    # returns a new array, and the source keeps its values; one series
+    # over the whole operand, whose norm is a one-item list, as the
+    # direct map's block sums it
     rng = np.random.default_rng(29)
     a = 0.1 * (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
     source = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     kept = source.copy()
 
-    def overwriting(f):
+    def norm(f):
+        return [np.linalg.norm(f)]
+
+    def overwriting(f, rows):
         f[...] = a @ f
         return f
 
-    copied = neumann_series(lambda f: a @ f, source, np.linalg.norm, 1e-12)
+    copied = neumann_series(lambda f, rows: a @ f, source, norm, 1e-12)
     assert np.array_equal(source, kept)
-    inplace = neumann_series(overwriting, source, np.linalg.norm, 1e-12)
+    inplace = neumann_series(overwriting, source, norm, 1e-12)
     assert np.array_equal(source, kept)
     assert np.array_equal(inplace[0], copied[0])
     assert inplace[1:] == copied[1:]
-    assert inplace[1] > 3
+    assert inplace[1][0] > 3
 
 
 def test_neumann_series_stops_each_row_of_a_stack_on_its_own():
@@ -478,10 +483,11 @@ def test_neumann_series_stops_each_row_of_a_stack_on_its_own():
     assert seen[:-1] == sorted(seen[:-1], reverse=True)
     assert len(seen) == max(terms) + 1
     for i, rate in enumerate(rates):
-        one = neumann_series(lambda f: rate * (weight * np.roll(f, 1)),
-                             source[i], np.linalg.norm, 1e-12)
-        assert np.array_equal(u[i], one[0])
-        assert (terms[i], resid[i]) == (one[1], one[3])
+        one = neumann_series(
+            lambda f, rows: rate * (weight * np.roll(f, 1, axis=-1)),
+            source[i:i + 1], row_norms, 1e-12)
+        assert np.array_equal(u[i], one[0][0])
+        assert (terms[i], resid[i]) == (one[1][0], one[3][0])
     # the largest over the running rows: the slowest row's, which runs
     # to the end
     assert ratios == pytest.approx([0.5] * max(terms), rel=1e-12)
@@ -816,23 +822,26 @@ def test_assemble_T_chunks_sum_only_their_triangle():
         assert np.all(by_row[sign * d >= 0] != 0.0)
 
 
-@pytest.mark.parametrize("sign", [+1, -1])
-def test_triangular_apply_reads_only_its_triangle(sign):
-    # the other triangle holds garbage here: the product must equal the
-    # full one with that triangle zeroed, for a row, a stack and a view
+def test_triangular_products_read_only_their_triangles():
+    # each family's other triangle holds garbage here: the products must
+    # equal the full ones with that triangle zeroed, for a row, a stack
+    # and a view
     m = 24
     rng = np.random.default_rng(3)
-    K = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    k_plus, k_minus = (rng.standard_normal((m, m))
+                       + 1j * rng.standard_normal((m, m)) for _ in range(2))
     d = np.arange(m)[None, :] - np.arange(m)[:, None]
-    own = np.where(sign * d >= 0, K, 0.0)
+    own_plus = np.where(d >= 0, k_plus, 0.0)
+    own_minus = np.where(d <= 0, k_minus, 0.0)
     rows = rng.standard_normal((m, 3)) + 1j * rng.standard_normal((m, 3))
     for f in (rows[:, 0], rows.T):
-        want = f @ own.T
-        got = triangular_apply(K, sign, f)
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        plus = f @ own_plus.T
+        for got, want in zip(triangular_products(k_plus, k_minus, f),
+                             (plus, plus - f @ own_minus.T)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     with pytest.raises(ValueError, match="rows of shape"):
-        triangular_apply(K, sign, np.ones(m + 1))
+        triangular_products(k_plus, k_minus, np.ones(m + 1))
 
 
 def test_masks_bitwise(solved128):
