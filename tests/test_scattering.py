@@ -822,26 +822,34 @@ def test_assemble_T_chunks_sum_only_their_triangle():
         assert np.all(by_row[sign * d >= 0] != 0.0)
 
 
-def test_triangular_products_read_only_their_triangles():
-    # each family's other triangle holds garbage here: the products must
-    # equal the full ones with that triangle zeroed, for a row, a stack
-    # and a view
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_triangular_apply_reads_only_its_triangle(sign):
+    # the family's other triangle holds garbage here and the other
+    # family's kernel is zero: its product, the first row of
+    # triangular_products for the plus family and minus the second for
+    # the minus one, must equal the full one with that triangle zeroed,
+    # for a row, a stack and a view
     m = 24
     rng = np.random.default_rng(3)
-    k_plus, k_minus = (rng.standard_normal((m, m))
-                       + 1j * rng.standard_normal((m, m)) for _ in range(2))
+    K = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     d = np.arange(m)[None, :] - np.arange(m)[:, None]
-    own_plus = np.where(d >= 0, k_plus, 0.0)
-    own_minus = np.where(d <= 0, k_minus, 0.0)
+    own = np.where(sign * d >= 0, K, 0.0)
+    kernels = (K, np.zeros_like(K)) if sign > 0 else (np.zeros_like(K), K)
     rows = rng.standard_normal((m, 3)) + 1j * rng.standard_normal((m, 3))
     for f in (rows[:, 0], rows.T):
-        plus = f @ own_plus.T
-        for got, want in zip(triangular_products(k_plus, k_minus, f),
-                             (plus, plus - f @ own_minus.T)):
-            assert got.shape == want.shape
-            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        want = f @ own.T
+        p = triangular_products(*kernels, f)
+        got = p[0] if sign > 0 else -p[1]
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        # the zero family adds nothing: the second row is the first, or
+        # the first is zero
+        if sign > 0:
+            assert np.array_equal(p[1], p[0])
+        else:
+            assert not np.any(p[0])
     with pytest.raises(ValueError, match="rows of shape"):
-        triangular_products(k_plus, k_minus, np.ones(m + 1))
+        triangular_products(*kernels, np.ones(m + 1))
 
 
 def test_masks_bitwise(solved128):
