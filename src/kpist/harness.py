@@ -187,10 +187,11 @@ def compute_scattering(field: PotentialField, grids: ScatteringGrids,
     contractive regime no solve has a convergence guarantee, so failing
     data is refused (ValueError), and no solve downstream checks again.
     The direct map holds one block of k rows of one family at a time, so
-    its working set is about six K M n_y complex values: the three arrays
-    of the solve and one application's padded transform, or mu# and
-    assembly's temporaries (scattering.direct_map_bytes), where one byte
-    budget sets K (scattering.direct_map_blocks). Where the memory
+    its working set is about six K M n_y complex values (the three arrays
+    of the solve and one application's padded buffer, or mu# and
+    assembly's temporaries), where one byte budget sets K
+    (scattering.direct_map_blocks), and the whole-grid tables beside
+    them (scattering.direct_map_bytes counts both). Where the memory
     available (_available_bytes: MemAvailable, and the headroom under the
     cgroup v1 or v2 limits over the process) is smaller than that, the
     call is refused with ValueError before anything is resampled or

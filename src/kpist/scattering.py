@@ -20,29 +20,43 @@ e^(i theta eta) factors cost no resolution; only the smooth amplitude must
 live on the y grid. Contraction holds when the admissibility ratio c < 1,
 with ||G||_X <= c in X = L^inf_y L^2(dk dl).
 
-One application of G costs two FFTs and two recurrences per (k, l). It
+One application of G costs two FFTs and one recurrence per (k, l). It
 works in place: apply_g overwrites its operand, so a solve holds three
 arrays (source, sum and one work term; neumann_series) plus the padded
 transform of one application. neumann_series is the package's one
 Neumann accumulator: it sums a block here as one series in the X norm,
 and a probe stack (rhp) as one series per row. G never couples two
 values of k: the convolution runs in l and the integral in y, at each
-k. So the system is
-block-diagonal in k, and a solve runs on one block of k rows (a row
-block of the _VolterraPlan; the whole grid is the one-block case). Every
-array of the solve is stored y-leading, as (n_y, k, l) in memory; the
-public (k, l, y) arrays are np.moveaxis views of that storage. So the
-l-convolution runs along the contiguous last axis, and each recurrence
-step works on a whole contiguous (k, l) layer.
+k. So the system is block-diagonal in k, and a solve runs on one block
+of K k rows (a row block of the _VolterraPlan; the whole grid is the
+one-block case).
+
+A block's series (its source, sum and terms) is stored in the sweep
+layout, (n_y, K, M + 1) over (y, k, l). The half of l whose integral
+starts at the bottom end (l <= 0 for the plus family, l >= 0 for the
+minus one) is stored y-reversed, beside the other half in natural y
+order, and the l = 0 column, which takes both integrals, sits in both
+halves. So both integrals are one downward sweep over whole contiguous
+(K, M + 1) layers, where two sweeps over strided half-column views of
+one (n_y, K, M) array took twice as long; after each sweep the two
+l = 0 copies take their average. The convolution fills its padded
+buffer straight from the two halves in true y order and writes its
+first M outputs straight back; the X norm sums each true y layer,
+counting l = 0 once. solve_mu_sharp hands its sum on once in natural
+y-leading storage, (n_y, K, M) in memory, whose (K, M, n_y) np.moveaxis
+view is MuSharpField.values, so assembly's convolution also runs along
+the contiguous last axis.
+
 The convolution is circular of length 3M/2, the shortest whose aliases
 miss the M working outputs (2M when every offset that assembly reads
 must be exact). The eta integral from the top end is the one-factor
 recurrence F_j = e^(i theta dy) F_(j+1) - P_j over the Filon panel sums
 P_j, and from the bottom end, E_(j+1) = e^(-i theta dy) (E_j + P_j), is
-the same downward sweep run on the reversed y axis. Both are exact rewritings of
-the cumulative Filon sum, and their unit-modulus factor amplifies no
-rounding. The weights and factors depend only on theta and dy, so they
-are built once per map, with every other table (_VolterraPlan).
+the same downward sweep run on the reversed y axis. Both are exact
+rewritings of the cumulative Filon sum, and their unit-modulus factor
+amplifies no rounding. The weights and factors depend only on theta
+and dy, so they are built once per map, with every other table
+(_VolterraPlan).
 
 Scattering kernels on the (k, l) grid, with p = l - k and q = l^2 - k^2:
 
@@ -141,6 +155,15 @@ def _layer_sq(f: np.ndarray) -> np.ndarray:
                      for layer in np.moveaxis(f, -1, 0)])
 
 
+def _sweep_layer_sq(s: np.ndarray, sign: int) -> np.ndarray:
+    """Per true y layer, the sum of |f|^2 over (k, l) of a series in the
+    sweep layout (_halves), counting l = 0 once: one pass over the real
+    view of each half, with no operand-sized temporary."""
+    neg, pos = _halves(s, sign)
+    neg, pos = neg.view(np.float64), pos[..., 1:].view(np.float64)
+    return np.einsum("jkc,jkc->j", neg, neg) + np.einsum("jkc,jkc->j", pos, pos)
+
+
 def _sup_norm(layer_sq: np.ndarray, spacing: float) -> float:
     """The X norm, sup over y of the L2(dk dl) norm, from the per-layer
     sums of _layer_sq. NaN propagates."""
@@ -156,8 +179,9 @@ MAX_ITER = 200
 
 class _ConvolutionPlan:
     """FFT plan for the l-convolution (ut conv f)(l_m) = sum_j ut((m-j) dl)
-    f(l_j) dl along the last axis of a y-leading f (n_y, K, M), circular
-    of length pad.
+    f(l_j) dl along the last axis of a y-leading f (n_y, K, M) (circular)
+    or along the l rows of a series in the sweep layout (on_halves),
+    circular of length pad.
 
     The offset table is nonzero only for d = -M/2..M/2-1 and the operand
     lives on 0..M-1, so the linear convolution lives on -M/2..3M/2-2. A
@@ -186,6 +210,24 @@ class _ConvolutionPlan:
         fh = sfft.fft(f, n=self.pad, axis=-1)
         fh *= self.kernel_hat
         return sfft.ifft(fh, axis=-1, overwrite_x=True)
+
+    def on_halves(self, neg: np.ndarray, pos: np.ndarray) -> None:
+        """In place on the two halves of a series in the sweep layout
+        (_halves): the circular convolution of the l rows they make, whose
+        first M outputs are written back, the l = 0 output to both halves.
+        The padded buffer, filled straight from the halves and transformed
+        in place, is the one temporary."""
+        h = neg.shape[-1] - 1
+        m = h + pos.shape[-1]
+        buf = np.empty(neg.shape[:-1] + (self.pad,), dtype=np.complex128)
+        buf[..., :h + 1] = neg
+        buf[..., h + 1:m] = pos[..., 1:]
+        buf[..., m:] = 0.0
+        buf = sfft.fft(buf, axis=-1, overwrite_x=True)
+        buf *= self.kernel_hat
+        buf = sfft.ifft(buf, axis=-1, overwrite_x=True)
+        neg[...] = buf[..., :h + 1]
+        pos[...] = buf[..., h:m]
 
 
 class _VolterraPlan:
@@ -251,58 +293,97 @@ def _sweep_down(o: np.ndarray, a, b, rho) -> None:
         np.add(cur, t, out=cur)
 
 
-def _volterra_integral(w0, w1, r, sign: int, out: np.ndarray) -> None:
-    """out(y, k, l) <- Int_{start}^{y} e^(-i theta (y - eta)) out(eta, k, l)
-    d eta, in place on the y-leading out (n_y, K, M) of K k rows.
+def _halves(s: np.ndarray, sign: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two halves of a series in the sweep layout (n_y, K, M + 1), as
+    views in true y order: l indices 0..M/2 (l <= 0) from columns
+    0..M/2, and M/2..M-1 (l >= 0) from columns M/2+1..M. The half whose
+    integral starts at the bottom end, l <= 0 for sign +1 and l >= 0 for
+    sign -1, is stored y-reversed; l = 0 sits in both."""
+    h = (s.shape[-1] - 1) // 2
+    neg, pos = s[:, :, :h + 1], s[:, :, h + 1:]
+    return (neg[::-1], pos) if sign > 0 else (neg, pos[::-1])
 
-    w0, w1, r: (K, M) tables of a _VolterraPlan (w0, w1 may carry a
-    constant factor). With the Filon panel sums P_j = w0 a_j + w1 a_(j+1),
-    exact for the piecewise-linear amplitude a at any rate, the integral
-    from the top end obeys F_(n-1) = 0, F_j = conj(r) F_(j+1) - P_j, and
-    from the bottom end E_0 = 0, E_(j+1) = r E_j + r P_j, with
-    r = e^(-i theta dy) (Iserles & Norsett, Proc. R. Soc. A 461, 2005).
-    Both are one downward sweep (_sweep_down): the bottom start runs it on
-    the reversed y axis with the weights swapped. |r| = 1, so neither
-    amplifies rounding. start is -inf (the bottom end) for sign*l < 0 and
-    +inf (the top end) for sign*l > 0; each runs only on its block of l,
-    and the l = 0 column runs both and takes their average. The grid ends
-    stand in for +-inf (data must have decayed there).
-    """
-    h = out.shape[-1] // 2  # l = 0
+
+def _sweep_tables(plan: _VolterraPlan, sign: int, scale: complex):
+    """a, b and rho of the one downward sweep over the sweep layout, (K,
+    M + 1) from the plan's row views, with the Filon weights times scale:
+    on the y-reversed half the bottom start's (r w1, r w0, r), on the
+    other the top start's (-w0, -w1, conj(r)), column for column as
+    _halves lays out l."""
+    h = plan.grids.n_kl // 2
+    w0, w1, r = scale * plan.w0, scale * plan.w1, plan.r
     neg, pos = slice(0, h + 1), slice(h, None)
     up, down = (neg, pos) if sign > 0 else (pos, neg)
-    amp_h = out[:, :, h].copy()
     ru = r[:, up]
-    _sweep_down(out[::-1, :, up], ru * w1[:, up], ru * w0[:, up], ru)
-    from_bottom = out[:, :, h].copy()
-    out[:, :, h] = amp_h
-    _sweep_down(out[:, :, down], -w0[:, down], -w1[:, down],
-                np.conj(r[:, down]))
-    out[:, :, h] = 0.5 * (from_bottom + out[:, :, h])
+    bottom = (ru * w1[:, up], ru * w0[:, up], ru)
+    top = (-w0[:, down], -w1[:, down], np.conj(r[:, down]))
+    halves = (bottom, top) if sign > 0 else (top, bottom)
+    return [np.concatenate(pair, axis=1) for pair in zip(*halves)]
+
+
+def _volterra_integral(plan: _VolterraPlan, s: np.ndarray, sign: int,
+                       scale: complex) -> None:
+    """s(y, k, l) <- scale Int_{start}^{y} e^(-i theta (y - eta))
+    s(eta, k, l) d eta, in place on a series s in the sweep layout
+    (_halves) on the plan's k rows.
+
+    With the Filon panel sums P_j = w0 a_j + w1 a_(j+1), exact for the
+    piecewise-linear amplitude a at any rate, the integral from the top
+    end obeys F_(n-1) = 0, F_j = conj(r) F_(j+1) - P_j, and from the
+    bottom end E_0 = 0, E_(j+1) = r E_j + r P_j, with r = e^(-i theta dy)
+    (Iserles & Norsett, Proc. R. Soc. A 461, 2005). On the y-reversed
+    half the second is the first's form with the weights swapped, so both
+    are one downward sweep (_sweep_down) over whole (K, M + 1) layers.
+    |r| = 1, so neither amplifies rounding. start is -inf (the bottom
+    end) for sign*l < 0 and +inf (the top end) for sign*l > 0; the l = 0
+    column runs both, one in each half, and both copies take their
+    average. The grid ends stand in for +-inf (data must have decayed
+    there).
+    """
+    _sweep_down(s, *_sweep_tables(plan, sign, scale))
+    neg, pos = _halves(s, sign)
+    h = neg.shape[-1] - 1
+    neg[:, :, h] = pos[:, :, 0] = 0.5 * (neg[:, :, h] + pos[:, :, 0])
+
+
+def _natural(s: np.ndarray, sign: int) -> np.ndarray:
+    """A series in the sweep layout (_halves) in natural y-leading storage,
+    (n_y, K, M) over (y, k, l)."""
+    neg, pos = _halves(s, sign)
+    h = neg.shape[-1] - 1
+    out = np.empty(neg.shape[:-1] + (h + pos.shape[-1],), dtype=np.complex128)
+    out[..., :h + 1] = neg
+    out[..., h + 1:] = pos[..., 1:]
+    return out
 
 
 def g_on_delta(plan: _VolterraPlan, sign: int) -> np.ndarray:
     """Source term i Int e^(-i theta (y-eta)) ut(l; eta) d eta on the plan's
-    k rows, shape (K, M, n_y) over (k, l, y), a view of y-leading
-    storage."""
-    out = np.repeat(plan.ut.T[:, None, :], plan.n_rows, axis=1)
-    _volterra_integral(1j * plan.w0, 1j * plan.w1, plan.r, sign, out)
-    return np.moveaxis(out, 0, -1)
+    k rows, in the sweep layout (_halves): shape (n_y, K, M + 1)."""
+    grids = plan.grids
+    h = grids.n_kl // 2
+    out = np.empty((grids.n_y, plan.n_rows, grids.n_kl + 1),
+                   dtype=np.complex128)
+    neg, pos = _halves(out, sign)
+    ut = plan.ut.T[:, None, :]
+    neg[...] = ut[..., :h + 1]
+    pos[...] = ut[..., h:]
+    _volterra_integral(plan, out, sign, 1j)
+    return out
 
 
 def apply_g(plan: _VolterraPlan, f: np.ndarray, sign: int) -> np.ndarray:
-    """One application of the layered Volterra operator to f(k, l, y) on
-    the plan's k rows, in place: f is overwritten with G f and returned.
-    The convolution's padded transform (3/2 of f's size) is its one
+    """One application of the layered Volterra operator on the plan's k
+    rows to f in the sweep layout (_halves), (n_y, K, M + 1), in place:
+    f is overwritten with G f and returned. The convolution's padded
+    buffer (3M/2 values per (y, k), less than 3/2 of f's size) is its one
     temporary; the y integral runs in place."""
     grids = plan.grids
-    expect = (plan.n_rows, grids.n_kl, grids.n_y)
+    expect = (grids.n_y, plan.n_rows, grids.n_kl + 1)
     if f.shape != expect:
         raise ValueError(f"operand shape {f.shape} does not match grids {expect}")
-    c = 1j / SQRT_2PI
-    fy = np.moveaxis(f, -1, 0)
-    fy[...] = plan.conv.circular(fy)[..., :grids.n_kl]
-    _volterra_integral(c * plan.w0, c * plan.w1, plan.r, sign, fy)
+    plan.conv.on_halves(*_halves(f, sign))
+    _volterra_integral(plan, f, sign, 1j / SQRT_2PI)
     return f
 
 
@@ -335,12 +416,13 @@ def neumann_series(apply, source: np.ndarray, norm, tol: float):
     finite. The last two norms it takes are those of the returned sum and
     of its residual.
 
-    Holds three operand-sized arrays: the source, the sum and one work
-    array, both layout-keeping copies of the source (a fourth for the
-    residual once a row has left). apply may overwrite its argument
-    (apply_g does) or return a new array (CTOperator does); it only ever
-    sees the work array, never the source, and the residual is taken by
-    copying the sum into it."""
+    Holds three operand-sized arrays: the caller's source and two
+    layout-keeping copies of it, the sum and one work array (a fourth
+    for the residual once a row has left). apply may overwrite its
+    argument and return it (apply_g does, so the three are all it
+    holds), or return a new array (CTOperator does, one more while it
+    runs); it only ever sees the work array, never the source, and the
+    residual is taken by copying the sum into it."""
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
     prev = _finite(norm(source), 0)
@@ -395,15 +477,17 @@ class MuSharpField:
     iterations: int
     contraction_ratios: list
     residual: float  # X norm of G mu - mu + source, relative to max(1, ||mu||)
-    # per y layer, the sum of |values|^2 over (k, l) (_layer_sq), as the
-    # series' last norm of the sum took them
+    # per y layer, the sum of |values|^2 over (k, l) (_layer_sq)
     layer_sq: np.ndarray
 
 
 def solve_mu_sharp(plan: _VolterraPlan, sign: int,
                    tol: float = 1e-10) -> MuSharpField:
-    """Neumann series for mu# (neumann_series in the X norm, y-leading
-    like the source); contracts at rate <= c < 1.
+    """Neumann series for mu# (neumann_series in the X norm, in the sweep
+    layout of the source, g_on_delta); contracts at rate <= c < 1. The
+    sum is handed on once in natural y-leading storage (_natural), and
+    its per-layer sums (_layer_sq), which FamilyKernel accumulates, are
+    taken there.
 
     Solves on the plan's k rows. G does not couple rows, so a block's
     solve is the whole solve's restriction, except that the series'
@@ -414,26 +498,25 @@ def solve_mu_sharp(plan: _VolterraPlan, sign: int,
     (harness.compute_scattering, run_verify_suite), not here.
     """
     grids = plan.grids
-    source = g_on_delta(plan, sign)
-    sums = []
 
-    def norm(f):  # the X norm, one series, keeping every call's layer sums
-        sums.append(_layer_sq(f))
-        return [_sup_norm(sums[-1], grids.grid_kl.spacing)]
+    def norm(f):  # the X norm, one series
+        return [_sup_norm(_sweep_layer_sq(f, sign), grids.grid_kl.spacing)]
 
     mu, (iterations,), ratios, (residual,) = neumann_series(
-        lambda f, rows: apply_g(plan, f, sign), source, norm, tol)
-    # the series' last two norms are the sum's and its residual's
-    return MuSharpField(mu, sign, grids, iterations, ratios, residual,
-                        sums[-2])
+        lambda f, rows: apply_g(plan, f, sign), g_on_delta(plan, sign),
+        norm, tol)
+    values = np.moveaxis(_natural(mu, sign), 0, -1)
+    return MuSharpField(values, sign, grids, iterations, ratios, residual,
+                        _layer_sq(values))
 
 
 def _row_bytes(grids: ScatteringGrids) -> int:
     """Bytes a block of the direct map holds per k row: 6 complex values
-    per (l, y). The solve holds the three arrays of its series
-    (neumann_series) and one application's padded transform (3/2);
-    assembly holds mu#, its padded transform (2), the gathered amplitudes
-    and their panel sums."""
+    per (l, y). The solve holds the three arrays of its series in the
+    sweep layout (neumann_series; M + 1 values per (k, y) each) and one
+    application's padded buffer (3M/2), 4.5 M + 3 values per (k, y) in
+    all; assembly holds mu#, its padded transform (2), the gathered
+    amplitudes and their panel sums, 5 M at most."""
     return 6 * 16 * grids.n_kl * grids.n_y
 
 
@@ -448,12 +531,16 @@ def direct_map_blocks(grids: ScatteringGrids) -> list[slice]:
 
 def direct_map_bytes(grids: ScatteringGrids) -> int:
     """Working set of the direct map on these grids: one block of the
-    first block's rows (_row_bytes). The whole-grid tables are not
-    counted: the plan's M^2 tables (w0, w1, r, at, q), T1 and the two
-    kernels (M^2 complex values each) and its convolution plans (7M/2
-    complex values per y layer)."""
+    first block's rows (_row_bytes) and the whole-grid tables held beside
+    it: the plan's five M^2 tables (w0, w1 and r complex, at and q of 8
+    bytes), T1 and the two kernels (M^2 complex values each) and the
+    plan's two convolution plans (3M/2 + 2M complex values per y
+    layer)."""
+    m = grids.n_kl
     rows = direct_map_blocks(grids)[0]
-    return (rows.stop - rows.start) * _row_bytes(grids)
+    tables = ((3 * 16 + 2 * 8) * m * m + 3 * 16 * m * m
+              + 16 * (3 * m // 2 + 2 * m) * grids.n_y)
+    return (rows.stop - rows.start) * _row_bytes(grids) + tables
 
 
 def _fill_across_diagonal(tri: np.ndarray, upper: bool) -> np.ndarray:
@@ -703,7 +790,7 @@ def assemble_T(mu: MuSharpField, plan: _VolterraPlan, T1: np.ndarray,
     reads, so p sits on the lattice and no interpolation enters. One
     gather (plan.at) takes the columns the family's triangle keeps and
     one Filon sum integrates them; the other columns stay exact zeros.
-    Every array is y-leading, as the solve stores mu.
+    Every array is y-leading, as solve_mu_sharp hands mu# on.
     """
     m = plan.grids.n_kl
     ks = plan.rows

@@ -14,6 +14,13 @@ figure of a property the paper relies on:
     assemble_T1) sum with them.
   * _offset_kernel: the offset table of the l-convolution, from which the
     direct loops check scattering._ConvolutionPlan, apply_g and assembly.
+  * volterra_integral, two_sweep_g_on_delta, two_sweep_apply_g,
+    two_sweep_solve_mu_sharp: the layered Volterra solve on natural
+    (k, l, y) operands, each integral two sweeps over strided half-column
+    views, against which the one sweep of scattering's sweep layout is
+    checked bit for bit; to_sweep and from_sweep convert between that
+    layout and natural (k, l, y) operands, and g_on_delta_kly and
+    apply_g_kly run the package's operators on natural operands.
   * transform_norms, split_T: the admissibility sizes (c, w) on the
     working grids and the linear/quadratic split of the stored kernels,
     for the norm bounds of the solve and of T_plus, T_minus and the
@@ -54,7 +61,9 @@ from kpist.grids import (SQRT_2PI, Grid1D, PartialTransform,
 from kpist.oscillatory import filon_moments
 from kpist.rhp import CTOperator
 from kpist.scattering import (MuSharpField, ScatteringData, ScatteringGrids,
-                              _layer_sq, _sup_norm, neumann_series)
+                              _halves, _layer_sq, _natural, _sup_norm,
+                              _sweep_down, _VolterraPlan, apply_g, g_on_delta,
+                              neumann_series)
 
 
 def x_norm(f: np.ndarray, grids: ScatteringGrids) -> float:
@@ -156,6 +165,92 @@ def _offset_kernel(ut_work: np.ndarray, grids: ScatteringGrids) -> np.ndarray:
     ok = (src >= 0) & (src < m)
     out[np.nonzero(ok)[0]] = ut_work[src[ok]]
     return out
+
+
+def volterra_integral(w0, w1, r, sign: int, out: np.ndarray) -> None:
+    """out(y, k, l) <- Int_{start}^{y} e^(-i theta (y - eta)) out(eta, k, l)
+    d eta, in place on a y-leading out (n_y, K, M), by two sweeps over
+    strided half-column views: the bottom start (sign*l < 0) runs
+    scattering._sweep_down on the reversed y axis with the weights
+    swapped, the top start (sign*l > 0) on the natural one, and the l = 0
+    column runs both and takes their average. w0, w1, r: (K, M) tables
+    of a _VolterraPlan (w0, w1 may carry a constant factor)."""
+    h = out.shape[-1] // 2  # l = 0
+    neg, pos = slice(0, h + 1), slice(h, None)
+    up, down = (neg, pos) if sign > 0 else (pos, neg)
+    amp_h = out[:, :, h].copy()
+    ru = r[:, up]
+    _sweep_down(out[::-1, :, up], ru * w1[:, up], ru * w0[:, up], ru)
+    from_bottom = out[:, :, h].copy()
+    out[:, :, h] = amp_h
+    _sweep_down(out[:, :, down], -w0[:, down], -w1[:, down],
+                np.conj(r[:, down]))
+    out[:, :, h] = 0.5 * (from_bottom + out[:, :, h])
+
+
+def two_sweep_g_on_delta(plan: _VolterraPlan, sign: int) -> np.ndarray:
+    """scattering.g_on_delta on natural storage: shape (K, M, n_y) over
+    (k, l, y), a view of y-leading storage."""
+    out = np.repeat(plan.ut.T[:, None, :], plan.n_rows, axis=1)
+    volterra_integral(1j * plan.w0, 1j * plan.w1, plan.r, sign, out)
+    return np.moveaxis(out, 0, -1)
+
+
+def two_sweep_apply_g(plan: _VolterraPlan, f: np.ndarray,
+                      sign: int) -> np.ndarray:
+    """scattering.apply_g on a natural f (K, M, n_y), in place."""
+    c = 1j / SQRT_2PI
+    fy = np.moveaxis(f, -1, 0)
+    fy[...] = plan.conv.circular(fy)[..., :plan.grids.n_kl]
+    volterra_integral(c * plan.w0, c * plan.w1, plan.r, sign, fy)
+    return f
+
+
+def two_sweep_solve_mu_sharp(plan: _VolterraPlan, sign: int,
+                             tol: float = 1e-10) -> MuSharpField:
+    """scattering.solve_mu_sharp summing its series on natural storage,
+    the X norm of every term and sum taken per contiguous (K, M) layer."""
+    sums = []
+
+    def norm(f):
+        sums.append(_layer_sq(f))
+        return [_sup_norm(sums[-1], plan.grids.grid_kl.spacing)]
+
+    mu, (iterations,), ratios, (residual,) = neumann_series(
+        lambda f, rows: two_sweep_apply_g(plan, f, sign),
+        two_sweep_g_on_delta(plan, sign), norm, tol)
+    # the series' last two norms are the sum's and its residual's
+    return MuSharpField(mu, sign, plan.grids, iterations, ratios, residual,
+                        sums[-2])
+
+
+def to_sweep(f: np.ndarray, sign: int) -> np.ndarray:
+    """A natural f (K, M, n_y) over (k, l, y) in scattering's sweep layout
+    (n_y, K, M + 1), a new C-contiguous array."""
+    n_k, m, n_y = f.shape
+    out = np.empty((n_y, n_k, m + 1), dtype=np.complex128)
+    neg, pos = _halves(out, sign)
+    fy = np.moveaxis(f, -1, 0)
+    neg[...] = fy[..., :m // 2 + 1]
+    pos[...] = fy[..., m // 2:]
+    return out
+
+
+def from_sweep(s: np.ndarray, sign: int) -> np.ndarray:
+    """A series in scattering's sweep layout as a natural (K, M, n_y) view
+    of y-leading storage; l = 0 is read from the first half."""
+    return np.moveaxis(_natural(s, sign), 0, -1)
+
+
+def g_on_delta_kly(plan: _VolterraPlan, sign: int) -> np.ndarray:
+    """scattering.g_on_delta, as natural (K, M, n_y)."""
+    return from_sweep(g_on_delta(plan, sign), sign)
+
+
+def apply_g_kly(plan: _VolterraPlan, f: np.ndarray, sign: int) -> np.ndarray:
+    """scattering.apply_g on a natural f (K, M, n_y), through the sweep
+    layout; f itself is left as it is."""
+    return from_sweep(apply_g(plan, to_sweep(f, sign), sign), sign)
 
 
 def transform_norms(ut_work: np.ndarray, grids: ScatteringGrids):

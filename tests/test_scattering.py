@@ -42,11 +42,18 @@ from kpist.scattering import (
 )
 from reference import (
     _offset_kernel,
+    apply_g_kly,
     cumulative_phase_integral,
     diagnostic_mu_k_growth,
+    from_sweep,
+    g_on_delta_kly,
     kernel_continuity_constant,
     split_T,
+    to_sweep,
     transform_norms,
+    two_sweep_apply_g,
+    two_sweep_g_on_delta,
+    two_sweep_solve_mu_sharp,
     x_norm,
 )
 
@@ -217,7 +224,7 @@ def test_volterra_direction_semantics():
     l = g.grid_kl.points
     ut = rng.standard_normal((m, ny)) + 1j * rng.standard_normal((m, ny))
     plan = _VolterraPlan(ut, g)
-    gd = g_on_delta(plan, +1)
+    gd = g_on_delta_kly(plan, +1)
     ik = 3
     kv = l[ik]
     # l > 0 with the plus family: integration starts at +inf
@@ -235,7 +242,7 @@ def test_volterra_direction_semantics():
                        + _volterra_reference(ut[il], 0.0, g, True))
     assert np.max(np.abs(gd[ik, il] - want)) < 1e-13
     # the minus family mirrors the map
-    gdm = g_on_delta(plan, -1)
+    gdm = g_on_delta_kly(plan, -1)
     il = m - 3
     want = 1j * _volterra_reference(ut[il], l[il] * (l[il] + 2 * kv), g, False)
     assert np.max(np.abs(gdm[ik, il] - want)) < 1e-13
@@ -252,7 +259,7 @@ def test_apply_g_direct_oracle():
     offs = _offset_kernel(ut, g)
     plan = _VolterraPlan(ut, g)
     for sign in (+1, -1):
-        got = apply_g(plan, f.copy(), sign)
+        got = apply_g_kly(plan, f, sign)
         for ik in (1, m // 2, m - 2):
             for il in (0, 2, m // 2, m - 1):
                 conv = np.zeros(ny, complex)
@@ -287,8 +294,9 @@ def test_volterra_every_column_matches_cumulative_filon():
     conv = np.einsum("ljy,kjy->kly", toe, f) * g.grid_kl.spacing
     plan = _VolterraPlan(ut, g)
     for sign in (+1, -1):
-        cases = ((g_on_delta(plan, sign), np.broadcast_to(ut, f.shape), 1j),
-                 (apply_g(plan, f.copy(), sign), conv, 1j / SQRT_2PI))
+        cases = ((g_on_delta_kly(plan, sign), np.broadcast_to(ut, f.shape),
+                  1j),
+                 (apply_g_kly(plan, f, sign), conv, 1j / SQRT_2PI))
         for got, amps, scale in cases:
             want = np.empty_like(got)
             for ik in range(m):
@@ -304,11 +312,12 @@ def test_volterra_every_column_matches_cumulative_filon():
 
 def test_solve_memory_stays_within_a_few_fields(monkeypatch):
     # a solve on one block of K k rows holds the source, the sum and one
-    # work term, which apply_g overwrites in place, plus one application's
-    # padded transform: measured 4.55 block sizes (K M n_y complex values)
-    # for blocks of 42 and 22 rows, which a 16 MiB budget makes at this
-    # grid (the default budget fits it in one block); that is 3.0 field
-    # sizes for the first, against 4.6 for a whole-field solve
+    # work term, which apply_g overwrites in place, all in the sweep layout
+    # (M + 1 values per (y, k)), plus one application's padded buffer:
+    # measured 4.59 block sizes (K M n_y complex values) for blocks of 42
+    # and 22 rows, which a 16 MiB budget makes at this grid (the default
+    # budget fits it in one block); that is 3.0 field sizes for the
+    # first, against 4.6 for a whole-field solve
     monkeypatch.setattr(scattering, "_BLOCK_BYTES", 1 << 24)
     wg, ut = build_small(0.02, 64, 64)
     plan = _VolterraPlan(ut, wg)
@@ -346,11 +355,33 @@ def test_direct_map_holds_one_family_at_a_time(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 5.1 * field_bytes
-    # the whole-grid tables direct_map_bytes leaves out: the plan's five
-    # M^2 tables (w0, w1, r complex, at and q 8 bytes), T1 and the two
-    # kernels, and the two convolution plans (3M/2 + 2M values per layer)
+    # direct_map_bytes counts the block and the whole-grid tables beside
+    # it: the plan's five M^2 tables (w0, w1, r complex, at and q 8
+    # bytes), T1 and the two kernels, and the two convolution plans
+    # (3M/2 + 2M values per layer)
     tables = (3 * 16 + 2 * 8) * m ** 2 + 3 * 16 * m ** 2 + 16 * 7 * m // 2 * ny
-    assert peak <= scattering.direct_map_bytes(wg) + tables
+    rows = scattering.direct_map_blocks(wg)[0]
+    assert scattering.direct_map_bytes(wg) == \
+        (rows.stop - rows.start) * scattering._row_bytes(wg) + tables
+    assert peak <= scattering.direct_map_bytes(wg)
+
+
+@pytest.mark.parametrize("n_kl", [256, 512])
+def test_direct_map_bytes_covers_the_tables_at_few_y_layers(n_kl):
+    # with few y layers the M^2 tables outweigh the block: traced peaks of
+    # 26.4 MiB at n_kl = 256 and 47.8 MiB at 512, n_y = 16, against 24 MiB
+    # for the block alone, which was all direct_map_bytes once counted
+    wg = ScatteringGrids(Grid1D(-8.0, 8.0, n_kl), Grid1D(-8.0, 8.0, 16))
+    field = small_field(0.02)
+    tracemalloc.start()
+    try:
+        harness.compute_scattering(field, wg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = scattering.direct_map_blocks(wg)[0]
+    assert peak > (rows.stop - rows.start) * scattering._row_bytes(wg)
+    assert peak <= scattering.direct_map_bytes(wg)
 
 
 def test_direct_map_builds_its_tables_once(monkeypatch):
@@ -411,9 +442,9 @@ def test_direct_map_blocks_match_one_block(monkeypatch):
 
 def test_apply_g_works_in_place(work128):
     # the result is the operand itself, and its one temporary is the
-    # convolution's padded transform, 3/2 of the operand, which
-    # direct_map_bytes counts; no operand-sized copy is made beside it
-    # (measured 1.504 operand sizes at 128^3)
+    # convolution's padded buffer, 3M/2 values per (y, k) against the
+    # operand's M + 1, which direct_map_bytes counts; no operand-sized
+    # copy is made beside it (measured 1.492 operand sizes at 128^3)
     wg, ut, _ = work128
     plan = _VolterraPlan(ut, wg)
     f = g_on_delta(plan, +1)
@@ -494,7 +525,7 @@ def test_neumann_series_stops_each_row_of_a_stack_on_its_own():
 
 
 def test_solve_hands_its_layer_sums_to_the_kernel():
-    # the series' last norm of the sum gives the block's per-layer sums,
+    # the block's per-layer sums are taken once on the field it hands on,
     # bit for bit those of its values
     g = small_grids()
     rng = np.random.default_rng(37)
@@ -505,28 +536,89 @@ def test_solve_hands_its_layer_sums_to_the_kernel():
 
 
 def test_operands_in_either_memory_order_give_identical_output():
+    # the series' operands are C-contiguous in the sweep layout, (n_y, K,
+    # M + 1), and G is the same on an operand in another memory order and
+    # from a transform in either order
     rng = np.random.default_rng(19)
     g = small_grids()
     m, ny = g.n_kl, g.n_y
     ut = rng.standard_normal((m, ny)) + 1j * rng.standard_normal((m, ny))
     f = rng.standard_normal((m, m, ny)) + 1j * rng.standard_normal((m, m, ny))
-    f_y = np.moveaxis(np.ascontiguousarray(np.moveaxis(f, -1, 0)), 0, -1)
-    assert f.flags.c_contiguous and not f_y.flags.c_contiguous
     plan = _VolterraPlan(ut, g)
-    plan_y = _VolterraPlan(np.asfortranarray(ut), g)
+    plan_f = _VolterraPlan(np.asfortranarray(ut), g)
     for sign in (+1, -1):
-        assert np.array_equal(apply_g(plan, f.copy(), sign),
-                              apply_g(plan, f_y.copy(order="K"), sign))
-        assert np.array_equal(g_on_delta(plan, sign), g_on_delta(plan_y, sign))
+        s = to_sweep(f, sign)
+        s_f = np.asfortranarray(s)
+        assert s.flags.c_contiguous and not s_f.flags.c_contiguous
+        got = apply_g(plan, s.copy(), sign)
+        assert got.shape == (ny, m, m + 1) and got.flags.c_contiguous
+        assert np.array_equal(got, apply_g(plan_f, s_f, sign))
+        gd = g_on_delta(plan, sign)
+        assert gd.shape == (ny, m, m + 1) and gd.flags.c_contiguous
+        assert np.array_equal(gd, g_on_delta(plan_f, sign))
 
 
-def test_solve_stores_fields_y_leading():
+def test_solve_stores_fields_y_leading(monkeypatch):
+    # the series sums C-contiguous operands in the sweep layout; the field
+    # it hands on is natural (k, l, y), a view of y-leading storage
     wg, ut = build_small(0.02, 16, 16)
     plan = _VolterraPlan(ut, wg)
+    seen = []
+
+    def recorded(plan, f, sign):
+        seen.append((f.shape, f.flags.c_contiguous))
+        return apply_g(plan, f, sign)
+
+    monkeypatch.setattr(scattering, "apply_g", recorded)
     mu = solve_mu_sharp(plan, -1)
+    assert seen == [((16, 16, 17), True)] * (mu.iterations + 1)
     assert mu.values.shape == (16, 16, 16)
     assert np.moveaxis(mu.values, -1, 0).flags.c_contiguous
-    assert np.moveaxis(g_on_delta(plan, +1), -1, 0).flags.c_contiguous
+
+
+@pytest.mark.parametrize("n", [16, 128])
+def test_sweep_layout_matches_the_two_sweep_reference(n):
+    # g_on_delta and apply_g in the sweep layout against the two strided
+    # sweeps on natural storage (reference.volterra_integral), bit for
+    # bit at every column, l = 0 included, on the whole grid and on a
+    # block of k rows, for both families; both l = 0 copies agree
+    rng = np.random.default_rng(41)
+    g = small_grids(n, n)
+    ut = 0.1 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    plan = _VolterraPlan(ut, g)
+    for part in (plan, plan.block(slice(3, 11))):
+        f = (rng.standard_normal((part.n_rows, n, n))
+             + 1j * rng.standard_normal((part.n_rows, n, n)))
+        for sign in (+1, -1):
+            for got, want in (
+                    (g_on_delta(part, sign), two_sweep_g_on_delta(part, sign)),
+                    (apply_g(part, to_sweep(f, sign), sign),
+                     two_sweep_apply_g(part, f.copy(), sign))):
+                neg, pos = scattering._halves(got, sign)
+                assert np.array_equal(neg[..., -1], pos[..., 0])
+                assert np.array_equal(from_sweep(got, sign), want)
+
+
+def test_direct_map_matches_the_two_sweep_reference(monkeypatch):
+    # the map on the sweep layout against one whose every block is solved
+    # on natural storage by two strided sweeps per integral: the kernels
+    # and T1 bit for bit, the same iteration counts and X norms, and the
+    # residuals to rounding of their norms
+    field = small_field(0.02)
+    wg = ScatteringGrids(Grid1D(-8.0, 8.0, 32), Grid1D(-8.0, 8.0, 32))
+    monkeypatch.setattr(scattering, "_BLOCK_BYTES", 12 * 6 * 16 * 32 * 32)
+    assert len(scattering.direct_map_blocks(wg)) == 3
+    data, _ = harness.compute_scattering(field, wg)
+    monkeypatch.setattr(harness, "solve_mu_sharp", two_sweep_solve_mu_sharp)
+    want, _ = harness.compute_scattering(field, wg)
+    for name in ("T_plus", "T_minus", "T1"):
+        assert np.array_equal(getattr(data, name), getattr(want, name))
+    for name in ("plus", "minus"):
+        for key in ("iterations", "xnorm"):
+            key = f"mu_{name}_{key}"
+            assert data.meta[key] == want.meta[key]
+        key = f"mu_{name}_residual"
+        assert data.meta[key] == pytest.approx(want.meta[key], rel=1e-12)
 
 
 def test_apply_g_zero_and_linearity():
@@ -536,11 +628,11 @@ def test_apply_g_zero_and_linearity():
     ut = rng.standard_normal((m, ny)) + 1j * rng.standard_normal((m, ny))
     plan = _VolterraPlan(ut, g)
     zero = np.zeros((m, m, ny), complex)
-    assert np.array_equal(apply_g(plan, zero.copy(), +1), zero)
+    assert np.array_equal(apply_g_kly(plan, zero, +1), zero)
     f1 = rng.standard_normal((m, m, ny)) + 1j * rng.standard_normal((m, m, ny))
     f2 = rng.standard_normal((m, m, ny)) + 1j * rng.standard_normal((m, m, ny))
-    lhs = apply_g(plan, 2.0 * f1 + f2, -1)
-    rhs = 2.0 * apply_g(plan, f1, -1) + apply_g(plan, f2, -1)
+    lhs = apply_g_kly(plan, 2.0 * f1 + f2, -1)
+    rhs = 2.0 * apply_g_kly(plan, f1, -1) + apply_g_kly(plan, f2, -1)
     scale = np.max(np.abs(rhs))
     assert np.max(np.abs(lhs - rhs)) < 1e-13 * max(1.0, scale)
 
@@ -550,8 +642,12 @@ def test_apply_g_rejects_bad_operands():
     # norm of every term (tests/test_rhp.py)
     g = small_grids()
     ut = np.zeros((g.n_kl, g.n_y), complex)
+    plan = _VolterraPlan(ut, g)
     with pytest.raises(ValueError):
-        apply_g(_VolterraPlan(ut, g), np.zeros((4, 4, 4), complex), +1)
+        apply_g(plan, np.zeros((4, 4, 4), complex), +1)
+    # a natural (k, l, y) operand is not in the sweep layout
+    with pytest.raises(ValueError, match="does not match grids"):
+        apply_g(plan, np.zeros((g.n_kl, g.n_kl, g.n_y), complex), +1)
 
 
 def test_single_cell_kernel_one_term():
@@ -568,7 +664,7 @@ def test_single_cell_kernel_one_term():
     i0, j0 = 2, 3
     f = np.zeros((m, m, ny), complex)
     f[i0, j0, b] = 1.0
-    out = apply_g(_VolterraPlan(ut, g), f, +1)
+    out = apply_g_kly(_VolterraPlan(ut, g), f, +1)
     j_out = j0 + (a - m // 2)
     theta = l[j_out] * (l[j_out] + 2.0 * l[i0])
     m0, m1 = filon_moments(np.array([theta * dy]))
@@ -611,14 +707,14 @@ def test_g_on_delta_quadrature_oracle(work128, l_target, k_target):
     # l > 0 and the plus family: start at +inf
     want = 1j * (-quad_complex(
         lambda e: np.exp(-1j * theta * (yv - e)) * ut_closed(e), yv, 14.0))
-    got = g_on_delta(_VolterraPlan(ut, wg), +1)[ki, li, yi]
+    got = g_on_delta_kly(_VolterraPlan(ut, wg), +1)[ki, li, yi]
     assert abs(got - want) / abs(want) < 2e-2
 
 
 def test_g_on_delta_zero():
     g = small_grids()
     ut = np.zeros((g.n_kl, g.n_y), complex)
-    assert np.array_equal(g_on_delta(_VolterraPlan(ut, g), +1),
+    assert np.array_equal(g_on_delta_kly(_VolterraPlan(ut, g), +1),
                           np.zeros((g.n_kl, g.n_kl, g.n_y), complex))
 
 
@@ -626,7 +722,7 @@ def test_g_on_delta_zero():
 def test_g_on_delta_norm_bound(work128, sign):
     wg, ut, _ = work128
     _, w = transform_norms(ut, wg)
-    gd = g_on_delta(_VolterraPlan(ut, wg), sign)
+    gd = g_on_delta_kly(_VolterraPlan(ut, wg), sign)
     assert x_norm(gd, wg) <= np.sqrt(np.pi) * w * 1.05
 
 
@@ -675,7 +771,7 @@ def test_operator_norm_proxy(work128):
         f = np.fft.ifft2(spec, axes=(1, 2))
         sign = +1 if trial % 2 == 0 else -1
         f_norm = x_norm(f, wg)
-        ratio = x_norm(apply_g(plan, f, sign), wg) / f_norm
+        ratio = x_norm(apply_g_kly(plan, f, sign), wg) / f_norm
         assert ratio <= c + 0.05
 
 
@@ -728,7 +824,7 @@ def test_born_remainder_scaling():
         wg, ut = build_small(eps)
         plan = _VolterraPlan(ut, wg)
         mu = solve_mu_sharp(plan, +1)
-        gd = g_on_delta(plan, +1)
+        gd = g_on_delta_kly(plan, +1)
         K[eps] = x_norm(mu.values - gd, wg) / eps**2
     assert 0.9 < K[1e-2] / K[1e-3] < 1.1
 
