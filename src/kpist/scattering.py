@@ -38,14 +38,12 @@ minus one) is stored y-reversed, beside the other half in natural y
 order, and the l = 0 column, which takes both integrals, sits in both
 halves. So both integrals are one downward sweep over whole contiguous
 (K, M + 1) layers, where two sweeps over strided half-column views of
-one (n_y, K, M) array took twice as long; after each sweep the two
-l = 0 copies take their average. The convolution fills its padded
-buffer straight from the two halves in true y order and writes its
-first M outputs straight back; the X norm sums each true y layer,
-counting l = 0 once. solve_mu_sharp hands its sum on once in natural
-y-leading storage, (n_y, K, M) in memory, whose (K, M, n_y) np.moveaxis
-view is MuSharpField.values, so assembly's convolution also runs along
-the contiguous last axis.
+one (n_y, K, M) array took twice as long; after each sweep the two l = 0
+copies take their average. The convolution fills its padded buffer from
+the two halves in true y order: apply_g writes its first M outputs back,
+and assembly gathers from it. The X norm sums each true y layer,
+counting l = 0 once (_sweep_layer_sq). mu# keeps this layout from source
+to assembly: MuSharpField.values is the sum the series returns.
 
 The convolution is circular of length 3M/2, the shortest whose aliases
 miss the M working outputs (2M when every offset that assembly reads
@@ -148,13 +146,6 @@ def resample_transform(pt: PartialTransform, grids: ScatteringGrids) -> np.ndarr
     return out
 
 
-def _layer_sq(f: np.ndarray) -> np.ndarray:
-    """Per y layer, the sum of |f|^2 over (k, l); f has shape
-    (n_k, n_l, n_y). One vdot per layer, in place for y-leading storage."""
-    return np.array([np.vdot(layer, layer).real
-                     for layer in np.moveaxis(f, -1, 0)])
-
-
 def _sweep_layer_sq(s: np.ndarray, sign: int) -> np.ndarray:
     """Per true y layer, the sum of |f|^2 over (k, l) of a series in the
     sweep layout (_halves), counting l = 0 once: one pass over the real
@@ -166,7 +157,7 @@ def _sweep_layer_sq(s: np.ndarray, sign: int) -> np.ndarray:
 
 def _sup_norm(layer_sq: np.ndarray, spacing: float) -> float:
     """The X norm, sup over y of the L2(dk dl) norm, from the per-layer
-    sums of _layer_sq. NaN propagates."""
+    sums of _sweep_layer_sq. NaN propagates."""
     return float(np.sqrt(np.max(layer_sq)) * spacing)
 
 
@@ -179,9 +170,8 @@ MAX_ITER = 200
 
 class _ConvolutionPlan:
     """FFT plan for the l-convolution (ut conv f)(l_m) = sum_j ut((m-j) dl)
-    f(l_j) dl along the last axis of a y-leading f (n_y, K, M) (circular)
-    or along the l rows of a series in the sweep layout (on_halves),
-    circular of length pad.
+    f(l_j) dl along the l rows of a series in the sweep layout
+    (on_halves), circular of length pad.
 
     The offset table is nonzero only for d = -M/2..M/2-1 and the operand
     lives on 0..M-1, so the linear convolution lives on -M/2..3M/2-2. A
@@ -203,20 +193,12 @@ class _ConvolutionPlan:
             ut_work.T * grids.grid_kl.spacing
         self.kernel_hat = sfft.fft(wrapped, axis=-1)
 
-    def circular(self, f: np.ndarray) -> np.ndarray:
-        """Length-pad circular convolution of a y-leading f (n_y, K, M):
-        index t of the last axis holds the linear convolution at l index
-        t (mod pad)."""
-        fh = sfft.fft(f, n=self.pad, axis=-1)
-        fh *= self.kernel_hat
-        return sfft.ifft(fh, axis=-1, overwrite_x=True)
-
-    def on_halves(self, neg: np.ndarray, pos: np.ndarray) -> None:
-        """In place on the two halves of a series in the sweep layout
-        (_halves): the circular convolution of the l rows they make, whose
-        first M outputs are written back, the l = 0 output to both halves.
-        The padded buffer, filled straight from the halves and transformed
-        in place, is the one temporary."""
+    def on_halves(self, neg: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        """The circular convolution of the l rows that the two halves of a
+        series in the sweep layout (_halves) make, (n_y, K, pad) in true y
+        order: index t of the last axis holds the linear convolution at l
+        index t (mod pad). The padded buffer, filled straight from the
+        halves and transformed in place, is the result."""
         h = neg.shape[-1] - 1
         m = h + pos.shape[-1]
         buf = np.empty(neg.shape[:-1] + (self.pad,), dtype=np.complex128)
@@ -225,9 +207,7 @@ class _ConvolutionPlan:
         buf[..., m:] = 0.0
         buf = sfft.fft(buf, axis=-1, overwrite_x=True)
         buf *= self.kernel_hat
-        buf = sfft.ifft(buf, axis=-1, overwrite_x=True)
-        neg[...] = buf[..., :h + 1]
-        pos[...] = buf[..., h:m]
+        return sfft.ifft(buf, axis=-1, overwrite_x=True)
 
 
 class _VolterraPlan:
@@ -346,15 +326,11 @@ def _volterra_integral(plan: _VolterraPlan, s: np.ndarray, sign: int,
     neg[:, :, h] = pos[:, :, 0] = 0.5 * (neg[:, :, h] + pos[:, :, 0])
 
 
-def _natural(s: np.ndarray, sign: int) -> np.ndarray:
-    """A series in the sweep layout (_halves) in natural y-leading storage,
-    (n_y, K, M) over (y, k, l)."""
-    neg, pos = _halves(s, sign)
-    h = neg.shape[-1] - 1
-    out = np.empty(neg.shape[:-1] + (h + pos.shape[-1],), dtype=np.complex128)
-    out[..., :h + 1] = neg
-    out[..., h + 1:] = pos[..., 1:]
-    return out
+def _check_operand(plan: _VolterraPlan, s: np.ndarray) -> None:
+    """Refuse a series not in the sweep layout (_halves) on plan's rows."""
+    expect = (plan.grids.n_y, plan.n_rows, plan.grids.n_kl + 1)
+    if s.shape != expect:
+        raise ValueError(f"operand shape {s.shape} does not match grids {expect}")
 
 
 def g_on_delta(plan: _VolterraPlan, sign: int) -> np.ndarray:
@@ -376,13 +352,14 @@ def apply_g(plan: _VolterraPlan, f: np.ndarray, sign: int) -> np.ndarray:
     """One application of the layered Volterra operator on the plan's k
     rows to f in the sweep layout (_halves), (n_y, K, M + 1), in place:
     f is overwritten with G f and returned. The convolution's padded
-    buffer (3M/2 values per (y, k), less than 3/2 of f's size) is its one
-    temporary; the y integral runs in place."""
-    grids = plan.grids
-    expect = (grids.n_y, plan.n_rows, grids.n_kl + 1)
-    if f.shape != expect:
-        raise ValueError(f"operand shape {f.shape} does not match grids {expect}")
-    plan.conv.on_halves(*_halves(f, sign))
+    buffer (3M/2 values per (y, k), under 3/2 of f) is its one temporary,
+    whose first M outputs are written back; the y integral runs in place."""
+    _check_operand(plan, f)
+    neg, pos = _halves(f, sign)
+    h = neg.shape[-1] - 1
+    conv = plan.conv.on_halves(neg, pos)
+    neg[...], pos[...] = conv[..., :h + 1], conv[..., h:2 * h]
+    del conv  # released before the sweep
     _volterra_integral(plan, f, sign, 1j / SQRT_2PI)
     return f
 
@@ -471,23 +448,20 @@ class MuSharpField:
     """Solution of the layered Volterra system for one sign family, on the
     k rows of the plan it was solved on (a block, or the whole grid)."""
 
-    values: np.ndarray  # (K, M, n_y) over (k, l, y), y-leading in memory
+    values: np.ndarray  # (n_y, K, M + 1), the series' sum in the sweep layout
     sign: int
     grids: ScatteringGrids
     iterations: int
     contraction_ratios: list
     residual: float  # X norm of G mu - mu + source, relative to max(1, ||mu||)
-    # per y layer, the sum of |values|^2 over (k, l) (_layer_sq)
-    layer_sq: np.ndarray
 
 
 def solve_mu_sharp(plan: _VolterraPlan, sign: int,
                    tol: float = 1e-10) -> MuSharpField:
     """Neumann series for mu# (neumann_series in the X norm, in the sweep
     layout of the source, g_on_delta); contracts at rate <= c < 1. The
-    sum is handed on once in natural y-leading storage (_natural), and
-    its per-layer sums (_layer_sq), which FamilyKernel accumulates, are
-    taken there.
+    sum is handed on as the series returns it, C-contiguous in the sweep
+    layout (_halves).
 
     Solves on the plan's k rows. G does not couple rows, so a block's
     solve is the whole solve's restriction, except that the series'
@@ -505,9 +479,7 @@ def solve_mu_sharp(plan: _VolterraPlan, sign: int,
     mu, (iterations,), ratios, (residual,) = neumann_series(
         lambda f, rows: apply_g(plan, f, sign), g_on_delta(plan, sign),
         norm, tol)
-    values = np.moveaxis(_natural(mu, sign), 0, -1)
-    return MuSharpField(values, sign, grids, iterations, ratios, residual,
-                        _layer_sq(values))
+    return MuSharpField(mu, sign, grids, iterations, ratios, residual)
 
 
 def _row_bytes(grids: ScatteringGrids) -> int:
@@ -515,8 +487,8 @@ def _row_bytes(grids: ScatteringGrids) -> int:
     per (l, y). The solve holds the three arrays of its series in the
     sweep layout (neumann_series; M + 1 values per (k, y) each) and one
     application's padded buffer (3M/2), 4.5 M + 3 values per (k, y) in
-    all; assembly holds mu#, its padded transform (2), the gathered
-    amplitudes and their panel sums, 5 M at most."""
+    all; assembly holds mu# (M + 1), its padded transform (2 M), the
+    gathered amplitudes and their panel sums, 5 M + 1 at most."""
     return 6 * 16 * grids.n_kl * grids.n_y
 
 
@@ -582,9 +554,10 @@ class FamilyKernel:
 
     def add_block(self, mu: MuSharpField) -> None:
         """Accumulate the figures of one block's solve."""
-        self.layer_sq += mu.layer_sq
+        layer_sq = _sweep_layer_sq(mu.values, mu.sign)
+        self.layer_sq += layer_sq
         self.iterations = max(self.iterations, mu.iterations)
-        block_norm = _sup_norm(mu.layer_sq, self.spacing)
+        block_norm = _sup_norm(layer_sq, self.spacing)
         self.residual_sq += (mu.residual * max(1.0, block_norm)) ** 2
 
     @property
@@ -786,20 +759,20 @@ def assemble_T(mu: MuSharpField, plan: _VolterraPlan, T1: np.ndarray,
     into kernel (FamilyKernel.add_block), which is returned and keeps no
     reference to mu#.
 
-    The length-2M convolution is exact at every offset p either family
-    reads, so p sits on the lattice and no interpolation enters. One
-    gather (plan.at) takes the columns the family's triangle keeps and
-    one Filon sum integrates them; the other columns stay exact zeros.
-    Every array is y-leading, as solve_mu_sharp hands mu# on.
+    The length-2M convolution of mu#'s halves is exact at every offset p
+    either family reads, so p sits on the lattice and no interpolation
+    enters. One gather (plan.at) takes the columns the family's triangle
+    keeps and one Filon sum integrates them; the other columns stay exact
+    zeros. Every array is y-leading, over (y, k, l) as the sweep layout.
     """
+    _check_operand(plan, mu.values)
     m = plan.grids.n_kl
     ks = plan.rows
     # the columns the block's rows keep: l >= its first k (plus family),
     # l <= its last k (minus family)
     ls = slice(ks.start, m) if mu.sign > 0 else slice(0, ks.stop)
-    amps = np.take_along_axis(
-        plan.wide.circular(np.moveaxis(mu.values, -1, 0)),
-        plan.at[:, ls][None], axis=-1)
+    amps = np.take_along_axis(plan.wide.on_halves(*_halves(mu.values, mu.sign)),
+                              plan.at[:, ls][None], axis=-1)
     kernel.T[ks, ls] = (T1[ks, ls] - (1j / (2.0 * np.pi))
                         * _filon_rows(amps, plan.q[:, ls], plan.grids)) \
         * _triangle_weights(m, mu.sign, ks)[:, ls]

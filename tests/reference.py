@@ -18,9 +18,13 @@ figure of a property the paper relies on:
     two_sweep_solve_mu_sharp: the layered Volterra solve on natural
     (k, l, y) operands, each integral two sweeps over strided half-column
     views, against which the one sweep of scattering's sweep layout is
-    checked bit for bit; to_sweep and from_sweep convert between that
-    layout and natural (k, l, y) operands, and g_on_delta_kly and
-    apply_g_kly run the package's operators on natural operands.
+    checked bit for bit; to_sweep and from_sweep (with _natural) convert
+    between that layout and natural (k, l, y) operands, and
+    g_on_delta_kly and apply_g_kly run the package's operators on natural
+    operands.
+  * _layer_sq, x_norm: the per-layer squared sums and the X norm of a
+    natural operand, one vdot per y layer, against which the sweep
+    layout's one sum (scattering._sweep_layer_sq) is checked.
   * transform_norms, split_T: the admissibility sizes (c, w) on the
     working grids and the linear/quadratic split of the stored kernels,
     for the norm bounds of the solve and of T_plus, T_minus and the
@@ -61,9 +65,15 @@ from kpist.grids import (SQRT_2PI, Grid1D, PartialTransform,
 from kpist.oscillatory import filon_moments
 from kpist.rhp import CTOperator
 from kpist.scattering import (MuSharpField, ScatteringData, ScatteringGrids,
-                              _halves, _layer_sq, _natural, _sup_norm,
-                              _sweep_down, _VolterraPlan, apply_g, g_on_delta,
-                              neumann_series)
+                              _halves, _sup_norm, _sweep_down, _VolterraPlan,
+                              apply_g, g_on_delta, neumann_series)
+
+
+def _layer_sq(f: np.ndarray) -> np.ndarray:
+    """Per y layer, the sum of |f|^2 over (k, l); f has shape
+    (n_k, n_l, n_y). One vdot per layer, in place for y-leading storage."""
+    return np.array([np.vdot(layer, layer).real
+                     for layer in np.moveaxis(f, -1, 0)])
 
 
 def x_norm(f: np.ndarray, grids: ScatteringGrids) -> float:
@@ -198,10 +208,12 @@ def two_sweep_g_on_delta(plan: _VolterraPlan, sign: int) -> np.ndarray:
 
 def two_sweep_apply_g(plan: _VolterraPlan, f: np.ndarray,
                       sign: int) -> np.ndarray:
-    """scattering.apply_g on a natural f (K, M, n_y), in place."""
+    """scattering.apply_g on a natural f (K, M, n_y), in place; the
+    convolution is the plan's, on f's halves in the sweep layout."""
     c = 1j / SQRT_2PI
     fy = np.moveaxis(f, -1, 0)
-    fy[...] = plan.conv.circular(fy)[..., :plan.grids.n_kl]
+    conv = plan.conv.on_halves(*_halves(to_sweep(f, sign), sign))
+    fy[...] = conv[..., :plan.grids.n_kl]
     volterra_integral(c * plan.w0, c * plan.w1, plan.r, sign, fy)
     return f
 
@@ -209,19 +221,15 @@ def two_sweep_apply_g(plan: _VolterraPlan, f: np.ndarray,
 def two_sweep_solve_mu_sharp(plan: _VolterraPlan, sign: int,
                              tol: float = 1e-10) -> MuSharpField:
     """scattering.solve_mu_sharp summing its series on natural storage,
-    the X norm of every term and sum taken per contiguous (K, M) layer."""
-    sums = []
-
-    def norm(f):
-        sums.append(_layer_sq(f))
-        return [_sup_norm(sums[-1], plan.grids.grid_kl.spacing)]
-
+    the X norm of every term and sum taken per contiguous (K, M) layer
+    (x_norm); the sum is handed on in the sweep layout, as the package's
+    solve hands it on."""
     mu, (iterations,), ratios, (residual,) = neumann_series(
         lambda f, rows: two_sweep_apply_g(plan, f, sign),
-        two_sweep_g_on_delta(plan, sign), norm, tol)
-    # the series' last two norms are the sum's and its residual's
-    return MuSharpField(mu, sign, plan.grids, iterations, ratios, residual,
-                        sums[-2])
+        two_sweep_g_on_delta(plan, sign),
+        lambda f: [x_norm(f, plan.grids)], tol)
+    return MuSharpField(to_sweep(mu, sign), sign, plan.grids, iterations,
+                        ratios, residual)
 
 
 def to_sweep(f: np.ndarray, sign: int) -> np.ndarray:
@@ -233,6 +241,17 @@ def to_sweep(f: np.ndarray, sign: int) -> np.ndarray:
     fy = np.moveaxis(f, -1, 0)
     neg[...] = fy[..., :m // 2 + 1]
     pos[...] = fy[..., m // 2:]
+    return out
+
+
+def _natural(s: np.ndarray, sign: int) -> np.ndarray:
+    """A series in scattering's sweep layout in natural y-leading
+    storage, (n_y, K, M) over (y, k, l)."""
+    neg, pos = _halves(s, sign)
+    h = neg.shape[-1] - 1
+    out = np.empty(neg.shape[:-1] + (h + pos.shape[-1],), dtype=np.complex128)
+    out[..., :h + 1] = neg
+    out[..., h + 1:] = pos[..., 1:]
     return out
 
 
@@ -298,7 +317,8 @@ def diagnostic_mu_k_growth(mu: MuSharpField) -> dict:
     |y|: no growth faster than linear in y.
     """
     g = mu.grids
-    dmu = np.gradient(mu.values, g.grid_kl.spacing, axis=0)
+    dmu = np.gradient(from_sweep(mu.values, mu.sign), g.grid_kl.spacing,
+                      axis=0)
     dkl = g.grid_kl.spacing
     prof = np.sqrt(np.sum(np.abs(dmu) ** 2, axis=(0, 1)) * dkl * dkl)
     ratio = prof / (1.0 + np.abs(g.grid_y.points))

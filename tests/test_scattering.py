@@ -41,6 +41,7 @@ from kpist.scattering import (
     triangular_products,
 )
 from reference import (
+    _layer_sq,
     _offset_kernel,
     apply_g_kly,
     cumulative_phase_integral,
@@ -65,9 +66,9 @@ def small_grids(n_kl=16, n_y=16, half=4.0):
 
 
 def given_field(values, sign, grids):
-    """A MuSharpField of given values, as a one-term solve would record it."""
-    return MuSharpField(values, sign, grids, 1, [], 0.0,
-                        scattering._layer_sq(values))
+    """A MuSharpField of given natural (K, M, n_y) values, as a one-term
+    solve would hand it on: in the sweep layout."""
+    return MuSharpField(to_sweep(values, sign), sign, grids, 1, [], 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -122,9 +123,11 @@ def small_data(eps, width=1.0):
 # ---------------------------------------------------------------- convolution
 
 def circular_kly(plan, f):
-    """The plan's circular convolution of a (..., M, n_y) operand, with
-    the result in the same index order."""
-    return np.moveaxis(plan.circular(np.moveaxis(f, -1, 0)), 0, -1)
+    """The plan's circular convolution of a natural (K, M, n_y) operand,
+    on its halves in the sweep layout, with the result in the same index
+    order, (K, pad, n_y)."""
+    halves = scattering._halves(to_sweep(f, +1), +1)
+    return np.moveaxis(plan.on_halves(*halves), 0, -1)
 
 
 def test_conv_same_matches_direct_loop():
@@ -431,7 +434,12 @@ def test_direct_map_blocks_match_one_block(monkeypatch):
     plan = _VolterraPlan(resample_transform(partial_fourier_x(field), wg), wg)
     for sign, name in ((+1, "plus"), (-1, "minus")):
         whole = solve_mu_sharp(plan, sign)
-        want = x_norm(whole.values, wg)
+        # the X norm the series stops on, and the reference's per-layer
+        # vdot of the natural values to rounding
+        want = scattering._sup_norm(
+            scattering._sweep_layer_sq(whole.values, sign), wg.grid_kl.spacing)
+        assert abs(x_norm(from_sweep(whole.values, sign), wg) - want) \
+            <= 1e-15 * want
         assert one.meta[f"mu_{name}_xnorm"] == want
         assert abs(blocked.meta[f"mu_{name}_xnorm"] - want) <= 1e-15 * want
         assert one.meta[f"mu_{name}_iterations"] == whole.iterations
@@ -525,14 +533,19 @@ def test_neumann_series_stops_each_row_of_a_stack_on_its_own():
 
 
 def test_solve_hands_its_layer_sums_to_the_kernel():
-    # the block's per-layer sums are taken once on the field it hands on,
-    # bit for bit those of its values
+    # the kernel takes the block's per-layer sums from the field the solve
+    # hands on, in the sweep layout, counting l = 0 once: those of its
+    # natural values (reference._layer_sq) to rounding, for both families
     g = small_grids()
     rng = np.random.default_rng(37)
     ut = 0.02 * (rng.standard_normal((g.n_kl, g.n_y))
                  + 1j * rng.standard_normal((g.n_kl, g.n_y)))
-    mu = solve_mu_sharp(_VolterraPlan(ut, g), +1)
-    assert np.array_equal(mu.layer_sq, scattering._layer_sq(mu.values))
+    for sign in (+1, -1):
+        mu = solve_mu_sharp(_VolterraPlan(ut, g), sign)
+        kernel = FamilyKernel.empty(g)
+        kernel.add_block(mu)
+        want = _layer_sq(from_sweep(mu.values, sign))
+        assert np.all(np.abs(kernel.layer_sq - want) <= 1e-15 * want)
 
 
 def test_operands_in_either_memory_order_give_identical_output():
@@ -559,8 +572,9 @@ def test_operands_in_either_memory_order_give_identical_output():
 
 
 def test_solve_stores_fields_y_leading(monkeypatch):
-    # the series sums C-contiguous operands in the sweep layout; the field
-    # it hands on is natural (k, l, y), a view of y-leading storage
+    # the series sums C-contiguous operands in the sweep layout, and the
+    # field it hands on is its sum as it returns it: C-contiguous in the
+    # same layout, with both l = 0 copies equal
     wg, ut = build_small(0.02, 16, 16)
     plan = _VolterraPlan(ut, wg)
     seen = []
@@ -572,8 +586,10 @@ def test_solve_stores_fields_y_leading(monkeypatch):
     monkeypatch.setattr(scattering, "apply_g", recorded)
     mu = solve_mu_sharp(plan, -1)
     assert seen == [((16, 16, 17), True)] * (mu.iterations + 1)
-    assert mu.values.shape == (16, 16, 16)
-    assert np.moveaxis(mu.values, -1, 0).flags.c_contiguous
+    assert mu.values.shape == (16, 16, 17)
+    assert mu.values.flags.c_contiguous
+    neg, pos = scattering._halves(mu.values, -1)
+    assert np.array_equal(neg[..., -1], pos[..., 0])
 
 
 @pytest.mark.parametrize("n", [16, 128])
@@ -648,6 +664,30 @@ def test_apply_g_rejects_bad_operands():
     # a natural (k, l, y) operand is not in the sweep layout
     with pytest.raises(ValueError, match="does not match grids"):
         apply_g(plan, np.zeros((g.n_kl, g.n_kl, g.n_y), complex), +1)
+
+
+def test_assemble_T_refuses_a_field_in_another_layout():
+    # a natural (k, l, y) mu# on a 16^3 grid would slice into halves and
+    # broadcast against the (n_y, 1, 2M) kernel, giving rows of T with no
+    # error; assembly refuses it as apply_g does, and so a field solved on
+    # other rows, and leaves the kernel as it was
+    rng = np.random.default_rng(43)
+    g = small_grids()
+    m, ny = g.n_kl, g.n_y
+    ut = rng.standard_normal((m, ny)) + 1j * rng.standard_normal((m, ny))
+    plan = _VolterraPlan(ut, g)
+    T1 = assemble_T1(plan)
+    values = rng.standard_normal((m, m, ny)) + 1j * rng.standard_normal((m, m, ny))
+    kernel = FamilyKernel.empty(g)
+    for sign in (+1, -1):
+        natural = MuSharpField(values, sign, g, 1, [], 0.0)
+        with pytest.raises(ValueError, match="does not match grids"):
+            assemble_T(natural, plan, T1, kernel)
+        with pytest.raises(ValueError, match="does not match grids"):
+            assemble_T(given_field(values, sign, g), plan.block(slice(0, 4)),
+                       T1, kernel)
+    assert np.array_equal(kernel.T, np.zeros((m, m)))
+    assert kernel.iterations == 0 and not np.any(kernel.layer_sq)
 
 
 def test_single_cell_kernel_one_term():
@@ -794,7 +834,8 @@ def test_solve_contraction_and_x_bound(work128, solved128):
         assert mu.residual <= 1e-10
         for r in mu.contraction_ratios[3:]:
             assert r <= c + 0.05
-        assert x_norm(mu.values, wg) <= np.sqrt(np.pi) * w / (1.0 - c) * 1.05
+        assert x_norm(from_sweep(mu.values, mu.sign), wg) <= \
+            np.sqrt(np.pi) * w / (1.0 - c) * 1.05
 
 
 def test_solve_calls_the_module_global_operators(monkeypatch):
@@ -825,7 +866,7 @@ def test_born_remainder_scaling():
         plan = _VolterraPlan(ut, wg)
         mu = solve_mu_sharp(plan, +1)
         gd = g_on_delta_kly(plan, +1)
-        K[eps] = x_norm(mu.values - gd, wg) / eps**2
+        K[eps] = x_norm(from_sweep(mu.values, +1) - gd, wg) / eps**2
     assert 0.9 < K[1e-2] / K[1e-3] < 1.1
 
 
@@ -856,9 +897,9 @@ def test_assemble_T_matches_direct_toeplitz_assembly():
     kl = g.grid_kl.points
     y0 = g.grid_y.points[0]
     ut = rng.standard_normal((m, ny)) + 1j * rng.standard_normal((m, ny))
-    mus = {sign: given_field(
-        rng.standard_normal((m, m, ny)) + 1j * rng.standard_normal((m, m, ny)),
-        sign, g) for sign in (+1, -1)}
+    values = {sign: rng.standard_normal((m, m, ny))
+              + 1j * rng.standard_normal((m, m, ny)) for sign in (+1, -1)}
+    mus = {sign: given_field(values[sign], sign, g) for sign in (+1, -1)}
     plan = _VolterraPlan(ut, g)
     T1 = assemble_T1(plan)
     kernels = {sign: assemble_T(mus[sign], plan, T1, FamilyKernel.empty(g))
@@ -881,7 +922,7 @@ def test_assemble_T_matches_direct_toeplitz_assembly():
                 conv = np.zeros(ny, complex)
                 for jp in range(m):
                     if abs(t - jp) <= m - 1:
-                        conv += offs[t - jp + m - 1] * mus[sign].values[ik, jp]
+                        conv += offs[t - jp + m - 1] * values[sign][ik, jp]
                 want[sign][ik, il] = -(1j / (2.0 * np.pi)) * y_integral(
                     SQRT_2PI * lin + conv * dl, q)
     d = np.arange(m)[None, :] - np.arange(m)[:, None]
