@@ -13,6 +13,8 @@ produce identical bytes.
 from __future__ import annotations
 
 import dataclasses
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -186,16 +188,16 @@ def compute_scattering(field: PotentialField, grids: ScatteringGrids,
     Admissibility is decided here, where kernel data enters: outside the
     contractive regime no solve has a convergence guarantee, so failing
     data is refused (ValueError), and no solve downstream checks again.
-    The direct map holds one block of k rows of one family at a time, so
-    its working set is about six K M n_y complex values (the three arrays
-    of the solve and one application's padded buffer, or mu# and
-    assembly's temporaries), where one byte budget sets K
-    (scattering.direct_map_blocks), and the whole-grid tables beside
-    them (scattering.direct_map_bytes counts both). Where the memory
-    available (_available_bytes: MemAvailable, and the headroom under the
-    cgroup v1 or v2 limits over the process) is smaller than that, the
-    call is refused with ValueError before anything is resampled or
-    solved.
+    The direct map solves both families at once, each one block of k rows
+    at a time, so its working set is about twelve K M n_y complex values
+    (per block, the three arrays of the solve and one application's
+    padded buffer, or mu# and assembly's temporaries), where one byte
+    budget for both blocks sets K (scattering.direct_map_blocks), and the
+    whole-grid tables beside them (scattering.direct_map_bytes counts
+    both). Where the memory available (_available_bytes: MemAvailable,
+    and the headroom under the cgroup v1 or v2 limits over the process)
+    is smaller than that, the call is refused with ValueError before
+    anything is resampled or solved.
     """
     pt = partial_fourier_x(field)
     report = check_conditions(field, pt)
@@ -271,14 +273,26 @@ def _available_bytes() -> int | None:
     return min(figures, default=None)
 
 
+def _workers() -> int:
+    """Threads of the direct map: one per family, at most one per CPU the
+    process may run on (every CPU where the affinity cannot be read)."""
+    cpus = getattr(os, "sched_getaffinity",
+                   lambda _: range(os.cpu_count() or 1))
+    return min(2, len(cpus(0)))
+
+
 def _direct_map(pt, grids: ScatteringGrids, tol: float):
     """Kernels from a transform its caller has found admissible.
 
     The plan (every table of the solve and of assembly; it does not
-    depend on the sign) and T1 are built once. Then, for each family and
-    each block of k rows (direct_map_blocks), the block is solved on the
-    plan's row views, its rows of T assembled and its mu# released before
-    the next, so mu# never exists whole. The working set
+    depend on the sign) and T1 are built once and read by both families,
+    each run in a thread of its own (_workers threads; on one CPU, one
+    after the other). There each block of k rows (direct_map_blocks) is
+    solved on the plan's row views, its rows of T assembled and its mu#
+    released before the next, so mu# never exists whole; the FFTs and
+    whole-layer ufuncs release the GIL, so the families overlap. A
+    failing family's error is raised once both threads have stopped, the
+    +1 family's first, as the serial map raised it. The working set
     (direct_map_bytes) is checked first against the memory available
     (_available_bytes); there is no check where no figure can be read."""
     needed = direct_map_bytes(grids)
@@ -290,13 +304,22 @@ def _direct_map(pt, grids: ScatteringGrids, tol: float):
             f"n_y = {grids.n_y})")
     plan = _VolterraPlan(resample_transform(pt, grids), grids)
     T1 = assemble_T1(plan)
-    kernels = {sign: FamilyKernel.empty(grids) for sign in (+1, -1)}
-    for sign, kernel in kernels.items():
+
+    def family(sign: int) -> FamilyKernel:
+        kernel = FamilyKernel.empty(grids)
         for rows in direct_map_blocks(grids):
             part = plan.block(rows)
             # each block's mu# is dropped once assemble_T has its rows
             assemble_T(solve_mu_sharp(part, sign, tol=tol), part, T1, kernel)
-    return ScatteringData.from_families(kernels[+1], kernels[-1], T1, plan)
+        return kernel
+
+    pool = ThreadPoolExecutor(_workers())
+    try:
+        # results in family order: the +1 family's error first
+        plus, minus = pool.map(family, (+1, -1))
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return ScatteringData.from_families(plus, minus, T1, plan)
 
 
 def run_decay_fit(config: ExperimentConfig, data: ScatteringData | None = None,

@@ -66,11 +66,11 @@ step the half-at-zero Heaviside. The delta route alone gives the
 linear-order kernel T1(k, l) = -(i / sqrt(2 pi)) Int e^(i q y) ut(p; y) dy,
 stored unmasked and built once by assemble_T1; assemble_T adds one
 family's convolution route to it, for the k rows of one block. The
-direct map (harness) holds one block of one family at a time: it solves
-a block of k rows, assembles its rows of T and releases its mu# before
-the next block (direct_map_blocks, under one byte budget for the solve
-and assembly), one family after the other, so mu# never exists whole;
-ScatteringData.from_families joins the kernels.
+direct map (harness) runs the two families at once, a thread each, and
+each holds one block at a time: it solves a block of k rows, assembles
+its rows of T and releases its mu# before the next (direct_map_blocks,
+under one byte budget for both families' blocks), so mu# never exists
+whole; ScatteringData.from_families joins the kernels.
 """
 
 from __future__ import annotations
@@ -161,8 +161,8 @@ def _sup_norm(layer_sq: np.ndarray, spacing: float) -> float:
     return float(np.sqrt(np.max(layer_sq)) * spacing)
 
 
-# working-set budget of one block of the direct map (direct_map_blocks):
-# 16 k rows at n_kl = n_y = 128
+# working-set budget of the direct map's two concurrent blocks, one per
+# family (direct_map_blocks): 8 k rows each at n_kl = n_y = 128
 _BLOCK_BYTES = 24 << 20
 # term cap of every Neumann series (neumann_series)
 MAX_ITER = 200
@@ -483,7 +483,7 @@ def solve_mu_sharp(plan: _VolterraPlan, sign: int,
 
 
 def _row_bytes(grids: ScatteringGrids) -> int:
-    """Bytes a block of the direct map holds per k row: 6 complex values
+    """Bytes a block of one family holds per k row: 6 complex values
     per (l, y). The solve holds the three arrays of its series in the
     sweep layout (neumann_series; M + 1 values per (k, y) each) and one
     application's padded buffer (3M/2), 4.5 M + 3 values per (k, y) in
@@ -494,25 +494,26 @@ def _row_bytes(grids: ScatteringGrids) -> int:
 
 def direct_map_blocks(grids: ScatteringGrids) -> list[slice]:
     """The blocks of k rows the direct map solves and assembles one at a
-    time: as many rows as keep a block within _BLOCK_BYTES (_row_bytes;
-    at least one), the last block ragged."""
-    step = max(1, _BLOCK_BYTES // _row_bytes(grids))
+    time per family: as many rows as keep two blocks, one per family
+    solved at the same time, within _BLOCK_BYTES (_row_bytes; at least
+    one), the last block ragged."""
+    step = max(1, _BLOCK_BYTES // (2 * _row_bytes(grids)))
     return [slice(s, min(s + step, grids.n_kl))
             for s in range(0, grids.n_kl, step)]
 
 
 def direct_map_bytes(grids: ScatteringGrids) -> int:
-    """Working set of the direct map on these grids: one block of the
-    first block's rows (_row_bytes) and the whole-grid tables held beside
-    it: the plan's five M^2 tables (w0, w1 and r complex, at and q of 8
-    bytes), T1 and the two kernels (M^2 complex values each) and the
-    plan's two convolution plans (3M/2 + 2M complex values per y
-    layer)."""
+    """Working set of the direct map on these grids: two blocks of the
+    first block's rows (_row_bytes), one per family, and the whole-grid
+    tables held beside them: the plan's five M^2 tables (w0, w1 and r
+    complex, at and q of 8 bytes), T1 and the two kernels (M^2 complex
+    values each) and the plan's two convolution plans (3M/2 + 2M complex
+    values per y layer)."""
     m = grids.n_kl
     rows = direct_map_blocks(grids)[0]
     tables = ((3 * 16 + 2 * 8) * m * m + 3 * 16 * m * m
               + 16 * (3 * m // 2 + 2 * m) * grids.n_y)
-    return (rows.stop - rows.start) * _row_bytes(grids) + tables
+    return 2 * (rows.stop - rows.start) * _row_bytes(grids) + tables
 
 
 def _fill_across_diagonal(tri: np.ndarray, upper: bool) -> np.ndarray:

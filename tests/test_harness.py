@@ -404,13 +404,14 @@ class TestMemoryBudget:
         finally:
             tracemalloc.stop()
         assert peak < field_bytes
-        # one block of k rows, not the whole field, and the whole-grid
-        # tables beside it: five M^2 tables of the plan, T1 and the two
-        # kernels, and two convolution plans (3M/2 + 2M values per layer)
+        # one block of k rows per family, not the whole field, and the
+        # whole-grid tables beside them: five M^2 tables of the plan, T1
+        # and the two kernels, and two convolution plans (3M/2 + 2M values
+        # per layer)
         rows = scattering.direct_map_blocks(ScatteringGrids(g, g))[0]
         tables = (3 * 16 + 2 * 8) * 128 ** 2 + 3 * 16 * 128 ** 2 \
             + 16 * 7 * 128 // 2 * 128
-        needed = 6 * 16 * (rows.stop - rows.start) * 128 ** 2 + tables
+        needed = 2 * 6 * 16 * (rows.stop - rows.start) * 128 ** 2 + tables
         assert needed < field_bytes
         assert str(err.value) == (
             f"the direct map needs about {needed} bytes but only 1048576 "

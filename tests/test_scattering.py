@@ -8,6 +8,8 @@ and magnitude of the nonlinear part). Tolerances carry 2-5x margin over
 measured errors at the stated resolutions.
 """
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -318,10 +320,10 @@ def test_solve_memory_stays_within_a_few_fields(monkeypatch):
     # work term, which apply_g overwrites in place, all in the sweep layout
     # (M + 1 values per (y, k)), plus one application's padded buffer:
     # measured 4.59 block sizes (K M n_y complex values) for blocks of 42
-    # and 22 rows, which a 16 MiB budget makes at this grid (the default
-    # budget fits it in one block); that is 3.0 field sizes for the
-    # first, against 4.6 for a whole-field solve
-    monkeypatch.setattr(scattering, "_BLOCK_BYTES", 1 << 24)
+    # and 22 rows, which a 32 MiB budget for the two families' blocks
+    # makes at this grid (the default budget fits it in one block); that
+    # is 3.0 field sizes for the first, against 4.6 for a whole-field solve
+    monkeypatch.setattr(scattering, "_BLOCK_BYTES", 1 << 25)
     wg, ut = build_small(0.02, 64, 64)
     plan = _VolterraPlan(ut, wg)
     blocks = scattering.direct_map_blocks(wg)
@@ -338,17 +340,20 @@ def test_solve_memory_stays_within_a_few_fields(monkeypatch):
         assert peak < 6.8 * block_bytes
 
 
-def test_direct_map_holds_one_family_at_a_time(monkeypatch):
+def test_direct_map_holds_one_block_per_family(monkeypatch):
     # the plan and T1 once, then each block of k rows of each family
-    # solved, assembled and released: the three arrays of one block's
-    # solve and one application's padded transform, never a whole mu#
-    # (measured 3.4 field sizes at this grid with a 16 MiB budget, blocks
-    # of 42 and 22 rows; the default budget fits it in one block, and
-    # solving each family whole takes 4.9, holding both families for
-    # assembly 6.9)
+    # solved, assembled and released, both families at the same time:
+    # per family the three arrays of one block's solve and one
+    # application's padded transform, never a whole mu# (measured 3.5
+    # field sizes at this grid with a 16 MiB budget for both families'
+    # blocks, of 21, 21, 21 and 1 rows each, 6.4 with 32 MiB and blocks of
+    # 42 and 22; the default budget fits it in one block, and solving
+    # each family whole takes 4.9, holding both families for assembly 6.9)
     monkeypatch.setattr(scattering, "_BLOCK_BYTES", 1 << 24)
     field = small_field(0.02)
     wg = ScatteringGrids(Grid1D(-8.0, 8.0, 64), Grid1D(-8.0, 8.0, 64))
+    assert [b.stop - b.start for b in scattering.direct_map_blocks(wg)] == \
+        [21, 21, 21, 1]
     m, ny = wg.n_kl, wg.n_y
     field_bytes = m ** 2 * ny * 16
     tracemalloc.start()
@@ -358,22 +363,23 @@ def test_direct_map_holds_one_family_at_a_time(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 5.1 * field_bytes
-    # direct_map_bytes counts the block and the whole-grid tables beside
-    # it: the plan's five M^2 tables (w0, w1, r complex, at and q 8
-    # bytes), T1 and the two kernels, and the two convolution plans
-    # (3M/2 + 2M values per layer)
+    # direct_map_bytes counts two blocks, one per family, and the
+    # whole-grid tables beside them: the plan's five M^2 tables (w0, w1,
+    # r complex, at and q 8 bytes), T1 and the two kernels, and the two
+    # convolution plans (3M/2 + 2M values per layer)
     tables = (3 * 16 + 2 * 8) * m ** 2 + 3 * 16 * m ** 2 + 16 * 7 * m // 2 * ny
     rows = scattering.direct_map_blocks(wg)[0]
     assert scattering.direct_map_bytes(wg) == \
-        (rows.stop - rows.start) * scattering._row_bytes(wg) + tables
+        2 * (rows.stop - rows.start) * scattering._row_bytes(wg) + tables
     assert peak <= scattering.direct_map_bytes(wg)
 
 
 @pytest.mark.parametrize("n_kl", [256, 512])
 def test_direct_map_bytes_covers_the_tables_at_few_y_layers(n_kl):
-    # with few y layers the M^2 tables outweigh the block: traced peaks of
-    # 26.4 MiB at n_kl = 256 and 47.8 MiB at 512, n_y = 16, against 24 MiB
-    # for the block alone, which was all direct_map_bytes once counted
+    # with few y layers the M^2 tables outweigh the blocks: traced peaks
+    # of 26.6 MiB at n_kl = 256 and 47.9 MiB at 512, n_y = 16, against
+    # 24 MiB for the two blocks, one per family, which were all
+    # direct_map_bytes once counted
     wg = ScatteringGrids(Grid1D(-8.0, 8.0, n_kl), Grid1D(-8.0, 8.0, 16))
     field = small_field(0.02)
     tracemalloc.start()
@@ -383,7 +389,7 @@ def test_direct_map_bytes_covers_the_tables_at_few_y_layers(n_kl):
     finally:
         tracemalloc.stop()
     rows = scattering.direct_map_blocks(wg)[0]
-    assert peak > (rows.stop - rows.start) * scattering._row_bytes(wg)
+    assert peak > 2 * (rows.stop - rows.start) * scattering._row_bytes(wg)
     assert peak <= scattering.direct_map_bytes(wg)
 
 
@@ -398,7 +404,7 @@ def test_direct_map_builds_its_tables_once(monkeypatch):
             super().__init__(ut_work, grids, pad)
 
     monkeypatch.setattr(scattering, "_ConvolutionPlan", Counted)
-    monkeypatch.setattr(scattering, "_BLOCK_BYTES", 20 * 6 * 16 * 64 * 64)
+    monkeypatch.setattr(scattering, "_BLOCK_BYTES", 40 * 6 * 16 * 64 * 64)
     wg = ScatteringGrids(Grid1D(-8.0, 8.0, 64), Grid1D(-8.0, 8.0, 64))
     assert len(scattering.direct_map_blocks(wg)) == 4
     harness.compute_scattering(small_field(0.02), wg)
@@ -407,15 +413,15 @@ def test_direct_map_builds_its_tables_once(monkeypatch):
 
 def test_direct_map_blocks_match_one_block(monkeypatch):
     # G couples no two k rows, so a blocked direct map is the one-block
-    # map up to where each block's series stops: a budget of 20 rows gives
-    # blocks of 20, 20, 20 and 4 on the 64-point grid
+    # map up to where each block's series stops: a budget of 20 rows per
+    # family gives blocks of 20, 20, 20 and 4 on the 64-point grid
     field = small_field(0.02)
     wg = ScatteringGrids(Grid1D(-8.0, 8.0, 64), Grid1D(-8.0, 8.0, 64))
     with monkeypatch.context() as mp:
-        mp.setattr(scattering, "_BLOCK_BYTES", 1 << 40)
+        mp.setattr(scattering, "_BLOCK_BYTES", 1 << 41)
         assert len(scattering.direct_map_blocks(wg)) == 1
         one, _ = harness.compute_scattering(field, wg)
-    monkeypatch.setattr(scattering, "_BLOCK_BYTES", 20 * 6 * 16 * 64 * 64)
+    monkeypatch.setattr(scattering, "_BLOCK_BYTES", 40 * 6 * 16 * 64 * 64)
     assert [b.stop - b.start for b in scattering.direct_map_blocks(wg)] == \
         [20, 20, 20, 4]
     iterations = {+1: [], -1: []}
@@ -446,6 +452,71 @@ def test_direct_map_blocks_match_one_block(monkeypatch):
         assert len(iterations[sign]) == 4
         assert blocked.meta[f"mu_{name}_iterations"] == max(iterations[sign])
         assert blocked.meta[f"mu_{name}_residual"] <= 1e-10
+
+
+def test_direct_map_threads_keep_the_answers(monkeypatch):
+    # the families share only read-only tables (the plan and T1), so one
+    # worker, which runs them one after the other, and two, which run
+    # them at the same time, give the same kernels and figures bit for
+    # bit, over four blocks a family
+    field = small_field(0.02)
+    wg = ScatteringGrids(Grid1D(-8.0, 8.0, 64), Grid1D(-8.0, 8.0, 64))
+    monkeypatch.setattr(scattering, "_BLOCK_BYTES", 40 * 6 * 16 * 64 * 64)
+    assert len(scattering.direct_map_blocks(wg)) == 4
+    threads = {}
+
+    def spied(plan, sign, **kwargs):
+        threads.setdefault(sign, set()).add(threading.get_ident())
+        return solve_mu_sharp(plan, sign, **kwargs)
+
+    monkeypatch.setattr(harness, "solve_mu_sharp", spied)
+    maps = {}
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the threads trade the lock often
+    try:
+        for workers in (1, 2):
+            threads.clear()
+            monkeypatch.setattr(harness, "_workers", lambda: workers)
+            maps[workers], _ = harness.compute_scattering(field, wg)
+            # each family runs on one thread, the same one with one worker
+            assert len(threads[+1]) == len(threads[-1]) == 1
+            assert len(threads[+1] | threads[-1]) == workers
+    finally:
+        sys.setswitchinterval(switch)
+    for name in ("T_plus", "T_minus", "T1"):
+        assert np.array_equal(getattr(maps[1], name), getattr(maps[2], name))
+    assert maps[1].meta == maps[2].meta
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("failing", [(+1,), (-1,), (+1, -1)])
+def test_a_failing_family_stops_the_direct_map(monkeypatch, workers,
+                                               failing):
+    # compute_scattering raises the error the serial map raised, the +1
+    # family's where both fail, and only once its threads have stopped
+    def failing_solve(plan, sign, **kwargs):
+        if sign in failing:
+            raise RuntimeError(f"family {sign} failed")
+        return solve_mu_sharp(plan, sign, **kwargs)
+
+    monkeypatch.setattr(harness, "solve_mu_sharp", failing_solve)
+    monkeypatch.setattr(harness, "_workers", lambda: workers)
+    wg = ScatteringGrids(Grid1D(-8.0, 8.0, 32), Grid1D(-8.0, 8.0, 32))
+    caught = []
+
+    def run():
+        try:
+            harness.compute_scattering(small_field(0.02), wg)
+        except RuntimeError as exc:
+            caught.append(str(exc))
+
+    before = threading.active_count()
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive()
+    assert caught == [f"family {failing[0]} failed"]
+    assert threading.active_count() == before
 
 
 def test_apply_g_works_in_place(work128):
@@ -622,7 +693,7 @@ def test_direct_map_matches_the_two_sweep_reference(monkeypatch):
     # residuals to rounding of their norms
     field = small_field(0.02)
     wg = ScatteringGrids(Grid1D(-8.0, 8.0, 32), Grid1D(-8.0, 8.0, 32))
-    monkeypatch.setattr(scattering, "_BLOCK_BYTES", 12 * 6 * 16 * 32 * 32)
+    monkeypatch.setattr(scattering, "_BLOCK_BYTES", 24 * 6 * 16 * 32 * 32)
     assert len(scattering.direct_map_blocks(wg)) == 3
     data, _ = harness.compute_scattering(field, wg)
     monkeypatch.setattr(harness, "solve_mu_sharp", two_sweep_solve_mu_sharp)
