@@ -20,7 +20,6 @@ import numpy as np
 
 from .grids import PotentialField, check_conditions, partial_fourier_x
 from .io import ExperimentConfig, RaySpec, write_csv
-from .oscillatory import oscillatory_integral, oscillatory_tail
 from .phase_airy import (RayCoordinates, RegionLabel, cubic_phase_transform,
                          half_airy_H)
 # reconstruct is not called here: perfbench wraps this module's global of
@@ -418,23 +417,6 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def _cubic_phase_quadrature(a: float, t: float, xi: float) -> float:
-    """Independent slow route for the cubic-phase transform: refined
-    Simpson on the half line plus a two-term integration-by-parts tail."""
-    w = xi + 12.0 * t * a
-    phi = lambda k: w * k + 4.0 * t * k**3
-    dphi = lambda k: w + 12.0 * t * k**2
-    d2phi = lambda k: 24.0 * t * k
-    s_max = np.sqrt(max(0.0, -w) / (12.0 * t))
-    L = s_max + 2.0
-    while abs(d2phi(L)) / abs(dphi(L)) ** 3 > 1e-10:
-        L *= 1.3
-    head = oscillatory_integral(0.0, L, phi, dphi, pts_per_wave=128,
-                                n_cells=max(256, int(16 * L)))
-    tail, _ = oscillatory_tail(phi, dphi, d2phi, L)
-    return 2.0 * (head + tail).real / np.sqrt(2.0 * np.pi)
-
-
 def _nondegenerate_sup(t: float, k_lowers) -> float:
     # ratio sup of |H| / (t^(-1/2) (1 + |xi|)) at a = -1. The two
     # stationary points interfere, so the pointwise |H| oscillates in xi
@@ -510,11 +492,12 @@ def _airy_bound_rows(airy_rows) -> list:
                               "|a| <= 0.05"))
     a_id, t_id, xi_id = -1.0, 2.0, 0.5
     closed = cubic_phase_transform(a_id, t_id, xi_id)
-    quad = _cubic_phase_quadrature(a_id, t_id, xi_id)
+    # the full-line H at -xi is the same integral times sqrt(2 pi)
+    quad = half_airy_H(t_id, a_id, -xi_id).real / np.sqrt(2.0 * np.pi)
     rel = abs(closed - quad) / abs(quad)
     rows.append(BoundRow("airy.quadrature.identity", float(rel),
                          AIRY_IDENTITY_TOL, rel <= AIRY_IDENTITY_TOL,
-                         note=f"closed form vs slow quadrature at "
+                         note=f"closed form vs half_airy_H quadrature at "
                               f"(a,t,xi)=({a_id},{t_id},{xi_id})"))
     return rows
 

@@ -48,6 +48,18 @@ def _grid_from(entry: dict) -> Grid1D:
     return Grid1D(float(entry["min"]), float(entry["max"]), int(entry["n"]))
 
 
+def _mapping(value, path, key: str) -> dict:
+    """value when it is a mapping, else a ValueError naming the file and
+    the key, which the CLI reports as an error instead of a traceback."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{path}: {key} must be a mapping, got {value!r}")
+    return value
+
+
+def _sidecar(path: pathlib.Path) -> dict:
+    return _mapping(yaml.safe_load(path.read_text()), path, "the sidecar")
+
+
 def _base_path(path) -> pathlib.Path:
     p = pathlib.Path(path)
     if p.suffix in (".bin", ".yaml", ".yml"):
@@ -78,7 +90,7 @@ def save_potential(field: PotentialField, path, extra: dict | None = None
 
 def load_potential(path) -> PotentialField:
     base = _base_path(path)
-    side = yaml.safe_load(base.with_suffix(".yaml").read_text())
+    side = _sidecar(base.with_suffix(".yaml"))
     if side.get("format") != POTENTIAL_FORMAT:
         raise ValueError(f"{base}: not a potential file "
                          f"(format {side.get('format')!r})")
@@ -120,7 +132,7 @@ def load_scattering(directory) -> ScatteringData:
     d = pathlib.Path(directory)
     if d.suffix in (".yaml", ".yml"):
         d = d.parent
-    side = yaml.safe_load((d / "scattering.yaml").read_text())
+    side = _sidecar(d / "scattering.yaml")
     if side.get("format") != SCATTERING_FORMAT:
         raise ValueError(f"{d}: not a scattering directory "
                          f"(format {side.get('format')!r})")
@@ -250,9 +262,7 @@ class ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     p = pathlib.Path(path)
-    raw = yaml.safe_load(p.read_text())
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: config must be a mapping")
+    raw = _mapping(yaml.safe_load(p.read_text()), path, "the config")
 
     pot = raw.get("potential")
     pot_path = None
@@ -269,7 +279,7 @@ def load_config(path) -> ExperimentConfig:
     else:
         raise ValueError(f"{path}: 'potential' must be a path or a table")
 
-    sc = raw.get("scattering") or {}
+    sc = _mapping(raw.get("scattering") or {}, path, "scattering")
     half_width = float(sc.get("half_width", 8.0))
     if not 0 < half_width < np.inf:
         raise ValueError(f"{path}: scattering.half_width must be finite and "
@@ -285,7 +295,7 @@ def load_config(path) -> ExperimentConfig:
     tol = float(raw.get("tol", 1e-10))
     if not 0 < tol < np.inf:
         raise ValueError(f"{path}: tol must be finite and positive")
-    times = raw.get("times") or {}
+    times = _mapping(raw.get("times") or {}, path, "times")
     t_min = float(times.get("t_min", 10.0))
     t_max = float(times.get("t_max", 100.0))
     n_times = int(times.get("n", 12))
@@ -297,21 +307,31 @@ def load_config(path) -> ExperimentConfig:
     if n_times < 6:
         raise ValueError(f"{path}: need at least 6 time samples")
 
-    def _window(entry, key):
+    def _window(entry, ray, key):
         window = entry.get(key)
         if window is None:
             return None
+        if not isinstance(window, list) or len(window) != 2:
+            raise ValueError(f"{path}: {ray}.{key} must be a pair [lo, hi], "
+                             f"got {window!r}")
         lo, hi = (float(w) for w in window)
         if lo > hi:
-            raise ValueError(f"{path}: {key} bounds out of order")
+            raise ValueError(f"{path}: {ray}.{key} bounds out of order")
         return (lo, hi)
 
+    entries = raw.get("rays") or []
+    if not isinstance(entries, list):
+        raise ValueError(f"{path}: rays must be a list, got {entries!r}")
     rays = []
-    for entry in raw.get("rays") or []:
+    for i, entry in enumerate(entries):
+        ray = f"rays[{i}]"
+        entry = _mapping(entry, path, ray)
+        if "xi" not in entry:
+            raise ValueError(f"{path}: {ray} needs xi")
         rays.append(RaySpec(float(entry["xi"]), float(entry.get("eta", 0.0)),
                             str(entry.get("label", "")),
-                            _window(entry, "slope_window"),
-                            _window(entry, "linear_slope_window")))
+                            _window(entry, ray, "slope_window"),
+                            _window(entry, ray, "linear_slope_window")))
 
     return ExperimentConfig(
         potential_path=pot_path,

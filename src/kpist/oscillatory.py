@@ -9,7 +9,7 @@ lives comfortably on a coarse base grid. Three tools cover all uses:
    with series evaluation near theta*h = 0 to avoid cancellation. The
    scattering solve and kernel assembly sum the panels by recurrence.
 
-2. A cell-refined Simpson engine on a base grid (oscillatory_integral):
+2. A cell-refined Boole engine on a base grid (oscillatory_integral):
    each base cell is subdivided until the local phase advances at most
    2 pi / pts_per_wave per sample, and cells are processed in groups of
    equal refinement.
@@ -94,19 +94,22 @@ def _plan_refinement(base_points, dphi, pts_per_wave, crit_points=()):
     return p
 
 
-def _simpson_weights(p):
-    w = np.ones(p + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w / 3.0
+def _boole_weights(p):
+    """Composite Boole weights on p + 1 samples (p a multiple of 4), in
+    units of the sample spacing: (2/45) [7, 32, 12, 32, 14, ..., 32, 7]."""
+    w = np.full(p + 1, 32.0)
+    w[2::4] = 12.0
+    w[4::4] = 14.0
+    w[[0, -1]] = 7.0
+    return w * (2.0 / 45.0)
 
 
 def oscillatory_integral(a, b, phi, dphi, pts_per_wave=16, n_cells=64,
                          crit_points=()):
-    """Int_a^b e^(i phi(x)) dx by cell-refined Simpson.
+    """Int_a^b e^(i phi(x)) dx by cell-refined composite Boole.
 
     The interval is first split into n_cells equal cells; each cell is
-    then refined for the phase.
+    then refined for the phase, into a power of two >= 4 of panels.
     """
     base = np.linspace(a, b, n_cells + 1)
     p = _plan_refinement(base, dphi, pts_per_wave, crit_points)
@@ -117,7 +120,7 @@ def oscillatory_integral(a, b, phi, dphi, pts_per_wave=16, n_cells=64,
         h = (base[cells + 1] - base[cells])[:, None]
         s = (np.arange(pc + 1) / pc)[None, :]
         x = aa + h * s
-        w = _simpson_weights(pc)[None, :] * (h / pc)
+        w = _boole_weights(pc)[None, :] * (h / pc)
         total += (w * np.exp(1j * phi(x))).sum()
     return total
 

@@ -22,11 +22,11 @@ The model integral behind the transition region is
         = (2 pi)^(-1/2) Int e^(-i xi k) e^(-i t (12 a k + 4 k^3)) dk
         = sqrt(2 pi) (12 t)^(-1/3) Ai( (12 t)^(2/3) (a + xi/(12 t)) ),
 
-implemented through the closed form with Ai from scipy.special; the
-verification suite checks it against a quadrature route
-(harness._cubic_phase_quadrature).
-Half-line variants (half_airy_H) are evaluated by phase-refined
-quadrature plus integration-by-parts tails.
+implemented through the closed form with Ai from scipy.special. The
+line and half-line integrals H (half_airy_H) are evaluated by
+phase-refined quadrature plus integration-by-parts tails; on the full
+line H(t, a, -xi) / sqrt(2 pi) is the same transform, which the
+verification suite checks against the closed form.
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ def half_airy_H(t, a, xi, k_lower=-np.inf):
 
     k_lower = -inf gives the full line, where H equals
     2 pi (12 t)^(-1/3) Ai((12 t)^(2/3) (a - xi/(12 t))) exactly.
-    Quadrature: stationary-phase-refined Simpson (32 points per wave) out
+    Quadrature: stationary-phase-refined Boole (32 points per wave) out
     to a cut beyond all stationary points, closed with two-term
     integration-by-parts tails whose leading neglected piece is below
     HALF_AIRY_TOL.

@@ -455,28 +455,12 @@ class SplineKernels:
 
     def _dense(self, sign: int) -> np.ndarray:
         """One family (sign 0: the unmasked T1) as an n_fine^2 array,
-        filled in blocks of columns j0 .. j1: each block is
-        (B C)[rows, a] B[j0:j1, a]^T over the few coefficients a that the
-        block's own points reach, on the rows the family's triangle
-        reaches; the other rows are exact zeros."""
+        W_sigma (B C_sigma B^T), with B^T dense from the band."""
         f, m = self._band.first, self.grids.n_kl
         bt = np.zeros((self._band.n_coef, m))
         bt[f + np.arange(4)[:, None], np.arange(m)] = self._band.vals
-        bc = bt.T @ self._coeffs[sign]
-        step = max(1, min(64, (1 << 17) // m))  # few coefficients per block
-        # the weights of a diagonal block depend only on the offset of
-        # column from row: every block takes one mask, a narrower block
-        # (a grid under step points) its corner
-        tri = _triangle_weights(step, sign) if sign else None
-        out = np.zeros((m, m), dtype=complex)
-        for j0 in range(0, m, step):
-            j1 = min(j0 + step, m)
-            a = slice(f[j0], f[j1 - 1] + 4)
-            r0, r1 = {+1: (0, j1), -1: (j0, m)}.get(sign, (0, m))
-            out[r0:r1, j0:j1] = bc[r0:r1, a] @ bt[a, j0:j1]
-            if sign:  # rows j0 .. j1 hold the diagonal
-                out[j0:j1, j0:j1] *= tri[:j1 - j0, :j1 - j0]
-        return out
+        out = (bt.T @ self._coeffs[sign]) @ bt
+        return out * _triangle_weights(m, sign) if sign else out
 
     # the reference arrays, built when first read
     T_plus = functools.cached_property(lambda self: self._dense(+1))

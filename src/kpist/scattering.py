@@ -65,7 +65,9 @@ Scattering kernels on the (k, l) grid, with p = l - k and q = l^2 - k^2:
 step the half-at-zero Heaviside. The delta route alone gives the
 linear-order kernel T1(k, l) = -(i / sqrt(2 pi)) Int e^(i q y) ut(p; y) dy,
 stored unmasked and built once by assemble_T1; assemble_T adds one
-family's convolution route to it, for the k rows of one block. The
+family's convolution route to it, for the k rows of one block. Both y
+integrals are the solve's Filon sweep at the rates q, read at layer 0
+(_filon_rows), so the package has one recurrence for Filon sums. The
 direct map (harness) runs the two families at once, a thread each, and
 each holds one block at a time: it solves a block of k rows, assembles
 its rows of T and releases its mu# before the next (direct_map_blocks,
@@ -487,8 +489,9 @@ def _row_bytes(grids: ScatteringGrids) -> int:
     per (l, y). The solve holds the three arrays of its series in the
     sweep layout (neumann_series; M + 1 values per (k, y) each) and one
     application's padded buffer (3M/2), 4.5 M + 3 values per (k, y) in
-    all; assembly holds mu# (M + 1), its padded transform (2 M), the
-    gathered amplitudes and their panel sums, 5 M + 1 at most."""
+    all; assembly holds mu# (M + 1), its padded transform (2 M) and the
+    gathered amplitudes (M), which the Filon sum overwrites, 4 M + 1 at
+    most. The solve's 4.5 M + 3 bounds the block."""
     return 6 * 16 * grids.n_kl * grids.n_y
 
 
@@ -682,19 +685,13 @@ class ScatteringData:
 def _filon_rows(amps: np.ndarray, q: np.ndarray,
                 grids: ScatteringGrids) -> np.ndarray:
     """Int e^(i q y) amp(y) dy over the y grid for y-leading amps
-    (n_y, K, M) at rates q (K, M): Filon panel sums
-    w0 a_j + w1 a_(j+1), summed by Horner in z = e^(i q dy) over
-    contiguous slabs, times e^(i q y0)."""
+    (n_y, K, M) at rates q (K, M): Sum_j z^j (w0 a_j + w1 a_(j+1)) over
+    the Filon panel weights, z = e^(i q dy), by the solve's downward sweep
+    (_sweep_down), times e^(i q y0). Overwrites amps."""
     dy = grids.grid_y.spacing
     m0, m1 = filon_moments(q * dy)
-    p = np.multiply(dy * (m0 - m1), amps[:-1])
-    p += (dy * m1) * amps[1:]
-    z = np.exp(1j * q * dy)
-    acc = p[-1].copy()
-    for j in range(len(p) - 2, -1, -1):
-        acc *= z
-        acc += p[j]
-    return np.exp(1j * q * grids.grid_y.points[0]) * acc
+    _sweep_down(amps, dy * (m0 - m1), dy * m1, np.exp(1j * q * dy))
+    return np.exp(1j * q * grids.grid_y.points[0]) * amps[0]
 
 
 def triangular_products(T_plus: np.ndarray, T_minus: np.ndarray,
@@ -736,8 +733,10 @@ def assemble_T1(plan: _VolterraPlan) -> np.ndarray:
     Takes no convolution: ut at p = l - k sits at index at = d + M/2
     (mod 2M) of the transform zero-padded to 2M, which reads a zero for
     every offset outside the working window. Runs over the blocks of
-    direct_map_blocks: per block, the gathered amplitudes and their panel
-    sums.
+    direct_map_blocks: per block, one gather of the amplitudes, which
+    _filon_rows sums in place. The gather is np.take, whose result is
+    C-ordered (a fancy index pad[:, at] is not, and the sweep over it
+    rounds differently).
     """
     grids = plan.grids
     m = grids.n_kl
@@ -745,8 +744,8 @@ def assemble_T1(plan: _VolterraPlan) -> np.ndarray:
     pad[:, :m] = plan.ut.T
     T1 = np.empty((m, m), dtype=np.complex128)
     for ks in direct_map_blocks(grids):
-        T1[ks] = -(1j / SQRT_2PI) * _filon_rows(pad[:, plan.at[ks]],
-                                                plan.q[ks], grids)
+        amps = np.take(pad, plan.at[ks], axis=1)
+        T1[ks] = -(1j / SQRT_2PI) * _filon_rows(amps, plan.q[ks], grids)
     return T1
 
 
@@ -763,8 +762,9 @@ def assemble_T(mu: MuSharpField, plan: _VolterraPlan, T1: np.ndarray,
     The length-2M convolution of mu#'s halves is exact at every offset p
     either family reads, so p sits on the lattice and no interpolation
     enters. One gather (plan.at) takes the columns the family's triangle
-    keeps and one Filon sum integrates them; the other columns stay exact
-    zeros. Every array is y-leading, over (y, k, l) as the sweep layout.
+    keeps and one Filon sum (_filon_rows, in place on the gather)
+    integrates them; the other columns stay exact zeros. Every array is
+    y-leading, over (y, k, l) as the sweep layout.
     """
     _check_operand(plan, mu.values)
     m = plan.grids.n_kl

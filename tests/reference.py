@@ -12,6 +12,9 @@ figure of a property the paper relies on:
     test_oscillatory; the direct loops that check the recurrences of the
     direct map (g_on_delta, apply_g) and its y integrals (assemble_T,
     assemble_T1) sum with them.
+  * filon_rows: assembly's full-line Filon sum by Horner's rule over
+    contiguous slabs, against which scattering._filon_rows, the solve's
+    one sweep run on the gathered amplitudes, is checked bit for bit.
   * _offset_kernel: the offset table of the l-convolution, from which the
     direct loops check scattering._ConvolutionPlan, apply_g and assembly.
   * volterra_integral, two_sweep_g_on_delta, two_sweep_apply_g,
@@ -156,6 +159,24 @@ def cumulative_phase_integral(c, dy, theta, from_top=False):
     else:
         out[..., 1:] = np.cumsum(p, axis=-1)
     return out
+
+
+def filon_rows(amps: np.ndarray, q: np.ndarray,
+               grids: ScatteringGrids) -> np.ndarray:
+    """Int e^(i q y) amp(y) dy over the y grid for y-leading amps
+    (n_y, K, M) at rates q (K, M): Filon panel sums
+    w0 a_j + w1 a_(j+1), summed by Horner in z = e^(i q dy) over
+    contiguous slabs, times e^(i q y0). Leaves amps as it is."""
+    dy = grids.grid_y.spacing
+    m0, m1 = filon_moments(q * dy)
+    p = np.multiply(dy * (m0 - m1), amps[:-1])
+    p += (dy * m1) * amps[1:]
+    z = np.exp(1j * q * dy)
+    acc = p[-1].copy()
+    for j in range(len(p) - 2, -1, -1):
+        acc *= z
+        acc += p[j]
+    return np.exp(1j * q * grids.grid_y.points[0]) * acc
 
 
 # ---------------------------------------------------------------- direct map

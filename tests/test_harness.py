@@ -13,15 +13,14 @@ from kpist import harness, scattering
 from kpist import reconstruct as reconstruct_module
 from kpist.grids import Grid1D, check_conditions, make_test_potential
 from kpist.harness import (CLUSTER_SIZE, BoundRow, DecayFit, VerifyReport,
-                           _airy_bound_rows, _cubic_phase_quadrature,
-                           _hs_proxy, airy_ratio_tables, cluster_times,
-                           compute_scattering, decay_fit_passes,
+                           _airy_bound_rows, _hs_proxy, airy_ratio_tables,
+                           cluster_times, compute_scattering, decay_fit_passes,
                            fit_power_law, run_decay_fit, run_linear_baseline,
                            run_verify_suite, write_airy_csv,
                            write_decay_csv, write_verify_csv)
 from kpist.grids import PotentialField
 from kpist.io import ExperimentConfig, RaySpec, save_potential
-from kpist.phase_airy import RegionLabel, cubic_phase_transform
+from kpist.phase_airy import RegionLabel, cubic_phase_transform, half_airy_H
 from kpist.scattering import ScatteringData, ScatteringGrids
 
 
@@ -570,7 +569,7 @@ class TestAiryTables:
 
     def test_quadrature_identity(self):
         closed = cubic_phase_transform(-1.0, 2.0, 0.5)
-        quad = _cubic_phase_quadrature(-1.0, 2.0, 0.5)
+        quad = half_airy_H(2.0, -1.0, -0.5).real / np.sqrt(2.0 * np.pi)
         assert abs(closed - quad) / abs(quad) <= 1e-6
 
     def test_small_t_tables_sane(self):

@@ -82,6 +82,15 @@ class TestPotentialFiles:
         with pytest.raises(ValueError, match="not a potential"):
             load_potential(tmp_path / "x")
 
+    @pytest.mark.parametrize("text", ["", "[1, 2]\n"], ids=["empty", "list"])
+    def test_sidecar_not_a_mapping(self, tmp_path, text):
+        # an empty or list sidecar is refused naming the file, not with
+        # an AttributeError from its .get
+        (tmp_path / "x.yaml").write_text(text)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{tmp_path / 'x.yaml'}: the sidecar must be a mapping")):
+            load_potential(tmp_path / "x")
+
 
 class TestScatteringFiles:
     def test_round_trip(self, tmp_path):
@@ -120,6 +129,15 @@ class TestScatteringFiles:
         d.mkdir()
         (d / "scattering.yaml").write_text(yaml.safe_dump({"format": "x"}))
         with pytest.raises(ValueError, match="not a scattering"):
+            load_scattering(d)
+
+    @pytest.mark.parametrize("text", ["", "8\n"], ids=["empty", "scalar"])
+    def test_sidecar_not_a_mapping(self, tmp_path, text):
+        d = tmp_path / "d"
+        d.mkdir()
+        (d / "scattering.yaml").write_text(text)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{d / 'scattering.yaml'}: the sidecar must be a mapping")):
             load_scattering(d)
 
 
@@ -297,4 +315,23 @@ class TestConfig:
         p.write_text("potential: {amplitude: 0.05}\n"
                      "rays: [{xi: 1.0, slope_window: [0.5, -0.5]}]\n")
         with pytest.raises(ValueError, match="out of order"):
+            load_config(p)
+
+    # malformed entries are refused naming the file and the key, where
+    # they raised KeyError, TypeError or AttributeError, or a ValueError
+    # naming neither, from deep inside the parse
+    @pytest.mark.parametrize("body, text", [
+        ("rays: [{eta: 0.0}]", "rays[0] needs xi"),
+        ("rays: [[1.0, 0.0]]", "rays[0] must be a mapping"),
+        ("rays: 5", "rays must be a list"),
+        ("times: 5", "times must be a mapping"),
+        ("scattering: 8", "scattering must be a mapping"),
+        ("rays: [{xi: 1.0, slope_window: [1]}]",
+         "rays[0].slope_window must be a pair")],
+        ids=["ray_without_xi", "ray_as_list", "rays_scalar", "times_scalar",
+             "scattering_scalar", "window_of_one"])
+    def test_malformed_entry(self, tmp_path, body, text):
+        p = tmp_path / "c.yaml"
+        p.write_text(f"potential: {{amplitude: 0.05}}\n{body}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{p}: {text}")):
             load_config(p)

@@ -1,8 +1,9 @@
 """Phases, region labels, Airy evaluator, and stationary-phase integrals.
 
 Oracles: mpmath.airyai at 30 digits and direct oscillatory quadrature
-through the independently validated cell-Simpson engine. The closed-form/quadrature agreement below pins the
-sign convention inside cubic_phase_transform's Airy argument.
+through the independently validated cell-refined Boole engine. The
+agreement of the closed form with the full-line half_airy_H below pins
+the sign convention inside cubic_phase_transform's Airy argument.
 """
 
 import mpmath
@@ -11,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kpist.harness import _cubic_phase_quadrature
 from kpist.oscillatory import oscillatory_integral, oscillatory_tail
 from kpist.phase_airy import (
     RayCoordinates,
@@ -94,10 +94,11 @@ class TestCubicPhaseTransform:
     @pytest.mark.parametrize("t", [0.5, 2.0, 10.0])
     def test_closed_form_matches_quadrature(self, a, xi, t):
         # the quadrature route of the verify row airy.quadrature.identity:
-        # (2 pi)^(-1/2) * 2 Int_0^inf cos(w k + 4 t k^3) dk with
-        # w = xi + 12 t a, by refined Simpson plus two-term tails
+        # the full-line H at -xi over sqrt(2 pi), by refined Boole plus
+        # two-term tails at both ends
         closed = cubic_phase_transform(a, t, xi)
-        assert abs(closed - _cubic_phase_quadrature(a, t, xi)) < 1e-6
+        quad = half_airy_H(t, a, -xi).real / np.sqrt(2.0 * np.pi)
+        assert abs(closed - quad) < 1e-6
 
     def test_mpmath_spot_value(self):
         a, t, xi = -1.0, 2.0, 0.5

@@ -36,6 +36,7 @@ from kpist.scattering import (
     apply_g,
     assemble_T,
     assemble_T1,
+    direct_map_blocks,
     g_on_delta,
     neumann_series,
     resample_transform,
@@ -48,6 +49,7 @@ from reference import (
     apply_g_kly,
     cumulative_phase_integral,
     diagnostic_mu_k_growth,
+    filon_rows,
     from_sweep,
     g_on_delta_kly,
     kernel_continuity_constant,
@@ -1002,6 +1004,41 @@ def test_assemble_T_matches_direct_toeplitz_assembly():
         if sign:
             w = w * np.where(sign * d > 0, 1.0, np.where(d == 0, 0.5, 0.0))
         assert np.max(np.abs(got - w)) <= 3e-15 * np.max(np.abs(w))
+
+
+def test_filon_rows_sweep_matches_the_horner_reference():
+    # the solve's sweep, run in place on C-ordered amplitudes, is the
+    # full-line Filon sum bit for bit, on both branches of filon_moments:
+    # the series below |q dy| = 0.6 and the closed form above
+    rng = np.random.default_rng(31)
+    g = small_grids(n_kl=8, n_y=32)
+    dy = g.grid_y.spacing
+    q = np.linspace(-3.0, 3.0, 3 * 8).reshape(3, 8) / dy
+    assert np.any(np.abs(q * dy) < 0.6) and np.any(np.abs(q * dy) > 0.6)
+    amps = (rng.standard_normal((g.n_y, 3, 8))
+            + 1j * rng.standard_normal((g.n_y, 3, 8)))
+    want = filon_rows(amps, q, g)
+    work = amps.copy()
+    got = scattering._filon_rows(work, q, g)
+    assert np.array_equal(got, want)
+    assert not np.array_equal(work, amps)  # the sum overwrites its operand
+
+
+def test_assemble_T1_matches_the_reference_loop():
+    # T1 on a 32^2 plan, block by block as assemble_T1 runs, each block's
+    # y integrals summed by Horner's rule (reference.filon_rows)
+    rng = np.random.default_rng(37)
+    g = small_grids(n_kl=32, n_y=32)
+    m = g.n_kl
+    ut = rng.standard_normal((m, g.n_y)) + 1j * rng.standard_normal((m, g.n_y))
+    plan = _VolterraPlan(ut, g)
+    pad = np.zeros((g.n_y, 2 * m), dtype=complex)
+    pad[:, :m] = ut.T
+    want = np.empty((m, m), dtype=complex)
+    for ks in direct_map_blocks(g):
+        want[ks] = -(1j / SQRT_2PI) * filon_rows(pad[:, plan.at[ks]],
+                                                 plan.q[ks], g)
+    assert np.array_equal(assemble_T1(plan), want)
 
 
 def test_assemble_T_chunks_sum_only_their_triangle():
