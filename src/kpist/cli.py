@@ -16,10 +16,9 @@ import numpy as np
 import yaml
 
 from .grids import Grid1D, make_test_potential
-from .harness import (airy_ratio_tables, _airy_bound_rows, compute_scattering,
-                      decay_fit_passes, run_decay_fit, run_linear_baseline,
-                      run_verify_suite, write_airy_csv, write_decay_csv,
-                      write_verify_csv, VerifyReport)
+from .harness import (compute_scattering, decay_fit_passes, run_decay_fit,
+                      run_linear_baseline, run_verify_suite, write_airy_csv,
+                      write_decay_csv, write_verify_csv)
 from .io import (load_config, load_potential, load_probes, load_scattering,
                  save_potential, save_scattering, write_array, write_csv)
 from .oracle import STEP_TOL, evolve
@@ -186,14 +185,8 @@ def _cmd_decay_fit(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.config == "airy":
-        airy_rows = airy_ratio_tables()
-        rows = _airy_bound_rows(airy_rows)
-        report = VerifyReport(tuple(rows), tuple(airy_rows),
-                              all(r.passed for r in rows))
-    else:
-        report = run_verify_suite(load_config(args.config),
-                                  include_airy=not args.skip_airy)
+    config = None if args.config == "airy" else load_config(args.config)
+    report = run_verify_suite(config, include_airy=not args.skip_airy)
     outdir = pathlib.Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     write_verify_csv(report, outdir / "verify_bounds.csv")

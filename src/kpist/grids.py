@@ -39,6 +39,8 @@ SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 ZERO_MODE_TOL = 1e-8
 # carrier wavenumber of the 'cosine_packet' test potential
 PACKET_WAVENUMBER = 2.0
+# the kinds make_test_potential synthesizes
+POTENTIAL_KINDS = ("gaussian_dx", "cosine_packet")
 
 
 def _is_power_of_two(n: int) -> bool:

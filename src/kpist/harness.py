@@ -27,7 +27,7 @@ from .phase_airy import (RayCoordinates, RegionLabel, cubic_phase_transform,
 from .reconstruct import (eval_u1, ray_resolution_grid,  # noqa: F401
                           reconstruct, reconstruct_points,
                           resample_scattering_data)
-from .rhp import CTOperator, solve_dmul_dx, weighted_l2
+from .rhp import CTOperator, derivative_data, solve_dmul_dx, weighted_l2
 from .scattering import (FamilyKernel, ScatteringData, ScatteringGrids,
                          _triangle_weights, _VolterraPlan, assemble_T,
                          assemble_T1, direct_map_blocks, direct_map_bytes,
@@ -503,29 +503,37 @@ def _airy_bound_rows(airy_rows) -> list:
 
 
 def _hs_proxy(base: ScatteringData) -> float:
-    # upper bound for the norm of the jump operator's x-derivative:
-    # Frobenius of each family's gap kernel i(l - k)K, summed over blocks
-    # of rows, times the grid weight, projectors and phase diagonals being
+    # upper bound for the norm of the jump operator's x-derivative: the
+    # Frobenius norms of the gap kernels i(l - k)K (rhp.derivative_data)
+    # times the grid weight, projectors and phase diagonals being
     # contractions in the weighted norm
-    pts = base.grids.grid_kl.points
-    norms = []
-    for kernel in (base.T_plus, base.T_minus):
-        sq = sum(np.sum(np.abs((pts - pts[i:i + 64, None])
-                               * kernel[i:i + 64]) ** 2)
-                 for i in range(0, len(pts), 64))
-        norms.append(np.sqrt(sq))
-    return float(sum(norms) * base.grids.grid_kl.spacing)
+    gap = derivative_data(base)
+    return float((np.linalg.norm(gap.T_plus) + np.linalg.norm(gap.T_minus))
+                 * base.grids.grid_kl.spacing)
 
 
-def run_verify_suite(config: ExperimentConfig,
+def run_verify_suite(config: ExperimentConfig | None,
                      include_airy: bool = True) -> VerifyReport:
-    """Numerical inequality sweep on the configured potential.
+    """Numerical inequality sweep on the configured potential, with the
+    Airy ratio tables and their rows unless include_airy is false; a None
+    config gives the Airy rows alone (`kpist verify airy`).
 
     Every analytic bound the solvers rely on is evaluated with its
     frozen slack; a failing smallness report short-circuits the solves
     (iterating outside the contractive regime proves nothing) and marks
     the contraction row failed.
     """
+    rows = [] if config is None else _potential_rows(config)
+    airy_rows = []
+    if include_airy or config is None:
+        airy_rows = airy_ratio_tables()
+        rows.extend(_airy_bound_rows(airy_rows))
+    return VerifyReport(tuple(rows), tuple(airy_rows),
+                        all(r.passed for r in rows))
+
+
+def _potential_rows(config: ExperimentConfig) -> list:
+    """run_verify_suite's rows on the configured potential."""
     field = config.resolve_potential()
     pt = partial_fourier_x(field)
     report = check_conditions(field, pt)
@@ -572,7 +580,7 @@ def run_verify_suite(config: ExperimentConfig,
         rows.append(BoundRow("rhp.solution.l2", mu_norm,
                              2.0 * f_norm * 1.05, mu_norm <= 2.0 * f_norm * 1.05,
                              note="|mu - 1| vs twice the forcing, 5% slack"))
-        df_norm = weighted_l2(op.derivative(np.ones(grids.n_kl)), dl)
+        df_norm = weighted_l2(op.derivative_on_constant(), dl)
         d_limit = (2.0 * df_norm
                    + 4.0 * _hs_proxy(data) * f_norm) * 1.10
         d_norm = weighted_l2(sol.dmu_dx, dl)
@@ -580,12 +588,7 @@ def run_verify_suite(config: ExperimentConfig,
                              d_norm <= d_limit,
                              note="x-derivative norm vs chained bound with "
                                   "Hilbert-Schmidt proxies, 10% slack"))
-    airy_rows = []
-    if include_airy:
-        airy_rows = airy_ratio_tables()
-        rows.extend(_airy_bound_rows(airy_rows))
-    return VerifyReport(tuple(rows), tuple(airy_rows),
-                        all(r.passed for r in rows))
+    return rows
 
 
 DECAY_HEADER = ("label", "region", "xi", "eta", "a", "t", "value", "value_u1",

@@ -14,7 +14,7 @@ import pathlib
 import numpy as np
 import yaml
 
-from .grids import Grid1D, PotentialField, make_test_potential
+from .grids import POTENTIAL_KINDS, Grid1D, PotentialField, make_test_potential
 from .reconstruct import check_fine_cap
 from .scattering import ScatteringData, ScatteringGrids
 
@@ -44,8 +44,11 @@ def _grid_entry(g: Grid1D) -> dict:
     return {"min": float(g.min), "max": float(g.max), "n": int(g.n)}
 
 
-def _grid_from(entry: dict) -> Grid1D:
-    return Grid1D(float(entry["min"]), float(entry["max"]), int(entry["n"]))
+def _grid_from(side: dict, key: str, path) -> Grid1D:
+    entry = _mapping(side.get(key), path, key)
+    return Grid1D(_number(entry.get("min"), path, f"{key}.min"),
+                  _number(entry.get("max"), path, f"{key}.max"),
+                  _number(entry.get("n"), path, f"{key}.n", int))
 
 
 def _mapping(value, path, key: str) -> dict:
@@ -54,6 +57,37 @@ def _mapping(value, path, key: str) -> dict:
     if not isinstance(value, dict):
         raise ValueError(f"{path}: {key} must be a mapping, got {value!r}")
     return value
+
+
+def _number(value, path, key: str, kind=float):
+    """value converted by kind, float or int, else a ValueError naming the
+    file and the key, as _mapping. Null and booleans are refused, and int
+    takes integers only: 128.5 is refused, not truncated."""
+    try:
+        if isinstance(value, bool) or (kind is int
+                                       and not isinstance(value, int)):
+            raise TypeError
+        return kind(value)
+    except (TypeError, ValueError):
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{path}: {key} must be {noun}, got {value!r}"
+                         ) from None
+
+
+def _positive(value, path, key: str) -> float:
+    value = _number(value, path, key)
+    if not 0 < value < np.inf:
+        raise ValueError(f"{path}: {key} must be finite and positive, "
+                         f"got {value}")
+    return value
+
+
+def _grid_size(value, path, key: str) -> int:
+    n = _number(value, path, key, int)
+    if n < 8 or n & (n - 1):
+        raise ValueError(f"{path}: {key} must be a power of two >= 8, "
+                         f"got {n}")
+    return n
 
 
 def _sidecar(path: pathlib.Path) -> dict:
@@ -94,8 +128,8 @@ def load_potential(path) -> PotentialField:
     if side.get("format") != POTENTIAL_FORMAT:
         raise ValueError(f"{base}: not a potential file "
                          f"(format {side.get('format')!r})")
-    gx = _grid_from(side["grid_x"])
-    gy = _grid_from(side["grid_y"])
+    gx, gy = (_grid_from(side, key, base.with_suffix(".yaml"))
+              for key in ("grid_x", "grid_y"))
     values = read_array(base.with_suffix(".bin"), (gx.n, gy.n), False)
     return PotentialField(gx, gy, values)
 
@@ -136,8 +170,8 @@ def load_scattering(directory) -> ScatteringData:
     if side.get("format") != SCATTERING_FORMAT:
         raise ValueError(f"{d}: not a scattering directory "
                          f"(format {side.get('format')!r})")
-    grids = ScatteringGrids(_grid_from(side["grid_kl"]),
-                            _grid_from(side["grid_y"]))
+    grids = ScatteringGrids(*(_grid_from(side, key, d / "scattering.yaml")
+                              for key in ("grid_kl", "grid_y")))
     shape = (grids.n_kl, grids.n_kl)
     t_plus = read_array(d / "t_plus.bin", shape, True)
     t_minus = read_array(d / "t_minus.bin", shape, True)
@@ -246,13 +280,10 @@ class ExperimentConfig:
     def resolve_potential(self) -> PotentialField:
         if self.potential_path is not None:
             return load_potential(self.potential_path)
-        spec = dict(self.potential_spec)
-        half = float(spec.get("half_width", 32.0))
-        n = int(spec.get("n", 256))
-        g = Grid1D(-half, half, n)
-        return make_test_potential(str(spec.get("kind", "gaussian_dx")),
-                                   float(spec["amplitude"]),
-                                   float(spec.get("width", 1.0)), g, g)
+        spec = self.potential_spec  # complete and checked (load_config)
+        g = Grid1D(-spec["half_width"], spec["half_width"], spec["n"])
+        return make_test_potential(spec["kind"], spec["amplitude"],
+                                   spec["width"], g, g)
 
     def scattering_grids(self) -> ScatteringGrids:
         g = Grid1D(-self.kl_half_width, self.kl_half_width, self.n_kl)
@@ -275,30 +306,21 @@ def load_config(path) -> ExperimentConfig:
     elif isinstance(pot, dict):
         if "amplitude" not in pot:
             raise ValueError(f"{path}: potential table needs an amplitude")
-        pot_spec = pot
+        pot_spec = _potential_spec(pot, path)
     else:
         raise ValueError(f"{path}: 'potential' must be a path or a table")
 
     sc = _mapping(raw.get("scattering") or {}, path, "scattering")
-    half_width = float(sc.get("half_width", 8.0))
-    if not 0 < half_width < np.inf:
-        raise ValueError(f"{path}: scattering.half_width must be finite and "
-                         f"positive, got {half_width}")
-    n_kl, n_y = (int(sc.get(key, 128)) for key in ("n_kl", "n_y"))
-    for key, n in (("n_kl", n_kl), ("n_y", n_y)):
-        if n < 8 or n & (n - 1):
-            raise ValueError(f"{path}: scattering.{key} must be a power of "
-                             f"two >= 8, got {n}")
-    delta = float(raw.get("delta", 0.05))
-    if not 0 < delta < np.inf:
-        raise ValueError(f"{path}: delta must be finite and positive")
-    tol = float(raw.get("tol", 1e-10))
-    if not 0 < tol < np.inf:
-        raise ValueError(f"{path}: tol must be finite and positive")
+    half_width = _positive(sc.get("half_width", 8.0), path,
+                           "scattering.half_width")
+    n_kl, n_y = (_grid_size(sc.get(key, 128), path, f"scattering.{key}")
+                 for key in ("n_kl", "n_y"))
+    delta, tol = (_positive(raw.get(key, default), path, key)
+                  for key, default in (("delta", 0.05), ("tol", 1e-10)))
     times = _mapping(raw.get("times") or {}, path, "times")
-    t_min = float(times.get("t_min", 10.0))
-    t_max = float(times.get("t_max", 100.0))
-    n_times = int(times.get("n", 12))
+    t_min = _number(times.get("t_min", 10.0), path, "times.t_min")
+    t_max = _number(times.get("t_max", 100.0), path, "times.t_max")
+    n_times = _number(times.get("n", 12), path, "times.n", int)
     for key, value in (("t_min", t_min), ("t_max", t_max)):
         if not np.isfinite(value):
             raise ValueError(f"{path}: times.{key} must be finite")
@@ -314,7 +336,8 @@ def load_config(path) -> ExperimentConfig:
         if not isinstance(window, list) or len(window) != 2:
             raise ValueError(f"{path}: {ray}.{key} must be a pair [lo, hi], "
                              f"got {window!r}")
-        lo, hi = (float(w) for w in window)
+        lo, hi = (_number(w, path, f"{ray}.{key}[{i}]")
+                  for i, w in enumerate(window))
         if lo > hi:
             raise ValueError(f"{path}: {ray}.{key} bounds out of order")
         return (lo, hi)
@@ -328,7 +351,8 @@ def load_config(path) -> ExperimentConfig:
         entry = _mapping(entry, path, ray)
         if "xi" not in entry:
             raise ValueError(f"{path}: {ray} needs xi")
-        rays.append(RaySpec(float(entry["xi"]), float(entry.get("eta", 0.0)),
+        rays.append(RaySpec(_number(entry["xi"], path, f"{ray}.xi"),
+                            _number(entry.get("eta", 0.0), path, f"{ray}.eta"),
                             str(entry.get("label", "")),
                             _window(entry, ray, "slope_window"),
                             _window(entry, ray, "linear_slope_window")))
@@ -346,5 +370,31 @@ def load_config(path) -> ExperimentConfig:
         t_max=t_max,
         n_times=n_times,
         output_dir=str(raw.get("output_dir", p.parent / "out")),
-        fine_cap=check_fine_cap(int(raw.get("fine_cap", 8192))),
+        fine_cap=check_fine_cap(_number(raw.get("fine_cap", 8192), path,
+                                        "fine_cap", int)),
     )
+
+
+def _potential_spec(pot: dict, path) -> dict:
+    """A config's potential table, every key of resolve_potential filled
+    in from its defaults, converted and checked, naming the file and the
+    key: a known kind, a finite amplitude, a grid (Grid1D) of n points
+    over +-half_width that resolves the width with at least 8 points
+    (make_test_potential)."""
+    spec = {"kind": pot.get("kind", "gaussian_dx"),
+            "amplitude": _number(pot["amplitude"], path,
+                                 "potential.amplitude"),
+            "n": _grid_size(pot.get("n", 256), path, "potential.n")}
+    for key, default in (("width", 1.0), ("half_width", 32.0)):
+        spec[key] = _positive(pot.get(key, default), path, f"potential.{key}")
+    if spec["kind"] not in POTENTIAL_KINDS:
+        raise ValueError(f"{path}: potential.kind must be one of "
+                         f"{', '.join(POTENTIAL_KINDS)}, got {spec['kind']!r}")
+    if not np.isfinite(spec["amplitude"]):
+        raise ValueError(f"{path}: potential.amplitude must be finite")
+    if 2.0 * spec["half_width"] / spec["n"] > spec["width"] / 4.0:
+        raise ValueError(f"{path}: potential.n = {spec['n']} over "
+                         f"+-{spec['half_width']} is a grid too coarse for "
+                         f"potential.width {spec['width']}: need at least 8 "
+                         f"points per width")
+    return spec

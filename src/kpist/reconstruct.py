@@ -65,10 +65,9 @@ n_fine^2 array on the probe path. The route is a property of the grid,
 never of what a source has kept, so a kept refinement and a fresh one
 give bitwise-equal answers. A source keeps its last REFINED_PER_SOURCE
 refinements by grid, each with its band factors or dense arrays, so
-probes that share a grid pay these once. T1, and the dense arrays of a
-band-route grid, are reference arrays for the tests and for
-family_kernel and derivative_data, which only perfbench's wrappers
-keep; nothing on the probe path reads them.
+probes that share a grid pay these once. The dense arrays of a
+band-route grid are reference arrays for the tests; nothing on the
+probe path reads them.
 
 The linearized flow enters as the decay fits' linear baseline
 (harness.run_linear_baseline): u1 on the linear-order kernels, through
@@ -116,7 +115,7 @@ GRID_FLOOR = 256
 # 0.78 MB: 0.16, 0.24 and 0.38 MB at 256, 512 and 1024 points over +-2,
 # 1.25 MB for a wide 1024-point one (+-7.875), 2.1 MB for the floor grid
 # with its dense arrays, and 35 MB for a wide 1024-point one once its
-# dense reference arrays are read
+# dense T_plus and T_minus are read
 REFINED_PER_SOURCE = 8
 # least half-width of a probe grid from ray_resolution_grid; the floor
 # grid, +-FLOOR_HALF_WIDTH on GRID_FLOOR points, is the one refinement
@@ -416,7 +415,7 @@ class SplineKernels:
     O(n_fine + n_c^2) memory and no n_fine^2 array. On the floor grid,
     which the probes of a pass share, one triangular product per family
     with the dense T_plus and T_minus (scattering.triangular_products),
-    cheaper per row than the band's. T_plus, T_minus and T1 are built on
+    cheaper per row than the band's. T_plus and T_minus are built on
     first access by _dense, the one dense evaluator."""
 
     def __init__(self, source: ScatteringData, grid: Grid1D):
@@ -454,18 +453,17 @@ class SplineKernels:
         return self._band.pair(self._factors, rows)
 
     def _dense(self, sign: int) -> np.ndarray:
-        """One family (sign 0: the unmasked T1) as an n_fine^2 array,
-        W_sigma (B C_sigma B^T), with B^T dense from the band."""
+        """One family as an n_fine^2 array, W_sigma (B C_sigma B^T), with
+        B^T dense from the band."""
         f, m = self._band.first, self.grids.n_kl
         bt = np.zeros((self._band.n_coef, m))
         bt[f + np.arange(4)[:, None], np.arange(m)] = self._band.vals
-        out = (bt.T @ self._coeffs[sign]) @ bt
-        return out * _triangle_weights(m, sign) if sign else out
+        return (bt.T @ self._coeffs[sign]) @ bt * _triangle_weights(m, sign)
 
-    # the reference arrays, built when first read
+    # the floor grid's product arrays, and elsewhere reference arrays,
+    # built when first read
     T_plus = functools.cached_property(lambda self: self._dense(+1))
     T_minus = functools.cached_property(lambda self: self._dense(-1))
-    T1 = functools.cached_property(lambda self: self._dense(0))
 
 
 def resample_scattering_data(data: ScatteringData, grid_fine: Grid1D

@@ -32,9 +32,10 @@ sums (reconstruct.SplineKernels). The products of f are kept as
 field sums read. No kernel is copied or formed anew: the minus family,
 -T_minus in consumption orientation, enters as a subtraction, and the
 x-derivative kernels i(l - k)K act through i(l - k)K g = i(K(l g) - k K g).
-family_kernel and derivative_data form those kernels; nothing in the
-package calls them, and they are kept only for the wrappers of
-perfbench's traced runs, which look them up by name.
+family_kernel and derivative_data form those kernels. The probe path
+calls neither; verify's Hilbert-Schmidt bound (harness._hs_proxy) reads
+derivative_data's, and family_kernel is kept only for the wrappers of
+perfbench's traced runs, which look both up by name.
 
 A probe forms each distinct product once and reuses it by linearity
 (K(l (1 + m)) = K(l) + K(l m)). With n1 and n2 the terms of a probe's
@@ -42,7 +43,8 @@ mu and dmu series, the rows its point adds to the kernel data's
 products (each row both families) are
   * 2 for the rows l and 1 (CTOperator.basis, once per operator): the
     source of the mu solve (on_constant), the constant's share of the
-    derivative forcing and the whole of reconstruct.eval_u1;
+    derivative forcing (derivative_on_constant) and the whole of
+    reconstruct.eval_u1;
   * n1 + 1 for the mu series and its residual, whose application on the
     returned sum m leaves K(m);
   * 1 for l m; the forcing then needs no other row;
@@ -149,10 +151,10 @@ class CTOperator:
     e^{i phi(l)} and dl e^{-i phi(k)}, evolution time and grid weight
     included, have shape (P, n), row p the phase of point p; they are
     precomputed at construction from one exponential. build takes
-    scalars as one point or sequences of P values, and rejects sequences
-    of unequal lengths, a non-finite point and t < 0. The operator acts
-    on stacks of shape (P, n), row p at point p, or on a stack of them
-    along leading axes."""
+    scalars as one point or sequences of P values, and rejects empty
+    sequences, sequences of unequal lengths, a non-finite point and
+    t < 0. The operator acts on stacks of shape (P, n), row p at point p,
+    or on a stack of them along leading axes."""
 
     base: ScatteringData
     t: tuple
@@ -170,6 +172,9 @@ class CTOperator:
                              f"{x.shape} and {y.shape}")
         t, x, y = t.tolist(), x.tolist(), y.tolist()
         points = list(zip(t, x, y))
+        if not points:
+            # a (0, n) stack's series would never meet its stopping rule
+            raise ValueError("a probe stack needs at least one point")
         for point in points:
             _require_finite(*point)
             if point[0] < 0:
@@ -211,26 +216,26 @@ class CTOperator:
     def __call__(self, f: np.ndarray) -> np.ndarray:
         return _project_pair(self.products(f))
 
-    def derivative(self, f: np.ndarray) -> np.ndarray:
-        """x-derivative of the operator applied to f: x enters only
-        through exp(i(l - k)x), so each kernel K becomes i(l - k)K."""
-        pts = self.base.grids.grid_kl.points
-        p = self.products(np.stack([pts * f, f]))
-        return _project_pair(_gap(p[:, 0], p[:, 1], pts))
-
     def on_constant(self) -> np.ndarray:
         # the constant is integrated against the kernel rows over the
         # truncated domain; the same arithmetic as applying to ones
         return _project_pair(self.basis[:, 1])
+
+    def derivative_on_constant(self) -> np.ndarray:
+        """The x-derivative of the operator applied to the constant: x
+        enters only through exp(i(l - k)x), so each kernel K becomes
+        i(l - k)K, whose products on 1 are i(K(l) - k K(1)) from basis."""
+        return _project_pair(_gap(self.basis[:, 0], self.basis[:, 1],
+                                  self.base.grids.grid_kl.points))
 
 
 def derivative_data(base: ScatteringData) -> ScatteringData:
     """Companion data whose kernels are i(l-k) times the originals.
 
     Applying the kernel operators of the result realizes the x-derivative
-    of the originals, since x enters only through exp(i(l-k)x).
-    CTOperator.derivative forms no such kernels; this is kept only for
-    perfbench's wrappers (the tests also read it as a reference)."""
+    of the originals, since x enters only through exp(i(l-k)x). The
+    solves form no such kernels; the Hilbert-Schmidt bound of verify's
+    derivative row reads their norms (harness._hs_proxy)."""
     pts = base.grids.grid_kl.points
     factor = 1j * (pts[None, :] - pts[:, None])
     return ScatteringData(factor * base.T_plus, factor * base.T_minus,

@@ -84,7 +84,7 @@ import math
 
 import numpy as np
 import scipy.fft as sfft
-from scipy.interpolate import CubicSpline, RectBivariateSpline
+from scipy.interpolate import RectBivariateSpline
 from scipy.linalg.blas import ztrmv
 
 from .grids import SQRT_2PI, Grid1D, PartialTransform
@@ -125,8 +125,16 @@ class ScatteringGrids:
         return self.grid_y.n
 
 
+def _bicubic(x: np.ndarray, y: np.ndarray, values: np.ndarray):
+    """The interpolating bicubic splines (fitpack, s = 0: not-a-knot in
+    each axis) of the real and imaginary parts of values on the grid
+    (x, y), as a (re, im) pair: the package's one spline pair."""
+    return (RectBivariateSpline(x, y, values.real),
+            RectBivariateSpline(x, y, values.imag))
+
+
 def resample_transform(pt: PartialTransform, grids: ScatteringGrids) -> np.ndarray:
-    """Cubic-spline resample of ut(l, y) onto the working grids.
+    """Bicubic resample of ut(l, y) onto the working grids (_bicubic).
 
     The working window must sit inside the source window; outside-range
     targets would silently extrapolate, so they are rejected.
@@ -137,15 +145,8 @@ def resample_transform(pt: PartialTransform, grids: ScatteringGrids) -> np.ndarr
     ys = pt.grid_y.points
     if lw[0] < ls[0] or lw[-1] > ls[-1] or yw[0] < ys[0] or yw[-1] > ys[-1]:
         raise ValueError("working grids extend beyond the sampled transform")
-
-    def respline(vals, src, dst, axis):
-        re = CubicSpline(src, vals.real, axis=axis)(dst)
-        im = CubicSpline(src, vals.imag, axis=axis)(dst)
-        return re + 1j * im
-
-    out = respline(pt.values, ls, lw, 0)
-    out = respline(out, ys, yw, 1)
-    return out
+    re, im = _bicubic(ls, ys, pt.values)
+    return re(lw, yw) + 1j * im(lw, yw)
 
 
 def _sweep_layer_sq(s: np.ndarray, sign: int) -> np.ndarray:
@@ -637,9 +638,6 @@ class ScatteringData:
         }
         return cls(T[+1], T[-1], T1, grids, meta)
 
-    def mask(self, sign: int) -> np.ndarray:
-        return _triangle_weights(self.grids.n_kl, sign)
-
     def products(self, rows: np.ndarray) -> np.ndarray:
         """The one kernel application: the pair the probe solves consume
         (rhp.CTOperator.products), [rows @ T_plus^T,
@@ -649,24 +647,24 @@ class ScatteringData:
 
     @functools.cached_property
     def spline_fit(self) -> tuple[np.ndarray, dict]:
-        """Interpolating bicubic splines (s = 0) of the kernels on this
+        """Interpolating bicubic splines (_bicubic) of the kernels on this
         grid: (knots, {+1: C_plus, -1: C_minus, 0: C_1}), one knot vector
         for both axes, value(k, l) = sum_rs B_r(k) C[r, s] B_s(l) with B_r
         the cubic B-splines on those knots.
 
         The linear part T1 is smooth over the whole square and splines
-        directly. Each quadratic remainder T_sigma - mask_sigma T1 is
-        smooth only on its own closed triangle: the stored diagonal
-        half-weight is undone and the triangle mirrored across the
-        diagonal for spline support. Interpolants on one knot vector are
-        linear in their data, so a family's coefficients are its
-        remainder's plus those of T1; the triangle weights belong to the
-        evaluation grid and are applied there."""
+        directly. Each quadratic remainder T_sigma - W_sigma T1, W_sigma
+        the triangle weight (_triangle_weights), is smooth only on its own
+        closed triangle: the stored diagonal half-weight is undone and the
+        triangle mirrored across the diagonal for spline support.
+        Interpolants on one knot vector are linear in their data, so a
+        family's coefficients are its remainder's plus those of T1; the
+        triangle weights belong to the evaluation grid and are applied
+        there."""
         pts = self.grids.grid_kl.points
 
         def fit(arr):
-            re = RectBivariateSpline(pts, pts, arr.real)
-            im = RectBivariateSpline(pts, pts, arr.imag)
+            re, im = _bicubic(pts, pts, arr)
             knots = re.get_knots()[0]
             n = len(knots) - 4
             return knots, (re.get_coeffs() + 1j * im.get_coeffs()).reshape(n, n)
@@ -675,7 +673,7 @@ class ScatteringData:
         coeffs = {0: c1}
         diag = np.arange(self.grids.n_kl)
         for sign, kernel in ((+1, self.T_plus), (-1, self.T_minus)):
-            rem = kernel - self.mask(sign) * self.T1
+            rem = kernel - _triangle_weights(len(diag), sign) * self.T1
             rem[diag, diag] *= 2.0
             filled = _fill_across_diagonal(rem, upper=(sign == +1))
             coeffs[sign] = fit(filled)[1] + c1

@@ -7,6 +7,10 @@ figure of a property the paper relies on:
   * full_fourier, inverse_partial_fourier_x: the 2-D transform and the
     inverse of grids.partial_fourier_x (round trip, spectral derivative;
     the 2-D transform feeds the linear routes below).
+  * two_pass_resample: the transform's resample onto the working grids
+    as two passes of not-a-knot cubic splines (CubicSpline), one axis at
+    a time, against which scattering.resample_transform, the same
+    interpolant through fitpack's bicubic pair (_bicubic), is checked.
   * _panel_sums, phase_integral, cumulative_phase_integral: full and
     cumulative Filon sums, pinned against adaptive quadrature in
     test_oscillatory; the direct loops that check the recurrences of the
@@ -37,6 +41,10 @@ figure of a property the paper relies on:
     data-to-kernel map (harness.compute_scattering).
   * cauchy_project: one half-line projection, against which
     rhp.CTOperator's one-FFT-pair projection is checked.
+  * ct_derivative: the operator's x-derivative applied to any f, from
+    the kernel products of [l f, f]; the derivative forcing of
+    sequential_probe, and the route against which
+    CTOperator.derivative_on_constant (f = 1, from basis) is checked.
   * ct_norm: the 2-norm of one probe's operator, which the uniform
     contraction bound of harness.run_verify_suite must dominate.
   * kernel_apply: one triangular family with its oscillatory weight at an
@@ -51,6 +59,9 @@ figure of a property the paper relies on:
     straight from the coefficients of the grid's own window, against
     which the factors sliced from a source's tables
     (reconstruct._band_tables, _Band.factors) are checked.
+  * dense_data: a refinement as kernel data with dense arrays, the
+    unmasked linear kernel B C_1 B^T beside the families SplineKernels
+    builds, for the resampling tests and derivative_data.
   * linear_kp, linear_kp_crosscheck, linear_field (with
     _spectrum_with_zero_line): the linearized flow by the rectangular
     (p, q) sum, by the two-spectral-variable parametrization and on the
@@ -61,15 +72,16 @@ figure of a property the paper relies on:
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
+from scipy.interpolate import CubicSpline, RectBivariateSpline
 
 from kpist.grids import (SQRT_2PI, Grid1D, PartialTransform,
                          PotentialField)
 from kpist.oscillatory import filon_moments
-from kpist.rhp import CTOperator
+from kpist.rhp import CTOperator, _gap, _project_pair
 from kpist.scattering import (MuSharpField, ScatteringData, ScatteringGrids,
-                              _halves, _sup_norm, _sweep_down, _VolterraPlan,
-                              apply_g, g_on_delta, neumann_series)
+                              _halves, _sup_norm, _sweep_down,
+                              _triangle_weights, _VolterraPlan, apply_g,
+                              g_on_delta, neumann_series)
 
 
 def _layer_sq(f: np.ndarray) -> np.ndarray:
@@ -113,6 +125,19 @@ def full_fourier(field: PotentialField):
     phase = np.exp(-1j * p_raw * gx.min)[:, None] * np.exp(-1j * q_raw * gy.min)[None, :]
     vals = np.fft.fftshift(raw * phase) * (gx.spacing * gy.spacing / (2.0 * np.pi))
     return gx.dual(), gy.dual(), vals
+
+
+def two_pass_resample(pt: PartialTransform,
+                      grids: ScatteringGrids) -> np.ndarray:
+    """ut(l, y) on the working grids by not-a-knot cubic splines of the
+    real and imaginary parts, in l and then in y."""
+    def respline(vals, src, dst, axis):
+        re = CubicSpline(src, vals.real, axis=axis)(dst)
+        im = CubicSpline(src, vals.imag, axis=axis)(dst)
+        return re + 1j * im
+
+    out = respline(pt.values, pt.grid_l.points, grids.grid_kl.points, 0)
+    return respline(out, pt.grid_y.points, grids.grid_y.points, 1)
 
 
 # ---------------------------------------------------------------- Filon sums
@@ -320,7 +345,7 @@ def split_T(data: ScatteringData, linear_kernel: np.ndarray | None = None):
 
     out = {}
     for sign, name, tfull in ((+1, "plus", data.T_plus), (-1, "minus", data.T_minus)):
-        t1m = t1 * data.mask(sign)
+        t1m = t1 * _triangle_weights(data.grids.n_kl, sign)
         t2 = tfull - t1m
         out[f"T1_{name}"] = t1m
         out[f"T2_{name}"] = t2
@@ -411,12 +436,21 @@ def kernel_apply(op: CTOperator, sign: int, f: np.ndarray) -> np.ndarray:
     return sign * op.e_k * ((op.e_l * f) @ kernels[sign].T)
 
 
+def ct_derivative(op: CTOperator, f: np.ndarray) -> np.ndarray:
+    """x-derivative of the operator applied to f: x enters only through
+    exp(i(l - k)x), so each kernel K becomes i(l - k)K, applied as
+    i(K(l f) - k K f) from the products of [l f, f]."""
+    pts = op.base.grids.grid_kl.points
+    p = op.products(np.stack([pts * f, f]))
+    return _project_pair(_gap(p[:, 0], p[:, 1], pts))
+
+
 def sequential_probe(op: CTOperator, tol: float = 1e-10):
     """(u, u1, u2, residual_mu, residual_dmu) at the operator's one point
     by the sequential route, each stage forming its own kernel products:
-    the mu series from op(1), the forcing op.derivative(1 + mu), the dmu
-    series, and the two field terms from the products of [l, 1] and of
-    [l mu, mu, dmu] through kernel_apply, one family at a time."""
+    the mu series from op(1), the forcing ct_derivative(op, 1 + mu), the
+    dmu series, and the two field terms from the products of [l, 1] and
+    of [l mu, mu, dmu] through kernel_apply, one family at a time."""
     grid = op.base.grids.grid_kl
     pts, dl = grid.points, grid.spacing
 
@@ -427,8 +461,8 @@ def sequential_probe(op: CTOperator, tol: float = 1e-10):
         return op(f)
 
     mu, _, _, (r_mu,) = neumann_series(apply, op(np.ones(grid.n)), norm, tol)
-    dmu, _, _, (r_dmu,) = neumann_series(apply, op.derivative(1.0 + mu), norm,
-                                         tol)
+    dmu, _, _, (r_dmu,) = neumann_series(apply, ct_derivative(op, 1.0 + mu),
+                                         norm, tol)
 
     def sums(rows):
         a = kernel_apply(op, +1, rows) + kernel_apply(op, -1, rows)
@@ -463,6 +497,18 @@ def band_factors(band, c_plus: np.ndarray, c_minus: np.ndarray):
     local = c[:, s + p[:, None], s + d[:, None]][:, None] * sign[..., None]
     return (on_table(near), on_table(v.astype(complex)), on_table(half_diag),
             strict, local.reshape(2, 12, 4, len(s)))
+
+
+def dense_data(fine) -> ScatteringData:
+    """A refinement (reconstruct.SplineKernels) as kernel data with dense
+    n_fine^2 arrays: its T_plus and T_minus, and the unmasked linear
+    kernel B C_1 B^T, with B^T dense from the band."""
+    band, m = fine._band, fine.grids.n_kl
+    bt = np.zeros((band.n_coef, m))
+    bt[band.first + np.arange(4)[:, None], np.arange(m)] = band.vals
+    return ScatteringData(fine.T_plus, fine.T_minus,
+                          (bt.T @ fine._coeffs[0]) @ bt, fine.grids,
+                          dict(fine.meta))
 
 
 def adjoint_identity_check(data: ScatteringData, x: float, y: float) -> float:

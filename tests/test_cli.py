@@ -136,6 +136,34 @@ class TestChain:
         assert csv_lines(d / "decay" / "decay_linear.csv") == csv_lines(want)
 
 
+class TestVerifyAiry:
+    """`kpist verify airy`: the Airy rows alone, from run_verify_suite."""
+
+    def test_writes_the_airy_report(self, tmp_path, monkeypatch):
+        # fixed tables in place of the 16 s sweep; the files are those the
+        # command wrote when it assembled the report itself
+        rows = [("nondegenerate", 10.0, 1.0), ("nondegenerate", 40.0, 1.05),
+                ("nondegenerate", 160.0, 1.02), ("degenerate", 10.0, 1.47),
+                ("degenerate", 40.0, 1.46), ("degenerate", 160.0, 1.48)]
+        monkeypatch.setattr(harness, "airy_ratio_tables", lambda: list(rows))
+        assert main(["verify", "airy", "-o", str(tmp_path)]) == 0
+        assert (tmp_path / "verify_airy.csv").read_text() == (
+            "table,t,sup_value\nnondegenerate,10.0,1.0\n"
+            "nondegenerate,40.0,1.05\nnondegenerate,160.0,1.02\n"
+            "degenerate,10.0,1.47\ndegenerate,40.0,1.46\n"
+            "degenerate,160.0,1.48\n")
+        lines = csv_lines(tmp_path / "verify_bounds.csv")
+        assert lines[:3] == [
+            "name,measured,limit,passed,note",
+            "halfline.nondegenerate.monotone,1.05,1.15,true,successive "
+            "envelope sup ratio, scaled t^-1/2 (1+|xi|)",
+            "halfline.degenerate.stable,1.0136986301369864,1.15,true,max/min "
+            "across t of sup |H| t^(1/3) over |a| <= 0.05"]
+        assert len(lines) == 4
+        assert lines[3].startswith("airy.quadrature.identity,")
+        assert ",1e-06,true,closed form vs half_airy_H" in lines[3]
+
+
 class TestInvalidArguments:
     """Refused arguments exit 1 before any output is written."""
 
@@ -199,6 +227,30 @@ class TestInvalidArguments:
         assert main(["scatter", str(d / "pot"), "-o", str(out)]) == 1
         assert "are available (n_kl = 128, n_y = 128)" in \
             capsys.readouterr().err
+        assert not out.exists()
+
+    def test_decay_fit_refuses_a_null_delta(self, tmp_path, capsys):
+        # a null entry is refused naming the file and the key, where
+        # float(None) raised TypeError and main printed a traceback
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(CONFIG.replace("potential: pot",
+                                      "potential: {amplitude: 0.02}\n"
+                                      "delta: null"))
+        out = tmp_path / "decay"
+        assert main(["decay-fit", str(cfg), "-o", str(out)]) == 1
+        assert f"{cfg}: delta must be a number, got None" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    def test_scatter_refuses_a_sidecar_without_a_grid(self, chain, tmp_path,
+                                                       capsys):
+        d, _ = chain
+        side = yaml.safe_load((d / "pot.yaml").read_text())
+        del side["grid_y"]
+        (tmp_path / "pot.yaml").write_text(yaml.safe_dump(side))
+        out = tmp_path / "scat"
+        assert main(["scatter", str(tmp_path / "pot"), "-o", str(out)]) == 1
+        assert "pot.yaml: grid_y must be a mapping" in capsys.readouterr().err
         assert not out.exists()
 
     def test_decay_fit_refused_potential_writes_nothing(self, tmp_path,

@@ -567,6 +567,18 @@ class TestAiryTables:
         assert not out["halfline.nondegenerate.monotone"].passed
         assert not out["halfline.degenerate.stable"].passed
 
+    def test_no_config_gives_the_airy_rows_alone(self, monkeypatch):
+        # `kpist verify airy`: the suite builds the report, --skip-airy or
+        # not, and its pass rule is every row's
+        rows = [("nondegenerate", 10.0, 1.0), ("nondegenerate", 40.0, 1.4),
+                ("degenerate", 10.0, 1.47), ("degenerate", 40.0, 1.46)]
+        monkeypatch.setattr(harness, "airy_ratio_tables", lambda: list(rows))
+        rep = run_verify_suite(None)
+        assert rep == VerifyReport(tuple(_airy_bound_rows(rows)), tuple(rows),
+                                   False)
+        assert [r.passed for r in rep.rows] == [False, True, True]
+        assert run_verify_suite(None, include_airy=False) == rep
+
     def test_quadrature_identity(self):
         closed = cubic_phase_transform(-1.0, 2.0, 0.5)
         quad = half_airy_H(2.0, -1.0, -0.5).real / np.sqrt(2.0 * np.pi)

@@ -91,6 +91,16 @@ class TestPotentialFiles:
                 f"{tmp_path / 'x.yaml'}: the sidecar must be a mapping")):
             load_potential(tmp_path / "x")
 
+    def test_sidecar_without_a_grid(self, tmp_path):
+        # refused naming the file and the key, where it raised KeyError
+        save_potential(small_field(), tmp_path / "x")
+        side = yaml.safe_load((tmp_path / "x.yaml").read_text())
+        del side["grid_y"]
+        (tmp_path / "x.yaml").write_text(yaml.safe_dump(side))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{tmp_path / 'x.yaml'}: grid_y must be a mapping, got None")):
+            load_potential(tmp_path / "x")
+
 
 class TestScatteringFiles:
     def test_round_trip(self, tmp_path):
@@ -139,6 +149,16 @@ class TestScatteringFiles:
         with pytest.raises(ValueError, match=re.escape(
                 f"{d / 'scattering.yaml'}: the sidecar must be a mapping")):
             load_scattering(d)
+
+    def test_sidecar_without_a_grid(self, tmp_path):
+        save_scattering(synthetic_data(), tmp_path / "d")
+        path = tmp_path / "d" / "scattering.yaml"
+        side = yaml.safe_load(path.read_text())
+        del side["grid_y"]
+        path.write_text(yaml.safe_dump(side))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: grid_y must be a mapping, got None")):
+            load_scattering(tmp_path / "d")
 
 
 class TestProbes:
@@ -319,7 +339,9 @@ class TestConfig:
 
     # malformed entries are refused naming the file and the key, where
     # they raised KeyError, TypeError or AttributeError, or a ValueError
-    # naming neither, from deep inside the parse
+    # naming neither, from deep inside the parse, or were truncated
+    # (int(128.5) = 128); the potential table is checked where it is
+    # read, not when resolve_potential uses it
     @pytest.mark.parametrize("body, text", [
         ("rays: [{eta: 0.0}]", "rays[0] needs xi"),
         ("rays: [[1.0, 0.0]]", "rays[0] must be a mapping"),
@@ -327,11 +349,39 @@ class TestConfig:
         ("times: 5", "times must be a mapping"),
         ("scattering: 8", "scattering must be a mapping"),
         ("rays: [{xi: 1.0, slope_window: [1]}]",
-         "rays[0].slope_window must be a pair")],
+         "rays[0].slope_window must be a pair"),
+        ("delta: null", "delta must be a number, got None"),
+        ("potential: {amplitude: null}",
+         "potential.amplitude must be a number, got None"),
+        ("rays: [{xi: 1.0, slope_window: [a, 1]}]",
+         "rays[0].slope_window[0] must be a number, got 'a'"),
+        ("scattering: {n_kl: 128.5}",
+         "scattering.n_kl must be an integer, got 128.5"),
+        ("times: {n: 6.9}", "times.n must be an integer, got 6.9"),
+        ("potential: {amplitude: 0.05, n: 100}",
+         "potential.n must be a power of two >= 8, got 100"),
+        ("potential: {amplitude: 0.05, kind: foo}",
+         "potential.kind must be one of gaussian_dx, cosine_packet, "
+         "got 'foo'")],
         ids=["ray_without_xi", "ray_as_list", "rays_scalar", "times_scalar",
-             "scattering_scalar", "window_of_one"])
+             "scattering_scalar", "window_of_one", "null_delta",
+             "null_amplitude", "window_not_a_number", "fractional_n_kl",
+             "fractional_times_n", "potential_n", "potential_kind"])
     def test_malformed_entry(self, tmp_path, body, text):
         p = tmp_path / "c.yaml"
-        p.write_text(f"potential: {{amplitude: 0.05}}\n{body}\n")
+        p.write_text(body if body.startswith("potential") else
+                     f"potential: {{amplitude: 0.05}}\n{body}\n")
         with pytest.raises(ValueError, match=re.escape(f"{p}: {text}")):
             load_config(p)
+
+    def test_potential_table_completed(self, tmp_path):
+        # resolve_potential reads every key of the table load_config fills
+        p = tmp_path / "c.yaml"
+        p.write_text("potential: {amplitude: 0.05, half_width: 16}\n")
+        cfg = load_config(p)
+        assert cfg.potential_spec == {"kind": "gaussian_dx", "amplitude": 0.05,
+                                      "n": 256, "width": 1.0,
+                                      "half_width": 16.0}
+        g = Grid1D(-16.0, 16.0, 256)
+        ref = make_test_potential("gaussian_dx", 0.05, 1.0, g, g)
+        assert np.array_equal(cfg.resolve_potential().values, ref.values)

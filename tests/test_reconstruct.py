@@ -40,7 +40,7 @@ from kpist.reconstruct import (
     reconstruct_points,
     resample_scattering_data,
 )
-from reference import (band_factors, linear_field, linear_kp,
+from reference import (band_factors, dense_data, linear_field, linear_kp,
                        linear_kp_crosscheck, sequential_probe)
 
 WORK_KL = Grid1D(-8.0, 8.0, 128)
@@ -357,8 +357,9 @@ class TestResampling:
         fine_grid = Grid1D(-4.0, 4.0, 256)
         _, direct = build_reference(0.01, grid_kl=fine_grid)
         res = resample_scattering_data(coarse, fine_grid)
+        dense = dense_data(res)
         for name in ("T_plus", "T_minus", "T1"):
-            a, b = getattr(res, name), getattr(direct, name)
+            a, b = getattr(dense, name), getattr(direct, name)
             assert np.linalg.norm(a - b) / np.linalg.norm(b) <= 6e-3
             assert np.max(np.abs(a - b)) / np.max(np.abs(b)) <= 2.5e-2
         for (x, y) in [(1.0, 0.5), (-2.0, 1.5)]:
@@ -377,8 +378,8 @@ class TestResampling:
         # is numerically zero; the stored diagonals carry only the
         # half-weighted quadratic remainders
         diag = np.arange(n)
-        assert np.max(np.abs(res.T1[diag, diag])) <= \
-            1e-10 * np.max(np.abs(res.T1))
+        t1 = dense_data(res).T1
+        assert np.max(np.abs(t1[diag, diag])) <= 1e-10 * np.max(np.abs(t1))
 
     def test_meta_records_source(self, ref05):
         _, data = ref05
@@ -488,7 +489,7 @@ def resample_with_masks(data, grid_fine):
     d_fine = np.arange(m)[None, :] - np.arange(m)[:, None]
     out = {}
     for sign, stored in ((+1, data.T_plus), (-1, data.T_minus)):
-        rem = stored - data.mask(sign) * data.T1
+        rem = stored - scattering._triangle_weights(src.n, sign) * data.T1
         diag = np.arange(src.n)
         rem[diag, diag] *= 2.0
         rem_fine = spline2(_fill_across_diagonal(rem, upper=(sign == +1)))
@@ -516,8 +517,9 @@ class TestCopyFreeEvaluation:
         # values with full-mask triangle weights (measured 6e-16)
         _, data = ref05
         want = resample_with_masks(data, fine1024.grids.grid_kl)
+        dense = dense_data(fine1024)
         for name, w in zip(("T_plus", "T_minus", "T1"), want):
-            got = getattr(fine1024, name)
+            got = getattr(dense, name)
             assert np.max(np.abs(got - w)) <= 1e-14 * np.max(np.abs(w))
         n = fine1024.grids.n_kl
         d = np.arange(n)[None, :] - np.arange(n)[:, None]
@@ -703,14 +705,14 @@ class TestFactoredKernels:
         assert EDGE_WINDOW.max > data.grids.grid_kl.points[-1]
         res = resample_scattering_data(data, EDGE_WINDOW)
         want = resample_with_masks(data, EDGE_WINDOW)
+        dense = dense_data(res)
         for name, w in zip(("T_plus", "T_minus", "T1"), want):
-            got = getattr(res, name)
+            got = getattr(dense, name)
             assert np.max(np.abs(got - w)) <= 1e-14 * np.max(np.abs(w))
 
     def test_reconstruct_matches_dense_arrays(self, fine1024):
         t, x, y = FINE_PROBE
-        dense = ScatteringData(fine1024.T_plus, fine1024.T_minus, fine1024.T1,
-                               fine1024.grids, dict(fine1024.meta))
+        dense = dense_data(fine1024)
         a = reconstruct(fine1024, t, x, y)
         b = reconstruct(dense, t, x, y)
         for name in ("u", "u1", "u2"):

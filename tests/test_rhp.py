@@ -25,7 +25,7 @@ from kpist.scattering import (
     solve_mu_sharp,
 )
 from kpist.reconstruct import (ray_resolution_grid, reconstruct,
-                               resample_scattering_data)
+                               reconstruct_points, resample_scattering_data)
 from kpist.rhp import (
     CTOperator,
     derivative_data,
@@ -35,8 +35,8 @@ from kpist.rhp import (
     solve_mul,
     weighted_l2,
 )
-from reference import (adjoint_identity_check, cauchy_project, ct_norm,
-                       kernel_apply)
+from reference import (adjoint_identity_check, cauchy_project, ct_derivative,
+                       ct_norm, dense_data, kernel_apply)
 
 
 def build_reference(eps, n_kl=128, n_y=128, field_n=256):
@@ -222,6 +222,14 @@ class TestOneProbeForm:
         with pytest.raises(ValueError, match="equal lengths"):
             CTOperator.build(data, *point)
 
+    def test_empty_stack_refused(self, ref05):
+        # a (0, n) stack's series never stopped: solve_mul ran all its
+        # terms and reported "did not converge" with an empty history
+        data, _ = ref05
+        with pytest.raises(ValueError, match="at least one point"):
+            CTOperator.build(data, [], [], [])
+        assert reconstruct_points(data, []) == []
+
 
 class TestApplyScriptT:
     def test_zero_kernel_gives_zero(self, ref05):
@@ -354,7 +362,8 @@ class TestCTOperator:
 
 
 def two_projection_reference(op, f):
-    """op(f) and op.derivative(f) through two cauchy_project calls each."""
+    """op(f) and its x-derivative (ct_derivative) through two
+    cauchy_project calls each."""
     pts = op.base.grids.grid_kl.points
 
     def gap(sign):
@@ -383,7 +392,7 @@ class TestFusedProjection:
         rows = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
         for f in (rows[0], rows):
             want, dwant = two_projection_reference(op, f)
-            for got, ref in ((op(f), want), (op.derivative(f), dwant)):
+            for got, ref in ((op(f), want), (ct_derivative(op, f), dwant)):
                 assert got.shape == ref.shape
                 assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
@@ -408,7 +417,8 @@ class TestFusedProjection:
             for name in ("fft", "ifft"):
                 monkeypatch.setattr(module, name, counted(module, name))
         f = np.ones(data.grids.n_kl, dtype=complex)
-        for apply in (op, op.derivative, lambda f: op.on_constant()):
+        for apply in (op, lambda f: op.derivative_on_constant(),
+                      lambda f: op.on_constant()):
             calls.clear()
             apply(f)
             assert calls == {"scipy.fft.fft": 1, "scipy.fft.ifft": 1}
@@ -665,15 +675,29 @@ class TestCopyFreeOperator:
 
     def test_derivative_matches_gap_weighted_reference(self, ref05, fine1024):
         data, _ = ref05
-        for base, (t, x, y) in ((data, (0.5, 1.2, 0.8)),
-                                (fine1024, FINE_PROBE)):
+        for base, dense, (t, x, y) in (
+                (data, data, (0.5, 1.2, 0.8)),
+                (fine1024, dense_data(fine1024), FINE_PROBE)):
             op = CTOperator.build(base, t, x, y)
-            dop = CTOperator.build(derivative_data(base), t, x, y)
+            dop = CTOperator.build(derivative_data(dense), t, x, y)
             mu = solve_mul(op).mu_minus_1
             ones = np.ones(base.grids.n_kl)
             for f, want in ((ones, dop.on_constant()), (mu, dop(mu))):
-                got = op.derivative(f)
+                got = ct_derivative(op, f)
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("points", [1, 3])
+    def test_constant_derivative_is_the_general_route(self, ref05, fine1024,
+                                                      points):
+        # the constant's derivative forcing read from basis is the general
+        # route's at f = 1 bit for bit, each row's products being its own
+        data, _ = ref05
+        ts, xs, ys = np.linspace(0.2, 0.8, points), [1.2] * points, \
+            np.linspace(-0.5, 0.8, points)
+        for base in (data, fine1024):
+            op = CTOperator.build(base, ts, xs, ys)
+            want = ct_derivative(op, np.ones(op.e_l.shape))
+            assert np.array_equal(op.derivative_on_constant(), want)
 
     def test_solve_dmu_forcing_is_derivative_of_full_unknown(self, ref05):
         data, _ = ref05

@@ -56,6 +56,7 @@ from reference import (
     split_T,
     to_sweep,
     transform_norms,
+    two_pass_resample,
     two_sweep_apply_g,
     two_sweep_g_on_delta,
     two_sweep_solve_mu_sharp,
@@ -1290,6 +1291,18 @@ def test_kernel_continuity_constant_stable():
 
 
 # ------------------------------------------------------------------- plumbing
+
+def test_resample_matches_the_two_pass_reference():
+    # fitpack's s = 0 bicubic and the tensor product of not-a-knot cubics
+    # are one interpolant (measured 5.7e-16 of max|ut| on the bench data)
+    gx = Grid1D(-32.0, 32.0, 256)
+    pt = partial_fourier_x(make_test_potential("gaussian_dx", 0.02, 1.0,
+                                               gx, gx))
+    wg = ScatteringGrids(Grid1D(-8.0, 8.0, 128), Grid1D(-8.0, 8.0, 128))
+    want = two_pass_resample(pt, wg)
+    got = resample_transform(pt, wg)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
 
 def test_resample_rejects_wider_targets(reference_setup):
     _, pt, _ = reference_setup
